@@ -12,7 +12,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from io import BytesIO
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .dewey import DeweyId, _trusted
 from .errors import CorpusParseError, EmptyCorpusError
@@ -194,7 +194,3 @@ def build_index(corpus: Sequence[EntityRecord], config: IndexConfig) -> IndexBun
 def index_corpus(data: bytes, config: IndexConfig) -> IndexBundle:
     """Convenience: parse then build in one call."""
     return build_index(parse_corpus(data, config), config)
-
-
-def known_terms(index: IndexBundle) -> Iterable[str]:
-    return index.postings.keys()

@@ -12,6 +12,7 @@ merged back in area order, so results are identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -169,7 +170,11 @@ def diversify_parallel(
     workers: int = 4,
     budget: int | None = None,
 ) -> tuple[TopK, EvalStats]:
-    """Parallel engine; output equals the baseline for any worker count."""
+    """Parallel engine; output equals the baseline for any worker count.
+
+    ``workers`` sets how many batches each intent's areas are dealt into; the
+    pool runs them on at most ``os.cpu_count()`` threads.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if m < 1:
@@ -196,7 +201,7 @@ def diversify_parallel(
             table.consume(keys)
             yield IntentQuery(segments=segments, agg_mi=agg)
 
-    with ThreadPoolExecutor(max_workers=workers) as executor:
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as executor:
         return run_topk(
             stream(index),
             k,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,18 @@ from divsearch.indexing import EntityRecord, IndexBundle, IndexConfig, build_ind
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_INDEX_DIR = DATA_DIR / "toy_index"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def children_import_src():
+    """`python -m divsearch` child processes import the package under test.
+
+    The `pythonpath` setting in pyproject.toml reaches only this process.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(SRC_DIR), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -76,11 +76,18 @@ def slca_oracle(
 
 
 def random_corpus_xml(
-    rng: random.Random, max_entities: int = 40, vocab_size: int = 20
+    rng: random.Random,
+    max_entities: int = 40,
+    vocab_size: int = 20,
+    words: Sequence[str] | None = None,
 ) -> bytes:
-    """A small nested corpus; "item" entities may contain item children."""
-    words = [f"w{i:02d}" for i in range(vocab_size)]
-    weights = [1.0 / (i + 1) for i in range(vocab_size)]
+    """A small nested corpus; "item" entities may contain item children.
+
+    ``words`` replaces the default ``w00 w01 ...`` vocabulary.
+    """
+    if words is None:
+        words = [f"w{i:02d}" for i in range(vocab_size)]
+    weights = [1.0 / (i + 1) for i in range(len(words))]
     target = rng.randint(3, max_entities)
     parts = ["<doc>"]
     emitted = 0

@@ -8,6 +8,7 @@ from divsearch.errors import NoIntentError
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import IntentQuery, Segment, resolve_segment
 from divsearch.features import FeatureEntry
+from divsearch import parallel
 from divsearch.parallel import (
     PROCESSED,
     SharedSegmentTable,
@@ -158,6 +159,31 @@ class TestDiversifyParallel:
             diversify_parallel(["query"], 2, 2, toy_index, workers=0)
         with pytest.raises(ValueError):
             diversify_parallel(["query"], 2, 0, toy_index)
+
+    @pytest.mark.parametrize("cpus, threads", [(2, 2), (None, 1)])
+    def test_thread_pool_capped_at_cpu_count(self, toy_index, monkeypatch, cpus, threads):
+        pool_sizes = []
+        plan_workers = []
+
+        class RecordingExecutor(parallel.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        class RecordingPlan(WorkPlan):
+            def batches(self):
+                plan_workers.append(self.workers)
+                return super().batches()
+
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(parallel, "WorkPlan", RecordingPlan)
+        capped, _ = diversify_parallel(["database", "query"], 2, 2, toy_index, workers=8)
+        base, _ = diversify_baseline(["database", "query"], 2, 2, toy_index)
+        assert pool_sizes == [threads]
+        # the plan still deals areas into the requested batches; they queue
+        assert plan_workers and set(plan_workers) == {8}
+        assert entries_signature(capped) == entries_signature(base)
 
     def test_unknown_keywords_raise(self, toy_index):
         with pytest.raises(NoIntentError):
