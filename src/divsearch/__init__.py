@@ -9,11 +9,9 @@ identical output.
 """
 
 from .anchors import (
-    AreaPartition,
     contains_anchor,
     diversify_anchored,
     partition_areas,
-    partition_by_anchor,
     prune_empty_areas,
 )
 from .dewey import DeweyId, Relation, lca, relation, subtree_bound
@@ -70,7 +68,6 @@ from .storage import load_index, save_index
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreaPartition",
     "CorpusParseError",
     "DEFAULT_STOPWORDS",
     "DeweyId",
@@ -113,7 +110,6 @@ __all__ = [
     "mutual_information",
     "parse_corpus",
     "partition_areas",
-    "partition_by_anchor",
     "plan_shared_segments",
     "prune_empty_areas",
     "relation",

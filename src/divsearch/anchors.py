@@ -15,9 +15,8 @@ by scanning the only possible candidates: prefixes of the anchors.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dewey import DeweyId, _trusted, subtree_bound
 from .diversify import (
@@ -38,68 +37,34 @@ DES = "des"
 NEXT = "next"
 
 NodeList = tuple[DeweyId, ...]
+Range = tuple[int, int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class _Span:
-    """A contiguous slice of one segment list, minus discarded positions."""
+class Area(NamedTuple):
+    """One independent evaluation region: an index range per segment list.
 
-    source: NodeList
-    lo: int
-    hi: int
-    excluded: tuple[int, ...] = ()
-
-    @property
-    def size(self) -> int:
-        return (self.hi - self.lo) - len(self.excluded)
-
-    def nodes(self) -> NodeList:
-        if not self.excluded:
-            return self.source[self.lo : self.hi]
-        skip = set(self.excluded)
-        return tuple(self.source[i] for i in range(self.lo, self.hi) if i not in skip)
-
-
-@dataclass(frozen=True)
-class Area:
-    """One independent evaluation region with one span per segment."""
+    ``ranges[i]`` is ``(lo, hi, excluded)``: positions ``lo .. hi-1`` of
+    ``sources[i]`` minus the sorted positions in ``excluded``.  The sweep
+    that builds an area also fixes its size and whether some list is empty
+    (``dead``), so neither needs a node to be copied.
+    """
 
     kind: str
     anchor: DeweyId | None
-    spans: tuple[_Span, ...]
-
-    @property
-    def total_nodes(self) -> int:
-        return sum(span.size for span in self.spans)
-
-    @property
-    def dead(self) -> bool:
-        return any(span.size == 0 for span in self.spans)
+    sources: tuple[NodeList, ...]
+    ranges: tuple[Range, ...]
+    total_nodes: int
+    dead: bool
 
     def lists(self) -> list[NodeList]:
-        return [span.nodes() for span in self.spans]
-
-
-def _split_list(
-    lst: NodeList, lo: int, anchor: DeweyId, bound: DeweyId
-) -> tuple[int, int, tuple[int, ...], int]:
-    """Locate anchor-relative regions of lst[lo:].
-
-    Returns (a, b, ancestor positions, equal count) with lst[lo:a] before
-    the anchor, lst[a+eq:b] strict descendants, lst[b:] after the subtree.
-    Proper ancestors of the anchor hide among the "before" nodes at exact
-    prefix values, so each is probed directly.
-    """
-    a = bisect_left(lst, anchor, lo)
-    b = bisect_left(lst, bound, lo)
-    ancestors: list[int] = []
-    for plen in range(1, len(anchor)):
-        p = _trusted(tuple(anchor[:plen]))
-        j = bisect_left(lst, p, lo, a)
-        if j < a and lst[j] == p:
-            ancestors.append(j)
-    eq = 1 if a < len(lst) and lst[a] == anchor else 0
-    return a, b, tuple(ancestors), eq
+        out: list[NodeList] = []
+        for lst, (lo, hi, excluded) in zip(self.sources, self.ranges):
+            if excluded:
+                skip = set(excluded)
+                out.append(tuple(lst[i] for i in range(lo, hi) if i not in skip))
+            else:
+                out.append(lst[lo:hi])
+        return out
 
 
 def partition_areas(
@@ -109,59 +74,54 @@ def partition_areas(
 
     Returns the ordered candidate areas (pre, des per anchor, then the
     final tail) plus the count of discarded nodes (ancestors of or equal to
-    an anchor).  If any list's remainder empties, later anchors cannot
-    yield full coverage; the loop stops and the tail absorbs the rest.
+    an anchor).  Per list and anchor, ``lst[lo:a]`` precedes the anchor,
+    ``lst[a+eq:b]`` are its strict descendants and ``lst[b:]`` follows its
+    subtree.  Proper ancestors of the anchor hide among the preceding nodes
+    at exact prefix values, so each prefix not below ``lst[lo]`` is probed.
+    If any list's remainder empties, later anchors cannot yield full
+    coverage; the loop stops and the tail absorbs the rest.
     """
+    sources = tuple(lists)
     areas: list[Area] = []
     discarded = 0
-    cursors = [0] * len(lists)
+    cursors = [0] * len(sources)
     for anchor in anchors:
         bound = subtree_bound(anchor)
-        pre_spans: list[_Span] = []
-        des_spans: list[_Span] = []
+        prefixes = [anchor[:plen] for plen in range(1, len(anchor))]
+        pre: list[Range] = []
+        des: list[Range] = []
+        pre_sizes: list[int] = []
+        des_sizes: list[int] = []
         exhausted = False
-        for li, lst in enumerate(lists):
+        for li, lst in enumerate(sources):
             lo = cursors[li]
-            a, b, anc, eq = _split_list(lst, lo, anchor, bound)
-            discarded += len(anc) + eq
-            pre_spans.append(_Span(lst, lo, a, anc))
-            des_spans.append(_Span(lst, a + eq, b))
+            a = bisect_left(lst, anchor, lo)
+            excluded: tuple[int, ...] = ()
+            if a > lo:
+                first = lst[lo]
+                for p in prefixes:
+                    if p >= first:
+                        j = bisect_left(lst, p, lo, a)
+                        if j < a and lst[j] == p:
+                            excluded += (j,)
+            n = len(lst)
+            eq = 1 if a < n and lst[a] == anchor else 0
+            b = bisect_left(lst, bound, a)
+            pre.append((lo, a, excluded))
+            des.append((a + eq, b, ()))
+            pre_sizes.append(a - lo - len(excluded))
+            des_sizes.append(b - a - eq)
+            discarded += len(excluded) + eq
             cursors[li] = b
-            if b >= len(lst):
-                exhausted = True
-        areas.append(Area(PRE, anchor, tuple(pre_spans)))
-        areas.append(Area(DES, anchor, tuple(des_spans)))
+            exhausted = exhausted or b >= n
+        areas.append(Area(PRE, anchor, sources, tuple(pre), sum(pre_sizes), 0 in pre_sizes))
+        areas.append(Area(DES, anchor, sources, tuple(des), sum(des_sizes), 0 in des_sizes))
         if exhausted:
             break
-    tail = tuple(_Span(lst, cursors[li], len(lst)) for li, lst in enumerate(lists))
-    areas.append(Area(NEXT, None, tail))
+    sizes = [len(lst) - lo for lst, lo in zip(sources, cursors)]
+    tail = tuple((lo, len(lst), ()) for lst, lo in zip(sources, cursors))
+    areas.append(Area(NEXT, None, sources, tail, sum(sizes), 0 in sizes))
     return areas, discarded
-
-
-@dataclass(frozen=True)
-class AreaPartition:
-    """Four-way split of segment lists around a single anchor."""
-
-    anchor: DeweyId
-    pre: tuple[NodeList, ...]
-    des: tuple[NodeList, ...]
-    next: tuple[NodeList, ...]
-    anc_count: int
-
-
-def partition_by_anchor(lists: Sequence[NodeList], anchor: DeweyId) -> AreaPartition:
-    bound = subtree_bound(anchor)
-    pre: list[NodeList] = []
-    des: list[NodeList] = []
-    nxt: list[NodeList] = []
-    anc_count = 0
-    for lst in lists:
-        a, b, anc, eq = _split_list(lst, 0, anchor, bound)
-        anc_count += len(anc) + eq
-        pre.append(_Span(lst, 0, a, anc).nodes())
-        des.append(lst[a + eq : b])
-        nxt.append(lst[b:])
-    return AreaPartition(anchor, tuple(pre), tuple(des), tuple(nxt), anc_count)
 
 
 def prune_empty_areas(areas: Iterable[Area]) -> tuple[list[Area], int, int]:
@@ -315,7 +275,6 @@ def diversify_anchored(
 
 __all__ = [
     "Area",
-    "AreaPartition",
     "area_results",
     "contains_anchor",
     "covered_anchor_ancestors",
@@ -324,6 +283,5 @@ __all__ = [
     "evaluate_anchored",
     "finish_evaluation",
     "partition_areas",
-    "partition_by_anchor",
     "prune_empty_areas",
 ]

@@ -114,10 +114,6 @@ class WorkPlan:
     areas: tuple[Area, ...]
     workers: int
 
-    @property
-    def assignment(self) -> dict[int, int]:
-        return {i: i % self.workers for i in range(len(self.areas))}
-
     def batches(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.workers)]
         for i in range(len(self.areas)):

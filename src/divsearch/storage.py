@@ -149,6 +149,26 @@ def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
                 yield lineno, raw
     except OSError as exc:
         raise IndexFormatError(f"cannot read index file: {exc}", path=path.name) from exc
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(
+            f"invalid UTF-8: {exc.reason}", path=path.name, line=_undecodable_line(path)
+        ) from exc
+
+
+def _undecodable_line(path: Path) -> int:
+    """1-based number of the first line of ``path`` that is not UTF-8.
+
+    Text-mode reads decode many lines at once, so the line being read when
+    decoding fails need not be the one at fault.  Undecodable bytes become
+    lone surrogates here, which do not encode back.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                return lineno
+    return 0
 
 
 def _decode(raw: str, path: Path, lineno: int) -> Any:

@@ -1,4 +1,6 @@
 import random
+from bisect import bisect_left
+from dataclasses import dataclass
 
 from divsearch.anchors import (
     DES,
@@ -9,10 +11,11 @@ from divsearch.anchors import (
     covered_anchor_ancestors,
     diversify_anchored,
     evaluate_anchored,
+    finish_evaluation,
     partition_areas,
-    partition_by_anchor,
     prune_empty_areas,
 )
+from divsearch.dewey import DeweyId, subtree_bound
 from divsearch.diversify import diversify_baseline, evaluate_against_pool
 from divsearch.intents import IntentQuery, Segment
 from divsearch.slca import DiversifiedSet, compute_slca
@@ -27,41 +30,51 @@ def make_intent(lists) -> IntentQuery:
     return IntentQuery(segments, 0.0)
 
 
-class TestPartitionByAnchor:
+def split_single(lists, anchor):
+    """partition_areas around one anchor: pre, des, next lists and discarded."""
+    areas, discarded = partition_areas(lists, (anchor,))
+    assert [a.kind for a in areas] == [PRE, DES, NEXT]
+    pre, des, nxt = (tuple(area.lists()) for area in areas)
+    return pre, des, nxt, discarded
+
+
+class TestSingleAnchorPartition:
     def test_four_way_split(self):
-        part = partition_by_anchor([ids("1", "1.1", "1.2.1", "1.3")], d("1.2"))
-        assert part.anc_count == 1
-        assert part.pre == (ids("1.1"),)
-        assert part.des == (ids("1.2.1"),)
-        assert part.next == (ids("1.3"),)
+        pre, des, nxt, discarded = split_single(
+            [ids("1", "1.1", "1.2.1", "1.3")], d("1.2")
+        )
+        assert discarded == 1
+        assert pre == (ids("1.1"),)
+        assert des == (ids("1.2.1"),)
+        assert nxt == (ids("1.3"),)
 
     def test_anchor_member_is_covered(self):
-        part = partition_by_anchor([ids("1.2")], d("1.2"))
-        assert part.anc_count == 1
-        assert part.pre == ((),)
-        assert part.des == ((),)
-        assert part.next == ((),)
+        pre, des, nxt, discarded = split_single([ids("1.2")], d("1.2"))
+        assert discarded == 1
+        assert pre == ((),)
+        assert des == ((),)
+        assert nxt == ((),)
 
     def test_root_anchor_absorbs_descendants(self):
-        part = partition_by_anchor([ids("1", "1.1", "1.2")], d("1"))
-        assert part.anc_count == 1
-        assert part.des == (ids("1.1", "1.2"),)
-        assert part.pre == ((),)
-        assert part.next == ((),)
+        pre, des, nxt, discarded = split_single([ids("1", "1.1", "1.2")], d("1"))
+        assert discarded == 1
+        assert des == (ids("1.1", "1.2"),)
+        assert pre == ((),)
+        assert nxt == ((),)
 
     def test_anchor_after_all_nodes(self):
-        part = partition_by_anchor([ids("1.1", "1.2")], d("1.5"))
-        assert part.pre == (ids("1.1", "1.2"),)
-        assert part.anc_count == 0
+        pre, _, _, discarded = split_single([ids("1.1", "1.2")], d("1.5"))
+        assert pre == (ids("1.1", "1.2"),)
+        assert discarded == 0
 
     def test_anchor_before_all_nodes(self):
-        part = partition_by_anchor([ids("1.2", "1.3")], d("1.1"))
-        assert part.next == (ids("1.2", "1.3"),)
+        _, _, nxt, _ = split_single([ids("1.2", "1.3")], d("1.1"))
+        assert nxt == (ids("1.2", "1.3"),)
 
     def test_covered_counts_accumulate_across_lists(self):
-        part = partition_by_anchor([ids("1"), ids("1", "1.2")], d("1.2"))
-        assert part.anc_count == 3
-        assert part.pre == ((), ())
+        pre, _, _, discarded = split_single([ids("1"), ids("1", "1.2")], d("1.2"))
+        assert discarded == 3
+        assert pre == ((), ())
 
 
 class TestPartitionAreas:
@@ -247,3 +260,149 @@ class TestEngineEquivalence:
         anch, _ = diversify_anchored(["database", "query"], 4, 4, toy_index)
         assert anch.entries == base.entries
         assert anch.phi == base.phi
+
+
+# Reference: the partition as it was before areas became index ranges.  One
+# frozen span object per list and area, sizes and liveness recomputed on
+# every read, one prefix probe per list and anchor.
+
+
+@dataclass(frozen=True)
+class RefSpan:
+    source: tuple
+    lo: int
+    hi: int
+    excluded: tuple = ()
+
+    @property
+    def size(self):
+        return (self.hi - self.lo) - len(self.excluded)
+
+    def nodes(self):
+        if not self.excluded:
+            return self.source[self.lo : self.hi]
+        skip = set(self.excluded)
+        return tuple(self.source[i] for i in range(self.lo, self.hi) if i not in skip)
+
+
+@dataclass(frozen=True)
+class RefArea:
+    kind: str
+    anchor: object
+    spans: tuple
+
+    @property
+    def total_nodes(self):
+        return sum(span.size for span in self.spans)
+
+    @property
+    def dead(self):
+        return any(span.size == 0 for span in self.spans)
+
+    def lists(self):
+        return [span.nodes() for span in self.spans]
+
+
+def reference_split(lst, lo, anchor, bound):
+    a = bisect_left(lst, anchor, lo)
+    b = bisect_left(lst, bound, lo)
+    ancestors = []
+    for plen in range(1, len(anchor)):
+        p = DeweyId(anchor[:plen])
+        j = bisect_left(lst, p, lo, a)
+        if j < a and lst[j] == p:
+            ancestors.append(j)
+    eq = 1 if a < len(lst) and lst[a] == anchor else 0
+    return a, b, tuple(ancestors), eq
+
+
+def reference_partition(lists, anchors):
+    areas = []
+    discarded = 0
+    cursors = [0] * len(lists)
+    for anchor in anchors:
+        bound = subtree_bound(anchor)
+        pre_spans, des_spans = [], []
+        exhausted = False
+        for li, lst in enumerate(lists):
+            lo = cursors[li]
+            a, b, anc, eq = reference_split(lst, lo, anchor, bound)
+            discarded += len(anc) + eq
+            pre_spans.append(RefSpan(lst, lo, a, anc))
+            des_spans.append(RefSpan(lst, a + eq, b))
+            cursors[li] = b
+            if b >= len(lst):
+                exhausted = True
+        areas.append(RefArea(PRE, anchor, tuple(pre_spans)))
+        areas.append(RefArea(DES, anchor, tuple(des_spans)))
+        if exhausted:
+            break
+    tail = tuple(RefSpan(lst, cursors[li], len(lst)) for li, lst in enumerate(lists))
+    areas.append(RefArea(NEXT, None, tail))
+    return areas, discarded
+
+
+def reference_evaluate(intent, pool):
+    lists = [segment.node_list for segment in intent.segments]
+    anchors = pool.snapshot()
+    areas, discarded = reference_partition(lists, anchors)
+    kept = [area for area in areas if not area.dead]
+    dead = [area for area in areas if area.dead]
+    outputs = []
+    for area in kept:
+        results = compute_slca(area.lists())
+        if area.kind == DES:
+            outputs.append(tuple(r for r in results if r != area.anchor))
+        else:
+            outputs.append(tuple(r for r in results if not contains_anchor(r, anchors)))
+    visited = sum(area.total_nodes for area in kept)
+    pruned = discarded + sum(area.total_nodes for area in dead)
+    return finish_evaluation(intent, anchors, kept, outputs, visited, pruned, len(dead))
+
+
+def tree_antichain(rng, tree):
+    """Incomparable nodes drawn from the tree itself, so anchors hit lists."""
+    out = []
+    for v in sorted(rng.sample(tree, rng.randint(0, min(8, len(tree))))):
+        if not out or v[: len(out[-1])] != tuple(out[-1]):
+            out.append(v)
+    return tuple(out)
+
+
+def random_case(rng):
+    tree = random_tree(rng, 60)
+    lists = random_lists(rng, tree)
+    anchors = random_antichain(rng) if rng.random() < 0.5 else tree_antichain(rng, tree)
+    return lists, anchors
+
+
+def area_signature(area):
+    return (area.kind, area.anchor, area.lists(), area.total_nodes, area.dead)
+
+
+class TestAgainstReferencePartition:
+    def test_same_areas_and_discarded(self):
+        rng = random.Random(45)
+        with_ancestors = stopped_early = 0
+        for _ in range(400):
+            lists, anchors = random_case(rng)
+            areas, discarded = partition_areas(lists, anchors)
+            ref_areas, ref_discarded = reference_partition(lists, anchors)
+            assert [area_signature(a) for a in areas] == [
+                area_signature(a) for a in ref_areas
+            ]
+            assert discarded == ref_discarded
+            with_ancestors += any(span.excluded for a in ref_areas for span in a.spans)
+            stopped_early += len(areas) < 2 * len(anchors) + 1
+        # both the ancestor probe and the early stop were exercised
+        assert with_ancestors > 50
+        assert stopped_early > 50
+
+    def test_same_evaluation_and_counters(self):
+        rng = random.Random(46)
+        for _ in range(400):
+            lists, anchors = random_case(rng)
+            intent = make_intent(lists)
+            pool = DiversifiedSet()
+            pool.merge(anchors, 0)
+            assert evaluate_anchored(intent, pool) == reference_evaluate(intent, pool)

@@ -218,6 +218,15 @@ class TestSearchCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_index_bytes_that_are_not_utf8(self, tmp_path, capsys):
+        broken = tmp_path / "idx"
+        shutil.copytree(GOLDEN_INDEX_DIR, broken)
+        with (broken / "cooccur.jsonl").open("ab") as handle:
+            handle.write(b"\xff\n")
+        rc = main(["search", "--index", str(broken), "--query", "database"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: invalid UTF-8: invalid start byte\n"
+
 class TestModuleEntryPoint:
     def test_python_dash_m_matches_in_process(self):
         proc = subprocess.run(

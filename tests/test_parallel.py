@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -8,7 +10,7 @@ from divsearch.errors import NoIntentError
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import IntentQuery, Segment, resolve_segment
 from divsearch.features import FeatureEntry
-from divsearch import parallel
+from divsearch import anchors, parallel
 from divsearch.parallel import (
     PROCESSED,
     SharedSegmentTable,
@@ -106,7 +108,6 @@ class TestWorkPlan:
     def test_round_robin_assignment(self):
         areas = toy_areas([ids("1.1", "1.2", "1.3")], ids("1.2")) * 3
         plan = WorkPlan(tuple(areas[:5]), 2)
-        assert plan.assignment == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
         assert plan.batches() == [[0, 2, 4], [1, 3]]
 
     def test_more_workers_than_areas(self):
@@ -210,3 +211,42 @@ class TestDiversifyParallel:
             assert par_stats.nodes_visited <= base_stats.nodes_visited
             compared += 1
         assert compared > 20
+
+
+class TestLayerBoundaries:
+    """The benchmark's tracer times the anchor layers by swapping these names.
+
+    It replaces each function in every ``divsearch`` module namespace that
+    holds it.  An engine that stopped calling one by that name, say after
+    inlining it, would leave its per-layer figures at 0 with no error.
+    """
+
+    TRACED = [
+        (anchors, "partition_areas"),
+        (anchors, "area_results"),
+        (anchors, "covered_anchor_ancestors"),
+        (parallel, "evaluate_area"),
+    ]
+
+    @pytest.mark.parametrize("engine", ["anchor", "parallel"])
+    def test_engines_call_traced_functions(self, toy_index, monkeypatch, engine):
+        calls = Counter()
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "divsearch"]
+        for owner, name in self.TRACED:
+            original = getattr(owner, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        if engine == "anchor":
+            diversify_anchored(["database", "query"], 2, 2, toy_index)
+        else:
+            diversify_parallel(["database", "query"], 2, 2, toy_index, workers=2)
+        for _, name in self.TRACED:
+            if engine == "parallel" or name != "evaluate_area":
+                assert calls[name] > 0, name

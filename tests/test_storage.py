@@ -204,6 +204,21 @@ class TestLoadValidation:
         )
         _assert_fails_at(directory, COOCCUR_FILE, 2, "blank line")
 
+    @pytest.mark.parametrize(
+        "filename, mutate, line, reason",
+        [
+            (COOCCUR_FILE, lambda b: b + b"\xff\n", 15, "invalid start byte"),
+            (ENTITIES_FILE, lambda b: b.replace(b"1.2", b"1.\xe92", 1), 2, "invalid continuation byte"),
+            (POSTINGS_FILE, lambda b: b + b"\xc3", 9, "unexpected end of data"),
+        ],
+        ids=["appended-line", "mid-line", "truncated-at-end"],
+    )
+    def test_bytes_that_are_not_utf8(self, toy_index, tmp_path, filename, mutate, line, reason):
+        save_index(toy_index, tmp_path)
+        path = tmp_path / filename
+        path.write_bytes(mutate(path.read_bytes()))
+        _assert_fails_at(tmp_path, filename, line, f"invalid UTF-8: {reason}")
+
     def test_entities_out_of_document_order(self, toy_index, tmp_path):
         def swap(text):
             lines = text.splitlines()
