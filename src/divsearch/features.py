@@ -7,6 +7,10 @@ MI for a term pair is computed over the entity sample space:
 with p(x) = |postings(x)| / entityCount and p(x, y) from the co-occurrence
 store.  Pairs never stored co-occurring score exactly 0 and are never
 selected as features; negative-MI pairs (anti-correlated) are excluded too.
+
+A keyword's candidate features are read from ``IndexBundle.neighbours``, so
+the cost of a column follows the keyword's own pairs, not the size of the
+co-occurrence store.
 """
 
 from __future__ import annotations
@@ -33,6 +37,15 @@ class FeatureMatrix:
     columns: tuple[tuple[FeatureEntry, ...], ...]
 
 
+def _mi(count: int, nx: int, ny: int, n: int) -> float:
+    """MI of a pair seen together in ``count`` of ``n`` entities, from the
+    posting sizes ``nx`` and ``ny`` of its terms."""
+    pxy = count / n
+    px = nx / n
+    py = ny / n
+    return pxy * math.log(pxy / (px * py))
+
+
 def mutual_information(x: str, y: str, index: IndexBundle) -> float:
     """Pointwise MI weighted by joint probability; 0.0 for absent pairs."""
     if x == y:
@@ -40,34 +53,31 @@ def mutual_information(x: str, y: str, index: IndexBundle) -> float:
     count = index.cooccur_count(x, y)
     if count == 0:
         return 0.0
-    n = index.entity_count
-    pxy = count / n
-    px = len(index.posting(x)) / n
-    py = len(index.posting(y)) / n
-    return pxy * math.log(pxy / (px * py))
+    return _mi(count, len(index.posting(x)), len(index.posting(y)), index.entity_count)
 
 
 def top_features(keyword: str, m: int, index: IndexBundle) -> tuple[FeatureEntry, ...]:
     """The m highest-MI partners of ``keyword``, ties broken by name.
 
-    Unknown keywords and keywords with no positive-MI partner yield an empty
-    column rather than an error.
+    Only the pairs that name ``keyword`` are scored, and only the m kept
+    become entries.  Unknown keywords and keywords with no positive-MI
+    partner yield an empty column rather than an error.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    entries: list[FeatureEntry] = []
-    for a, b in index.cooccur:
-        if a == keyword:
-            partner = b
-        elif b == keyword:
-            partner = a
-        else:
-            continue
-        mi = mutual_information(keyword, partner, index)
+    cooccur = index.cooccur
+    postings = index.postings
+    n = index.entity_count
+    nx = len(postings.get(keyword, ()))
+    scored: list[tuple[float, str]] = []
+    for pair in index.neighbours.get(keyword, ()):
+        a, b = pair
+        partner = b if a == keyword else a
+        mi = _mi(cooccur[pair], nx, len(postings.get(partner, ())), n)
         if mi > 0.0:
-            entries.append(FeatureEntry(keyword, partner, mi))
-    entries.sort(key=lambda e: (-e.mi, e.feature))
-    return tuple(entries[:m])
+            scored.append((-mi, partner))
+    scored.sort()  # by MI descending, then feature name
+    return tuple(FeatureEntry(keyword, partner, -neg_mi) for neg_mi, partner in scored[:m])
 
 
 def build_matrix(keywords: list[str] | tuple[str, ...], m: int, index: IndexBundle) -> FeatureMatrix:

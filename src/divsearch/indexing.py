@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from io import BytesIO
 from typing import Sequence
 
@@ -151,6 +153,20 @@ class IndexBundle:
     @property
     def entity_count(self) -> int:
         return len(self.entities)
+
+    @cached_property
+    def neighbours(self) -> dict[str, list[tuple[str, str]]]:
+        """term -> the keys of ``cooccur`` that name it, built on first use.
+
+        One walk over ``cooccur``; the lists hold the dict's own key tuples.
+        A bundle made by ``dataclasses.replace`` builds its own map.
+        """
+        lists: defaultdict[str, list[tuple[str, str]]] = defaultdict(list)
+        for pair in self.cooccur:
+            a, b = pair
+            lists[a].append(pair)
+            lists[b].append(pair)
+        return dict(lists)
 
     def posting(self, term: str) -> tuple[DeweyId, ...]:
         return self.postings.get(term, ())

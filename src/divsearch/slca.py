@@ -193,8 +193,3 @@ def merge_distinct(
     """Merge fresh results into phi; returns (phi, distinctCount, unionSize)."""
     outcome = phi.merge(fresh, intent_id)
     return phi, outcome.distinct_count, outcome.union_size
-
-
-def novelty(fresh: SlcaSet, phi: DiversifiedSet) -> float:
-    """distinctCount / unionSize under a dry-run merge; 0.0 for empty fresh."""
-    return phi.preview(fresh).novelty()

@@ -18,16 +18,23 @@ texts, and a cooccur line is matched by one regular expression instead of
 escaped characters, ``"1.01"`` for ``1.1``) goes through ``json.loads`` and
 the full checks, so it loads to the same bundle or fails with the same
 message, file and line.
+
+A loaded bundle shares objects between its parts: a posting holds the
+entities' own ``DeweyId`` objects, and a cooccur key holds the postings' own
+term strings.  The per-term pair lists (``IndexBundle.neighbours``) are not
+built here but on first use, as for a bundle fresh from ``build_index``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 import re
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 from .dewey import DeweyId
 from .errors import IndexFormatError, IndexVersionError
@@ -40,11 +47,12 @@ ENTITIES_FILE = "entities.jsonl"
 POSTINGS_FILE = "postings.jsonl"
 COOCCUR_FILE = "cooccur.jsonl"
 
-# The writer's cooccur line.  A JSON string holding no '"', no '\' and no
-# control character reads back as its raw text, so a match yields exactly
-# what json.loads would; any other line goes through json.loads.
+# The writer's cooccur line, with its "\n" when it has one.  A JSON string
+# holding no '"', no '\' and no control character reads back as its raw
+# text, so a match yields exactly what json.loads would; any other line goes
+# through json.loads.
 _JSON_STR = r'"([^"\\\x00-\x1f]*)"'
-_COOCCUR_LINE = re.compile(r'\{"a":%s,"b":%s,"count":([1-9][0-9]*)\}' % (_JSON_STR, _JSON_STR))
+_COOCCUR_LINE = re.compile(r'\{"a":%s,"b":%s,"count":([1-9][0-9]*)\}\n?' % (_JSON_STR, _JSON_STR))
 
 
 def _dump(obj: Any) -> str:
@@ -139,20 +147,27 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     )
 
 
-def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
+@contextmanager
+def _reading(path: Path) -> Iterator[TextIO]:
+    """``path`` open for reading; a read or decode error is an IndexFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                raw = raw.rstrip("\n")
-                if not raw:
-                    raise IndexFormatError("blank line", path=path.name, line=lineno)
-                yield lineno, raw
+            yield fh
     except OSError as exc:
         raise IndexFormatError(f"cannot read index file: {exc}", path=path.name) from exc
     except UnicodeDecodeError as exc:
         raise IndexFormatError(
             f"invalid UTF-8: {exc.reason}", path=path.name, line=_undecodable_line(path)
         ) from exc
+
+
+def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
+    with _reading(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.rstrip("\n")
+            if not raw:
+                raise _fail(path, lineno, "blank line")
+            yield lineno, raw
 
 
 def _undecodable_line(path: Path) -> int:
@@ -280,34 +295,46 @@ def load_index(directory: str | Path) -> IndexBundle:
 
     path = directory / COOCCUR_FILE
     cooccur: dict[tuple[str, str], int] = {}
-    last_key: tuple[int, str, str] | None = None
+    # one lookup proves a term known and hands back the postings' own key,
+    # so the pairs share the terms' strings
+    known_term = {term: term for term in postings}.get
+    last_count: float = math.inf  # no line before the first
+    last_pair = ("", "")
     canonical = _COOCCUR_LINE.fullmatch
-    for lineno, raw in _iter_lines(path):
-        match = canonical(raw)
-        if match is not None:
-            a, b, digits = match.groups()
-            count = int(digits)
-        else:
-            row = _decode(raw, path, lineno)
-            if (
-                not isinstance(row, dict)
-                or not isinstance(row.get("a"), str)
-                or not isinstance(row.get("b"), str)
-                or not isinstance(row.get("count"), int)
-            ):
-                raise _fail(path, lineno, "expected {a,b,count} object")
-            a, b, count = row["a"], row["b"], row["count"]
-        if a >= b:
-            raise _fail(path, lineno, "pair not in canonical order (a < b)")
-        if count < 1:
-            raise _fail(path, lineno, "count must be >= 1")
-        if a not in postings or b not in postings:
-            raise _fail(path, lineno, "pair references unknown term")
-        key = (-count, a, b)
-        if last_key is not None and key <= last_key:
-            raise _fail(path, lineno, "triplets not sorted by count desc, pair asc")
-        last_key = key
-        cooccur[(a, b)] = count
+    with _reading(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            match = canonical(raw)
+            if match is not None:
+                a, b, digits = match.groups()
+                count = int(digits)
+            else:
+                raw = raw.rstrip("\n")
+                if not raw:
+                    raise _fail(path, lineno, "blank line")
+                row = _decode(raw, path, lineno)
+                if (
+                    not isinstance(row, dict)
+                    or not isinstance(row.get("a"), str)
+                    or not isinstance(row.get("b"), str)
+                    or not isinstance(row.get("count"), int)
+                ):
+                    raise _fail(path, lineno, "expected {a,b,count} object")
+                a, b, count = row["a"], row["b"], row["count"]
+            if a >= b:
+                raise _fail(path, lineno, "pair not in canonical order (a < b)")
+            if count < 1:
+                raise _fail(path, lineno, "count must be >= 1")
+            a = known_term(a)
+            b = known_term(b)
+            if a is None or b is None:
+                raise _fail(path, lineno, "pair references unknown term")
+            pair = (a, b)
+            # sorted means count descending, then pair ascending
+            if count >= last_count and (count > last_count or pair <= last_pair):
+                raise _fail(path, lineno, "triplets not sorted by count desc, pair asc")
+            last_count = count
+            last_pair = pair
+            cooccur[pair] = count
 
     config = IndexConfig(
         entity_labels=frozenset(manifest["entityLabels"]),

@@ -14,6 +14,10 @@ from typing import Sequence
 from divsearch.dewey import DeweyId, subtree_bound
 from divsearch.indexing import EntityRecord
 
+# Words the tokenizer keeps as they are: two-byte, three-byte and four-byte
+# UTF-8 next to plain ASCII.
+NON_ASCII_WORDS = ["café", "crème", "naïve", "straße", "日本語", "𝔡𝔟", "zoë", "w01", "ab", "ça"]
+
 
 def d(text: str) -> DeweyId:
     return DeweyId.parse(text)

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from divsearch.errors import NoIntentError
-from divsearch.features import build_matrix, mutual_information, top_features
+from divsearch.features import FeatureEntry, build_matrix, mutual_information, top_features
 from divsearch.indexing import IndexConfig, build_index, parse_corpus
-from helpers import brute_mi, random_corpus_xml
+from divsearch.storage import load_index, save_index
+from helpers import NON_ASCII_WORDS, brute_mi, random_corpus_xml
 
 # (1/3) * ln((1/3) / ((1/3) * (2/3))), frozen from independent evaluation
 MI_RELATIONAL_QUERY = 0.13515503603605478
@@ -103,6 +105,117 @@ class TestTopFeatures:
     def test_deterministic(self, toy_corpus, toy_config, toy_index):
         rebuilt = build_index(toy_corpus, toy_config)
         assert top_features("query", 4, rebuilt) == top_features("query", 4, toy_index)
+
+
+def full_scan_top_features(keyword, m, index):
+    """The reference column: walk every pair of the index, score the ones
+    naming ``keyword``.  ``top_features`` must return exactly this, floats
+    included."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    entries = []
+    for a, b in index.cooccur:
+        if a == keyword:
+            partner = b
+        elif b == keyword:
+            partner = a
+        else:
+            continue
+        mi = mutual_information(keyword, partner, index)
+        if mi > 0.0:
+            entries.append(FeatureEntry(keyword, partner, mi))
+    entries.sort(key=lambda e: (-e.mi, e.feature))
+    return tuple(entries[:m])
+
+
+class CountingPairs(dict):
+    """A cooccur dict that counts the pairs of every walk over it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.walked = 0
+
+    def __iter__(self):
+        self.walked += len(self)
+        return super().__iter__()
+
+    def keys(self):
+        self.walked += len(self)
+        return super().keys()
+
+    def values(self):
+        self.walked += len(self)
+        return super().values()
+
+    def items(self):
+        self.walked += len(self)
+        return super().items()
+
+
+class TestAgainstFullScan:
+    def test_random_corpora_built_and_loaded(self, tmp_path):
+        rng = random.Random(4417)
+        seen = {"unknown": 0, "no pairs": 0, "m below column": 0, "m past partners": 0}
+        for i in range(200):
+            words = NON_ASCII_WORDS if i % 2 else None
+            xml = random_corpus_xml(rng, max_entities=rng.randint(3, 40), words=words)
+            # an entity holding one word only: a known term with no pair
+            xml = xml.replace(b"</doc>", b"<sec><item><t>solo</t></item></sec></doc>")
+            config = IndexConfig(entity_labels=frozenset({"item"}), window=rng.randint(1, 4))
+            built = build_index(parse_corpus(xml, config), config)
+            save_index(built, tmp_path / f"idx{i}")
+            loaded = load_index(tmp_path / f"idx{i}")
+            for index in (built, loaded):
+                for term in sorted(index.postings) + ["unknown", "w99", "ça"]:
+                    partners = sum(term in pair for pair in index.cooccur)
+                    column = full_scan_top_features(term, partners + 1, index)
+                    if term not in index.postings:
+                        seen["unknown"] += 1
+                    elif not partners:
+                        seen["no pairs"] += 1
+                    for m in {1, 2, rng.randint(1, 8), partners, partners + 3} - {0}:
+                        got = top_features(term, m, index)
+                        want = full_scan_top_features(term, m, index)
+                        assert got == want, (i, term, m)
+                        assert [e.mi for e in got] == [e.mi for e in want]
+                        seen["m below column"] += m < len(column)
+                        seen["m past partners"] += m > partners
+        assert all(count > 100 for count in seen.values()), seen
+
+
+class TestNoPairScan:
+    def test_only_the_first_call_walks_the_pairs(self, toy_index):
+        pairs = CountingPairs(toy_index.cooccur)
+        index = dataclasses.replace(toy_index, cooccur=pairs)
+        first = top_features("query", 3, index)
+        assert pairs.walked <= len(pairs)
+        walked = pairs.walked
+        for term in sorted(index.postings) + ["unknown"]:
+            for m in (1, 5, 50):
+                assert top_features(term, m, index) == full_scan_top_features(term, m, toy_index)
+        assert top_features("query", 3, index) == first
+        assert pairs.walked == walked
+
+    def test_neighbour_lists_hold_the_pair_keys(self, toy_index):
+        keys = {id(pair) for pair in toy_index.cooccur}
+        listed = [pair for pairs in toy_index.neighbours.values() for pair in pairs]
+        assert all(id(pair) in keys for pair in listed)
+        assert sorted(listed) == sorted(list(toy_index.cooccur) * 2)
+        for term, pairs in toy_index.neighbours.items():
+            assert all(term in pair for pair in pairs)
+
+    def test_replaced_cooccur_gets_its_own_neighbours(self, toy_index):
+        assert top_features("image", 5, toy_index)  # fills the cache of toy_index
+        other = {pair: count for pair, count in toy_index.cooccur.items() if "image" not in pair}
+        other[("language", "relational")] = 1
+        replaced = dataclasses.replace(toy_index, cooccur=other)
+        assert "image" not in replaced.neighbours
+        assert ("language", "relational") in replaced.neighbours["language"]
+        for term in sorted(toy_index.postings):
+            for m in (1, 50):
+                assert top_features(term, m, replaced) == full_scan_top_features(term, m, replaced)
+        assert top_features("image", 5, replaced) == ()
+        assert top_features("image", 5, toy_index) != ()
 
 
 class TestBuildMatrix:

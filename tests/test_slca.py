@@ -3,12 +3,12 @@ import random
 import pytest
 
 from divsearch.dewey import is_ancestor_or_self
+from divsearch.diversify import dif
 from divsearch.slca import (
     DiversifiedSet,
     SlcaSet,
     compute_slca,
     merge_distinct,
-    novelty,
 )
 from helpers import d, ids, random_antichain, random_lists, random_tree, slca_oracle
 
@@ -182,19 +182,21 @@ class TestAttribution:
 
 
 class TestNovelty:
+    """The novelty fraction, computed by ``diversify.dif``."""
+
     def test_empty_pool_fresh_results_fully_novel(self):
-        assert novelty(SlcaSet(ids("1.1", "1.2")), DiversifiedSet()) == 1.0
+        assert dif(SlcaSet(ids("1.1", "1.2")), DiversifiedSet()) == 1.0
 
     def test_empty_fresh_is_zero(self):
         phi = DiversifiedSet()
         phi.merge(ids("1.1"), 0)
-        assert novelty(SlcaSet(), phi) == 0.0
+        assert dif(SlcaSet(), phi) == 0.0
 
     def test_both_empty_is_zero(self):
-        assert novelty(SlcaSet(), DiversifiedSet()) == 0.0
+        assert dif(SlcaSet(), DiversifiedSet()) == 0.0
 
     def test_preview_does_not_mutate(self):
         phi = DiversifiedSet()
         phi.merge(ids("1.2"), 0)
-        novelty(SlcaSet(ids("1.2.1", "1.3")), phi)
+        dif(SlcaSet(ids("1.2.1", "1.3")), phi)
         assert phi.nodes == ids("1.2")

@@ -17,13 +17,9 @@ from divsearch.storage import (
     save_index,
 )
 from conftest import GOLDEN_INDEX_DIR
-from helpers import random_corpus_xml
+from helpers import NON_ASCII_WORDS, random_corpus_xml
 
 ALL_FILES = (MANIFEST_FILE, ENTITIES_FILE, POSTINGS_FILE, COOCCUR_FILE)
-
-# Words the tokenizer keeps as they are: two-byte, three-byte and four-byte
-# UTF-8 next to plain ASCII.
-NON_ASCII_WORDS = ["café", "crème", "naïve", "straße", "日本語", "𝔡𝔟", "zoë", "w01", "ab", "ça"]
 
 
 def _dump(obj):
@@ -257,6 +253,44 @@ class TestLoadValidation:
             directory, COOCCUR_FILE, 14, "triplets not sorted by count desc, pair asc"
         )
 
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda lines: lines.insert(0, lines.pop(1)), 2),  # count rises
+            (lambda lines: lines.append(lines[0]), 15),  # count rises at the end
+            (lambda lines: lines.insert(5, lines[4]), 6),  # tie, same pair
+            (lambda lines: lines.insert(1, lines.pop(2)), 3),  # tie, smaller pair
+        ],
+        ids=["count-rises", "count-rises-last", "tie-equal-pair", "tie-smaller-pair"],
+    )
+    def test_cooccur_sort_order(self, toy_index, tmp_path, edit, line):
+        def reorder(text):
+            lines = text.splitlines()
+            edit(lines)
+            return "\n".join(lines) + "\n"
+
+        directory = _corrupt(tmp_path, toy_index, COOCCUR_FILE, reorder)
+        _assert_fails_at(
+            directory, COOCCUR_FILE, line, "triplets not sorted by count desc, pair asc"
+        )
+
+    @pytest.mark.parametrize(
+        "mutate, line, message",
+        [
+            (lambda b: b"\n" + b, 1, "blank line"),
+            (lambda b: b + b"\n", 15, "blank line"),
+            (lambda b: b.replace(b"\n", b"\n\r\n", 1), 2, "blank line"),
+            (lambda b: b.replace(b"image", b"im\xe4ge", 1), 2, "invalid UTF-8: invalid continuation byte"),
+            (lambda b: b.replace(b"system", b"syst\x80m"), 7, "invalid UTF-8: invalid start byte"),
+        ],
+        ids=["blank-first", "blank-last", "blank-crlf", "bad-byte-line-2", "bad-byte-line-7"],
+    )
+    def test_cooccur_blank_and_undecodable_lines(self, toy_index, tmp_path, mutate, line, message):
+        save_index(toy_index, tmp_path)
+        path = tmp_path / COOCCUR_FILE
+        path.write_bytes(mutate(path.read_bytes()))
+        _assert_fails_at(tmp_path, COOCCUR_FILE, line, message)
+
     def test_cooccur_bad_pair_order(self, toy_index, tmp_path):
         directory = _corrupt(
             tmp_path,
@@ -361,6 +395,20 @@ class TestLoadAcceptsAnyValidJson:
         )
         assert "\\u00e9" in (directory / COOCCUR_FILE).read_text(encoding="utf-8")
         assert load_index(directory) == bundle
+
+    def test_cooccur_keys_are_the_postings_terms(self, tmp_path):
+        config = IndexConfig(entity_labels=frozenset({"item"}))
+        bundle = index_corpus(
+            "<doc><item>café crème</item><item>café noir thé</item></doc>".encode(), config
+        )
+        # the first line goes through json.loads, the others through the fast path
+        directory = _corrupt(
+            tmp_path, bundle, COOCCUR_FILE, lambda t: t.replace("é", "\\u00e9", 2)
+        )
+        loaded = load_index(directory)
+        assert loaded == bundle
+        terms = {term: term for term in loaded.postings}
+        assert all(terms[a] is a and terms[b] is b for a, b in loaded.cooccur)
 
     def test_postings_share_the_entities_dewey_objects(self, toy_index, tmp_path):
         save_index(toy_index, tmp_path)
