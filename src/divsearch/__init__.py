@@ -14,7 +14,7 @@ from .anchors import (
     partition_areas,
     prune_empty_areas,
 )
-from .dewey import DeweyId, Relation, lca, relation, subtree_bound
+from .dewey import DeweyId, lca, subtree_bound
 from .diversify import (
     EvalStats,
     ScoredIntent,
@@ -57,7 +57,6 @@ from .intents import (
 )
 from .parallel import (
     SharedSegmentTable,
-    WorkPlan,
     diversify_parallel,
     evaluate_area,
     plan_shared_segments,
@@ -85,13 +84,11 @@ __all__ = [
     "IntentQuery",
     "MergeOutcome",
     "NoIntentError",
-    "Relation",
     "ScoredIntent",
     "Segment",
     "SharedSegmentTable",
     "SlcaSet",
     "TopK",
-    "WorkPlan",
     "build_index",
     "build_matrix",
     "compute_slca",
@@ -112,7 +109,6 @@ __all__ = [
     "partition_areas",
     "plan_shared_segments",
     "prune_empty_areas",
-    "relation",
     "relevance_prob",
     "save_index",
     "segment_node_list",

@@ -23,7 +23,6 @@ from .diversify import (
     EvalStats,
     IntentEvaluation,
     TopK,
-    diversify_baseline,
     intent_likelihood,
     run_topk,
 )
@@ -279,7 +278,6 @@ __all__ = [
     "contains_anchor",
     "covered_anchor_ancestors",
     "diversify_anchored",
-    "diversify_baseline",
     "evaluate_anchored",
     "finish_evaluation",
     "partition_areas",

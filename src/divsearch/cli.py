@@ -16,13 +16,7 @@ from typing import Sequence
 
 from .diversify import ScoredIntent, TopK, diversify_baseline
 from .anchors import diversify_anchored
-from .errors import (
-    CorpusParseError,
-    DivSearchError,
-    EmptyCorpusError,
-    IndexFormatError,
-    NoIntentError,
-)
+from .errors import DivSearchError, NoIntentError
 from .features import top_features
 from .indexing import (
     DEFAULT_STOPWORDS,
@@ -53,10 +47,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
     return value
-
-
-def _segment_label(entry: ScoredIntent) -> str:
-    return entry.intent.label()
 
 
 def _render_intent_json(entry: ScoredIntent) -> str:
@@ -114,7 +104,7 @@ def render_search_csv(topk: TopK) -> list[str]:
     for entry in topk.entries:
         results = " ".join(str(d) for d in entry.results)
         lines.append(
-            f"{_segment_label(entry)},{_f(entry.intent.agg_mi)},{_f(entry.relevance)}"
+            f"{entry.intent.label()},{_f(entry.intent.agg_mi)},{_f(entry.relevance)}"
             f",{_f(entry.dif)},{_f(entry.score)},{results}"
         )
     return lines
@@ -253,13 +243,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CorpusParseError, EmptyCorpusError, IndexFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DivSearchError as exc:
+    except (DivSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,18 +9,7 @@ all comparisons and hashing come from ``tuple`` for free.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable
-
-
-class Relation(enum.Enum):
-    """Outcome of comparing two nodes in the same tree."""
-
-    EQUAL = "equal"
-    ANCESTOR = "ancestor"
-    DESCENDANT = "descendant"
-    PRECEDES = "precedes"
-    FOLLOWS = "follows"
 
 
 class DeweyId(tuple):
@@ -63,18 +52,6 @@ def common_prefix_len(a: DeweyId, b: DeweyId) -> int:
         if a[i] != b[i]:
             return i
     return n
-
-
-def relation(a: DeweyId, b: DeweyId) -> Relation:
-    """Classify b relative to a: equal, ancestor (a above b), etc."""
-    k = common_prefix_len(a, b)
-    if k == len(a) and k == len(b):
-        return Relation.EQUAL
-    if k == len(a):
-        return Relation.ANCESTOR
-    if k == len(b):
-        return Relation.DESCENDANT
-    return Relation.PRECEDES if a[k] < b[k] else Relation.FOLLOWS
 
 
 def is_ancestor_or_self(a: DeweyId, b: DeweyId) -> bool:

@@ -47,15 +47,12 @@ class IndexConfig:
     entity_labels: frozenset[str]
     window: int = 3
     stopwords: frozenset[str] = field(default=DEFAULT_STOPWORDS, compare=False)
-    log_base: str = "e"
 
     def __post_init__(self) -> None:
         if not self.entity_labels:
             raise ValueError("entity_labels must be non-empty")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.log_base != "e":
-            raise ValueError("only natural log is supported")
 
 
 @dataclass(frozen=True)

@@ -69,17 +69,15 @@ def segment_node_list(
     return tuple(out)
 
 
-def resolve_segment(
-    keyword: str, entry: FeatureEntry | None, index: IndexBundle
-) -> Segment:
-    if entry is None:
+def resolve_segment(keyword: str, feature: str | None, index: IndexBundle) -> Segment:
+    if feature is None:
         nodes = index.posting(keyword)
         return Segment(keyword, None, nodes, len(nodes))
     return Segment(
         keyword,
-        entry.feature,
-        segment_node_list(keyword, entry.feature, index),
-        len(index.posting(entry.feature)),
+        feature,
+        segment_node_list(keyword, feature, index),
+        len(index.posting(feature)),
     )
 
 
@@ -138,7 +136,8 @@ def build_intent(
     index: IndexBundle,
 ) -> IntentQuery:
     segments = tuple(
-        resolve_segment(keyword, entry, index) for keyword, entry in zip(keywords, chosen)
+        resolve_segment(keyword, entry.feature if entry is not None else None, index)
+        for keyword, entry in zip(keywords, chosen)
     )
     return IntentQuery(segments=segments, agg_mi=agg)
 

@@ -1,23 +1,23 @@
 """Parallel area evaluation with shared-segment reuse.
 
-All intent combinations are known up front, so segments occurring in more
-than one intent are registered in a shared table: the first intent that
-needs one resolves it against the index and publishes the node list, later
-intents reuse it without touching the postings, and a use counter evicts
-the entry after its last consumer.  Within one intent, the surviving areas
-are distributed round-robin over a worker pool; workers only read immutable
-data, the driver joins them all before scoring, and per-area outputs are
-merged back in area order, so results are identical for any worker count.
+All intent combinations are known up front, so the segments occurring in
+more than one intent are marked before evaluation starts: the first intent
+that needs one resolves it against the index, later intents reuse the same
+``Segment``, and every shared segment is kept until the query ends.  Within
+one intent, the surviving areas are dealt round-robin into ``workers``
+batches run on a thread pool; workers only read immutable data, the calling
+thread joins them all before scoring, and per-area outputs go back in area
+order, so results are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .anchors import (
     Area,
@@ -31,94 +31,36 @@ from .dewey import DeweyId
 from .diversify import EvalStats, IntentEvaluation, TopK, run_topk
 from .features import build_matrix
 from .indexing import IndexBundle
-from .intents import IntentQuery, Segment, iter_combinations, segment_node_list
+from .intents import IntentQuery, Segment, iter_combinations, resolve_segment
 from .slca import DiversifiedSet
 
 SegmentKey = tuple[str, str | None]
 
-PENDING = "pending"
-PROCESSED = "processed"
-
 
 @dataclass
-class _SharedEntry:
-    uses: int
-    status: str = PENDING
-    node_list: NodeList = ()
-    feature_list_size: int = 0
-
-
 class SharedSegmentTable:
-    """Cache of resolved node lists for segments shared between intents."""
+    """Per-query memo of the segments shared between intents."""
 
-    def __init__(self) -> None:
-        self.entries: dict[SegmentKey, _SharedEntry] = {}
-        self.hits = 0
-        self.misses = 0
-        self.reads: Counter[str] = Counter()
-
-    def _fetch(self, keyword: str, feature: str | None, index: IndexBundle) -> tuple[NodeList, int]:
-        if feature is None:
-            self.reads[keyword] += 1
-            nodes = index.posting(keyword)
-            return nodes, len(nodes)
-        self.reads[keyword] += 1
-        self.reads[feature] += 1
-        return segment_node_list(keyword, feature, index), len(index.posting(feature))
+    shared: frozenset[SegmentKey]
+    segments: dict[SegmentKey, Segment] = field(default_factory=dict)
 
     def resolve(self, keyword: str, feature: str | None, index: IndexBundle) -> Segment:
-        """Resolve one segment, reusing the published node list if present."""
-        entry = self.entries.get((keyword, feature))
-        if entry is None:
-            node_list, size = self._fetch(keyword, feature, index)
-        elif entry.status == PROCESSED:
-            self.hits += 1
-            node_list, size = entry.node_list, entry.feature_list_size
-        else:
-            self.misses += 1
-            node_list, size = self._fetch(keyword, feature, index)
-            entry.node_list = node_list
-            entry.feature_list_size = size
-            entry.status = PROCESSED
-        return Segment(keyword, feature, node_list, size)
-
-    def consume(self, keys: Iterable[SegmentKey]) -> None:
-        """One intent finished: decrement its keys, evict exhausted entries."""
-        for key in dict.fromkeys(keys):
-            entry = self.entries.get(key)
-            if entry is not None:
-                entry.uses -= 1
-                if entry.uses <= 0:
-                    del self.entries[key]
+        """Resolve one segment; a shared one is resolved once per query."""
+        key = (keyword, feature)
+        segment = self.segments.get(key)
+        if segment is None:
+            segment = resolve_segment(keyword, feature, index)
+            if key in self.shared:
+                self.segments[key] = segment
+        return segment
 
 
-def plan_shared_segments(
-    intents: Iterable[IntentQuery | Sequence[SegmentKey]],
-) -> SharedSegmentTable:
-    """Register every segment used by two or more intents."""
+def plan_shared_segments(key_rows: Iterable[Sequence[SegmentKey]]) -> SharedSegmentTable:
+    """Mark every segment key used by two or more intents."""
     counts: Counter[SegmentKey] = Counter()
-    for intent in intents:
-        keys = intent.segment_keys() if isinstance(intent, IntentQuery) else tuple(intent)
-        counts.update(dict.fromkeys(keys).keys())
-    table = SharedSegmentTable()
-    for key, uses in counts.items():
-        if uses >= 2:
-            table.entries[key] = _SharedEntry(uses=uses)
-    return table
-
-
-@dataclass(frozen=True)
-class WorkPlan:
-    """Round-robin assignment of areas to workers."""
-
-    areas: tuple[Area, ...]
-    workers: int
-
-    def batches(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.workers)]
-        for i in range(len(self.areas)):
-            out[i % self.workers].append(i)
-        return out
+    for keys in key_rows:
+        counts.update(set(keys))
+    return SharedSegmentTable(frozenset(key for key, uses in counts.items() if uses >= 2))
 
 
 def evaluate_area(area: Area, anchors: Sequence[DeweyId]) -> NodeList:
@@ -126,10 +68,8 @@ def evaluate_area(area: Area, anchors: Sequence[DeweyId]) -> NodeList:
     return area_results(area, anchors)
 
 
-def _run_batch(
-    areas: Sequence[Area], indices: Sequence[int], anchors: Sequence[DeweyId]
-) -> list[tuple[int, NodeList]]:
-    return [(i, evaluate_area(areas[i], anchors)) for i in indices]
+def _run_batch(areas: Sequence[Area], anchors: Sequence[DeweyId]) -> list[NodeList]:
+    return [evaluate_area(area, anchors) for area in areas]
 
 
 def _evaluate_parallel(
@@ -142,16 +82,13 @@ def _evaluate_parallel(
     anchors = pool.snapshot()
     areas, discarded = partition_areas(lists, anchors)
     kept, pruned_nodes, skipped = prune_empty_areas(areas)
-    plan = WorkPlan(tuple(kept), workers)
-    futures: list[Future[list[tuple[int, NodeList]]]] = [
-        executor.submit(_run_batch, kept, batch, anchors)
-        for batch in plan.batches()
-        if batch
+    futures = [
+        executor.submit(_run_batch, kept[i::workers], anchors)
+        for i in range(min(workers, len(kept)))
     ]
     outputs: list[NodeList] = [()] * len(kept)
-    for future in futures:  # barrier: all areas land before scoring
-        for i, results in future.result():
-            outputs[i] = results
+    for i, future in enumerate(futures):  # barrier: all areas land before scoring
+        outputs[i::workers] = future.result()
     visited = sum(area.total_nodes for area in kept)
     return finish_evaluation(
         intent, anchors, kept, outputs, visited, discarded + pruned_nodes, skipped
@@ -188,18 +125,13 @@ def diversify_parallel(
         for chosen, _ in resolved
     ]
     table = plan_shared_segments(key_rows)
-
-    def stream(index: IndexBundle) -> Iterator[IntentQuery]:
-        for (chosen, agg), keys in zip(resolved, key_rows):
-            segments = tuple(
-                table.resolve(keyword, feature, index) for keyword, feature in keys
-            )
-            table.consume(keys)
-            yield IntentQuery(segments=segments, agg_mi=agg)
-
+    intents = (
+        IntentQuery(tuple(table.resolve(keyword, feature, index) for keyword, feature in keys), agg)
+        for keys, (_, agg) in zip(key_rows, resolved)
+    )
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as executor:
         return run_topk(
-            stream(index),
+            intents,
             k,
             lambda intent, pool: _evaluate_parallel(intent, pool, executor, workers),
         )

@@ -119,7 +119,7 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
         "entityCount": bundle.entity_count,
         "window": bundle.config.window,
         "entityLabels": sorted(bundle.config.entity_labels),
-        "logBase": bundle.config.log_base,
+        "logBase": "e",  # MI uses the natural log
     }
     _write_lines(directory / MANIFEST_FILE, [_dump(manifest) + "\n"])
 
@@ -213,6 +213,11 @@ def _parse_dewey(text: Any, path: Path, lineno: int) -> DeweyId:
         raise _fail(path, lineno, str(exc)) from exc
 
 
+def _is_int(value: Any) -> bool:
+    """True for a JSON integer; ``true`` and ``1.0`` compare equal to 1."""
+    return type(value) is int
+
+
 def _load_manifest(directory: Path) -> dict[str, Any]:
     path = directory / MANIFEST_FILE
     rows = list(_iter_jsonl(path))
@@ -220,7 +225,7 @@ def _load_manifest(directory: Path) -> dict[str, Any]:
         raise _fail(path, len(rows), "manifest must be a single JSON object")
     manifest = rows[0][1]
     version = manifest.get("version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise IndexVersionError(
             f"unsupported index version {version!r} (expected {FORMAT_VERSION})",
             path=path.name,
@@ -228,9 +233,9 @@ def _load_manifest(directory: Path) -> dict[str, Any]:
         )
     labels = manifest.get("entityLabels")
     if (
-        not isinstance(manifest.get("entityCount"), int)
+        not _is_int(manifest.get("entityCount"))
         or manifest["entityCount"] < 1
-        or not isinstance(manifest.get("window"), int)
+        or not _is_int(manifest.get("window"))
         or manifest["window"] < 1
         or not isinstance(labels, list)
         or not labels
@@ -316,7 +321,7 @@ def load_index(directory: str | Path) -> IndexBundle:
                     not isinstance(row, dict)
                     or not isinstance(row.get("a"), str)
                     or not isinstance(row.get("b"), str)
-                    or not isinstance(row.get("count"), int)
+                    or not _is_int(row.get("count"))
                 ):
                     raise _fail(path, lineno, "expected {a,b,count} object")
                 a, b, count = row["a"], row["b"], row["count"]
@@ -340,7 +345,6 @@ def load_index(directory: str | Path) -> IndexBundle:
         entity_labels=frozenset(manifest["entityLabels"]),
         window=manifest["window"],
         stopwords=frozenset(),
-        log_base=manifest["logBase"],
     )
     return IndexBundle(
         entities=tuple(entities), postings=postings, cooccur=cooccur, config=config

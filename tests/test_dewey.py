@@ -4,11 +4,9 @@ import pytest
 
 from divsearch.dewey import (
     DeweyId,
-    Relation,
     common_prefix_len,
     is_ancestor_or_self,
     lca,
-    relation,
     subtree_bound,
 )
 from helpers import d
@@ -57,40 +55,56 @@ class TestOrdering:
 
 
 class TestRelation:
+    """How b relates to a (equal, ancestor, descendant, precedes, follows),
+    read off ``common_prefix_len``, ``is_ancestor_or_self`` and ``<``."""
+
     def test_ancestor(self):
-        assert relation(d("1.2"), d("1.2.1")) is Relation.ANCESTOR
+        a, b = d("1.2"), d("1.2.1")
+        assert is_ancestor_or_self(a, b) and not is_ancestor_or_self(b, a)
+        assert common_prefix_len(a, b) == len(a) and a < b
 
     def test_precedes(self):
-        assert relation(d("1.1"), d("1.2.1")) is Relation.PRECEDES
+        a, b = d("1.1"), d("1.2.1")
+        assert not is_ancestor_or_self(a, b) and not is_ancestor_or_self(b, a)
+        assert common_prefix_len(a, b) == 1 and a < b
 
     def test_equal(self):
-        assert relation(d("1.2"), d("1.2")) is Relation.EQUAL
+        a, b = d("1.2"), d("1.2")
+        assert is_ancestor_or_self(a, b) and is_ancestor_or_self(b, a)
+        assert common_prefix_len(a, b) == 2 and not a < b and not b < a
 
     def test_descendant(self):
-        assert relation(d("1.2.1"), d("1.2")) is Relation.DESCENDANT
+        a, b = d("1.2.1"), d("1.2")
+        assert is_ancestor_or_self(b, a) and not is_ancestor_or_self(a, b)
+        assert common_prefix_len(a, b) == len(b) and b < a
 
     def test_follows(self):
-        assert relation(d("1.3"), d("1.2.9")) is Relation.FOLLOWS
+        a, b = d("1.3"), d("1.2.9")
+        assert not is_ancestor_or_self(a, b) and not is_ancestor_or_self(b, a)
+        assert common_prefix_len(a, b) == 1 and b < a
 
     def test_exactly_one_relation_holds(self):
         rng = random.Random(7)
         for _ in range(500):
             a = DeweyId(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5))))
             b = DeweyId(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5))))
-            rel = relation(a, b)
+            k = common_prefix_len(a, b)
             # cross-check against independent predicates
             a_prefix_of_b = len(a) < len(b) and tuple(b[: len(a)]) == tuple(a)
             b_prefix_of_a = len(b) < len(a) and tuple(a[: len(b)]) == tuple(b)
-            if tuple(a) == tuple(b):
-                assert rel is Relation.EQUAL
+            equal = tuple(a) == tuple(b)
+            assert is_ancestor_or_self(a, b) == (equal or a_prefix_of_b)
+            assert is_ancestor_or_self(b, a) == (equal or b_prefix_of_a)
+            if equal:
+                assert k == len(a) == len(b) and not a < b and not b < a
             elif a_prefix_of_b:
-                assert rel is Relation.ANCESTOR
+                assert k == len(a) and a < b
             elif b_prefix_of_a:
-                assert rel is Relation.DESCENDANT
-            elif a < b:
-                assert rel is Relation.PRECEDES
+                assert k == len(b) and b < a
             else:
-                assert rel is Relation.FOLLOWS
+                # the first differing component decides document order
+                assert k < min(len(a), len(b)) and a[:k] == b[:k]
+                assert (a < b) == (a[k] < b[k]) != (b < a)
 
 
 class TestAncestry:

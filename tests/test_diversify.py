@@ -12,7 +12,6 @@ from divsearch.diversify import (
     run_topk,
 )
 from divsearch.errors import NoIntentError
-from divsearch.features import FeatureEntry
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import IntentQuery, Segment, resolve_segment
 from divsearch.slca import DiversifiedSet, SlcaSet
@@ -25,11 +24,8 @@ def toy_intent(index, *pairs):
     segments = []
     agg = 0.0
     for keyword, feature in pairs:
-        if feature is None:
-            segments.append(resolve_segment(keyword, None, index))
-        else:
-            entry = FeatureEntry(keyword, feature, MIQ)
-            segments.append(resolve_segment(keyword, entry, index))
+        segments.append(resolve_segment(keyword, feature, index))
+        if feature is not None:
             agg += MIQ
     return IntentQuery(tuple(segments), agg)
 

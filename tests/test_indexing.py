@@ -170,10 +170,6 @@ class TestIndexConfig:
         with pytest.raises(ValueError):
             IndexConfig(entity_labels=frozenset({"x"}), window=0)
 
-    def test_only_natural_log(self):
-        with pytest.raises(ValueError):
-            IndexConfig(entity_labels=frozenset({"x"}), log_base="10")
-
     def test_stopwords_excluded_from_equality(self):
         a = IndexConfig(entity_labels=frozenset({"x"}), stopwords=frozenset({"s"}))
         b = IndexConfig(entity_labels=frozenset({"x"}), stopwords=frozenset())

@@ -47,8 +47,7 @@ class TestSegmentNodeList:
         assert segment.feature_list_size == 3
 
     def test_feature_segment_records_feature_posting_size(self, toy_index):
-        entry = FeatureEntry("query", "language", 0.1)
-        segment = resolve_segment("query", entry, toy_index)
+        segment = resolve_segment("query", "language", toy_index)
         assert segment.node_list == ids("1.1")
         assert segment.feature_list_size == 1
 

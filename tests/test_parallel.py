@@ -9,22 +9,30 @@ from divsearch.anchors import diversify_anchored, partition_areas, prune_empty_a
 from divsearch.errors import NoIntentError
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import IntentQuery, Segment, resolve_segment
-from divsearch.features import FeatureEntry
-from divsearch import anchors, parallel
-from divsearch.parallel import (
-    PROCESSED,
-    SharedSegmentTable,
-    WorkPlan,
-    diversify_parallel,
-    evaluate_area,
-    plan_shared_segments,
-)
+from divsearch import anchors, intents, parallel
+from divsearch.parallel import diversify_parallel, evaluate_area, plan_shared_segments
 from helpers import ids, random_corpus_xml
 
 
-def intent_of(*keys):
-    segments = tuple(Segment(k, f, (), 1) for k, f in keys)
-    return IntentQuery(segments, 0.0)
+def patch_everywhere(monkeypatch, original, replacement):
+    """Swap ``original`` in every ``divsearch`` namespace, as the tracer does."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "divsearch"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def count_intersections(monkeypatch):
+    calls = []
+    original = intents.segment_node_list
+
+    def counting(keyword, feature, index):
+        calls.append((keyword, feature))
+        return original(keyword, feature, index)
+
+    patch_everywhere(monkeypatch, original, counting)
+    return calls
 
 
 class TestPlanSharedSegments:
@@ -34,68 +42,50 @@ class TestPlanSharedSegments:
             (("a", "f1"), ("b", "g2")),
         ]
         table = plan_shared_segments(rows)
-        assert set(table.entries) == {("a", "f1")}
-        assert table.entries[("a", "f1")].uses == 2
+        assert table.shared == {("a", "f1")}
+        assert table.segments == {}
 
     def test_disjoint_intents_share_nothing(self):
         table = plan_shared_segments([(("a", "f1"),), (("a", "f2"),)])
-        assert table.entries == {}
+        assert table.shared == frozenset()
 
     def test_within_intent_repeats_count_once(self):
         table = plan_shared_segments([(("a", None), ("a", None))])
-        assert table.entries == {}
-
-    def test_accepts_intent_objects(self):
-        one = intent_of(("a", "f1"), ("b", None))
-        two = intent_of(("a", "f1"), ("b", "g1"))
-        table = plan_shared_segments([one, two])
-        assert set(table.entries) == {("a", "f1")}
+        assert table.shared == frozenset()
 
 
 class TestSharedSegmentTable:
-    def test_miss_publishes_then_hit_reads_nothing(self, toy_index):
-        table = plan_shared_segments([(("query", "language"),)] * 2)
-        first = table.resolve("query", "language", toy_index)
-        assert (table.misses, table.hits) == (1, 0)
-        assert table.entries[("query", "language")].status == PROCESSED
-        reads_after_first = dict(table.reads)
-        second = table.resolve("query", "language", toy_index)
-        assert (table.misses, table.hits) == (1, 1)
-        assert dict(table.reads) == reads_after_first
-        assert second == first
+    def test_miss_publishes_then_hit_reads_nothing(self, toy_index, monkeypatch):
+        """A shared segment is intersected once and then handed out as is."""
+        calls = count_intersections(monkeypatch)
+        key = ("query", "language")
+        table = plan_shared_segments([(key,)] * 2)
+        first = table.resolve(*key, toy_index)
+        assert calls == [key]
+        assert table.segments == {key: first}
+        second = table.resolve(*key, toy_index)
+        assert calls == [key]
+        assert second is first
 
-    def test_unshared_segment_bypasses_cache(self, toy_index):
-        table = SharedSegmentTable()
-        table.resolve("database", None, toy_index)
-        assert (table.hits, table.misses) == (0, 0)
-        assert table.reads["database"] == 1
-        assert table.entries == {}
+    def test_unshared_segment_bypasses_cache(self, toy_index, monkeypatch):
+        calls = count_intersections(monkeypatch)
+        table = plan_shared_segments([(("query", "language"),)] * 2)
+        bare = table.resolve("database", None, toy_index)
+        assert bare.node_list is toy_index.posting("database")
+        table.resolve("database", "relational", toy_index)
+        table.resolve("database", "relational", toy_index)
+        assert calls == [("database", "relational")] * 2
+        assert table.segments == {}
 
     def test_resolved_values_match_direct_resolution(self, toy_index):
-        table = SharedSegmentTable()
+        table = plan_shared_segments([(("query", "language"),)] * 2)
         cached = table.resolve("query", "language", toy_index)
-        entry = FeatureEntry("query", "language", 0.0)
-        direct = resolve_segment("query", entry, toy_index)
+        direct = resolve_segment("query", "language", toy_index)
         assert cached.node_list == direct.node_list == ids("1.1")
         assert cached.feature_list_size == direct.feature_list_size == 1
         bare = table.resolve("database", None, toy_index)
         assert bare.node_list == toy_index.posting("database")
         assert bare.feature_list_size == 3
-
-    def test_consume_evicts_after_last_use(self, toy_index):
-        key = ("query", "language")
-        table = plan_shared_segments([(key,), (key,)])
-        table.resolve(*key, toy_index)
-        table.consume([key])
-        assert table.entries[key].uses == 1
-        table.consume([key])
-        assert key not in table.entries
-
-    def test_consume_deduplicates_intent_keys(self):
-        key = ("a", "f1")
-        table = plan_shared_segments([(key,), (key,), (key,)])
-        table.consume([key, key])
-        assert table.entries[key].uses == 2
 
 
 def toy_areas(lists, anchors=()):
@@ -104,18 +94,57 @@ def toy_areas(lists, anchors=()):
     return kept
 
 
+class RecordingExecutor(parallel.ThreadPoolExecutor):
+    """A thread pool that logs the areas of every batch it is handed."""
+
+    def __init__(self, log, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.log = log
+
+    def submit(self, fn, areas, anchors):
+        self.log.append(("batch", list(areas)))
+        return super().submit(fn, areas, anchors)
+
+
+class FixedPool:
+    """Stands in for the result pool: only its anchors are read."""
+
+    def __init__(self, anchors):
+        self.anchors = anchors
+
+    def snapshot(self):
+        return self.anchors
+
+
+def dealt(lists, anchor_ids, workers):
+    """The batches one intent's areas are dealt into.
+
+    Also checks that the evaluation equals the anchor engine's.
+    """
+    intent = IntentQuery(tuple(Segment("k", None, lst, len(lst)) for lst in lists), 0.0)
+    log = []
+    with RecordingExecutor(log, max_workers=2) as executor:
+        evaluation = parallel._evaluate_parallel(intent, FixedPool(anchor_ids), executor, workers)
+    assert evaluation == anchors.evaluate_anchored(intent, FixedPool(anchor_ids))
+    return [areas for _, areas in log]
+
+
+FIVE_AREAS = ([ids("1.1", "1.2.1", "1.3", "1.4.1", "1.5")], ids("1.2", "1.4"))
+
+
 class TestWorkPlan:
+    """Round-robin deal of an intent's areas into ``workers`` batches."""
+
     def test_round_robin_assignment(self):
-        areas = toy_areas([ids("1.1", "1.2", "1.3")], ids("1.2")) * 3
-        plan = WorkPlan(tuple(areas[:5]), 2)
-        assert plan.batches() == [[0, 2, 4], [1, 3]]
+        areas = toy_areas(*FIVE_AREAS)
+        assert len(areas) == 5
+        assert dealt(*FIVE_AREAS, 2) == [[areas[0], areas[2], areas[4]], [areas[1], areas[3]]]
 
     def test_more_workers_than_areas(self):
-        areas = toy_areas([ids("1.1")])
-        plan = WorkPlan(tuple(areas), 6)
-        batches = plan.batches()
-        assert batches[0] == [0]
-        assert all(not b for b in batches[1:])
+        (area,) = toy_areas([ids("1.1")])
+        assert dealt([ids("1.1")], (), 6) == [[area]]
+        areas = toy_areas(*FIVE_AREAS)
+        assert dealt(*FIVE_AREAS, 6) == [[area] for area in areas]
 
 
 class TestEvaluateArea:
@@ -164,26 +193,35 @@ class TestDiversifyParallel:
     @pytest.mark.parametrize("cpus, threads", [(2, 2), (None, 1)])
     def test_thread_pool_capped_at_cpu_count(self, toy_index, monkeypatch, cpus, threads):
         pool_sizes = []
-        plan_workers = []
+        log = []
 
-        class RecordingExecutor(parallel.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                pool_sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+        def executor(max_workers):
+            pool_sizes.append(max_workers)
+            return RecordingExecutor(log, max_workers)
 
-        class RecordingPlan(WorkPlan):
-            def batches(self):
-                plan_workers.append(self.workers)
-                return super().batches()
+        prune = parallel.prune_empty_areas
+
+        def logging_prune(areas):
+            kept, pruned, skipped = prune(areas)
+            log.append(("kept", kept))
+            return kept, pruned, skipped
 
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(parallel, "WorkPlan", RecordingPlan)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", executor)
+        monkeypatch.setattr(parallel, "prune_empty_areas", logging_prune)
         capped, _ = diversify_parallel(["database", "query"], 2, 2, toy_index, workers=8)
         base, _ = diversify_baseline(["database", "query"], 2, 2, toy_index)
         assert pool_sizes == [threads]
-        # the plan still deals areas into the requested batches; they queue
-        assert plan_workers and set(plan_workers) == {8}
+        # the areas are still dealt into the requested batches; they queue
+        deals = []
+        for kind, areas in log:
+            if kind == "kept":
+                deals.append((areas, []))
+            else:
+                deals[-1][1].append(areas)
+        assert deals
+        for kept, batches in deals:
+            assert batches == [kept[i::8] for i in range(min(8, len(kept)))]
         assert entries_signature(capped) == entries_signature(base)
 
     def test_unknown_keywords_raise(self, toy_index):
@@ -231,7 +269,6 @@ class TestLayerBoundaries:
     @pytest.mark.parametrize("engine", ["anchor", "parallel"])
     def test_engines_call_traced_functions(self, toy_index, monkeypatch, engine):
         calls = Counter()
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "divsearch"]
         for owner, name in self.TRACED:
             original = getattr(owner, name)
 
@@ -239,10 +276,7 @@ class TestLayerBoundaries:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            for module in modules:
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
+            patch_everywhere(monkeypatch, original, counting)
         if engine == "anchor":
             diversify_anchored(["database", "query"], 2, 2, toy_index)
         else:

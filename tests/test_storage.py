@@ -45,7 +45,7 @@ def reference_save(bundle, directory):
         "entityCount": bundle.entity_count,
         "window": bundle.config.window,
         "entityLabels": sorted(bundle.config.entity_labels),
-        "logBase": bundle.config.log_base,
+        "logBase": "e",
     }])
     write(ENTITIES_FILE, [{"dewey": str(e.dewey), "label": e.label} for e in bundle.entities])
     write(POSTINGS_FILE, [
@@ -168,6 +168,30 @@ class TestLoadValidation:
         )
         with pytest.raises(IndexVersionError):
             load_index(directory)
+
+    @pytest.mark.parametrize("version, shown", [("true", "True"), ("1.0", "1.0")])
+    def test_version_must_be_an_integer(self, toy_index, tmp_path, version, shown):
+        directory = _corrupt(
+            tmp_path, toy_index, MANIFEST_FILE, lambda t: t.replace('"version":1', f'"version":{version}')
+        )
+        with pytest.raises(IndexVersionError):
+            load_index(directory)
+        _assert_fails_at(
+            directory, MANIFEST_FILE, 1, f"unsupported index version {shown} (expected 1)"
+        )
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"entityCount":3', '"entityCount":true'),
+            ('"window":3', '"window":true'),
+            ('"logBase":"e"', '"logBase":"10"'),
+        ],
+        ids=["entity-count-true", "window-true", "log-base-10"],
+    )
+    def test_invalid_manifest_field(self, toy_index, tmp_path, old, new):
+        directory = _corrupt(tmp_path, toy_index, MANIFEST_FILE, lambda t: t.replace(old, new))
+        _assert_fails_at(directory, MANIFEST_FILE, 1, "manifest fields missing or invalid")
 
     def test_unsorted_posting_line(self, toy_index, tmp_path):
         directory = _corrupt(
@@ -309,6 +333,7 @@ class TestLoadValidation:
             ('{"a":"database","b":"zzz","count":2}', "pair references unknown term"),
             ('{"a":"database","b":"query","count":0}', "count must be >= 1"),
             ('{"a":"database","b":"query","count":"2"}', "expected {a,b,count} object"),
+            ('{"a":"database","b":"query","count":true}', "expected {a,b,count} object"),
             ('{"a":"database","b":"query","count":2', "invalid JSON: Expecting ',' delimiter"),
             ('{"a":"database","b":"query","count":02}', "invalid JSON: Expecting ',' delimiter"),
             ('{"a":"data\tbase","b":"query","count":2}', "invalid JSON: Invalid control character at"),
