@@ -9,7 +9,8 @@ per-area results are exactly the nodes the baseline merge would insert.
 
 Results equal to an anchor or covering one never materialize from areas,
 yet they count toward relevance (they are full SLCAs).  They are recovered
-by scanning the only possible candidates: prefixes of the anchors.
+by scanning the only possible candidates: prefixes of the anchors, which
+the pool builds once per version rather than once per intent.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from bisect import bisect_left
 from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
-from .dewey import DeweyId, _trusted, subtree_bound
+from .dewey import DeweyId, subtree_bound
 from .diversify import (
     EvalStats,
     IntentEvaluation,
@@ -162,32 +163,30 @@ def area_results(area: Area, anchors: Sequence[DeweyId]) -> NodeList:
 
 
 def covered_anchor_ancestors(
-    lists: Sequence[NodeList], anchors: Sequence[DeweyId], new_nodes: Sequence[DeweyId]
+    lists: Sequence[NodeList],
+    prefixes: Sequence[tuple[DeweyId, DeweyId]],
+    new_nodes: Sequence[DeweyId],
 ) -> int:
     """Count full SLCAs that are ancestors of or equal to an anchor.
 
     Any such result is a prefix of some anchor, so only those candidates
-    need testing: a candidate counts iff its subtree touches every segment
-    list (it covers) and no covering candidate or fresh result lies
-    strictly inside its subtree (it is minimal).
+    need testing.  ``prefixes`` holds them in document order with their
+    subtree bounds, as ``DiversifiedSet.prefix_bounds`` keeps them for the
+    pool.  A candidate counts iff its subtree touches every segment list
+    (it covers) and no covering candidate or fresh result lies strictly
+    inside its subtree (it is minimal).
     """
-    candidates: set[DeweyId] = set()
-    for anchor in anchors:
-        for plen in range(1, len(anchor) + 1):
-            candidates.add(_trusted(tuple(anchor[:plen])))
-    covered: list[DeweyId] = []
-    for p in sorted(candidates):
-        bound = subtree_bound(p)
+    covered: list[tuple[DeweyId, DeweyId]] = []
+    for p, bound in prefixes:
         for lst in lists:
             i = bisect_left(lst, p)
             if i >= len(lst) or not lst[i] < bound:
                 break
         else:
-            covered.append(p)
+            covered.append((p, bound))
     count = 0
-    for idx, p in enumerate(covered):
-        bound = subtree_bound(p)
-        if idx + 1 < len(covered) and covered[idx + 1] < bound:
+    for idx, (p, bound) in enumerate(covered):
+        if idx + 1 < len(covered) and covered[idx + 1][0] < bound:
             continue
         j = bisect_left(new_nodes, p)
         if j < len(new_nodes) and new_nodes[j] < bound:
@@ -198,7 +197,7 @@ def covered_anchor_ancestors(
 
 def finish_evaluation(
     intent: IntentQuery,
-    anchors: Sequence[DeweyId],
+    pool: DiversifiedSet,
     kept: Sequence[Area],
     outputs: Sequence[NodeList],
     visited: int,
@@ -207,7 +206,8 @@ def finish_evaluation(
 ) -> IntentEvaluation:
     """Assemble scores and the merge outcome from per-area results.
 
-    Area order is document order, per-area outputs are sorted, and filtered
+    ``pool`` is the pool the areas were cut from, not yet changed.  Area
+    order is document order, per-area outputs are sorted, and filtered
     results never cross area bounds, so plain concatenation is sorted.
     """
     inserted: list[DeweyId] = []
@@ -220,9 +220,10 @@ def finish_evaluation(
         inserted.extend(results)
     lists = [segment.node_list for segment in intent.segments]
     likelihood = intent_likelihood(intent)
-    full_count = len(inserted) + covered_anchor_ancestors(lists, anchors, inserted)
+    covered = covered_anchor_ancestors(lists, pool.prefix_bounds(), inserted)
+    full_count = len(inserted) + covered
     relevance = likelihood * full_count
-    union_size = len(anchors) + len(inserted) - len(removed)
+    union_size = len(pool) + len(inserted) - len(removed)
     outcome = MergeOutcome(
         inserted=tuple(inserted),
         removed=tuple(removed),
@@ -251,7 +252,7 @@ def evaluate_anchored(intent: IntentQuery, pool: DiversifiedSet) -> IntentEvalua
     outputs = [area_results(area, anchors) for area in kept]
     visited = sum(area.total_nodes for area in kept)
     return finish_evaluation(
-        intent, anchors, kept, outputs, visited, discarded + pruned_nodes, skipped
+        intent, pool, kept, outputs, visited, discarded + pruned_nodes, skipped
     )
 
 

@@ -135,8 +135,13 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
+    terms = _TOKEN_RE.findall(args.term.lower())
+    if len(terms) != 1:
+        print("error: term must be one keyword", file=sys.stderr)
+        return 2
+    (term,) = terms
     index = load_index(args.index)
-    entries = top_features(args.term.lower(), args.top, index)
+    entries = top_features(term, args.top, index)
     if args.format == "csv":
         print("feature,mi")
         for entry in entries:
@@ -145,7 +150,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         rows = ",".join(
             f'{{"feature":{_j(e.feature)},"mi":{_f(e.mi)}}}' for e in entries
         )
-        print(f'{{"term":{_j(args.term.lower())},"features":[{rows}]}}')
+        print(f'{{"term":{_j(term)},"features":[{rows}]}}')
     return 0
 
 

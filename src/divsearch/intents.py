@@ -4,14 +4,16 @@ An intent pairs every query keyword with one of its matrix features; the
 stream is ordered by aggregated MI descending, ties resolved by the chosen
 feature names ascending column by column.  A keyword whose feature column is
 empty degrades to a bare segment (its full posting list, likelihood factor
-1) so that multi-keyword queries stay usable.
+1) so that multi-keyword queries stay usable.  ``iter_intents`` resolves
+each distinct segment once per query and shares it between the intents
+that use it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .dewey import DeweyId
 from .features import FeatureEntry, FeatureMatrix
@@ -129,20 +131,20 @@ def iter_combinations(
                     heapq.heappush(heap, (*key(succ), succ))
 
 
-def build_intent(
-    keywords: Sequence[str],
-    chosen: Sequence[FeatureEntry | None],
-    agg: float,
-    index: IndexBundle,
-) -> IntentQuery:
-    segments = tuple(
-        resolve_segment(keyword, entry.feature if entry is not None else None, index)
-        for keyword, entry in zip(keywords, chosen)
-    )
-    return IntentQuery(segments=segments, agg_mi=agg)
-
-
 def iter_intents(matrix: FeatureMatrix, index: IndexBundle) -> Iterator[IntentQuery]:
-    """Resolved intents in generation order."""
+    """Resolved intents in generation order.
+
+    Each ``(keyword, feature)`` segment is resolved once per call, when the
+    first intent that uses it is generated, so the memo holds at most n*m
+    segments; every later intent with that key gets the same ``Segment``.
+    """
+    memo: dict[tuple[str, str | None], Segment] = {}
     for chosen, agg in iter_combinations(matrix):
-        yield build_intent(matrix.keywords, chosen, agg, index)
+        segments = []
+        for keyword, entry in zip(matrix.keywords, chosen):
+            feature = entry.feature if entry is not None else None
+            segment = memo.get((keyword, feature))
+            if segment is None:
+                segment = memo[keyword, feature] = resolve_segment(keyword, feature, index)
+            segments.append(segment)
+        yield IntentQuery(segments=tuple(segments), agg_mi=agg)

@@ -91,7 +91,7 @@ def _evaluate_parallel(
         outputs[i::workers] = future.result()
     visited = sum(area.total_nodes for area in kept)
     return finish_evaluation(
-        intent, anchors, kept, outputs, visited, discarded + pruned_nodes, skipped
+        intent, pool, kept, outputs, visited, discarded + pruned_nodes, skipped
     )
 
 

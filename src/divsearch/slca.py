@@ -2,10 +2,13 @@
 
 ``compute_slca`` finds the smallest lowest common ancestors of a family of
 sorted node lists: nodes whose subtree contains at least one node from every
-list while no descendant's subtree does.  ``DiversifiedSet`` accumulates
-results across accepted intents with the merge semantics used for novelty
-scoring: duplicates and ancestors of existing members are dropped,
-descendants replace the member they refine, everything else inserts.
+list while no descendant's subtree does.  It is the whole cost of a
+baseline query once segments are shared, so its probe loop is written out
+inline.  ``DiversifiedSet`` accumulates results across accepted intents
+with the merge semantics used for novelty scoring: duplicates and ancestors
+of existing members are dropped, descendants replace the member they
+refine, everything else inserts.  It also keeps the prefixes of its
+members for the anchor engine, rebuilt only after the pool changes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .dewey import DeweyId, _trusted, common_prefix_len, is_ancestor_or_self
+from .dewey import DeweyId, _trusted, is_ancestor_or_self, prefix_bounds
 
 
 @dataclass(frozen=True)
@@ -36,28 +39,18 @@ class SlcaSet:
         return self.nodes[i]
 
 
-def _nearest_prefix_len(x: DeweyId, lst: Sequence[DeweyId]) -> int:
-    """Longest common prefix between x and any member of sorted lst.
-
-    The maximizing member is always adjacent to x's insertion point, so two
-    probes after one binary search suffice.
-    """
-    j = bisect_left(lst, x)
-    best = 0
-    if j < len(lst):
-        best = common_prefix_len(x, lst[j])
-    if j > 0:
-        k = common_prefix_len(x, lst[j - 1])
-        if k > best:
-            best = k
-    return best
-
-
 def compute_slca(lists: Sequence[Sequence[DeweyId]]) -> SlcaSet:
     """SLCA set of one sorted, duplicate-free node list per query segment.
 
-    Cost is |shortest list| binary searches into each other list.  An empty
-    member list means no node can cover every segment: empty result.
+    Indexed Lookup Eager: each node of the shortest list (the driver) is
+    cut down, list by list, to its longest common prefix with any member
+    of the other list.  That member is always adjacent to the node's
+    insertion point, so one binary search and at most two probes per list
+    suffice; when the member at the insertion point lies in the node's
+    subtree, the node itself is the prefix and no prefix is computed.  Cost
+    is |shortest list| binary searches into each other list.  The driver is
+    picked by position, so a list may appear twice.  An empty member list
+    means no node can cover every segment: empty result.
     """
     if not lists:
         raise ValueError("compute_slca requires at least one node list")
@@ -65,19 +58,35 @@ def compute_slca(lists: Sequence[Sequence[DeweyId]]) -> SlcaSet:
         return SlcaSet()
     driver_pos = min(range(len(lists)), key=lambda i: len(lists[i]))
     driver = lists[driver_pos]
-    others = [lst for i, lst in enumerate(lists) if i != driver_pos]
+    others = [(lst, len(lst)) for i, lst in enumerate(lists) if i != driver_pos]
 
     candidates: set[DeweyId] = set()
     for v in driver:
         x = v
-        for lst in others:
-            k = _nearest_prefix_len(x, lst)
-            if k == 0:
-                x = None
-                break
-            if k < len(x):
-                x = _trusted(tuple(x[:k]))
-        if x is not None:
+        for lst, size in others:
+            n = len(x)
+            j = bisect_left(lst, x)
+            best = 0
+            if j < size:
+                y = lst[j]
+                if y[:n] == x:
+                    continue  # x is y or an ancestor of y: nothing to cut
+                for a, b in zip(x, y):
+                    if a != b:
+                        break
+                    best += 1
+            if j:
+                k = 0
+                for a, b in zip(x, lst[j - 1]):
+                    if a != b:
+                        break
+                    k += 1
+                if k > best:
+                    best = k
+            if not best:
+                break  # no common root with this list: no candidate
+            x = _trusted(x[:best])
+        else:
             candidates.add(x)
 
     # Keep minimal candidates only; in sorted order an ancestor's nearest
@@ -113,6 +122,7 @@ class DiversifiedSet:
         self._nodes: list[DeweyId] = []
         self._owner: dict[DeweyId, int] = {}
         self._by_owner: dict[int, set[DeweyId]] = {}
+        self._prefixes: tuple[tuple[DeweyId, DeweyId], ...] | None = None
 
     @property
     def nodes(self) -> tuple[DeweyId, ...]:
@@ -120,6 +130,16 @@ class DiversifiedSet:
 
     def snapshot(self) -> tuple[DeweyId, ...]:
         return tuple(self._nodes)
+
+    def prefix_bounds(self) -> tuple[tuple[DeweyId, DeweyId], ...]:
+        """``dewey.prefix_bounds`` of the members, built once per pool version.
+
+        Only ``apply`` and ``remove_intent`` change the pool; both drop the
+        built copy, so every intent evaluated in between reuses it.
+        """
+        if self._prefixes is None:
+            self._prefixes = prefix_bounds(self._nodes)
+        return self._prefixes
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -158,6 +178,7 @@ class DiversifiedSet:
 
     def apply(self, outcome: MergeOutcome, intent_id: int) -> None:
         """Commit a previously previewed merge, attributing inserts."""
+        self._prefixes = None
         for w in outcome.removed:
             self._discard(w)
         bucket = self._by_owner.setdefault(intent_id, set())
@@ -173,6 +194,7 @@ class DiversifiedSet:
 
     def remove_intent(self, intent_id: int) -> None:
         """Drop every node still attributed to an evicted intent."""
+        self._prefixes = None
         for v in sorted(self._by_owner.pop(intent_id, ())):
             self._discard(v)
 

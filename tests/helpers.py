@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from typing import Sequence
 
+from divsearch import intents
 from divsearch.dewey import DeweyId, subtree_bound
 from divsearch.indexing import EntityRecord
 
@@ -166,3 +168,25 @@ def random_antichain(
             continue
         out.append(DeweyId(v))
     return tuple(out)
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Swap ``original`` in every ``divsearch`` namespace, as the tracer does."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "divsearch"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def count_intersections(monkeypatch) -> list[tuple[str, str]]:
+    """Record the key of every ``intents.segment_node_list`` call from now on."""
+    calls: list[tuple[str, str]] = []
+    original = intents.segment_node_list
+
+    def counting(keyword, feature, index):
+        calls.append((keyword, feature))
+        return original(keyword, feature, index)
+
+    patch_everywhere(monkeypatch, original, counting)
+    return calls

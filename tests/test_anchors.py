@@ -15,7 +15,7 @@ from divsearch.anchors import (
     partition_areas,
     prune_empty_areas,
 )
-from divsearch.dewey import DeweyId, subtree_bound
+from divsearch.dewey import DeweyId, prefix_bounds, subtree_bound
 from divsearch.diversify import diversify_baseline, evaluate_against_pool
 from divsearch.intents import IntentQuery, Segment
 from divsearch.slca import DiversifiedSet, compute_slca
@@ -188,15 +188,15 @@ class TestAreaResults:
 class TestCoveredAnchorAncestors:
     def test_anchor_itself_still_covers(self):
         lists = [ids("1.1", "1.2", "1.3"), ids("1.1", "1.2")]
-        assert covered_anchor_ancestors(lists, ids("1.1"), ids("1.2")) == 1
+        assert covered_anchor_ancestors(lists, prefix_bounds(ids("1.1")), ids("1.2")) == 1
 
     def test_fresh_result_inside_candidate_blocks_it(self):
         lists = [ids("1.1", "1.2"), ids("1.2")]
-        assert covered_anchor_ancestors(lists, ids("1.1"), ids("1.2")) == 0
+        assert covered_anchor_ancestors(lists, prefix_bounds(ids("1.1")), ids("1.2")) == 0
 
     def test_only_minimal_covered_prefix_counts(self):
         lists = [ids("1.1.1"), ids("1.1.1")]
-        assert covered_anchor_ancestors(lists, ids("1.1.1"), ()) == 1
+        assert covered_anchor_ancestors(lists, prefix_bounds(ids("1.1.1")), ()) == 1
 
     def test_matches_full_slca_partition(self):
         rng = random.Random(42)
@@ -210,7 +210,7 @@ class TestCoveredAnchorAncestors:
             full = compute_slca(lists)
             anc = [v for v in full if contains_anchor(v, anchors)]
             rest = tuple(v for v in full if not contains_anchor(v, anchors))
-            assert covered_anchor_ancestors(lists, anchors, rest) == len(anc)
+            assert covered_anchor_ancestors(lists, prefix_bounds(anchors), rest) == len(anc)
             checked += 1
         assert checked > 200
 
@@ -357,7 +357,7 @@ def reference_evaluate(intent, pool):
             outputs.append(tuple(r for r in results if not contains_anchor(r, anchors)))
     visited = sum(area.total_nodes for area in kept)
     pruned = discarded + sum(area.total_nodes for area in dead)
-    return finish_evaluation(intent, anchors, kept, outputs, visited, pruned, len(dead))
+    return finish_evaluation(intent, pool, kept, outputs, visited, pruned, len(dead))
 
 
 def tree_antichain(rng, tree):

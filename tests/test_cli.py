@@ -3,6 +3,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from conftest import GOLDEN_INDEX_DIR
 from divsearch.cli import main
 
@@ -111,6 +113,23 @@ class TestFeaturesCommand:
         rc = main(["features", "--index", GOLDEN_IDX, "--term", "QUERY", "--top", "1"])
         assert rc == 0
         assert '"term":"query"' in capsys.readouterr().out
+
+    def test_term_is_tokenized_like_a_query(self, capsys):
+        """``query.`` is the keyword ``query``, as ``search`` reads it."""
+        rc = main(["features", "--index", GOLDEN_IDX, "--term", "Query.", "--top", "2"])
+        assert rc == 0
+        punctuated = capsys.readouterr().out
+        main(["features", "--index", GOLDEN_IDX, "--term", "query", "--top", "2"])
+        assert punctuated == capsys.readouterr().out
+        assert punctuated.startswith('{"term":"query","features":[{"feature":"language"')
+
+    @pytest.mark.parametrize("term", ["query language", "...", ""])
+    def test_term_must_be_one_keyword(self, capsys, term):
+        rc = main(["features", "--index", GOLDEN_IDX, "--term", term])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: term must be one keyword\n"
 
     def test_corrupt_index(self, tmp_path, capsys):
         broken = tmp_path / "idx"

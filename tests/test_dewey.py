@@ -7,9 +7,10 @@ from divsearch.dewey import (
     common_prefix_len,
     is_ancestor_or_self,
     lca,
+    prefix_bounds,
     subtree_bound,
 )
-from helpers import d
+from helpers import d, ids
 
 
 class TestConstruction:
@@ -139,3 +140,16 @@ class TestSubtreeBound:
             x = DeweyId(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 6))))
             inside = a <= x < subtree_bound(a)
             assert inside == is_ancestor_or_self(a, x)
+
+
+class TestPrefixBounds:
+    def test_every_prefix_once_in_document_order(self):
+        assert prefix_bounds(ids("1.2.3", "1.4", "1.2")) == (
+            (d("1"), d("2")),
+            (d("1.2"), d("1.3")),
+            (d("1.2.3"), d("1.2.4")),
+            (d("1.4"), d("1.5")),
+        )
+
+    def test_no_nodes_no_prefixes(self):
+        assert prefix_bounds(()) == ()

@@ -1,14 +1,38 @@
 import itertools
 import random
 
-from divsearch.features import FeatureEntry, FeatureMatrix
+import pytest
+
+from conftest import GOLDEN_INDEX_DIR
+from divsearch import diversify
+from divsearch.anchors import diversify_anchored
+from divsearch.cli import main
+from divsearch.diversify import diversify_baseline
+from divsearch.errors import NoIntentError
+from divsearch.features import FeatureEntry, FeatureMatrix, build_matrix
+from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import (
     iter_combinations,
     iter_intents,
     resolve_segment,
     segment_node_list,
 )
-from helpers import ids
+from helpers import count_intersections, ids, patch_everywhere, random_corpus_xml
+
+ENGINES = {"baseline": diversify_baseline, "anchor": diversify_anchored}
+
+# `divsearch search --query "query query" --k 5 --m 5` on the toy index, as
+# the engines answered it before segments were shared between intents.
+QUERY_QUERY_REPORT = (
+    '{"query":["query","query"],"k":5,"m":5,"algo":"baseline","intents":['
+    '{"segments":[{"keyword":"query","feature":"language"},'
+    '{"keyword":"query","feature":"language"}],'
+    '"aggMi":0.270310072072,"relevance":1,"dif":1,"score":1,"results":["1.1"]},'
+    '{"segments":[{"keyword":"query","feature":"optimization"},'
+    '{"keyword":"query","feature":"optimization"}],'
+    '"aggMi":0.270310072072,"relevance":1,"dif":0.5,"score":0.5,"results":["1.2"]}],'
+    '"phi":["1.1","1.2"]}'
+)
 
 
 def make_matrix(*columns: dict[str, float]) -> FeatureMatrix:
@@ -188,3 +212,106 @@ class TestIterIntents:
         (intent,) = iter_intents(matrix, toy_index)
         assert intent.lex_key == ("", "language")
         assert intent.label() == "database query:language"
+
+
+def record_stream(monkeypatch) -> list:
+    """Record every intent an engine pulls from its intent stream."""
+    seen = []
+    original = diversify.run_topk
+
+    def recording(intents, k, evaluate):
+        def pulled():
+            for intent in intents:
+                seen.append(intent)
+                yield intent
+
+        return original(pulled(), k, evaluate)
+
+    patch_everywhere(monkeypatch, original, recording)
+    return seen
+
+
+def assert_one_segment_per_key(intents) -> dict:
+    """Every intent with a given key holds the same ``Segment`` object."""
+    by_key = {}
+    for intent in intents:
+        for segment in intent.segments:
+            key = (segment.keyword, segment.feature)
+            assert by_key.setdefault(key, segment) is segment, key
+    return by_key
+
+
+class TestSegmentMemo:
+    """Each ``(keyword, feature)`` segment is resolved once per query."""
+
+    def test_shared_keys_share_one_segment(self, toy_index, monkeypatch):
+        calls = count_intersections(monkeypatch)
+        matrix = build_matrix(["language", "query"], 2, toy_index)
+        intents = list(iter_intents(matrix, toy_index))
+        assert len(intents) == 4
+        by_key = assert_one_segment_per_key(intents)
+        assert len(by_key) == 4
+        assert sorted(calls) == sorted(by_key)
+        for key, segment in by_key.items():
+            assert segment == resolve_segment(*key, toy_index)
+
+    def test_memo_lasts_one_query(self, toy_index, monkeypatch):
+        calls = count_intersections(monkeypatch)
+        matrix = build_matrix(["language", "query"], 2, toy_index)
+        first = list(iter_intents(matrix, toy_index))
+        assert len(calls) == 4
+        second = list(iter_intents(matrix, toy_index))
+        assert len(calls) == 8
+        assert first == second
+        assert first[0].segments[0] is not second[0].segments[0]
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_engines_intersect_each_key_once(self, monkeypatch, engine):
+        calls = count_intersections(monkeypatch)
+        seen = record_stream(monkeypatch)
+        rng = random.Random(91)
+        config = IndexConfig(entity_labels=frozenset({"item"}))
+        reused = cut = 0
+        for _ in range(80):
+            index = index_corpus(random_corpus_xml(rng), config)
+            terms = sorted(index.postings)
+            query = rng.sample(terms, min(rng.choice((2, 3)), len(terms)))
+            budget = rng.choice((None, None, 1, 2, 5))
+            calls.clear()
+            seen.clear()
+            try:
+                ENGINES[engine](query, rng.choice((1, 3)), rng.choice((2, 4)), index, budget)
+            except NoIntentError:
+                continue
+            assert all([s.keyword for s in intent.segments] == query for intent in seen)
+            by_key = assert_one_segment_per_key(seen)
+            featured = [key for key in by_key if key[1] is not None]
+            # one call per featured key the query used, and none for any other
+            assert sorted(calls) == sorted(featured)
+            uses = sum(s.feature is not None for intent in seen for s in intent.segments)
+            shared = uses > len(featured)
+            reused += shared
+            if budget is not None:
+                assert len(seen) <= budget
+                cut += shared and len(seen) == budget
+        # keys were shared between intents, also under a budget cut
+        assert reused > 20
+        assert cut > 5
+
+    def test_repeated_keyword_shares_within_an_intent(self, toy_index, monkeypatch):
+        calls = count_intersections(monkeypatch)
+        matrix = build_matrix(["query", "query"], 5, toy_index)
+        intents = list(iter_intents(matrix, toy_index))
+        assert len(intents) == 16
+        assert len(calls) == 4
+        same = [i for i in intents if i.segments[0].feature == i.segments[1].feature]
+        assert len(same) == 4
+        assert all(i.segments[0] is i.segments[1] for i in same)
+
+    @pytest.mark.parametrize("algo", ["baseline", "anchor", "parallel"])
+    def test_repeated_keyword_report_unchanged(self, capsys, algo):
+        argv = ["search", "--index", str(GOLDEN_INDEX_DIR), "--query", "query query"]
+        rc = main(argv + ["--k", "5", "--m", "5", "--algo", algo])
+        assert rc == 0
+        want = QUERY_QUERY_REPORT.replace('"algo":"baseline"', f'"algo":"{algo}"')
+        assert capsys.readouterr().out == want + "\n"

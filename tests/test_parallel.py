@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -9,30 +8,10 @@ from divsearch.anchors import diversify_anchored, partition_areas, prune_empty_a
 from divsearch.errors import NoIntentError
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import IntentQuery, Segment, resolve_segment
-from divsearch import anchors, intents, parallel
+from divsearch import anchors, parallel
 from divsearch.parallel import diversify_parallel, evaluate_area, plan_shared_segments
-from helpers import ids, random_corpus_xml
-
-
-def patch_everywhere(monkeypatch, original, replacement):
-    """Swap ``original`` in every ``divsearch`` namespace, as the tracer does."""
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "divsearch"]
-    for module in modules:
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, replacement)
-
-
-def count_intersections(monkeypatch):
-    calls = []
-    original = intents.segment_node_list
-
-    def counting(keyword, feature, index):
-        calls.append((keyword, feature))
-        return original(keyword, feature, index)
-
-    patch_everywhere(monkeypatch, original, counting)
-    return calls
+from divsearch.slca import DiversifiedSet
+from helpers import count_intersections, ids, patch_everywhere, random_corpus_xml
 
 
 class TestPlanSharedSegments:
@@ -106,14 +85,11 @@ class RecordingExecutor(parallel.ThreadPoolExecutor):
         return super().submit(fn, areas, anchors)
 
 
-class FixedPool:
-    """Stands in for the result pool: only its anchors are read."""
-
-    def __init__(self, anchors):
-        self.anchors = anchors
-
-    def snapshot(self):
-        return self.anchors
+def pool_of(anchor_ids):
+    """A result pool that holds exactly the given antichain."""
+    pool = DiversifiedSet()
+    pool.merge(anchor_ids, 0)
+    return pool
 
 
 def dealt(lists, anchor_ids, workers):
@@ -124,8 +100,8 @@ def dealt(lists, anchor_ids, workers):
     intent = IntentQuery(tuple(Segment("k", None, lst, len(lst)) for lst in lists), 0.0)
     log = []
     with RecordingExecutor(log, max_workers=2) as executor:
-        evaluation = parallel._evaluate_parallel(intent, FixedPool(anchor_ids), executor, workers)
-    assert evaluation == anchors.evaluate_anchored(intent, FixedPool(anchor_ids))
+        evaluation = parallel._evaluate_parallel(intent, pool_of(anchor_ids), executor, workers)
+    assert evaluation == anchors.evaluate_anchored(intent, pool_of(anchor_ids))
     return [areas for _, areas in log]
 
 

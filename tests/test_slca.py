@@ -1,8 +1,17 @@
+import itertools
 import random
+from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
-from divsearch.dewey import is_ancestor_or_self
+from divsearch.dewey import (
+    DeweyId,
+    _trusted,
+    common_prefix_len,
+    is_ancestor_or_self,
+    prefix_bounds,
+)
 from divsearch.diversify import dif
 from divsearch.slca import (
     DiversifiedSet,
@@ -25,6 +34,59 @@ def _naive_merge(phi_nodes, fresh):
         nodes.append(v)
         inserted.append(v)
     return sorted(nodes), inserted
+
+
+def _previous_nearest_prefix_len(x, lst):
+    j = bisect_left(lst, x)
+    best = 0
+    if j < len(lst):
+        best = common_prefix_len(x, lst[j])
+    if j > 0:
+        k = common_prefix_len(x, lst[j - 1])
+        if k > best:
+            best = k
+    return best
+
+
+def _previous_compute_slca(lists):
+    """The kernel as it stood with a prefix helper call for every probe."""
+    if any(not lst for lst in lists):
+        return SlcaSet()
+    driver_pos = min(range(len(lists)), key=lambda i: len(lists[i]))
+    driver = lists[driver_pos]
+    others = [lst for i, lst in enumerate(lists) if i != driver_pos]
+    candidates = set()
+    for v in driver:
+        x = v
+        for lst in others:
+            k = _previous_nearest_prefix_len(x, lst)
+            if k == 0:
+                x = None
+                break
+            if k < len(x):
+                x = _trusted(tuple(x[:k]))
+        if x is not None:
+            candidates.add(x)
+    ordered = sorted(candidates)
+    keep = [
+        c
+        for i, c in enumerate(ordered)
+        if i + 1 == len(ordered) or not is_ancestor_or_self(c, ordered[i + 1])
+    ]
+    return SlcaSet(tuple(keep))
+
+
+def chain_tree(rng, max_nodes=120):
+    """A random tree grown mostly downward: long ancestor chains."""
+    nodes = [DeweyId((1,))]
+    child_count = {nodes[0]: 0}
+    for _ in range(rng.randint(1, max_nodes - 1)):
+        parent = nodes[-1] if rng.random() < 0.7 else rng.choice(nodes)
+        child_count[parent] += 1
+        child = DeweyId(parent + (child_count[parent],))
+        child_count[child] = 0
+        nodes.append(child)
+    return nodes
 
 
 def _assert_antichain(nodes):
@@ -86,6 +148,42 @@ class TestComputeSlca:
     def test_duplicate_list_objects(self):
         lst = ids("1.1", "1.2")
         assert compute_slca([lst, lst]).nodes == lst
+
+
+class TestAgainstPreviousKernel:
+    """The kernel answers as the one with a prefix helper per probe did."""
+
+    def test_same_results_on_random_trees(self):
+        rng = random.Random(64)
+        shapes = Counter()
+        for trial in range(800):
+            tree = chain_tree(rng) if trial % 2 else random_tree(rng, 120)
+            lists = random_lists(rng, tree)
+            shape = trial // 2 % 4
+            if shape == 1:
+                lists = [lists[0]] + lists
+            elif shape == 2:
+                size = rng.randint(1, len(tree))
+                lists = [
+                    tuple(sorted(rng.sample(tree, size))) for _ in range(rng.randint(2, 4))
+                ]
+            elif shape == 3:
+                lists = lists[:1]
+            got = compute_slca(lists).nodes
+            assert got == _previous_compute_slca(lists).nodes
+            assert got == slca_oracle(tree, lists)
+            shapes["one list object twice"] += any(
+                a is b and a for a, b in itertools.combinations(lists, 2)
+            )
+            shapes["equal lengths"] += len(lists) > 1 and len({len(lst) for lst in lists}) == 1
+            shapes["single list"] += len(lists) == 1 and bool(lists[0])
+            shapes["ancestor and descendant in one list"] += any(
+                len(a) > 4 and is_ancestor_or_self(a, b)
+                for lst in lists
+                for a, b in zip(lst, lst[1:])
+            )
+        assert len(shapes) == 4
+        assert min(shapes.values()) > 100, shapes
 
 
 class TestMergeDistinct:
@@ -169,6 +267,20 @@ class TestAttribution:
         assert phi.nodes == ids("1.2.1")
         phi.remove_intent(1)
         assert phi.nodes == ()
+
+    def test_prefix_bounds_follow_every_change(self):
+        """Built once per pool version; ``apply`` and ``remove_intent`` drop it."""
+        rng = random.Random(65)
+        for _ in range(100):
+            phi = DiversifiedSet()
+            for step in range(8):
+                if step % 3 == 2:
+                    phi.remove_intent(rng.randrange(step))
+                else:
+                    phi.merge(random_antichain(rng), step)
+                built = phi.prefix_bounds()
+                assert built == prefix_bounds(phi.nodes)
+                assert phi.prefix_bounds() is built
 
     def test_equality_covers_attribution(self):
         a = DiversifiedSet()
