@@ -6,23 +6,14 @@ enumerate search intents in descending aggregated-MI order, and keep the
 top k scored by relevance times result novelty under SLCA semantics.
 Three interchangeable engines (baseline, anchor-pruned, parallel) produce
 identical output.
+
+The package exports the entry points below; every other name is imported
+from its own module (``divsearch.slca``, ``divsearch.anchors``, ...).
 """
 
-from .anchors import (
-    contains_anchor,
-    diversify_anchored,
-    partition_areas,
-    prune_empty_areas,
-)
-from .dewey import DeweyId, lca, subtree_bound
-from .diversify import (
-    EvalStats,
-    ScoredIntent,
-    TopK,
-    dif,
-    diversify_baseline,
-    relevance_prob,
-)
+from .anchors import diversify_anchored
+from .dewey import DeweyId
+from .diversify import EvalStats, ScoredIntent, TopK, diversify_baseline
 from .errors import (
     CorpusParseError,
     DivSearchError,
@@ -31,37 +22,16 @@ from .errors import (
     IndexVersionError,
     NoIntentError,
 )
-from .features import (
-    FeatureEntry,
-    FeatureMatrix,
-    build_matrix,
-    mutual_information,
-    top_features,
-)
+from .features import top_features
 from .indexing import (
     DEFAULT_STOPWORDS,
-    EntityRecord,
     IndexBundle,
     IndexConfig,
     build_index,
     index_corpus,
     parse_corpus,
-    tokenize,
 )
-from .intents import (
-    IntentQuery,
-    Segment,
-    iter_combinations,
-    iter_intents,
-    segment_node_list,
-)
-from .parallel import (
-    SharedSegmentTable,
-    diversify_parallel,
-    evaluate_area,
-    plan_shared_segments,
-)
-from .slca import DiversifiedSet, MergeOutcome, SlcaSet, compute_slca, merge_distinct
+from .parallel import diversify_parallel
 from .storage import load_index, save_index
 
 __version__ = "0.1.0"
@@ -70,49 +40,23 @@ __all__ = [
     "CorpusParseError",
     "DEFAULT_STOPWORDS",
     "DeweyId",
-    "DiversifiedSet",
     "DivSearchError",
     "EmptyCorpusError",
-    "EntityRecord",
     "EvalStats",
-    "FeatureEntry",
-    "FeatureMatrix",
     "IndexBundle",
     "IndexConfig",
     "IndexFormatError",
     "IndexVersionError",
-    "IntentQuery",
-    "MergeOutcome",
     "NoIntentError",
     "ScoredIntent",
-    "Segment",
-    "SharedSegmentTable",
-    "SlcaSet",
     "TopK",
     "build_index",
-    "build_matrix",
-    "compute_slca",
-    "contains_anchor",
-    "dif",
     "diversify_anchored",
     "diversify_baseline",
     "diversify_parallel",
-    "evaluate_area",
     "index_corpus",
-    "iter_combinations",
-    "iter_intents",
-    "lca",
     "load_index",
-    "merge_distinct",
-    "mutual_information",
     "parse_corpus",
-    "partition_areas",
-    "plan_shared_segments",
-    "prune_empty_areas",
-    "relevance_prob",
     "save_index",
-    "segment_node_list",
-    "subtree_bound",
-    "tokenize",
     "top_features",
 ]

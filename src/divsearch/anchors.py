@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dewey import DeweyId, subtree_bound
 from .diversify import (
@@ -224,12 +224,7 @@ def finish_evaluation(
     full_count = len(inserted) + covered
     relevance = likelihood * full_count
     union_size = len(pool) + len(inserted) - len(removed)
-    outcome = MergeOutcome(
-        inserted=tuple(inserted),
-        removed=tuple(removed),
-        distinct_count=len(inserted),
-        union_size=union_size,
-    )
+    outcome = MergeOutcome(inserted=tuple(inserted), removed=tuple(removed), union_size=union_size)
     nov = outcome.novelty()
     return IntentEvaluation(
         likelihood=likelihood,
@@ -243,13 +238,26 @@ def finish_evaluation(
     )
 
 
-def evaluate_anchored(intent: IntentQuery, pool: DiversifiedSet) -> IntentEvaluation:
-    """Evaluate one intent against the pool using anchor partitioning."""
+def _solve_in_turn(areas: Sequence[Area], anchors: Sequence[DeweyId]) -> list[NodeList]:
+    return [area_results(area, anchors) for area in areas]
+
+
+def evaluate_anchored(
+    intent: IntentQuery,
+    pool: DiversifiedSet,
+    solve: Callable[[Sequence[Area], Sequence[DeweyId]], Sequence[NodeList]] = _solve_in_turn,
+) -> IntentEvaluation:
+    """Evaluate one intent against the pool using anchor partitioning.
+
+    ``solve(areas, anchors)`` returns the filtered results of each live
+    area, in area order; by default it runs :func:`area_results` on one
+    area after another.
+    """
     lists = [segment.node_list for segment in intent.segments]
-    anchors = pool.snapshot()
+    anchors = pool.nodes
     areas, discarded = partition_areas(lists, anchors)
     kept, pruned_nodes, skipped = prune_empty_areas(areas)
-    outputs = [area_results(area, anchors) for area in kept]
+    outputs = solve(kept, anchors)
     visited = sum(area.total_nodes for area in kept)
     return finish_evaluation(
         intent, pool, kept, outputs, visited, discarded + pruned_nodes, skipped

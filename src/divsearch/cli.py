@@ -23,7 +23,9 @@ from .indexing import (
     IndexConfig,
     _TOKEN_RE,
     build_index,
+    is_token,
     parse_corpus,
+    tokenize,
 )
 from .parallel import diversify_parallel
 from .slca import DiversifiedSet
@@ -114,7 +116,8 @@ def _read_stopwords(path: str | None) -> frozenset[str]:
     if path is None:
         return DEFAULT_STOPWORDS
     text = Path(path).read_text(encoding="utf-8")
-    return frozenset(word.lower() for word in text.split())
+    # a word that is not one token, such as "don't", can never match one
+    return frozenset(word for word in text.lower().split() if is_token(word))
 
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -156,7 +159,7 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     index = load_index(args.index)
-    keywords = [match.group() for match in _TOKEN_RE.finditer(args.query.lower())]
+    keywords = [token for token, _ in tokenize(args.query, index.config.stopwords)]
     if not keywords:
         print("error: query contains no keywords", file=sys.stderr)
         return 2

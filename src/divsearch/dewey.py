@@ -59,14 +59,6 @@ def is_ancestor_or_self(a: DeweyId, b: DeweyId) -> bool:
     return len(a) <= len(b) and b[: len(a)] == tuple(a)
 
 
-def lca(a: DeweyId, b: DeweyId) -> DeweyId | None:
-    """Lowest common ancestor, or None when the roots already differ."""
-    k = common_prefix_len(a, b)
-    if k == 0:
-        return None
-    return _trusted(tuple(a[:k]))
-
-
 def subtree_bound(a: DeweyId) -> DeweyId:
     """Smallest ID following a's entire subtree in document order.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from io import BytesIO
 from typing import Sequence
@@ -38,21 +38,17 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 @dataclass(frozen=True)
 class IndexConfig:
-    """Knobs for parsing and index construction.
-
-    ``stopwords`` is excluded from equality because the persisted manifest
-    does not record it; a loaded index compares equal to its source bundle.
-    """
+    """Knobs for parsing and index construction; all of them are persisted."""
 
     entity_labels: frozenset[str]
     window: int = 3
-    stopwords: frozenset[str] = field(default=DEFAULT_STOPWORDS, compare=False)
+    stopwords: frozenset[str] = DEFAULT_STOPWORDS
 
     def __post_init__(self) -> None:
         if not self.entity_labels:
             raise ValueError("entity_labels must be non-empty")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        if type(self.window) is not int or self.window < 1:
+            raise ValueError("window must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -84,6 +80,11 @@ def tokenize(text: str, stopwords: frozenset[str]) -> tuple[tuple[str, int], ...
         if token not in stopwords:
             out.append((token, pos))
     return tuple(out)
+
+
+def is_token(word: str) -> bool:
+    """True iff ``tokenize`` reads ``word`` as exactly itself, one token."""
+    return tokenize(word, frozenset()) == ((word, 0),)
 
 
 def _byte_offset(data: bytes, line: int, column: int) -> int:

@@ -3,11 +3,12 @@
 All intent combinations are known up front, so the segments occurring in
 more than one intent are marked before evaluation starts: the first intent
 that needs one resolves it against the index, later intents reuse the same
-``Segment``, and every shared segment is kept until the query ends.  Within
-one intent, the surviving areas are dealt round-robin into ``workers``
-batches run on a thread pool; workers only read immutable data, the calling
-thread joins them all before scoring, and per-area outputs go back in area
-order, so results are identical for any worker count.
+``Segment``, and every shared segment is kept until the query ends.  Each
+intent then goes through the anchor engine's evaluator, which deals its
+surviving areas round-robin into ``workers`` batches run on a thread pool;
+workers only read immutable data, the calling thread joins them all before
+scoring, and per-area outputs go back in area order, so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -16,23 +17,16 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .anchors import (
-    Area,
-    NodeList,
-    area_results,
-    finish_evaluation,
-    partition_areas,
-    prune_empty_areas,
-)
+from .anchors import Area, NodeList, area_results, evaluate_anchored
 from .dewey import DeweyId
-from .diversify import EvalStats, IntentEvaluation, TopK, run_topk
+from .diversify import EvalStats, TopK, run_topk
 from .features import build_matrix
 from .indexing import IndexBundle
 from .intents import IntentQuery, Segment, iter_combinations, resolve_segment
-from .slca import DiversifiedSet
 
 SegmentKey = tuple[str, str | None]
 
@@ -72,16 +66,10 @@ def _run_batch(areas: Sequence[Area], anchors: Sequence[DeweyId]) -> list[NodeLi
     return [evaluate_area(area, anchors) for area in areas]
 
 
-def _evaluate_parallel(
-    intent: IntentQuery,
-    pool: DiversifiedSet,
-    executor: ThreadPoolExecutor,
-    workers: int,
-) -> IntentEvaluation:
-    lists = [segment.node_list for segment in intent.segments]
-    anchors = pool.snapshot()
-    areas, discarded = partition_areas(lists, anchors)
-    kept, pruned_nodes, skipped = prune_empty_areas(areas)
+def _deal(
+    executor: ThreadPoolExecutor, workers: int, kept: Sequence[Area], anchors: Sequence[DeweyId]
+) -> list[NodeList]:
+    """``solve`` for :func:`evaluate_anchored`: batch i is ``kept[i::workers]``."""
     futures = [
         executor.submit(_run_batch, kept[i::workers], anchors)
         for i in range(min(workers, len(kept)))
@@ -89,10 +77,7 @@ def _evaluate_parallel(
     outputs: list[NodeList] = [()] * len(kept)
     for i, future in enumerate(futures):  # barrier: all areas land before scoring
         outputs[i::workers] = future.result()
-    visited = sum(area.total_nodes for area in kept)
-    return finish_evaluation(
-        intent, pool, kept, outputs, visited, discarded + pruned_nodes, skipped
-    )
+    return outputs
 
 
 def diversify_parallel(
@@ -133,5 +118,5 @@ def diversify_parallel(
         return run_topk(
             intents,
             k,
-            lambda intent, pool: _evaluate_parallel(intent, pool, executor, workers),
+            partial(evaluate_anchored, solve=partial(_deal, executor, workers)),
         )

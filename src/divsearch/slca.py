@@ -32,9 +32,6 @@ class SlcaSet:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __bool__(self) -> bool:
-        return bool(self.nodes)
-
     def __getitem__(self, i: int) -> DeweyId:
         return self.nodes[i]
 
@@ -106,8 +103,11 @@ class MergeOutcome:
 
     inserted: tuple[DeweyId, ...]
     removed: tuple[DeweyId, ...]
-    distinct_count: int
     union_size: int
+
+    @property
+    def distinct_count(self) -> int:
+        return len(self.inserted)
 
     def novelty(self) -> float:
         if self.union_size == 0:
@@ -126,9 +126,6 @@ class DiversifiedSet:
 
     @property
     def nodes(self) -> tuple[DeweyId, ...]:
-        return tuple(self._nodes)
-
-    def snapshot(self) -> tuple[DeweyId, ...]:
         return tuple(self._nodes)
 
     def prefix_bounds(self) -> tuple[tuple[DeweyId, DeweyId], ...]:
@@ -169,12 +166,7 @@ class DiversifiedSet:
             else:
                 nodes.insert(i, v)
             inserted.append(v)
-        return MergeOutcome(
-            inserted=tuple(inserted),
-            removed=tuple(removed),
-            distinct_count=len(inserted),
-            union_size=len(nodes),
-        )
+        return MergeOutcome(inserted=tuple(inserted), removed=tuple(removed), union_size=len(nodes))
 
     def apply(self, outcome: MergeOutcome, intent_id: int) -> None:
         """Commit a previously previewed merge, attributing inserts."""

@@ -6,6 +6,8 @@ Layout (UTF-8, LF endings, fixed key order per line):
 * ``entities.jsonl``  one {"dewey","label"} per entity, document order
 * ``postings.jsonl``  one {"term","entities"} per term, terms sorted
 * ``cooccur.jsonl``   one {"a","b","count"} per pair, count desc then (a,b) asc
+* ``stopwords.txt``   the stop words, ascending, one per line; an index
+  without it has none
 
 ``load_index(save_index(b)) == b`` holds field for field; every writer choice
 below (sorting, separators) exists to keep the bytes canonical.
@@ -38,7 +40,7 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from .dewey import DeweyId
 from .errors import IndexFormatError, IndexVersionError
-from .indexing import EntityInfo, IndexBundle, IndexConfig
+from .indexing import EntityInfo, IndexBundle, IndexConfig, is_token
 
 FORMAT_VERSION = 1
 
@@ -46,6 +48,7 @@ MANIFEST_FILE = "manifest.json"
 ENTITIES_FILE = "entities.jsonl"
 POSTINGS_FILE = "postings.jsonl"
 COOCCUR_FILE = "cooccur.jsonl"
+STOPWORDS_FILE = "stopwords.txt"
 
 # The writer's cooccur line, with its "\n" when it has one.  A JSON string
 # holding no '"', no '\' and no control character reads back as its raw
@@ -99,7 +102,7 @@ def _triplets(
 
 
 def save_index(bundle: IndexBundle, directory: str | Path) -> None:
-    """Write the four index files, creating the directory if needed.
+    """Write the index files, creating the directory if needed.
 
     Each line is assembled from the JSON text of its parts; a term or a label
     is encoded once however many lines name it, and a Dewey ID's text (digits
@@ -107,11 +110,16 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     ``json.dumps`` per row.
 
     Raises ``ValueError``, before writing any file, if a cooccur pair names
-    a term without postings: :func:`load_index` would reject that index.
+    a term without postings or a stop word is not one token:
+    :func:`load_index` would reject that index.
     """
     directory = Path(directory)
     terms = sorted(bundle.postings)
     triplets = _triplets(bundle.cooccur, terms)
+    stopwords = sorted(bundle.config.stopwords)
+    for word in stopwords:
+        if not is_token(word):
+            raise ValueError(f"stop word is not one token: {word!r}")
     directory.mkdir(parents=True, exist_ok=True)
 
     manifest = {
@@ -145,6 +153,8 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
             for a, b, count in triplets
         ),
     )
+
+    _write_lines(directory / STOPWORDS_FILE, (word + "\n" for word in stopwords))
 
 
 @contextmanager
@@ -341,10 +351,20 @@ def load_index(directory: str | Path) -> IndexBundle:
             last_pair = pair
             cooccur[pair] = count
 
+    path = directory / STOPWORDS_FILE
+    stopwords: list[str] = []
+    if path.exists():
+        for lineno, word in _iter_lines(path):
+            if not is_token(word):
+                raise _fail(path, lineno, f"stop word is not one token: {word!r}")
+            if stopwords and word <= stopwords[-1]:
+                raise _fail(path, lineno, "stop words not sorted")
+            stopwords.append(word)
+
     config = IndexConfig(
         entity_labels=frozenset(manifest["entityLabels"]),
         window=manifest["window"],
-        stopwords=frozenset(),
+        stopwords=frozenset(stopwords),
     )
     return IndexBundle(
         entities=tuple(entities), postings=postings, cooccur=cooccur, config=config

@@ -344,7 +344,7 @@ def reference_partition(lists, anchors):
 
 def reference_evaluate(intent, pool):
     lists = [segment.node_list for segment in intent.segments]
-    anchors = pool.snapshot()
+    anchors = pool.nodes
     areas, discarded = reference_partition(lists, anchors)
     kept = [area for area in areas if not area.dead]
     dead = [area for area in areas if area.dead]

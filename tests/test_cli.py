@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +246,75 @@ class TestSearchCommand:
         rc = main(["search", "--index", str(broken), "--query", "database"])
         assert rc == 1
         assert capsys.readouterr().err == "error: invalid UTF-8: invalid start byte\n"
+
+class TestStopWordQueries:
+    """Query tokens are filtered by the stop words the index stores."""
+
+    @pytest.fixture()
+    def built_idx(self, toy_xml_path, tmp_path, capsys):
+        out_dir = tmp_path / "idx"
+        rc = main(["index", "--input", str(toy_xml_path), "--entity", "paper", "--out", str(out_dir)])
+        assert rc == 0
+        capsys.readouterr()
+        return str(out_dir)
+
+    def search(self, capsys, idx, query, *extra):
+        rc = main(["search", "--index", idx, "--query", query, "--k", "4", "--m", "4", *extra])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "extra", [(), ("--algo", "anchor"), ("--algo", "parallel", "--workers", "3")]
+    )
+    def test_stop_word_inside_query_is_dropped(self, built_idx, capsys, extra):
+        rc, plain, _ = self.search(capsys, built_idx, "database query", *extra)
+        assert rc == 0
+        assert json.loads(plain)["intents"]
+        for query in ("database the query", "The database OF query a", "database, the query."):
+            rc, out, _ = self.search(capsys, built_idx, query, *extra)
+            assert rc == 0
+            assert out == plain
+
+    def test_custom_stop_words_are_stored_and_applied(self, toy_xml_path, tmp_path, capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("Language don't\nimage\n", encoding="utf-8")
+        out_dir = tmp_path / "idx"
+        rc = main(["index", "--input", str(toy_xml_path), "--entity", "paper",
+                   "--out", str(out_dir), "--stopwords", str(stop)])
+        assert rc == 0
+        capsys.readouterr()
+        assert (out_dir / "stopwords.txt").read_text(encoding="utf-8") == "image\nlanguage\n"
+        rc, out, _ = self.search(capsys, str(out_dir), "database language the")
+        assert rc == 0
+        assert json.loads(out)["query"] == ["database", "the"]
+
+    def test_toy_index_without_stop_word_file_is_unchanged(self, capsys):
+        assert not (GOLDEN_INDEX_DIR / "stopwords.txt").exists()
+        rc, out, _ = self.search(capsys, GOLDEN_IDX, "database the query")
+        assert rc == 0
+        assert out == (
+            '{"query":["database","the","query"],"k":4,"m":4,"algo":"baseline",'
+            '"intents":[],"phi":[]}\n'
+        )
+
+    @pytest.mark.parametrize("query", ["the", "The OF a", "the, of!"])
+    def test_query_of_only_stop_words_is_usage_error(self, built_idx, capsys, query):
+        rc, out, err = self.search(capsys, built_idx, query)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: query contains no keywords\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("the\na\n", "stop words not sorted"), ("a\nThe\n", "stop word is not one token: 'The'")],
+    )
+    def test_bad_stop_word_file_is_data_error(self, built_idx, capsys, text, message):
+        (Path(built_idx) / "stopwords.txt").write_text(text, encoding="utf-8")
+        rc, out, err = self.search(capsys, built_idx, "database query")
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_matches_in_process(self):

@@ -6,7 +6,6 @@ from divsearch.dewey import (
     DeweyId,
     common_prefix_len,
     is_ancestor_or_self,
-    lca,
     prefix_bounds,
     subtree_bound,
 )
@@ -119,12 +118,6 @@ class TestAncestry:
         assert common_prefix_len(d("1.2.3"), d("1.2.5")) == 2
         assert common_prefix_len(d("1"), d("2")) == 0
         assert common_prefix_len(d("1.2"), d("1.2")) == 2
-
-    def test_lca(self):
-        assert lca(d("1.1"), d("1.3")) == d("1")
-        assert lca(d("1.2.1"), d("1.2.3")) == d("1.2")
-        assert lca(d("1.2"), d("1.2.5")) == d("1.2")
-        assert lca(d("1"), d("2")) is None
 
 
 class TestSubtreeBound:

@@ -8,6 +8,7 @@ from divsearch.indexing import (
     IndexConfig,
     build_index,
     index_corpus,
+    is_token,
     parse_corpus,
     tokenize,
 )
@@ -170,7 +171,28 @@ class TestIndexConfig:
         with pytest.raises(ValueError):
             IndexConfig(entity_labels=frozenset({"x"}), window=0)
 
-    def test_stopwords_excluded_from_equality(self):
+    @pytest.mark.parametrize("window", [True, 1.0, 2.5, "3"])
+    def test_window_must_be_an_int(self, window):
+        """``save_index`` would write it and ``load_index`` refuse it."""
+        with pytest.raises(ValueError, match="window must be an integer >= 1"):
+            IndexConfig(entity_labels=frozenset({"x"}), window=window)
+
+    def test_stopwords_take_part_in_equality(self):
+        """The index stores its stop words, so they are part of the config."""
         a = IndexConfig(entity_labels=frozenset({"x"}), stopwords=frozenset({"s"}))
         b = IndexConfig(entity_labels=frozenset({"x"}), stopwords=frozenset())
-        assert a == b
+        assert a != b
+        assert a == IndexConfig(entity_labels=frozenset({"x"}), stopwords=frozenset({"s"}))
+
+
+class TestIsToken:
+    @pytest.mark.parametrize("word", ["the", "café", "x1", "2025"])
+    def test_tokens(self, word):
+        assert is_token(word)
+
+    @pytest.mark.parametrize("word", ["", "The", "don't", "a b", "snake_case", "e-mail", "the\n"])
+    def test_not_one_token(self, word):
+        assert not is_token(word)
+
+    def test_every_default_stop_word_is_a_token(self):
+        assert all(is_token(word) for word in DEFAULT_STOPWORDS)

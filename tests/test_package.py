@@ -1,0 +1,47 @@
+"""The names the package itself exports: the library's entry points."""
+
+import importlib
+
+import divsearch
+
+# name -> the module that defines it
+PUBLIC = {
+    "IndexConfig": "indexing", "IndexBundle": "indexing", "DEFAULT_STOPWORDS": "indexing",
+    "parse_corpus": "indexing", "build_index": "indexing", "index_corpus": "indexing",
+    "save_index": "storage", "load_index": "storage", "top_features": "features",
+    "diversify_baseline": "diversify", "diversify_anchored": "anchors",
+    "diversify_parallel": "parallel",
+    "TopK": "diversify", "ScoredIntent": "diversify", "EvalStats": "diversify",
+    "DeweyId": "dewey",
+    "DivSearchError": "errors", "CorpusParseError": "errors", "EmptyCorpusError": "errors",
+    "IndexFormatError": "errors", "IndexVersionError": "errors", "NoIntentError": "errors",
+}
+
+
+def test_all_lists_exactly_the_entry_points():
+    assert len(divsearch.__all__) == len(PUBLIC) == 22
+    assert set(divsearch.__all__) == set(PUBLIC)
+
+
+def test_each_name_is_its_modules_object():
+    for name, module in PUBLIC.items():
+        assert getattr(divsearch, name) is getattr(importlib.import_module(f"divsearch.{module}"), name)
+
+
+def test_star_import_binds_exactly_those_names():
+    namespace = {}
+    exec("from divsearch import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+
+
+def test_other_names_stay_in_their_modules():
+    from divsearch.anchors import evaluate_anchored, partition_areas
+    from divsearch.slca import DiversifiedSet, compute_slca, merge_distinct
+    from divsearch.parallel import SharedSegmentTable, evaluate_area, plan_shared_segments
+
+    assert all(
+        callable(x)
+        for x in (evaluate_anchored, partition_areas, DiversifiedSet, compute_slca,
+                  merge_distinct, SharedSegmentTable, evaluate_area, plan_shared_segments)
+    )
+    assert not hasattr(divsearch, "compute_slca")

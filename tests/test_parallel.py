@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -100,7 +101,8 @@ def dealt(lists, anchor_ids, workers):
     intent = IntentQuery(tuple(Segment("k", None, lst, len(lst)) for lst in lists), 0.0)
     log = []
     with RecordingExecutor(log, max_workers=2) as executor:
-        evaluation = parallel._evaluate_parallel(intent, pool_of(anchor_ids), executor, workers)
+        solve = partial(parallel._deal, executor, workers)
+        evaluation = anchors.evaluate_anchored(intent, pool_of(anchor_ids), solve)
     assert evaluation == anchors.evaluate_anchored(intent, pool_of(anchor_ids))
     return [areas for _, areas in log]
 
@@ -175,7 +177,7 @@ class TestDiversifyParallel:
             pool_sizes.append(max_workers)
             return RecordingExecutor(log, max_workers)
 
-        prune = parallel.prune_empty_areas
+        prune = anchors.prune_empty_areas
 
         def logging_prune(areas):
             kept, pruned, skipped = prune(areas)
@@ -184,7 +186,7 @@ class TestDiversifyParallel:
 
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(parallel, "ThreadPoolExecutor", executor)
-        monkeypatch.setattr(parallel, "prune_empty_areas", logging_prune)
+        monkeypatch.setattr(anchors, "prune_empty_areas", logging_prune)
         capped, _ = diversify_parallel(["database", "query"], 2, 2, toy_index, workers=8)
         base, _ = diversify_baseline(["database", "query"], 2, 2, toy_index)
         assert pool_sizes == [threads]

@@ -7,12 +7,13 @@ import pytest
 
 from divsearch.dewey import DeweyId
 from divsearch.errors import IndexFormatError, IndexVersionError
-from divsearch.indexing import EntityInfo, IndexBundle, IndexConfig, index_corpus
+from divsearch.indexing import DEFAULT_STOPWORDS, EntityInfo, IndexBundle, IndexConfig, index_corpus
 from divsearch.storage import (
     COOCCUR_FILE,
     ENTITIES_FILE,
     MANIFEST_FILE,
     POSTINGS_FILE,
+    STOPWORDS_FILE,
     load_index,
     save_index,
 )
@@ -124,7 +125,9 @@ class TestRoundTrip:
             ).read_bytes(), name
 
     def test_load_golden_directory(self, toy_index):
-        assert load_index(GOLDEN_INDEX_DIR) == toy_index
+        # the golden directory predates stopwords.txt, so it loads with none
+        config = dataclasses.replace(toy_index.config, stopwords=frozenset())
+        assert load_index(GOLDEN_INDEX_DIR) == dataclasses.replace(toy_index, config=config)
 
 
 class TestFormat:
@@ -382,6 +385,65 @@ class TestWriterMatchesReference:
         orphaned = dataclasses.replace(bundle, cooccur={**bundle.cooccur, ("orphan", "plain"): 2})
         with pytest.raises(ValueError, match="'orphan'"):
             save_index(orphaned, tmp_path / "idx")
+        assert not (tmp_path / "idx").exists()
+
+
+class TestStopWords:
+    """``stopwords.txt``: the index's stop words, ascending, one per line."""
+
+    def test_default_list_written_sorted(self, toy_index, tmp_path):
+        save_index(toy_index, tmp_path)
+        data = (tmp_path / STOPWORDS_FILE).read_bytes()
+        assert data == "".join(w + "\n" for w in sorted(DEFAULT_STOPWORDS)).encode()
+        assert len(data) == 496
+
+    def test_custom_list_round_trips(self, tmp_path):
+        stopwords = frozenset({"café", "zz", "a1"})
+        config = IndexConfig(entity_labels=frozenset({"item"}), stopwords=stopwords)
+        bundle = index_corpus("<doc><item>café crème zz</item></doc>".encode(), config)
+        save_index(bundle, tmp_path)
+        assert (tmp_path / STOPWORDS_FILE).read_text(encoding="utf-8") == "a1\ncafé\nzz\n"
+        loaded = load_index(tmp_path)
+        assert loaded.config.stopwords == stopwords
+        assert loaded == bundle
+
+    def test_empty_list_round_trips(self, tmp_path):
+        config = IndexConfig(entity_labels=frozenset({"item"}), stopwords=frozenset())
+        bundle = index_corpus(b"<doc><item>the cat</item></doc>", config)
+        save_index(bundle, tmp_path)
+        assert (tmp_path / STOPWORDS_FILE).read_bytes() == b""
+        assert load_index(tmp_path) == bundle
+
+    def test_index_without_the_file_has_no_stop_words(self, toy_index, tmp_path):
+        save_index(toy_index, tmp_path)
+        (tmp_path / STOPWORDS_FILE).unlink()
+        loaded = load_index(tmp_path)
+        assert loaded.config.stopwords == frozenset()
+        assert load_index(GOLDEN_INDEX_DIR).config.stopwords == frozenset()
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("a\nthe\nof\n", 3, "stop words not sorted"),
+            ("a\nthe\nthe\n", 3, "stop words not sorted"),
+            ("a\nThe\n", 2, "stop word is not one token: 'The'"),
+            ("don't\n", 1, "stop word is not one token: \"don't\""),
+            ("a b\n", 1, "stop word is not one token: 'a b'"),
+            ("a\n\nb\n", 2, "blank line"),
+        ],
+        ids=["descending", "repeated", "uppercase", "apostrophe", "two-words", "blank"],
+    )
+    def test_bad_file_names_file_and_line(self, toy_index, tmp_path, text, line, message):
+        save_index(toy_index, tmp_path)
+        (tmp_path / STOPWORDS_FILE).write_bytes(text.encode())
+        _assert_fails_at(tmp_path, STOPWORDS_FILE, line, message)
+
+    @pytest.mark.parametrize("word", ["The", "don't", ""])
+    def test_save_refuses_a_stop_word_that_is_not_a_token(self, tmp_path, word):
+        config = IndexConfig(entity_labels=frozenset({"item"}), stopwords=frozenset({"a", word}))
+        bundle = index_corpus(b"<doc><item>the cat</item></doc>", config)
+        with pytest.raises(ValueError, match="stop word is not one token"):
+            save_index(bundle, tmp_path / "idx")
         assert not (tmp_path / "idx").exists()
 
 
