@@ -7,19 +7,26 @@ are discarded outright.  Areas missing any segment entirely are skipped
 without inspection.  Each surviving area is solved independently; filtered
 per-area results are exactly the nodes the baseline merge would insert.
 
+Node lists hold entity ordinals.  The pool places each anchor among the
+entities once per version (``DiversifiedSet.layout``): its subtree is an
+ordinal range, and the entities among its ancestors are a handful of
+ordinals, so the partition makes int bisects only.
+
 Results equal to an anchor or covering one never materialize from areas,
 yet they count toward relevance (they are full SLCAs).  They are recovered
 by scanning the only possible candidates: prefixes of the anchors, which
-the pool builds once per version rather than once per intent.
+the pool places once per version rather than once per intent, each tested
+by its entity span.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .dewey import DeweyId, subtree_bound
+from .dewey import DeweyId, EntityTable, subtree_bound
 from .diversify import (
     EvalStats,
     IntentEvaluation,
@@ -30,13 +37,13 @@ from .diversify import (
 from .features import build_matrix
 from .indexing import IndexBundle
 from .intents import IntentQuery, iter_intents
-from .slca import DiversifiedSet, MergeOutcome, compute_slca
+from .slca import AnchorSpan, DiversifiedSet, MergeOutcome, compute_slca
 
 PRE = "pre"
 DES = "des"
 NEXT = "next"
 
-NodeList = tuple[DeweyId, ...]
+NodeList = tuple[int, ...]
 Range = tuple[int, int, tuple[int, ...]]
 
 
@@ -68,26 +75,26 @@ class Area(NamedTuple):
 
 
 def partition_areas(
-    lists: Sequence[NodeList], anchors: Sequence[DeweyId]
+    lists: Sequence[NodeList], anchors: Sequence[AnchorSpan]
 ) -> tuple[list[Area], int]:
     """Split all segment lists around every anchor in document order.
 
     Returns the ordered candidate areas (pre, des per anchor, then the
     final tail) plus the count of discarded nodes (ancestors of or equal to
-    an anchor).  Per list and anchor, ``lst[lo:a]`` precedes the anchor,
-    ``lst[a+eq:b]`` are its strict descendants and ``lst[b:]`` follows its
-    subtree.  Proper ancestors of the anchor hide among the preceding nodes
-    at exact prefix values, so each prefix not below ``lst[lo]`` is probed.
-    If any list's remainder empties, later anchors cannot yield full
-    coverage; the loop stops and the tail absorbs the rest.
+    an anchor).  Per list and anchor, ``lst[lo:a]`` precedes the anchor's
+    subtree, ``lst[a+eq:b]`` are its strict descendants and ``lst[b:]``
+    follows it, where ``eq`` is 1 if the anchor itself is listed: ``a`` and
+    ``b`` are the insertion points of the anchor's entity span.  Entities
+    that are proper ancestors of the anchor hide among the preceding nodes,
+    so each one not below ``lst[lo]`` is probed.  If any list's remainder
+    empties, later anchors cannot yield full coverage; the loop stops and
+    the tail absorbs the rest.
     """
     sources = tuple(lists)
     areas: list[Area] = []
     discarded = 0
     cursors = [0] * len(sources)
-    for anchor in anchors:
-        bound = subtree_bound(anchor)
-        prefixes = [anchor[:plen] for plen in range(1, len(anchor))]
+    for anchor, first, stop, own, ancestors in anchors:
         pre: list[Range] = []
         des: list[Range] = []
         pre_sizes: list[int] = []
@@ -95,18 +102,18 @@ def partition_areas(
         exhausted = False
         for li, lst in enumerate(sources):
             lo = cursors[li]
-            a = bisect_left(lst, anchor, lo)
+            a = bisect_left(lst, first, lo)
             excluded: tuple[int, ...] = ()
-            if a > lo:
-                first = lst[lo]
-                for p in prefixes:
-                    if p >= first:
-                        j = bisect_left(lst, p, lo, a)
-                        if j < a and lst[j] == p:
+            if ancestors and a > lo:
+                head = lst[lo]
+                for q in ancestors:
+                    if q >= head:
+                        j = bisect_left(lst, q, lo, a)
+                        if j < a and lst[j] == q:
                             excluded += (j,)
             n = len(lst)
-            eq = 1 if a < n and lst[a] == anchor else 0
-            b = bisect_left(lst, bound, a)
+            eq = 1 if a < n and lst[a] == own else 0
+            b = bisect_left(lst, stop, a)
             pre.append((lo, a, excluded))
             des.append((a + eq, b, ()))
             pre_sizes.append(a - lo - len(excluded))
@@ -147,7 +154,9 @@ def contains_anchor(node: DeweyId, anchors: Sequence[DeweyId]) -> bool:
     return i < len(anchors) and anchors[i] < subtree_bound(node)
 
 
-def area_results(area: Area, anchors: Sequence[DeweyId]) -> NodeList:
+def area_results(
+    area: Area, anchors: Sequence[DeweyId], table: EntityTable
+) -> tuple[DeweyId, ...]:
     """Area-local SLCAs restricted to nodes the pool merge would insert.
 
     Descendant-area results can only refine or equal their anchor; the
@@ -156,7 +165,7 @@ def area_results(area: Area, anchors: Sequence[DeweyId]) -> NodeList:
     area toward the root; any that reach an anchor would be merged away,
     so they are dropped likewise.
     """
-    results = compute_slca(area.lists())
+    results = compute_slca(area.lists(), table)
     if area.kind == DES:
         return tuple(r for r in results if r != area.anchor)
     return tuple(r for r in results if not contains_anchor(r, anchors))
@@ -164,23 +173,24 @@ def area_results(area: Area, anchors: Sequence[DeweyId]) -> NodeList:
 
 def covered_anchor_ancestors(
     lists: Sequence[NodeList],
-    prefixes: Sequence[tuple[DeweyId, DeweyId]],
+    prefixes: Sequence[tuple[DeweyId, DeweyId, int, int]],
     new_nodes: Sequence[DeweyId],
 ) -> int:
     """Count full SLCAs that are ancestors of or equal to an anchor.
 
     Any such result is a prefix of some anchor, so only those candidates
-    need testing.  ``prefixes`` holds them in document order with their
-    subtree bounds, as ``DiversifiedSet.prefix_bounds`` keeps them for the
-    pool.  A candidate counts iff its subtree touches every segment list
-    (it covers) and no covering candidate or fresh result lies strictly
-    inside its subtree (it is minimal).
+    need testing.  ``prefixes`` holds them in document order as
+    ``(prefix, bound, lo, hi)``: its subtree bound and its entity span, as
+    ``DiversifiedSet.layout`` keeps them for the pool.  A candidate counts
+    iff its span holds a member of every segment list (it covers) and no
+    covering candidate or fresh result lies strictly inside its subtree (it
+    is minimal).
     """
     covered: list[tuple[DeweyId, DeweyId]] = []
-    for p, bound in prefixes:
+    for p, bound, lo, hi in prefixes:
         for lst in lists:
-            i = bisect_left(lst, p)
-            if i >= len(lst) or not lst[i] < bound:
+            i = bisect_left(lst, lo)
+            if i >= len(lst) or lst[i] >= hi:
                 break
         else:
             covered.append((p, bound))
@@ -199,14 +209,16 @@ def finish_evaluation(
     intent: IntentQuery,
     pool: DiversifiedSet,
     kept: Sequence[Area],
-    outputs: Sequence[NodeList],
+    outputs: Sequence[Sequence[DeweyId]],
     visited: int,
     pruned: int,
     skipped: int,
+    table: EntityTable,
 ) -> IntentEvaluation:
     """Assemble scores and the merge outcome from per-area results.
 
-    ``pool`` is the pool the areas were cut from, not yet changed.  Area
+    ``pool`` is the pool the areas were cut from, not yet changed, and
+    ``table`` the one the node lists index.  Area
     order is document order, per-area outputs are sorted, and filtered
     results never cross area bounds, so plain concatenation is sorted.
     """
@@ -220,7 +232,7 @@ def finish_evaluation(
         inserted.extend(results)
     lists = [segment.node_list for segment in intent.segments]
     likelihood = intent_likelihood(intent)
-    covered = covered_anchor_ancestors(lists, pool.prefix_bounds(), inserted)
+    covered = covered_anchor_ancestors(lists, pool.layout(table).prefixes, inserted)
     full_count = len(inserted) + covered
     relevance = likelihood * full_count
     union_size = len(pool) + len(inserted) - len(removed)
@@ -238,29 +250,35 @@ def finish_evaluation(
     )
 
 
-def _solve_in_turn(areas: Sequence[Area], anchors: Sequence[DeweyId]) -> list[NodeList]:
-    return [area_results(area, anchors) for area in areas]
+Solve = Callable[[Sequence[Area], Sequence[DeweyId], EntityTable], Sequence[Sequence[DeweyId]]]
+
+
+def _solve_in_turn(
+    areas: Sequence[Area], anchors: Sequence[DeweyId], table: EntityTable
+) -> list[tuple[DeweyId, ...]]:
+    return [area_results(area, anchors, table) for area in areas]
 
 
 def evaluate_anchored(
     intent: IntentQuery,
     pool: DiversifiedSet,
-    solve: Callable[[Sequence[Area], Sequence[DeweyId]], Sequence[NodeList]] = _solve_in_turn,
+    table: EntityTable,
+    solve: Solve = _solve_in_turn,
 ) -> IntentEvaluation:
     """Evaluate one intent against the pool using anchor partitioning.
 
-    ``solve(areas, anchors)`` returns the filtered results of each live
-    area, in area order; by default it runs :func:`area_results` on one
-    area after another.
+    The segments' node lists are ordinals of ``table``.
+    ``solve(areas, anchors, table)`` returns the filtered results of each
+    live area, in area order; by default it runs :func:`area_results` on
+    one area after another.
     """
     lists = [segment.node_list for segment in intent.segments]
-    anchors = pool.nodes
-    areas, discarded = partition_areas(lists, anchors)
+    areas, discarded = partition_areas(lists, pool.layout(table).anchors)
     kept, pruned_nodes, skipped = prune_empty_areas(areas)
-    outputs = solve(kept, anchors)
+    outputs = solve(kept, pool.nodes, table)
     visited = sum(area.total_nodes for area in kept)
     return finish_evaluation(
-        intent, pool, kept, outputs, visited, discarded + pruned_nodes, skipped
+        intent, pool, kept, outputs, visited, discarded + pruned_nodes, skipped, table
     )
 
 
@@ -278,7 +296,7 @@ def diversify_anchored(
     stream: Iterable[IntentQuery] = iter_intents(matrix, index)
     if budget is not None:
         stream = islice(stream, budget)
-    return run_topk(stream, k, evaluate_anchored)
+    return run_topk(stream, k, partial(evaluate_anchored, table=index.entity_table))
 
 
 __all__ = [

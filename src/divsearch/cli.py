@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .diversify import ScoredIntent, TopK, diversify_baseline
+from .diversify import EvalStats, ScoredIntent, TopK, diversify_baseline
 from .anchors import diversify_anchored
 from .errors import DivSearchError, NoIntentError
 from .features import top_features
@@ -176,7 +176,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             )
     except NoIntentError:
         topk = TopK(k=args.k, entries=(), phi=DiversifiedSet())
-        stats = None
+        stats = EvalStats()  # nothing was evaluated
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
     if args.format == "csv":
@@ -194,7 +194,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         workers=args.workers if with_stats and args.algo == "parallel" else None,
         stats=(
             (stats.nodes_visited, stats.nodes_pruned, stats.areas_skipped)
-            if with_stats and stats is not None
+            if with_stats
             else None
         ),
         elapsed_ms=elapsed_ms if with_stats else None,

@@ -11,9 +11,11 @@ including removal of an evicted intent's attributed results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
+from .dewey import EntityTable
 from .features import build_matrix
 from .indexing import IndexBundle
 from .intents import IntentQuery, iter_intents
@@ -78,16 +80,21 @@ def intent_likelihood(intent: IntentQuery) -> float:
     return likelihood
 
 
-def relevance_prob(intent: IntentQuery) -> tuple[float, SlcaSet, float]:
-    """(likelihood, SLCA set over segment node lists, likelihood * |SLCA|)."""
+def relevance_prob(intent: IntentQuery, table: EntityTable) -> tuple[float, SlcaSet, float]:
+    """(likelihood, SLCA set over segment node lists, likelihood * |SLCA|).
+
+    The node lists are ordinals of ``table``.
+    """
     likelihood = intent_likelihood(intent)
-    slca = compute_slca([segment.node_list for segment in intent.segments])
+    slca = compute_slca([segment.node_list for segment in intent.segments], table)
     return likelihood, slca, likelihood * len(slca)
 
 
-def evaluate_against_pool(intent: IntentQuery, pool: DiversifiedSet) -> IntentEvaluation:
+def evaluate_against_pool(
+    intent: IntentQuery, pool: DiversifiedSet, table: EntityTable
+) -> IntentEvaluation:
     """Baseline evaluation: full SLCA over complete segment node lists."""
-    likelihood, slca, relevance = relevance_prob(intent)
+    likelihood, slca, relevance = relevance_prob(intent, table)
     outcome = pool.preview(slca)
     nov = outcome.novelty()
     return IntentEvaluation(
@@ -172,4 +179,4 @@ def diversify_baseline(
     stream: Iterable[IntentQuery] = iter_intents(matrix, index)
     if budget is not None:
         stream = islice(stream, budget)
-    return run_topk(stream, k, evaluate_against_pool)
+    return run_topk(stream, k, partial(evaluate_against_pool, table=index.entity_table))

@@ -3,7 +3,9 @@
 Parses an XML document, assigns Dewey IDs by tree position, collects the
 configured entity elements as the statistical sample space, and builds the
 two index structures every later stage runs on: entity-level postings
-(term -> sorted entity IDs) and windowed term co-occurrence counts.
+(term -> sorted entity ordinals, positions in ``IndexBundle.entities``) and
+windowed term co-occurrence counts.  The entities' Dewey IDs live in the
+bundle's ``entity_table``, built on first use.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 from io import BytesIO
 from typing import Sequence
 
-from .dewey import DeweyId, _trusted
+from .dewey import DeweyId, EntityTable, _trusted
 from .errors import CorpusParseError, EmptyCorpusError
 
 # Small embedded English list; extend via IndexConfig.stopwords.
@@ -141,10 +143,14 @@ def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
 
 @dataclass(frozen=True)
 class IndexBundle:
-    """Immutable index: entities, postings, co-occurrence counts, config."""
+    """Immutable index: entities, postings, co-occurrence counts, config.
+
+    A posting is a sorted tuple of entity ordinals: positions in
+    ``entities``, which are in document order.
+    """
 
     entities: tuple[EntityInfo, ...]
-    postings: dict[str, tuple[DeweyId, ...]]
+    postings: dict[str, tuple[int, ...]]
     cooccur: dict[tuple[str, str], int]
     config: IndexConfig
 
@@ -166,7 +172,16 @@ class IndexBundle:
             lists[b].append(pair)
         return dict(lists)
 
-    def posting(self, term: str) -> tuple[DeweyId, ...]:
+    @cached_property
+    def entity_table(self) -> EntityTable:
+        """The entities' Dewey IDs by ordinal, with O(1) shared depths.
+
+        Built on first use, like ``neighbours``; the engines' node lists
+        are ordinals into it.
+        """
+        return EntityTable(e.dewey for e in self.entities)
+
+    def posting(self, term: str) -> tuple[int, ...]:
         return self.postings.get(term, ())
 
     def cooccur_count(self, x: str, y: str) -> int:
@@ -180,15 +195,17 @@ def build_index(corpus: Sequence[EntityRecord], config: IndexConfig) -> IndexBun
 
     Co-occurrence is counted at entity granularity: a pair contributes 1 per
     entity in which its terms appear within ``config.window`` positions at
-    least once, regardless of how many such placements exist.
+    least once, regardless of how many such placements exist.  ``corpus``
+    is in document order, as ``parse_corpus`` returns it; an entity's
+    ordinal in the postings is its position there.
     """
     if not corpus:
         raise EmptyCorpusError("cannot index an empty corpus")
-    postings: dict[str, list[DeweyId]] = {}
+    postings: dict[str, list[int]] = {}
     cooccur: dict[tuple[str, str], int] = {}
-    for record in corpus:
+    for ordinal, record in enumerate(corpus):
         for term in sorted({token for token, _ in record.tokens}):
-            postings.setdefault(term, []).append(record.dewey)
+            postings.setdefault(term, []).append(ordinal)
         pairs: set[tuple[str, str]] = set()
         toks = record.tokens
         for i, (term_i, pos_i) in enumerate(toks):

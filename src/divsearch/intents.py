@@ -4,9 +4,10 @@ An intent pairs every query keyword with one of its matrix features; the
 stream is ordered by aggregated MI descending, ties resolved by the chosen
 feature names ascending column by column.  A keyword whose feature column is
 empty degrades to a bare segment (its full posting list, likelihood factor
-1) so that multi-keyword queries stay usable.  ``iter_intents`` resolves
-each distinct segment once per query and shares it between the intents
-that use it.
+1) so that multi-keyword queries stay usable.  A segment's node list holds
+entity ordinals, as the postings do, so intersections compare ints.
+``iter_intents`` resolves each distinct segment once per query and shares
+it between the intents that use it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
-from .dewey import DeweyId
 from .features import FeatureEntry, FeatureMatrix
 from .indexing import IndexBundle
 
@@ -26,7 +26,7 @@ class Segment:
 
     keyword: str
     feature: str | None
-    node_list: tuple[DeweyId, ...]
+    node_list: tuple[int, ...]  # entity ordinals, ascending
     feature_list_size: int
 
 
@@ -49,26 +49,14 @@ class IntentQuery:
         )
 
 
-def segment_node_list(
-    keyword: str, feature: str, index: IndexBundle
-) -> tuple[DeweyId, ...]:
-    """Entities containing both terms: sorted postings intersection."""
+def segment_node_list(keyword: str, feature: str, index: IndexBundle) -> tuple[int, ...]:
+    """Entities containing both terms: sorted intersection of their postings."""
     a = index.posting(keyword)
     b = index.posting(feature)
     if len(a) > len(b):
         a, b = b, a
-    out: list[DeweyId] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            out.append(a[i])
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
+    # a set of the shorter list holds the peak down; b filtered stays sorted
+    return tuple(filter(set(a).__contains__, b))
 
 
 def resolve_segment(keyword: str, feature: str | None, index: IndexBundle) -> Segment:

@@ -21,8 +21,8 @@ from functools import partial
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .anchors import Area, NodeList, area_results, evaluate_anchored
-from .dewey import DeweyId
+from .anchors import Area, area_results, evaluate_anchored
+from .dewey import DeweyId, EntityTable
 from .diversify import EvalStats, TopK, run_topk
 from .features import build_matrix
 from .indexing import IndexBundle
@@ -57,24 +57,33 @@ def plan_shared_segments(key_rows: Iterable[Sequence[SegmentKey]]) -> SharedSegm
     return SharedSegmentTable(frozenset(key for key, uses in counts.items() if uses >= 2))
 
 
-def evaluate_area(area: Area, anchors: Sequence[DeweyId]) -> NodeList:
+Results = tuple[DeweyId, ...]
+
+
+def evaluate_area(area: Area, anchors: Sequence[DeweyId], table: EntityTable) -> Results:
     """Worker task: filtered SLCAs of one area; pure and lock-free."""
-    return area_results(area, anchors)
+    return area_results(area, anchors, table)
 
 
-def _run_batch(areas: Sequence[Area], anchors: Sequence[DeweyId]) -> list[NodeList]:
-    return [evaluate_area(area, anchors) for area in areas]
+def _run_batch(
+    areas: Sequence[Area], anchors: Sequence[DeweyId], table: EntityTable
+) -> list[Results]:
+    return [evaluate_area(area, anchors, table) for area in areas]
 
 
 def _deal(
-    executor: ThreadPoolExecutor, workers: int, kept: Sequence[Area], anchors: Sequence[DeweyId]
-) -> list[NodeList]:
+    executor: ThreadPoolExecutor,
+    workers: int,
+    kept: Sequence[Area],
+    anchors: Sequence[DeweyId],
+    table: EntityTable,
+) -> list[Results]:
     """``solve`` for :func:`evaluate_anchored`: batch i is ``kept[i::workers]``."""
     futures = [
-        executor.submit(_run_batch, kept[i::workers], anchors)
+        executor.submit(_run_batch, kept[i::workers], anchors, table)
         for i in range(min(workers, len(kept)))
     ]
-    outputs: list[NodeList] = [()] * len(kept)
+    outputs: list[Results] = [()] * len(kept)
     for i, future in enumerate(futures):  # barrier: all areas land before scoring
         outputs[i::workers] = future.result()
     return outputs
@@ -109,14 +118,18 @@ def diversify_parallel(
         )
         for chosen, _ in resolved
     ]
-    table = plan_shared_segments(key_rows)
+    shared = plan_shared_segments(key_rows)
     intents = (
-        IntentQuery(tuple(table.resolve(keyword, feature, index) for keyword, feature in keys), agg)
+        IntentQuery(tuple(shared.resolve(keyword, feature, index) for keyword, feature in keys), agg)
         for keys, (_, agg) in zip(key_rows, resolved)
     )
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as executor:
         return run_topk(
             intents,
             k,
-            partial(evaluate_anchored, solve=partial(_deal, executor, workers)),
+            partial(
+                evaluate_anchored,
+                table=index.entity_table,
+                solve=partial(_deal, executor, workers),
+            ),
         )

@@ -3,21 +3,23 @@
 ``compute_slca`` finds the smallest lowest common ancestors of a family of
 sorted node lists: nodes whose subtree contains at least one node from every
 list while no descendant's subtree does.  It is the whole cost of a
-baseline query once segments are shared, so its probe loop is written out
-inline.  ``DiversifiedSet`` accumulates results across accepted intents
-with the merge semantics used for novelty scoring: duplicates and ancestors
-of existing members are dropped, descendants replace the member they
-refine, everything else inserts.  It also keeps the prefixes of its
-members for the anchor engine, rebuilt only after the pool changes.
+baseline query once segments are shared, so it runs on entity ordinals:
+bisects on ints, shared depths from the entity table's range-minimum
+table, and its probe loop written out inline.  ``DiversifiedSet``
+accumulates results across accepted intents with the merge semantics used
+for novelty scoring: duplicates and ancestors of existing members are
+dropped, descendants replace the member they refine, everything else
+inserts.  It also keeps its members' places among
+the entities for the anchor engine, rebuilt only after the pool changes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .dewey import DeweyId, _trusted, is_ancestor_or_self, prefix_bounds
+from .dewey import DeweyId, EntityTable, is_ancestor_or_self, prefix_bounds
 
 
 @dataclass(frozen=True)
@@ -36,65 +38,99 @@ class SlcaSet:
         return self.nodes[i]
 
 
-def compute_slca(lists: Sequence[Sequence[DeweyId]]) -> SlcaSet:
+def compute_slca(
+    lists: Sequence[Sequence[int]] | Sequence[Sequence[DeweyId]], table: EntityTable | None = None
+) -> SlcaSet:
     """SLCA set of one sorted, duplicate-free node list per query segment.
 
-    Indexed Lookup Eager: each node of the shortest list (the driver) is
-    cut down, list by list, to its longest common prefix with any member
-    of the other list.  That member is always adjacent to the node's
-    insertion point, so one binary search and at most two probes per list
-    suffice; when the member at the insertion point lies in the node's
-    subtree, the node itself is the prefix and no prefix is computed.  Cost
-    is |shortest list| binary searches into each other list.  The driver is
+    The lists hold ordinals of ``table``'s entities.  Without a table they
+    hold Dewey IDs, and a table is built from their union first.
+
+    Indexed Lookup Eager: each entity i of the shortest list (the driver)
+    starts as the candidate (i, d) with d its depth, the node being i's
+    ancestor-or-self at depth d.  Against each other list, d becomes
+    ``min(d, max(lcp(i, lst[j]), lcp(lst[j-1], i)))`` with ``j`` the
+    insertion point of i: the deepest member of the list shares most with i
+    next to that point.  A value >= d means the node covers the list and
+    nothing is cut; 0 means no common root, so no candidate.  Cost is
+    |shortest list| binary searches into each other list.  The driver is
     picked by position, so a list may appear twice.  An empty member list
     means no node can cover every segment: empty result.
+
+    Candidates arrive in driver order, and only minimal ones are kept: a
+    candidate that is an ancestor-or-self of the last kept one is dropped,
+    and one that is a strict descendant replaces it.  The driver entities
+    between two nested candidates lie in the outer one's subtree, so their
+    candidates nest in it too; comparing with the last kept candidate is
+    therefore enough, and the kept ones come out as a document-ordered
+    antichain.  Only they become ``DeweyId`` objects.
     """
     if not lists:
         raise ValueError("compute_slca requires at least one node list")
     if any(not lst for lst in lists):
         return SlcaSet()
+    if table is None:
+        nodes = sorted(set().union(*lists))
+        table = EntityTable(nodes)
+        ordinal = {v: i for i, v in enumerate(nodes)}
+        lists = [[ordinal[v] for v in lst] for lst in lists]
     driver_pos = min(range(len(lists)), key=lambda i: len(lists[i]))
     driver = lists[driver_pos]
     others = [(lst, len(lst)) for i, lst in enumerate(lists) if i != driver_pos]
+    depths = table.depths
+    levels = table.levels
+    logs = table.logs
 
-    candidates: set[DeweyId] = set()
-    for v in driver:
-        x = v
+    kept: list[tuple[int, int]] = []
+    last = last_d = -1
+    for i in driver:
+        d = depths[i]
         for lst, size in others:
-            n = len(x)
-            j = bisect_left(lst, x)
+            j = bisect_left(lst, i)
             best = 0
             if j < size:
                 y = lst[j]
-                if y[:n] == x:
-                    continue  # x is y or an ancestor of y: nothing to cut
-                for a, b in zip(x, y):
-                    if a != b:
-                        break
-                    best += 1
+                if y == i:
+                    continue  # i itself is a member: nothing to cut
+                k = logs[y - i]
+                level = levels[k]
+                best = level[i + 1]
+                b = level[y - (1 << k) + 1]
+                if b < best:
+                    best = b
+                if best >= d:
+                    continue
             if j:
-                k = 0
-                for a, b in zip(x, lst[j - 1]):
-                    if a != b:
-                        break
-                    k += 1
-                if k > best:
-                    best = k
+                y = lst[j - 1]
+                k = logs[i - y]
+                level = levels[k]
+                a = level[y + 1]
+                b = level[i - (1 << k) + 1]
+                if b < a:
+                    a = b
+                if a >= d:
+                    continue
+                if a > best:
+                    best = a
             if not best:
                 break  # no common root with this list: no candidate
-            x = _trusted(x[:best])
+            d = best
         else:
-            candidates.add(x)
-
-    # Keep minimal candidates only; in sorted order an ancestor's nearest
-    # strict descendant is its immediate successor.
-    ordered = sorted(candidates)
-    keep = [
-        c
-        for i, c in enumerate(ordered)
-        if i + 1 == len(ordered) or not is_ancestor_or_self(c, ordered[i + 1])
-    ]
-    return SlcaSet(tuple(keep))
+            if last >= 0:
+                k = logs[i - last]
+                level = levels[k]
+                shared = level[last + 1]
+                b = level[i - (1 << k) + 1]
+                if b < shared:
+                    shared = b
+                if d <= last_d and shared >= d:
+                    continue  # ancestor-or-self of the last kept candidate
+                if shared < last_d:
+                    kept.append((last, last_d))  # unrelated: the last one is minimal
+            last, last_d = i, d
+    if last >= 0:
+        kept.append((last, last_d))
+    return SlcaSet(tuple(table.node(i, d) for i, d in kept))
 
 
 @dataclass(frozen=True)
@@ -115,6 +151,47 @@ class MergeOutcome:
         return self.distinct_count / self.union_size
 
 
+class AnchorSpan(NamedTuple):
+    """A pool member placed among a table's entities."""
+
+    node: DeweyId
+    lo: int  # the entities in node's subtree are ordinals lo .. hi-1
+    hi: int
+    own: int | None  # node's own ordinal, None if node is not an entity
+    ancestors: tuple[int, ...]  # entities that are proper ancestors of node, ascending
+
+
+class PoolLayout(NamedTuple):
+    """The members of a pool placed among the entities of ``table``.
+
+    ``anchors`` holds one span per member, in document order.  ``prefixes``
+    holds every distinct prefix of the members, as ``dewey.prefix_bounds``
+    lists them, each as ``(prefix, bound, lo, hi)`` with its entity span.
+    """
+
+    table: EntityTable
+    anchors: tuple[AnchorSpan, ...]
+    prefixes: tuple[tuple[DeweyId, DeweyId, int, int], ...]
+
+    @classmethod
+    def build(cls, nodes: Sequence[DeweyId], table: EntityTable) -> "PoolLayout":
+        deweys = table.deweys
+        prefixes = []
+        # prefix -> (lo, hi, its own ordinal or None); members are prefixes too
+        places: dict[DeweyId, tuple[int, int, int | None]] = {}
+        lo = 0
+        for p, bound in prefix_bounds(nodes):  # ascending, so lo never falls
+            lo = bisect_left(deweys, p, lo)
+            hi = bisect_left(deweys, bound, lo)
+            prefixes.append((p, bound, lo, hi))
+            places[p] = (lo, hi, lo if lo < hi and deweys[lo] == p else None)
+        anchors = []
+        for v in nodes:
+            above = (places[v[:depth]][2] for depth in range(1, len(v)))
+            anchors.append(AnchorSpan(v, *places[v], tuple(i for i in above if i is not None)))
+        return cls(table, tuple(anchors), tuple(prefixes))
+
+
 class DiversifiedSet:
     """The running distinct SLCA pool with per-intent attribution."""
 
@@ -122,21 +199,21 @@ class DiversifiedSet:
         self._nodes: list[DeweyId] = []
         self._owner: dict[DeweyId, int] = {}
         self._by_owner: dict[int, set[DeweyId]] = {}
-        self._prefixes: tuple[tuple[DeweyId, DeweyId], ...] | None = None
+        self._layout: PoolLayout | None = None
 
     @property
     def nodes(self) -> tuple[DeweyId, ...]:
         return tuple(self._nodes)
 
-    def prefix_bounds(self) -> tuple[tuple[DeweyId, DeweyId], ...]:
-        """``dewey.prefix_bounds`` of the members, built once per pool version.
+    def layout(self, table: EntityTable) -> PoolLayout:
+        """The members placed among ``table``'s entities, once per pool version.
 
         Only ``apply`` and ``remove_intent`` change the pool; both drop the
-        built copy, so every intent evaluated in between reuses it.
+        built layout, so every intent evaluated in between reuses it.
         """
-        if self._prefixes is None:
-            self._prefixes = prefix_bounds(self._nodes)
-        return self._prefixes
+        if self._layout is None or self._layout.table is not table:
+            self._layout = PoolLayout.build(self._nodes, table)
+        return self._layout
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -170,7 +247,7 @@ class DiversifiedSet:
 
     def apply(self, outcome: MergeOutcome, intent_id: int) -> None:
         """Commit a previously previewed merge, attributing inserts."""
-        self._prefixes = None
+        self._layout = None
         for w in outcome.removed:
             self._discard(w)
         bucket = self._by_owner.setdefault(intent_id, set())
@@ -186,7 +263,7 @@ class DiversifiedSet:
 
     def remove_intent(self, intent_id: int) -> None:
         """Drop every node still attributed to an evicted intent."""
-        self._prefixes = None
+        self._layout = None
         for v in sorted(self._by_owner.pop(intent_id, ())):
             self._discard(v)
 

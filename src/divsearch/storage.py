@@ -12,19 +12,22 @@ Layout (UTF-8, LF endings, fixed key order per line):
 ``load_index(save_index(b)) == b`` holds field for field; every writer choice
 below (sorting, separators) exists to keep the bytes canonical.
 
-The writer emits one canonical shape per file: compact separators, the key
-order above, and a Dewey ID as ``str(DeweyId)``.  The loader reads that shape
-on a fast path: a posting's Dewey text is looked up among the entities' own
-texts, and a cooccur line is matched by one regular expression instead of
-``json.loads``.  Any other valid JSON line (other spacing or key order,
-escaped characters, ``"1.01"`` for ``1.1``) goes through ``json.loads`` and
-the full checks, so it loads to the same bundle or fails with the same
-message, file and line.
+In memory a posting holds entity ordinals; on disk it holds each entity's
+Dewey text, so the files do not depend on that representation.  The writer
+emits one canonical shape per file: compact separators, the key order above,
+and a Dewey ID as ``str(DeweyId)``.  The loader reads that shape on a fast
+path: a posting's Dewey text is looked up among the entities' own texts,
+which gives its ordinal, and a cooccur line is matched by one regular
+expression instead of ``json.loads``.  Any other valid JSON line (other
+spacing or key order, escaped characters, ``"1.01"`` for ``1.1``) goes
+through ``json.loads`` and the full checks, so it loads to the same bundle
+or fails with the same message, file and line.
 
-A loaded bundle shares objects between its parts: a posting holds the
-entities' own ``DeweyId`` objects, and a cooccur key holds the postings' own
-term strings.  The per-term pair lists (``IndexBundle.neighbours``) are not
-built here but on first use, as for a bundle fresh from ``build_index``.
+A loaded bundle shares objects between its parts: a cooccur key holds the
+postings' own term strings.  The per-term pair lists
+(``IndexBundle.neighbours``) and the entity table
+(``IndexBundle.entity_table``) are not built here but on first use, as for a
+bundle fresh from ``build_index``.
 """
 
 from __future__ import annotations
@@ -105,9 +108,9 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     """Write the index files, creating the directory if needed.
 
     Each line is assembled from the JSON text of its parts; a term or a label
-    is encoded once however many lines name it, and a Dewey ID's text (digits
-    and dots) needs no escaping.  The bytes equal those of one compact
-    ``json.dumps`` per row.
+    is encoded once however many lines name it, and so is each entity's
+    Dewey text (digits and dots, which need no escaping).  The bytes equal
+    those of one compact ``json.dumps`` per row.
 
     Raises ``ValueError``, before writing any file, if a cooccur pair names
     a term without postings or a stop word is not one token:
@@ -132,16 +135,20 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     _write_lines(directory / MANIFEST_FILE, [_dump(manifest) + "\n"])
 
     encoded = _JsonText()  # labels and terms
+    texts = [str(e.dewey) for e in bundle.entities]  # by ordinal
     _write_lines(
         directory / ENTITIES_FILE,
-        ('{"dewey":"%s","label":%s}\n' % (e.dewey, encoded[e.label]) for e in bundle.entities),
+        (
+            '{"dewey":"%s","label":%s}\n' % (text, encoded[e.label])
+            for text, e in zip(texts, bundle.entities)
+        ),
     )
 
     _write_lines(
         directory / POSTINGS_FILE,
         (
             '{"term":%s,"entities":["%s"]}\n'
-            % (encoded[term], '","'.join(map(str, bundle.postings[term])))
+            % (encoded[term], '","'.join(map(texts.__getitem__, bundle.postings[term])))
             for term in terms
         ),
     )
@@ -263,22 +270,22 @@ def load_index(directory: str | Path) -> IndexBundle:
 
     path = directory / ENTITIES_FILE
     entities: list[EntityInfo] = []
-    # Dewey text as written -> its DeweyId; postings resolve through it
-    by_text: dict[str, DeweyId] = {}
+    # Dewey text as written -> the entity's ordinal; postings resolve through it
+    by_text: dict[str, int] = {}
     for lineno, row in _iter_jsonl(path):
         if not isinstance(row, dict) or not isinstance(row.get("label"), str):
             raise _fail(path, lineno, "expected {dewey,label} object")
         dewey = _parse_dewey(row.get("dewey"), path, lineno)
         if entities and dewey <= entities[-1].dewey:
             raise _fail(path, lineno, "entities not in document order")
+        by_text[row["dewey"]] = len(entities)
         entities.append(EntityInfo(dewey, row["label"]))
-        by_text[row["dewey"]] = dewey
     if len(entities) != manifest["entityCount"]:
         raise _fail(path, len(entities), "entity count does not match manifest")
 
     path = directory / POSTINGS_FILE
-    postings: dict[str, tuple[DeweyId, ...]] = {}
-    known: set[DeweyId] | None = None
+    postings: dict[str, tuple[int, ...]] = {}
+    by_dewey: dict[DeweyId, int] | None = None
     last_term: str | None = None
     for lineno, row in _iter_jsonl(path):
         if (
@@ -293,16 +300,19 @@ def load_index(directory: str | Path) -> IndexBundle:
             raise _fail(path, lineno, "terms not sorted")
         last_term = term
         try:
-            # one lookup parses the text and proves the entity known
+            # one lookup parses the text, proves the entity known and gives
+            # its ordinal; ordinals sort as the entities' Dewey IDs do
             ids = list(map(by_text.__getitem__, row["entities"]))
+            order: list[Any] = ids
             unknown: list[DeweyId] = []
         except (KeyError, TypeError):
             # non-canonical text or an unknown entity: parse every entry
-            ids = [_parse_dewey(text, path, lineno) for text in row["entities"]]
-            if known is None:
-                known = set(by_text.values())
-            unknown = [dewey for dewey in ids if dewey not in known]
-        if any(map(operator.ge, ids, islice(ids, 1, None))):
+            order = [_parse_dewey(text, path, lineno) for text in row["entities"]]
+            if by_dewey is None:
+                by_dewey = {e.dewey: i for i, e in enumerate(entities)}
+            ids = [by_dewey.get(dewey, -1) for dewey in order]
+            unknown = [dewey for dewey, i in zip(order, ids) if i < 0]
+        if any(map(operator.ge, order, islice(order, 1, None))):
             raise _fail(path, lineno, f"posting list for {term!r} not sorted")
         if unknown:
             raise _fail(path, lineno, f"posting references unknown entity {unknown[0]}")

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 import random
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from divsearch import intents
-from divsearch.dewey import DeweyId, subtree_bound
+from divsearch.dewey import DeweyId, EntityTable, subtree_bound
 from divsearch.indexing import EntityRecord
 
 # Words the tokenizer keeps as they are: two-byte, three-byte and four-byte
@@ -27,6 +27,29 @@ def d(text: str) -> DeweyId:
 
 def ids(*texts: str) -> tuple[DeweyId, ...]:
     return tuple(DeweyId.parse(t) for t in texts)
+
+
+class Entities:
+    """An entity table with its Dewey IDs mapped to ordinals and back.
+
+    The engines' node lists hold entity ordinals; tests state their nodes
+    as Dewey IDs and translate through this map both ways.
+    """
+
+    def __init__(self, table: EntityTable) -> None:
+        self.table = table
+        self._ordinal = {v: i for i, v in enumerate(table.deweys)}
+
+    @classmethod
+    def of_tree(cls, nodes: Iterable[DeweyId]) -> "Entities":
+        """A table of the given nodes, in document order, duplicates dropped."""
+        return cls(EntityTable(sorted(set(nodes))))
+
+    def ordinals(self, nodes: Iterable[DeweyId]) -> tuple[int, ...]:
+        return tuple(self._ordinal[v] for v in nodes)
+
+    def deweys(self, ordinals: Iterable[int]) -> tuple[DeweyId, ...]:
+        return tuple(self.table.deweys[i] for i in ordinals)
 
 
 def random_tree(rng: random.Random, max_nodes: int = 200) -> list[DeweyId]:

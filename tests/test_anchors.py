@@ -15,11 +15,11 @@ from divsearch.anchors import (
     partition_areas,
     prune_empty_areas,
 )
-from divsearch.dewey import DeweyId, prefix_bounds, subtree_bound
+from divsearch.dewey import DeweyId, subtree_bound
 from divsearch.diversify import diversify_baseline, evaluate_against_pool
 from divsearch.intents import IntentQuery, Segment
-from divsearch.slca import DiversifiedSet, compute_slca
-from helpers import d, ids, random_antichain, random_lists, random_tree
+from divsearch.slca import DiversifiedSet, PoolLayout, compute_slca
+from helpers import Entities, d, ids, random_antichain, random_lists, random_tree
 
 
 def make_intent(lists) -> IntentQuery:
@@ -30,11 +30,35 @@ def make_intent(lists) -> IntentQuery:
     return IntentQuery(segments, 0.0)
 
 
+def place(lists, tree=()):
+    """The entities of the tree and the lists, and the lists as ordinals."""
+    ents = Entities.of_tree([*tree, *(v for lst in lists for v in lst)])
+    return ents, [ents.ordinals(lst) for lst in lists]
+
+
+def partition(lists, anchors, tree=()):
+    """partition_areas on Dewey lists: the entity map, areas and discarded."""
+    ents, ordinal_lists = place(lists, tree)
+    layout = PoolLayout.build(anchors, ents.table)
+    return (ents, *partition_areas(ordinal_lists, layout.anchors))
+
+
+def area_lists(ents, area):
+    return [ents.deweys(lst) for lst in area.lists()]
+
+
+def covered(lists, anchors, new_nodes, tree=()):
+    """covered_anchor_ancestors on Dewey lists, with the anchors' prefixes."""
+    ents, ordinal_lists = place(lists, tree)
+    prefixes = PoolLayout.build(anchors, ents.table).prefixes
+    return covered_anchor_ancestors(ordinal_lists, prefixes, new_nodes)
+
+
 def split_single(lists, anchor):
     """partition_areas around one anchor: pre, des, next lists and discarded."""
-    areas, discarded = partition_areas(lists, (anchor,))
+    ents, areas, discarded = partition(lists, (anchor,))
     assert [a.kind for a in areas] == [PRE, DES, NEXT]
-    pre, des, nxt = (tuple(area.lists()) for area in areas)
+    pre, des, nxt = (tuple(area_lists(ents, area)) for area in areas)
     return pre, des, nxt, discarded
 
 
@@ -79,26 +103,26 @@ class TestSingleAnchorPartition:
 
 class TestPartitionAreas:
     def test_no_anchors_yields_single_tail(self):
-        areas, discarded = partition_areas([ids("1.1", "1.2")], ())
+        ents, areas, discarded = partition([ids("1.1", "1.2")], ())
         assert discarded == 0
         assert [a.kind for a in areas] == [NEXT]
-        assert areas[0].lists() == [ids("1.1", "1.2")]
+        assert area_lists(ents, areas[0]) == [ids("1.1", "1.2")]
 
     def test_single_anchor_yields_three_areas(self):
-        areas, discarded = partition_areas([ids("1.1", "1.2", "1.3")], ids("1.2"))
+        ents, areas, discarded = partition([ids("1.1", "1.2", "1.3")], ids("1.2"))
         assert discarded == 1
         assert [a.kind for a in areas] == [PRE, DES, NEXT]
-        assert areas[0].lists() == [ids("1.1")]
-        assert areas[1].lists() == [()]
-        assert areas[2].lists() == [ids("1.3")]
+        assert area_lists(ents, areas[0]) == [ids("1.1")]
+        assert area_lists(ents, areas[1]) == [()]
+        assert area_lists(ents, areas[2]) == [ids("1.3")]
 
     def test_exhausted_list_stops_splitting(self):
         lists = [ids("1.1"), ids("1.1", "1.2")]
-        areas, discarded = partition_areas(lists, ids("1.1", "1.3"))
+        ents, areas, discarded = partition(lists, ids("1.1", "1.3"))
         # the first anchor consumes list 0 entirely; 1.3 is never split on
         assert [a.kind for a in areas] == [PRE, DES, NEXT]
         assert discarded == 2
-        assert areas[-1].lists() == [(), ids("1.2")]
+        assert area_lists(ents, areas[-1]) == [(), ids("1.2")]
 
     def test_node_conservation(self):
         rng = random.Random(41)
@@ -106,7 +130,7 @@ class TestPartitionAreas:
             tree = random_tree(rng, 60)
             lists = random_lists(rng, tree)
             anchors = random_antichain(rng)
-            areas, discarded = partition_areas(lists, anchors)
+            _, areas, discarded = partition(lists, anchors, tree)
             total = sum(len(lst) for lst in lists)
             assert sum(a.total_nodes for a in areas) + discarded == total
             assert areas[-1].kind == NEXT
@@ -121,7 +145,7 @@ class TestPartitionAreas:
 
 class TestPruneEmptyAreas:
     def test_fully_consumed_lists(self):
-        areas, discarded = partition_areas([ids("1.1"), ids("1.1")], ids("1.1"))
+        _, areas, discarded = partition([ids("1.1"), ids("1.1")], ids("1.1"))
         kept, pruned_nodes, skipped = prune_empty_areas(areas)
         assert discarded == 2
         assert kept == []
@@ -129,7 +153,7 @@ class TestPruneEmptyAreas:
         assert skipped == 3
 
     def test_dead_area_counts_surviving_nodes(self):
-        areas, _ = partition_areas([ids("1.1", "1.3"), ids("1.3")], ids("1.3"))
+        _, areas, _ = partition([ids("1.1", "1.3"), ids("1.3")], ids("1.3"))
         kept, pruned_nodes, skipped = prune_empty_areas(areas)
         # 1.1 sits in a pre area whose second list is empty
         assert kept == []
@@ -149,10 +173,10 @@ class TestContainsAnchor:
 
 class TestAreaResults:
     def run_single_area(self, lists, anchors):
-        areas, _ = partition_areas(lists, anchors)
+        ents, areas, _ = partition(lists, anchors)
         kept, _, _ = prune_empty_areas(areas)
         assert len(kept) == 1
-        return kept[0], area_results(kept[0], anchors)
+        return kept[0], area_results(kept[0], anchors, ents.table)
 
     def test_descendant_area_drops_anchor_duplicate(self):
         area, results = self.run_single_area(
@@ -188,15 +212,15 @@ class TestAreaResults:
 class TestCoveredAnchorAncestors:
     def test_anchor_itself_still_covers(self):
         lists = [ids("1.1", "1.2", "1.3"), ids("1.1", "1.2")]
-        assert covered_anchor_ancestors(lists, prefix_bounds(ids("1.1")), ids("1.2")) == 1
+        assert covered(lists, ids("1.1"), ids("1.2")) == 1
 
     def test_fresh_result_inside_candidate_blocks_it(self):
         lists = [ids("1.1", "1.2"), ids("1.2")]
-        assert covered_anchor_ancestors(lists, prefix_bounds(ids("1.1")), ids("1.2")) == 0
+        assert covered(lists, ids("1.1"), ids("1.2")) == 0
 
     def test_only_minimal_covered_prefix_counts(self):
         lists = [ids("1.1.1"), ids("1.1.1")]
-        assert covered_anchor_ancestors(lists, prefix_bounds(ids("1.1.1")), ()) == 1
+        assert covered(lists, ids("1.1.1"), ()) == 1
 
     def test_matches_full_slca_partition(self):
         rng = random.Random(42)
@@ -210,7 +234,7 @@ class TestCoveredAnchorAncestors:
             full = compute_slca(lists)
             anc = [v for v in full if contains_anchor(v, anchors)]
             rest = tuple(v for v in full if not contains_anchor(v, anchors))
-            assert covered_anchor_ancestors(lists, prefix_bounds(anchors), rest) == len(anc)
+            assert covered(lists, anchors, rest, tree) == len(anc)
             checked += 1
         assert checked > 200
 
@@ -220,11 +244,12 @@ class TestEngineEquivalence:
         rng = random.Random(43)
         for _ in range(200):
             tree = random_tree(rng, 50)
-            intent = make_intent(random_lists(rng, tree))
+            ents, lists = place(random_lists(rng, tree), tree)
+            intent = make_intent(lists)
             pool = DiversifiedSet()
             pool.merge(random_antichain(rng), 0)
-            base = evaluate_against_pool(intent, pool)
-            anch = evaluate_anchored(intent, pool)
+            base = evaluate_against_pool(intent, pool, ents.table)
+            anch = evaluate_anchored(intent, pool, ents.table)
             assert anch.relevance == base.relevance
             assert anch.dif == base.dif
             assert anch.score == base.score
@@ -233,16 +258,17 @@ class TestEngineEquivalence:
             assert anch.visited + anch.pruned == base.visited
 
     def test_duplicate_of_pool_scores_zero_without_visits(self):
-        intent = make_intent([ids("1.1"), ids("1.1")])
+        ents, lists = place([ids("1.1"), ids("1.1")])
+        intent = make_intent(lists)
         pool = DiversifiedSet()
         pool.merge(ids("1.1"), 0)
-        anch = evaluate_anchored(intent, pool)
+        anch = evaluate_anchored(intent, pool, ents.table)
         assert anch.visited == 0
         assert anch.pruned == 2
         assert anch.relevance == 1.0
         assert anch.dif == 0.0
         assert anch.score == 0.0
-        assert evaluate_against_pool(intent, pool).score == 0.0
+        assert evaluate_against_pool(intent, pool, ents.table).score == 0.0
 
     def test_toy_trace_matches_baseline(self, toy_index):
         base, base_stats = diversify_baseline(["database", "query"], 2, 2, toy_index)
@@ -342,8 +368,8 @@ def reference_partition(lists, anchors):
     return areas, discarded
 
 
-def reference_evaluate(intent, pool):
-    lists = [segment.node_list for segment in intent.segments]
+def reference_evaluate(intent, pool, ents):
+    lists = [ents.deweys(segment.node_list) for segment in intent.segments]
     anchors = pool.nodes
     areas, discarded = reference_partition(lists, anchors)
     kept = [area for area in areas if not area.dead]
@@ -357,7 +383,7 @@ def reference_evaluate(intent, pool):
             outputs.append(tuple(r for r in results if not contains_anchor(r, anchors)))
     visited = sum(area.total_nodes for area in kept)
     pruned = discarded + sum(area.total_nodes for area in dead)
-    return finish_evaluation(intent, pool, kept, outputs, visited, pruned, len(dead))
+    return finish_evaluation(intent, pool, kept, outputs, visited, pruned, len(dead), ents.table)
 
 
 def tree_antichain(rng, tree):
@@ -373,11 +399,12 @@ def random_case(rng):
     tree = random_tree(rng, 60)
     lists = random_lists(rng, tree)
     anchors = random_antichain(rng) if rng.random() < 0.5 else tree_antichain(rng, tree)
-    return lists, anchors
+    return tree, lists, anchors
 
 
-def area_signature(area):
-    return (area.kind, area.anchor, area.lists(), area.total_nodes, area.dead)
+def area_signature(area, ents=None):
+    lists = area.lists() if ents is None else area_lists(ents, area)
+    return (area.kind, area.anchor, lists, area.total_nodes, area.dead)
 
 
 class TestAgainstReferencePartition:
@@ -385,10 +412,10 @@ class TestAgainstReferencePartition:
         rng = random.Random(45)
         with_ancestors = stopped_early = 0
         for _ in range(400):
-            lists, anchors = random_case(rng)
-            areas, discarded = partition_areas(lists, anchors)
+            tree, lists, anchors = random_case(rng)
+            ents, areas, discarded = partition(lists, anchors, tree)
             ref_areas, ref_discarded = reference_partition(lists, anchors)
-            assert [area_signature(a) for a in areas] == [
+            assert [area_signature(a, ents) for a in areas] == [
                 area_signature(a) for a in ref_areas
             ]
             assert discarded == ref_discarded
@@ -401,8 +428,10 @@ class TestAgainstReferencePartition:
     def test_same_evaluation_and_counters(self):
         rng = random.Random(46)
         for _ in range(400):
-            lists, anchors = random_case(rng)
-            intent = make_intent(lists)
+            tree, lists, anchors = random_case(rng)
+            ents, ordinal_lists = place(lists, tree)
+            intent = make_intent(ordinal_lists)
             pool = DiversifiedSet()
             pool.merge(anchors, 0)
-            assert evaluate_anchored(intent, pool) == reference_evaluate(intent, pool)
+            want = reference_evaluate(intent, pool, ents)
+            assert evaluate_anchored(intent, pool, ents.table) == want

@@ -207,6 +207,23 @@ class TestSearchCommand:
             '{"query":["zzz","yyy"],"k":10,"m":20,"algo":"baseline","intents":[],"phi":[]}\n'
         )
 
+    @pytest.mark.parametrize("algo", ["baseline", "anchor", "parallel"])
+    def test_unknown_terms_with_stats_report_zero_work(self, capsys, algo):
+        argv = ["search", "--index", GOLDEN_IDX, "--query", "zzzz", "--algo", algo]
+        rc = main([*argv, "--workers", "3", "--stats"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        keys = ["query", "k", "m", "algo", "intents", "phi", "stats", "elapsedMs"]
+        if algo == "parallel":
+            keys.insert(4, "workers")
+        assert list(report) == keys
+        assert report["stats"] == {"nodesVisited": 0, "nodesPruned": 0, "areasSkipped": 0}
+        assert (report["intents"], report["phi"]) == ([], [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            f'{{"query":["zzzz"],"k":10,"m":20,"algo":"{algo}","intents":[],"phi":[]}}\n'
+        )
+
     def test_budget_limits_intents(self, capsys):
         rc = main(search_args("--k", "2", "--m", "2", "--budget", "1"))
         assert rc == 0

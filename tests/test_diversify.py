@@ -33,20 +33,20 @@ def toy_intent(index, *pairs):
 class TestRelevance:
     def test_fully_selective_segments(self, toy_index):
         intent = toy_intent(toy_index, ("database", "relational"), ("query", "optimization"))
-        likelihood, slca, relevance = relevance_prob(intent)
+        likelihood, slca, relevance = relevance_prob(intent, toy_index.entity_table)
         assert likelihood == 1.0
         assert slca.nodes == ids("1.2")
         assert relevance == 1.0
 
     def test_shared_entity_intent(self, toy_index):
         intent = toy_intent(toy_index, ("database", "system"), ("query", "language"))
-        likelihood, slca, relevance = relevance_prob(intent)
+        likelihood, slca, relevance = relevance_prob(intent, toy_index.entity_table)
         assert slca.nodes == ids("1.1")
         assert relevance == 1.0
 
     def test_empty_segment_node_list_zeroes_relevance(self, toy_index):
         intent = toy_intent(toy_index, ("database", "relational"), ("query", "image"))
-        likelihood, slca, relevance = relevance_prob(intent)
+        likelihood, slca, relevance = relevance_prob(intent, toy_index.entity_table)
         assert slca.nodes == ()
         assert relevance == 0.0
 
@@ -247,6 +247,6 @@ class TestTopKDriver:
 class TestEvaluateAgainstPool:
     def test_visited_counts_all_segment_nodes(self, toy_index):
         intent = toy_intent(toy_index, ("database", None), ("query", "language"))
-        evaluation = evaluate_against_pool(intent, DiversifiedSet())
+        evaluation = evaluate_against_pool(intent, DiversifiedSet(), toy_index.entity_table)
         assert evaluation.visited == 4  # 3 database entities + 1 intersection node
         assert evaluation.pruned == 0

@@ -12,7 +12,7 @@ from divsearch.indexing import (
     parse_corpus,
     tokenize,
 )
-from helpers import brute_cooccur, ids, random_corpus_xml
+from helpers import Entities, brute_cooccur, ids, random_corpus_xml
 
 
 class TestTokenize:
@@ -113,7 +113,8 @@ class TestBuildIndex:
             "image": ids("1.3"),
             "retrieval": ids("1.3"),
         }
-        assert toy_index.postings == expected
+        ents = Entities(toy_index.entity_table)
+        assert {term: ents.deweys(p) for term, p in toy_index.postings.items()} == expected
         assert toy_index.entity_count == 3
 
     def test_window_3_links_positions_0_and_3(self, toy_index):

@@ -17,7 +17,7 @@ from divsearch.intents import (
     resolve_segment,
     segment_node_list,
 )
-from helpers import count_intersections, ids, patch_everywhere, random_corpus_xml
+from helpers import Entities, count_intersections, ids, patch_everywhere, random_corpus_xml
 
 ENGINES = {"baseline": diversify_baseline, "anchor": diversify_anchored}
 
@@ -54,12 +54,17 @@ def emitted_names(matrix: FeatureMatrix) -> list[tuple[tuple[str, ...], float]]:
     return out
 
 
+def toy_nodes(index, ordinals):
+    return Entities(index.entity_table).deweys(ordinals)
+
+
 class TestSegmentNodeList:
     def test_query_language(self, toy_index):
-        assert segment_node_list("query", "language", toy_index) == ids("1.1")
+        assert toy_nodes(toy_index, segment_node_list("query", "language", toy_index)) == ids("1.1")
 
     def test_database_relational(self, toy_index):
-        assert segment_node_list("database", "relational", toy_index) == ids("1.2")
+        nodes = segment_node_list("database", "relational", toy_index)
+        assert toy_nodes(toy_index, nodes) == ids("1.2")
 
     def test_unknown_feature_empty(self, toy_index):
         assert segment_node_list("database", "unknownterm", toy_index) == ()
@@ -67,12 +72,12 @@ class TestSegmentNodeList:
     def test_bare_segment_uses_full_posting(self, toy_index):
         segment = resolve_segment("database", None, toy_index)
         assert segment.feature is None
-        assert segment.node_list == ids("1.1", "1.2", "1.3")
+        assert toy_nodes(toy_index, segment.node_list) == ids("1.1", "1.2", "1.3")
         assert segment.feature_list_size == 3
 
     def test_feature_segment_records_feature_posting_size(self, toy_index):
         segment = resolve_segment("query", "language", toy_index)
-        assert segment.node_list == ids("1.1")
+        assert toy_nodes(toy_index, segment.node_list) == ids("1.1")
         assert segment.feature_list_size == 1
 
 
@@ -196,7 +201,7 @@ class TestIterIntents:
         assert len(intents) == 1
         bare, featured = intents[0].segments
         assert bare.feature is None
-        assert bare.node_list == ids("1.1", "1.2", "1.3")
+        assert toy_nodes(toy_index, bare.node_list) == ids("1.1", "1.2", "1.3")
         assert featured.feature == "language"
         assert intents[0].agg_mi == 0.1
 

@@ -11,8 +11,8 @@ from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import IntentQuery, Segment, resolve_segment
 from divsearch import anchors, parallel
 from divsearch.parallel import diversify_parallel, evaluate_area, plan_shared_segments
-from divsearch.slca import DiversifiedSet
-from helpers import count_intersections, ids, patch_everywhere, random_corpus_xml
+from divsearch.slca import DiversifiedSet, PoolLayout
+from helpers import Entities, count_intersections, ids, patch_everywhere, random_corpus_xml
 
 
 class TestPlanSharedSegments:
@@ -61,15 +61,22 @@ class TestSharedSegmentTable:
         table = plan_shared_segments([(("query", "language"),)] * 2)
         cached = table.resolve("query", "language", toy_index)
         direct = resolve_segment("query", "language", toy_index)
-        assert cached.node_list == direct.node_list == ids("1.1")
+        assert cached.node_list == direct.node_list
+        assert Entities(toy_index.entity_table).deweys(cached.node_list) == ids("1.1")
         assert cached.feature_list_size == direct.feature_list_size == 1
         bare = table.resolve("database", None, toy_index)
         assert bare.node_list == toy_index.posting("database")
         assert bare.feature_list_size == 3
 
 
+def entities_of(lists):
+    return Entities.of_tree(v for lst in lists for v in lst)
+
+
 def toy_areas(lists, anchors=()):
-    areas, _ = partition_areas(lists, anchors)
+    ents = entities_of(lists)
+    ordinal_lists = [ents.ordinals(lst) for lst in lists]
+    areas, _ = partition_areas(ordinal_lists, PoolLayout.build(anchors, ents.table).anchors)
     kept, _, _ = prune_empty_areas(areas)
     return kept
 
@@ -81,9 +88,9 @@ class RecordingExecutor(parallel.ThreadPoolExecutor):
         super().__init__(max_workers=max_workers)
         self.log = log
 
-    def submit(self, fn, areas, anchors):
+    def submit(self, fn, areas, *args):
         self.log.append(("batch", list(areas)))
-        return super().submit(fn, areas, anchors)
+        return super().submit(fn, areas, *args)
 
 
 def pool_of(anchor_ids):
@@ -98,12 +105,14 @@ def dealt(lists, anchor_ids, workers):
 
     Also checks that the evaluation equals the anchor engine's.
     """
-    intent = IntentQuery(tuple(Segment("k", None, lst, len(lst)) for lst in lists), 0.0)
+    ents = entities_of(lists)
+    segments = tuple(Segment("k", None, ents.ordinals(lst), len(lst)) for lst in lists)
+    intent = IntentQuery(segments, 0.0)
     log = []
     with RecordingExecutor(log, max_workers=2) as executor:
         solve = partial(parallel._deal, executor, workers)
-        evaluation = anchors.evaluate_anchored(intent, pool_of(anchor_ids), solve)
-    assert evaluation == anchors.evaluate_anchored(intent, pool_of(anchor_ids))
+        evaluation = anchors.evaluate_anchored(intent, pool_of(anchor_ids), ents.table, solve)
+    assert evaluation == anchors.evaluate_anchored(intent, pool_of(anchor_ids), ents.table)
     return [areas for _, areas in log]
 
 
@@ -127,12 +136,14 @@ class TestWorkPlan:
 
 class TestEvaluateArea:
     def test_matches_sequential_result(self):
-        (area,) = toy_areas([ids("1.1"), ids("1.1")])
-        assert evaluate_area(area, ()) == ids("1.1")
+        lists = [ids("1.1"), ids("1.1")]
+        (area,) = toy_areas(lists)
+        assert evaluate_area(area, (), entities_of(lists).table) == ids("1.1")
 
     def test_applies_anchor_filter(self):
-        (area,) = toy_areas([ids("1.2"), ids("1.3")], ids("1.1"))
-        assert evaluate_area(area, ids("1.1")) == ()
+        lists = [ids("1.2"), ids("1.3")]
+        (area,) = toy_areas(lists, ids("1.1"))
+        assert evaluate_area(area, ids("1.1"), entities_of(lists).table) == ()
 
 
 def entries_signature(topk):

@@ -19,7 +19,15 @@ from divsearch.slca import (
     compute_slca,
     merge_distinct,
 )
-from helpers import d, ids, random_antichain, random_lists, random_tree, slca_oracle
+from helpers import Entities, d, ids, random_antichain, random_lists, random_tree, slca_oracle
+
+
+def scan_span(table, node):
+    """(lo, hi) of the entities in node's subtree, by a scan of the table."""
+    inside = [i for i, v in enumerate(table.deweys) if is_ancestor_or_self(node, v)]
+    lo = sum(1 for v in table.deweys if v < node)
+    assert inside == list(range(lo, lo + len(inside)))
+    return lo, lo + len(inside)
 
 
 def _naive_merge(phi_nodes, fresh):
@@ -269,18 +277,40 @@ class TestAttribution:
         assert phi.nodes == ()
 
     def test_prefix_bounds_follow_every_change(self):
-        """Built once per pool version; ``apply`` and ``remove_intent`` drop it."""
+        """The layout is built once per pool version and table.
+
+        ``apply`` and ``remove_intent`` drop it.  Its prefixes are
+        ``prefix_bounds`` of the members; every span is checked against a
+        scan of the entities.
+        """
         rng = random.Random(65)
         for _ in range(100):
+            table = Entities.of_tree(random_antichain(rng, 12) + random_antichain(rng, 12)).table
             phi = DiversifiedSet()
             for step in range(8):
                 if step % 3 == 2:
                     phi.remove_intent(rng.randrange(step))
                 else:
                     phi.merge(random_antichain(rng), step)
-                built = phi.prefix_bounds()
-                assert built == prefix_bounds(phi.nodes)
-                assert phi.prefix_bounds() is built
+                built = phi.layout(table)
+                assert built.table is table
+                assert [(p, bound) for p, bound, _, _ in built.prefixes] == list(
+                    prefix_bounds(phi.nodes)
+                )
+                for p, bound, lo, hi in built.prefixes:
+                    assert (lo, hi) == scan_span(table, p)
+                assert [a.node for a in built.anchors] == list(phi.nodes)
+                for node, lo, hi, own, ancestors in built.anchors:
+                    assert (lo, hi) == scan_span(table, node)
+                    assert own == (table.deweys.index(node) if node in table.deweys else None)
+                    assert ancestors == tuple(
+                        i
+                        for i, v in enumerate(table.deweys)
+                        if len(v) < len(node) and is_ancestor_or_self(v, node)
+                    )
+                assert phi.layout(table) is built
+            other = Entities.of_tree(table.deweys).table
+            assert phi.layout(other).table is other
 
     def test_equality_covers_attribution(self):
         a = DiversifiedSet()

@@ -18,7 +18,7 @@ from divsearch.storage import (
     save_index,
 )
 from conftest import GOLDEN_INDEX_DIR
-from helpers import NON_ASCII_WORDS, random_corpus_xml
+from helpers import NON_ASCII_WORDS, Entities, random_corpus_xml
 
 ALL_FILES = (MANIFEST_FILE, ENTITIES_FILE, POSTINGS_FILE, COOCCUR_FILE)
 
@@ -50,7 +50,7 @@ def reference_save(bundle, directory):
     }])
     write(ENTITIES_FILE, [{"dewey": str(e.dewey), "label": e.label} for e in bundle.entities])
     write(POSTINGS_FILE, [
-        {"term": term, "entities": [str(d) for d in bundle.postings[term]]}
+        {"term": term, "entities": [str(bundle.entities[i].dewey) for i in bundle.postings[term]]}
         for term in sorted(bundle.postings)
     ])
     triplets = sorted(bundle.cooccur.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -63,7 +63,7 @@ def escaped_bundle():
     terms = sorted(
         ['quo"te', "back\\slash", "tab\there", "new\nline", "ctl\x01", "sep\u2028", "é", "plain"]
     )
-    postings = {term: (one, three) if i % 2 else (two,) for i, term in enumerate(terms)}
+    postings = {term: (0, 2) if i % 2 else (1,) for i, term in enumerate(terms)}  # one, three / two
     cooccur = {
         (a, b): 1 + (i * 7 + j) % 3
         for i, a in enumerate(terms)
@@ -498,7 +498,12 @@ class TestLoadAcceptsAnyValidJson:
         assert all(terms[a] is a and terms[b] is b for a, b in loaded.cooccur)
 
     def test_postings_share_the_entities_dewey_objects(self, toy_index, tmp_path):
+        """Postings hold ordinals; through the table they are the entities' own IDs."""
         save_index(toy_index, tmp_path)
         loaded = load_index(tmp_path)
+        ents = Entities(loaded.entity_table)
         entity_ids = {id(e.dewey) for e in loaded.entities}
-        assert all(id(d) in entity_ids for ids in loaded.postings.values() for d in ids)
+        assert all(
+            id(d) in entity_ids for ordinals in loaded.postings.values() for d in ents.deweys(ordinals)
+        )
+        assert loaded.postings == toy_index.postings
