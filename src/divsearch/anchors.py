@@ -17,6 +17,10 @@ yet they count toward relevance (they are full SLCAs).  They are recovered
 by scanning the only possible candidates: prefixes of the anchors, which
 the pool places once per version rather than once per intent, each tested
 by its entity span.
+
+:func:`evaluate_anchored` is the whole evaluation for the anchor and the
+parallel engines.  This engine reproduces the paper's pruning; it is slower
+than the baseline in wall time, one SLCA call per live area (README).
 """
 
 from __future__ import annotations
@@ -131,23 +135,6 @@ def partition_areas(
     return areas, discarded
 
 
-def prune_empty_areas(areas: Iterable[Area]) -> tuple[list[Area], int, int]:
-    """Drop areas where any segment is empty; no SLCA can cover them.
-
-    Returns (surviving areas, nodes pruned, areas skipped).
-    """
-    kept: list[Area] = []
-    pruned_nodes = 0
-    skipped = 0
-    for area in areas:
-        if area.dead:
-            pruned_nodes += area.total_nodes
-            skipped += 1
-        else:
-            kept.append(area)
-    return kept, pruned_nodes, skipped
-
-
 def contains_anchor(node: DeweyId, anchors: Sequence[DeweyId]) -> bool:
     """True iff node is an ancestor of or equal to some anchor."""
     i = bisect_left(anchors, node)
@@ -205,80 +192,53 @@ def covered_anchor_ancestors(
     return count
 
 
-def finish_evaluation(
-    intent: IntentQuery,
-    pool: DiversifiedSet,
-    kept: Sequence[Area],
-    outputs: Sequence[Sequence[DeweyId]],
-    visited: int,
-    pruned: int,
-    skipped: int,
-    table: EntityTable,
-) -> IntentEvaluation:
-    """Assemble scores and the merge outcome from per-area results.
-
-    ``pool`` is the pool the areas were cut from, not yet changed, and
-    ``table`` the one the node lists index.  Area
-    order is document order, per-area outputs are sorted, and filtered
-    results never cross area bounds, so plain concatenation is sorted.
-    """
-    inserted: list[DeweyId] = []
-    removed: list[DeweyId] = []
-    for area, results in zip(kept, outputs):
-        if not results:
-            continue
-        if area.kind == DES:
-            removed.append(area.anchor)
-        inserted.extend(results)
-    lists = [segment.node_list for segment in intent.segments]
-    likelihood = intent_likelihood(intent)
-    covered = covered_anchor_ancestors(lists, pool.layout(table).prefixes, inserted)
-    full_count = len(inserted) + covered
-    relevance = likelihood * full_count
-    union_size = len(pool) + len(inserted) - len(removed)
-    outcome = MergeOutcome(inserted=tuple(inserted), removed=tuple(removed), union_size=union_size)
-    nov = outcome.novelty()
-    return IntentEvaluation(
-        likelihood=likelihood,
-        relevance=relevance,
-        dif=nov,
-        score=relevance * nov,
-        outcome=outcome,
-        visited=visited,
-        pruned=pruned,
-        areas_skipped=skipped,
-    )
-
-
-Solve = Callable[[Sequence[Area], Sequence[DeweyId], EntityTable], Sequence[Sequence[DeweyId]]]
-
-
-def _solve_in_turn(
-    areas: Sequence[Area], anchors: Sequence[DeweyId], table: EntityTable
-) -> list[tuple[DeweyId, ...]]:
-    return [area_results(area, anchors, table) for area in areas]
-
-
 def evaluate_anchored(
     intent: IntentQuery,
     pool: DiversifiedSet,
     table: EntityTable,
-    solve: Solve = _solve_in_turn,
+    solve: Callable[..., Sequence[Sequence[DeweyId]]] | None = None,
 ) -> IntentEvaluation:
     """Evaluate one intent against the pool using anchor partitioning.
 
-    The segments' node lists are ordinals of ``table``.
-    ``solve(areas, anchors, table)`` returns the filtered results of each
-    live area, in area order; by default it runs :func:`area_results` on
-    one area after another.
+    The segments' node lists are ordinals of ``table``.  Dead areas are
+    skipped and their nodes count as pruned.  ``solve(areas, anchors,
+    table)``, if given, returns the filtered results of each live area in
+    area order; without it :func:`area_results` runs on one area after
+    another.
     """
     lists = [segment.node_list for segment in intent.segments]
-    areas, discarded = partition_areas(lists, pool.layout(table).anchors)
-    kept, pruned_nodes, skipped = prune_empty_areas(areas)
-    outputs = solve(kept, pool.nodes, table)
-    visited = sum(area.total_nodes for area in kept)
-    return finish_evaluation(
-        intent, pool, kept, outputs, visited, discarded + pruned_nodes, skipped, table
+    layout = pool.layout(table)
+    areas, pruned = partition_areas(lists, layout.anchors)
+    kept: list[Area] = []
+    visited = skipped = 0
+    for area in areas:
+        if area.dead:
+            pruned += area.total_nodes
+            skipped += 1
+        else:
+            kept.append(area)
+            visited += area.total_nodes
+    if solve is None:
+        outputs = [area_results(area, pool.nodes, table) for area in kept]
+    else:
+        outputs = solve(kept, pool.nodes, table)
+    # Area order is document order, per-area outputs are sorted, and filtered
+    # results never cross area bounds, so plain concatenation is sorted.
+    inserted: list[DeweyId] = []
+    removed: list[DeweyId] = []
+    for area, results in zip(kept, outputs):
+        if results:
+            if area.kind == DES:
+                removed.append(area.anchor)
+            inserted.extend(results)
+    covered = covered_anchor_ancestors(lists, layout.prefixes, inserted)
+    union_size = len(pool) + len(inserted) - len(removed)
+    return IntentEvaluation(
+        relevance=intent_likelihood(intent) * (len(inserted) + covered),
+        outcome=MergeOutcome(tuple(inserted), tuple(removed), union_size),
+        visited=visited,
+        pruned=pruned,
+        areas_skipped=skipped,
     )
 
 
@@ -306,7 +266,5 @@ __all__ = [
     "covered_anchor_ancestors",
     "diversify_anchored",
     "evaluate_anchored",
-    "finish_evaluation",
     "partition_areas",
-    "prune_empty_areas",
 ]

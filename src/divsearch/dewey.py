@@ -33,11 +33,17 @@ class DeweyId(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "DeweyId":
-        """Parse dot-separated decimal form, e.g. ``"1.2.1"``."""
-        try:
-            return cls(int(part) for part in text.split("."))
-        except ValueError as exc:
-            raise ValueError(f"invalid Dewey ID {text!r}") from exc
+        """Parse dot-separated decimal form, e.g. ``"1.2.1"``.
+
+        Leading zeros are allowed, but unlike ``int`` no sign, space,
+        underscore or non-ASCII digit.
+        """
+        if text.isascii() and text.replace(".", "").isdigit():
+            try:
+                return cls(map(int, text.split(".")))
+            except ValueError:  # an empty or zero component
+                pass
+        raise ValueError(f"invalid Dewey ID {text!r}")
 
     def __str__(self) -> str:
         return ".".join(str(c) for c in self)

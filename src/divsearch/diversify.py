@@ -2,10 +2,11 @@
 
 score(intent) = likelihood * |SLCA set| * novelty, where likelihood is the
 product over segments of |nodeList| / |postings(feature)| and novelty is the
-fresh-result fraction against the accumulated pool.  The driver evaluates
-intents in generation order, admits positive scores into a bounded top-k,
-and keeps the pool consistent with the currently admitted intents,
-including removal of an evicted intent's attributed results.
+fresh-result fraction against the accumulated pool; ``IntentEvaluation``
+derives it for every engine.  The driver evaluates intents in generation
+order, admits positive scores into a bounded top-k, and keeps the pool
+consistent with the currently admitted intents, including removal of an
+evicted intent's attributed results.
 """
 
 from __future__ import annotations
@@ -38,16 +39,24 @@ class EvalStats:
 
 @dataclass(frozen=True)
 class IntentEvaluation:
-    """Everything one engine pass learns about one intent."""
+    """Everything one engine pass learns about one intent.
 
-    likelihood: float
+    ``dif`` and ``score`` are derived here, the same way for every engine.
+    """
+
     relevance: float
-    dif: float
-    score: float
     outcome: MergeOutcome
     visited: int
     pruned: int
     areas_skipped: int
+
+    @property
+    def dif(self) -> float:
+        return self.outcome.novelty()
+
+    @property
+    def score(self) -> float:
+        return self.relevance * self.dif
 
 
 @dataclass(frozen=True)
@@ -80,30 +89,16 @@ def intent_likelihood(intent: IntentQuery) -> float:
     return likelihood
 
 
-def relevance_prob(intent: IntentQuery, table: EntityTable) -> tuple[float, SlcaSet, float]:
-    """(likelihood, SLCA set over segment node lists, likelihood * |SLCA|).
-
-    The node lists are ordinals of ``table``.
-    """
-    likelihood = intent_likelihood(intent)
-    slca = compute_slca([segment.node_list for segment in intent.segments], table)
-    return likelihood, slca, likelihood * len(slca)
-
-
 def evaluate_against_pool(
     intent: IntentQuery, pool: DiversifiedSet, table: EntityTable
 ) -> IntentEvaluation:
-    """Baseline evaluation: full SLCA over complete segment node lists."""
-    likelihood, slca, relevance = relevance_prob(intent, table)
-    outcome = pool.preview(slca)
-    nov = outcome.novelty()
+    """Baseline evaluation: full SLCA over complete node lists of ``table`` ordinals."""
+    lists = [segment.node_list for segment in intent.segments]
+    slca = compute_slca(lists, table)
     return IntentEvaluation(
-        likelihood=likelihood,
-        relevance=relevance,
-        dif=nov,
-        score=relevance * nov,
-        outcome=outcome,
-        visited=sum(len(segment.node_list) for segment in intent.segments),
+        relevance=intent_likelihood(intent) * len(slca),
+        outcome=pool.preview(slca),
+        visited=sum(len(lst) for lst in lists),
         pruned=0,
         areas_skipped=0,
     )

@@ -4,11 +4,11 @@ All intent combinations are known up front, so the segments occurring in
 more than one intent are marked before evaluation starts: the first intent
 that needs one resolves it against the index, later intents reuse the same
 ``Segment``, and every shared segment is kept until the query ends.  Each
-intent then goes through the anchor engine's evaluator, which deals its
-surviving areas round-robin into ``workers`` batches run on a thread pool;
-workers only read immutable data, the calling thread joins them all before
-scoring, and per-area outputs go back in area order, so results are
-identical for any worker count.
+intent then goes through ``anchors.evaluate_anchored`` with a ``solve``
+that deals the live areas round-robin into ``workers`` batches run on a
+thread pool.  Workers only read immutable data, the calling thread joins
+them all before scoring, and per-area outputs go back in area order, so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ def evaluate_area(area: Area, anchors: Sequence[DeweyId], table: EntityTable) ->
     return area_results(area, anchors, table)
 
 
-def _run_batch(
-    areas: Sequence[Area], anchors: Sequence[DeweyId], table: EntityTable
-) -> list[Results]:
-    return [evaluate_area(area, anchors, table) for area in areas]
-
-
 def _deal(
     executor: ThreadPoolExecutor,
     workers: int,
@@ -79,10 +73,11 @@ def _deal(
     table: EntityTable,
 ) -> list[Results]:
     """``solve`` for :func:`evaluate_anchored`: batch i is ``kept[i::workers]``."""
-    futures = [
-        executor.submit(_run_batch, kept[i::workers], anchors, table)
-        for i in range(min(workers, len(kept)))
-    ]
+
+    def run(batch: Sequence[Area]) -> list[Results]:
+        return [evaluate_area(area, anchors, table) for area in batch]
+
+    futures = [executor.submit(run, kept[i::workers]) for i in range(min(workers, len(kept)))]
     outputs: list[Results] = [()] * len(kept)
     for i, future in enumerate(futures):  # barrier: all areas land before scoring
         outputs[i::workers] = future.result()

@@ -268,6 +268,7 @@ def load_index(directory: str | Path) -> IndexBundle:
     directory = Path(directory)
     manifest = _load_manifest(directory)
 
+    labels = frozenset(manifest["entityLabels"])
     path = directory / ENTITIES_FILE
     entities: list[EntityInfo] = []
     # Dewey text as written -> the entity's ordinal; postings resolve through it
@@ -275,6 +276,8 @@ def load_index(directory: str | Path) -> IndexBundle:
     for lineno, row in _iter_jsonl(path):
         if not isinstance(row, dict) or not isinstance(row.get("label"), str):
             raise _fail(path, lineno, "expected {dewey,label} object")
+        if row["label"] not in labels:
+            raise _fail(path, lineno, f"entity label {row['label']!r} not in the manifest")
         dewey = _parse_dewey(row.get("dewey"), path, lineno)
         if entities and dewey <= entities[-1].dewey:
             raise _fail(path, lineno, "entities not in document order")
@@ -372,7 +375,7 @@ def load_index(directory: str | Path) -> IndexBundle:
             stopwords.append(word)
 
     config = IndexConfig(
-        entity_labels=frozenset(manifest["entityLabels"]),
+        entity_labels=labels,
         window=manifest["window"],
         stopwords=frozenset(stopwords),
     )

@@ -11,14 +11,12 @@ from divsearch.anchors import (
     covered_anchor_ancestors,
     diversify_anchored,
     evaluate_anchored,
-    finish_evaluation,
     partition_areas,
-    prune_empty_areas,
 )
 from divsearch.dewey import DeweyId, subtree_bound
-from divsearch.diversify import diversify_baseline, evaluate_against_pool
+from divsearch.diversify import IntentEvaluation, diversify_baseline, evaluate_against_pool
 from divsearch.intents import IntentQuery, Segment
-from divsearch.slca import DiversifiedSet, PoolLayout, compute_slca
+from divsearch.slca import DiversifiedSet, MergeOutcome, PoolLayout, compute_slca
 from helpers import Entities, d, ids, random_antichain, random_lists, random_tree
 
 
@@ -143,22 +141,46 @@ class TestPartitionAreas:
                 assert discarded <= covered
 
 
-class TestPruneEmptyAreas:
+def evaluate(lists, anchors):
+    """evaluate_anchored on Dewey lists against a pool of the anchors."""
+    ents, ordinal_lists = place(lists)
+    pool = DiversifiedSet()
+    pool.merge(anchors, 0)
+    return evaluate_anchored(make_intent(ordinal_lists), pool, ents.table)
+
+
+class TestDeadAreas:
+    """An area with an empty list is skipped; its nodes count as pruned."""
+
     def test_fully_consumed_lists(self):
-        _, areas, discarded = partition([ids("1.1"), ids("1.1")], ids("1.1"))
-        kept, pruned_nodes, skipped = prune_empty_areas(areas)
+        lists = [ids("1.1"), ids("1.1")]
+        _, areas, discarded = partition(lists, ids("1.1"))
         assert discarded == 2
-        assert kept == []
-        assert pruned_nodes == 0
-        assert skipped == 3
+        assert [area.dead for area in areas] == [True, True, True]
+        evaluation = evaluate(lists, ids("1.1"))
+        assert (evaluation.visited, evaluation.pruned, evaluation.areas_skipped) == (0, 2, 3)
 
     def test_dead_area_counts_surviving_nodes(self):
-        _, areas, _ = partition([ids("1.1", "1.3"), ids("1.3")], ids("1.3"))
-        kept, pruned_nodes, skipped = prune_empty_areas(areas)
+        lists = [ids("1.1", "1.3"), ids("1.3")]
+        _, areas, discarded = partition(lists, ids("1.3"))
         # 1.1 sits in a pre area whose second list is empty
-        assert kept == []
-        assert pruned_nodes == 1
-        assert skipped == 3
+        assert [(area.dead, area.total_nodes) for area in areas] == [(True, 1), (True, 0), (True, 0)]
+        assert discarded == 2
+        evaluation = evaluate(lists, ids("1.3"))
+        assert (evaluation.visited, evaluation.pruned, evaluation.areas_skipped) == (0, 3, 3)
+
+    def test_live_areas_are_visited(self):
+        lists = [ids("1.1", "1.2.1", "1.3"), ids("1.1", "1.3")]
+        _, areas, discarded = partition(lists, ids("1.2"))
+        assert [(area.kind, area.dead, area.total_nodes) for area in areas] == [
+            (PRE, False, 2),
+            (DES, True, 1),
+            (NEXT, False, 2),
+        ]
+        assert discarded == 0
+        evaluation = evaluate(lists, ids("1.2"))
+        assert (evaluation.visited, evaluation.pruned, evaluation.areas_skipped) == (4, 1, 1)
+        assert evaluation.outcome == MergeOutcome(ids("1.1", "1.3"), (), 3)
 
 
 class TestContainsAnchor:
@@ -174,7 +196,7 @@ class TestContainsAnchor:
 class TestAreaResults:
     def run_single_area(self, lists, anchors):
         ents, areas, _ = partition(lists, anchors)
-        kept, _, _ = prune_empty_areas(areas)
+        kept = [area for area in areas if not area.dead]
         assert len(kept) == 1
         return kept[0], area_results(kept[0], anchors, ents.table)
 
@@ -369,21 +391,37 @@ def reference_partition(lists, anchors):
 
 
 def reference_evaluate(intent, pool, ents):
+    """The evaluation built from the reference partition, not by the engine's own fold.
+
+    Relevance counts the full SLCA set of the complete lists, with no
+    covered-prefix scan; the merge outcome gathers the filtered area
+    results, and every descendant area with a result replaces its anchor.
+    """
     lists = [ents.deweys(segment.node_list) for segment in intent.segments]
     anchors = pool.nodes
     areas, discarded = reference_partition(lists, anchors)
     kept = [area for area in areas if not area.dead]
     dead = [area for area in areas if area.dead]
-    outputs = []
+    inserted, removed = [], []
     for area in kept:
         results = compute_slca(area.lists())
         if area.kind == DES:
-            outputs.append(tuple(r for r in results if r != area.anchor))
+            results = [r for r in results if r != area.anchor]
+            if results:
+                removed.append(area.anchor)
         else:
-            outputs.append(tuple(r for r in results if not contains_anchor(r, anchors)))
-    visited = sum(area.total_nodes for area in kept)
-    pruned = discarded + sum(area.total_nodes for area in dead)
-    return finish_evaluation(intent, pool, kept, outputs, visited, pruned, len(dead), ents.table)
+            results = [r for r in results if not contains_anchor(r, anchors)]
+        inserted += results
+    likelihood = 1.0
+    for segment in intent.segments:
+        likelihood *= len(segment.node_list) / segment.feature_list_size
+    return IntentEvaluation(
+        relevance=likelihood * len(compute_slca(lists)),
+        outcome=MergeOutcome(tuple(inserted), tuple(removed), len(pool) + len(inserted) - len(removed)),
+        visited=sum(area.total_nodes for area in kept),
+        pruned=discarded + sum(area.total_nodes for area in dead),
+        areas_skipped=len(dead),
+    )
 
 
 def tree_antichain(rng, tree):

@@ -41,6 +41,15 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 DeweyId.parse(text)
 
+    def test_parse_takes_ascii_digits_only(self):
+        # each of these is a valid int() argument
+        for text in ("1_0.2", " 1.2", "1.2 ", "+1.2", "1.\n2", "\u0661.\u0662", "1.\uff12"):
+            with pytest.raises(ValueError, match="invalid Dewey ID"):
+                DeweyId.parse(text)
+
+    def test_parse_allows_leading_zeros(self):
+        assert DeweyId.parse("01.002") == (1, 2)
+
 
 class TestOrdering:
     def test_lexicographic_is_document_order(self):

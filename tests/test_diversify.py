@@ -8,7 +8,6 @@ from divsearch.diversify import (
     dif,
     evaluate_against_pool,
     intent_likelihood,
-    relevance_prob,
     run_topk,
 )
 from divsearch.errors import NoIntentError
@@ -30,25 +29,25 @@ def toy_intent(index, *pairs):
     return IntentQuery(tuple(segments), agg)
 
 
+def relevance_and_results(intent, index):
+    """The baseline's relevance and SLCA set: its merge into an empty pool."""
+    evaluation = evaluate_against_pool(intent, DiversifiedSet(), index.entity_table)
+    return evaluation.relevance, evaluation.outcome.inserted
+
+
 class TestRelevance:
     def test_fully_selective_segments(self, toy_index):
         intent = toy_intent(toy_index, ("database", "relational"), ("query", "optimization"))
-        likelihood, slca, relevance = relevance_prob(intent, toy_index.entity_table)
-        assert likelihood == 1.0
-        assert slca.nodes == ids("1.2")
-        assert relevance == 1.0
+        assert intent_likelihood(intent) == 1.0
+        assert relevance_and_results(intent, toy_index) == (1.0, ids("1.2"))
 
     def test_shared_entity_intent(self, toy_index):
         intent = toy_intent(toy_index, ("database", "system"), ("query", "language"))
-        likelihood, slca, relevance = relevance_prob(intent, toy_index.entity_table)
-        assert slca.nodes == ids("1.1")
-        assert relevance == 1.0
+        assert relevance_and_results(intent, toy_index) == (1.0, ids("1.1"))
 
     def test_empty_segment_node_list_zeroes_relevance(self, toy_index):
         intent = toy_intent(toy_index, ("database", "relational"), ("query", "image"))
-        likelihood, slca, relevance = relevance_prob(intent, toy_index.entity_table)
-        assert slca.nodes == ()
-        assert relevance == 0.0
+        assert relevance_and_results(intent, toy_index) == (0.0, ())
 
     def test_bare_segment_contributes_factor_one(self, toy_index):
         intent = toy_intent(toy_index, ("database", None), ("query", "language"))
@@ -168,14 +167,9 @@ def scripted_evaluator(script):
 
     def evaluate(intent, pool):
         relevance, fresh = script[intent.segments[0].feature]
-        outcome = pool.preview(fresh)
-        nov = outcome.novelty()
         return IntentEvaluation(
-            likelihood=1.0,
             relevance=relevance,
-            dif=nov,
-            score=relevance * nov,
-            outcome=outcome,
+            outcome=pool.preview(fresh),
             visited=len(fresh),
             pruned=0,
             areas_skipped=0,

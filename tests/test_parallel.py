@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from divsearch.diversify import diversify_baseline
-from divsearch.anchors import diversify_anchored, partition_areas, prune_empty_areas
+from divsearch.anchors import diversify_anchored, partition_areas
 from divsearch.errors import NoIntentError
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import IntentQuery, Segment, resolve_segment
@@ -77,8 +77,7 @@ def toy_areas(lists, anchors=()):
     ents = entities_of(lists)
     ordinal_lists = [ents.ordinals(lst) for lst in lists]
     areas, _ = partition_areas(ordinal_lists, PoolLayout.build(anchors, ents.table).anchors)
-    kept, _, _ = prune_empty_areas(areas)
-    return kept
+    return [area for area in areas if not area.dead]
 
 
 class RecordingExecutor(parallel.ThreadPoolExecutor):
@@ -188,16 +187,15 @@ class TestDiversifyParallel:
             pool_sizes.append(max_workers)
             return RecordingExecutor(log, max_workers)
 
-        prune = anchors.prune_empty_areas
+        deal = parallel._deal
 
-        def logging_prune(areas):
-            kept, pruned, skipped = prune(areas)
+        def logging_deal(executor, workers, kept, anchor_ids, table):
             log.append(("kept", kept))
-            return kept, pruned, skipped
+            return deal(executor, workers, kept, anchor_ids, table)
 
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(parallel, "ThreadPoolExecutor", executor)
-        monkeypatch.setattr(anchors, "prune_empty_areas", logging_prune)
+        monkeypatch.setattr(parallel, "_deal", logging_deal)
         capped, _ = diversify_parallel(["database", "query"], 2, 2, toy_index, workers=8)
         base, _ = diversify_baseline(["database", "query"], 2, 2, toy_index)
         assert pool_sizes == [threads]

@@ -251,6 +251,20 @@ class TestLoadValidation:
         directory = _corrupt(tmp_path, toy_index, ENTITIES_FILE, swap)
         _assert_fails_at(directory, ENTITIES_FILE, 2, "entities not in document order")
 
+    def test_entity_label_not_in_the_manifest(self, toy_index, tmp_path):
+        directory = _corrupt(
+            tmp_path, toy_index, ENTITIES_FILE, lambda t: t.replace('"paper"', '"nosuch"', 1)
+        )
+        _assert_fails_at(directory, ENTITIES_FILE, 1, "entity label 'nosuch' not in the manifest")
+
+    @pytest.mark.parametrize(
+        "filename, line, text",
+        [(ENTITIES_FILE, 2, "1_2"), (ENTITIES_FILE, 2, " 1.2"), (POSTINGS_FILE, 1, "+1.2")],
+    )
+    def test_dewey_component_that_is_not_ascii_digits(self, toy_index, tmp_path, filename, line, text):
+        directory = _corrupt(tmp_path, toy_index, filename, lambda t: t.replace('"1.2"', f'"{text}"', 1))
+        _assert_fails_at(directory, filename, line, f"invalid Dewey ID {text!r}")
+
     def test_posting_referencing_unknown_entity(self, toy_index, tmp_path):
         directory = _corrupt(
             tmp_path, toy_index, POSTINGS_FILE, lambda t: t.replace('["1.3"]', '["7.7"]', 1)
