@@ -19,28 +19,20 @@ the pool places once per version rather than once per intent, each tested
 by its entity span.
 
 :func:`evaluate_anchored` is the whole evaluation for the anchor and the
-parallel engines.  This engine reproduces the paper's pruning; it is slower
+parallel engines; both run it through the pipeline of every engine,
+``diversify.run_query``.  This engine reproduces the paper's pruning; it is slower
 than the baseline in wall time, one SLCA call per live area (README).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
-from itertools import islice
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .dewey import DeweyId, EntityTable, subtree_bound
-from .diversify import (
-    EvalStats,
-    IntentEvaluation,
-    TopK,
-    intent_likelihood,
-    run_topk,
-)
-from .features import build_matrix
+from .diversify import EvalStats, IntentEvaluation, TopK, intent_likelihood, run_query
 from .indexing import IndexBundle
-from .intents import IntentQuery, iter_intents
+from .intents import IntentQuery
 from .slca import AnchorSpan, DiversifiedSet, MergeOutcome, compute_slca
 
 PRE = "pre"
@@ -250,13 +242,7 @@ def diversify_anchored(
     budget: int | None = None,
 ) -> tuple[TopK, EvalStats]:
     """Anchor-pruned engine; output equals :func:`diversify_baseline`."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    matrix = build_matrix(list(keywords), m, index)
-    stream: Iterable[IntentQuery] = iter_intents(matrix, index)
-    if budget is not None:
-        stream = islice(stream, budget)
-    return run_topk(stream, k, partial(evaluate_anchored, table=index.entity_table))
+    return run_query(keywords, k, m, index, budget, evaluate_anchored)
 
 
 __all__ = [

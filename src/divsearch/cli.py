@@ -3,6 +3,8 @@
 Report output is byte-stable for fixed inputs: keys appear in a fixed
 order, floats use 12 significant digits, and run-dependent fields (worker
 count, work counters, elapsed time) appear only when --stats is given.
+``search --query`` and ``features --term`` read their words as the loaded
+index tokenizes text, stop words included.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -18,15 +21,7 @@ from .diversify import EvalStats, ScoredIntent, TopK, diversify_baseline
 from .anchors import diversify_anchored
 from .errors import DivSearchError, NoIntentError
 from .features import top_features
-from .indexing import (
-    DEFAULT_STOPWORDS,
-    IndexConfig,
-    _TOKEN_RE,
-    build_index,
-    is_token,
-    parse_corpus,
-    tokenize,
-)
+from .indexing import DEFAULT_STOPWORDS, IndexConfig, build_index, is_token, parse_corpus, tokenize
 from .parallel import diversify_parallel
 from .slca import DiversifiedSet
 from .storage import load_index, save_index
@@ -138,12 +133,12 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    terms = _TOKEN_RE.findall(args.term.lower())
+    index = load_index(args.index)
+    terms = [token for token, _ in tokenize(args.term, index.config.stopwords)]
     if len(terms) != 1:
         print("error: term must be one keyword", file=sys.stderr)
         return 2
     (term,) = terms
-    index = load_index(args.index)
     entries = top_features(term, args.top, index)
     if args.format == "csv":
         print("feature,mi")
@@ -164,16 +159,14 @@ def cmd_search(args: argparse.Namespace) -> int:
         print("error: query contains no keywords", file=sys.stderr)
         return 2
 
+    engines = {
+        "baseline": diversify_baseline,
+        "anchor": diversify_anchored,
+        "parallel": partial(diversify_parallel, workers=args.workers),
+    }
     started = time.perf_counter()
     try:
-        if args.algo == "baseline":
-            topk, stats = diversify_baseline(keywords, args.k, args.m, index, args.budget)
-        elif args.algo == "anchor":
-            topk, stats = diversify_anchored(keywords, args.k, args.m, index, args.budget)
-        else:
-            topk, stats = diversify_parallel(
-                keywords, args.k, args.m, index, workers=args.workers, budget=args.budget
-            )
+        topk, stats = engines[args.algo](keywords, args.k, args.m, index, budget=args.budget)
     except NoIntentError:
         topk = TopK(k=args.k, entries=(), phi=DiversifiedSet())
         stats = EvalStats()  # nothing was evaluated

@@ -6,14 +6,15 @@ fresh-result fraction against the accumulated pool; ``IntentEvaluation``
 derives it for every engine.  The driver evaluates intents in generation
 order, admits positive scores into a bounded top-k, and keeps the pool
 consistent with the currently admitted intents, including removal of an
-evicted intent's attributed results.
+evicted intent's attributed results.  ``run_query`` chains these stages
+for all three engines; they differ only in the evaluator they pass, and
+parallel also in its intent stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .dewey import EntityTable
@@ -104,16 +105,6 @@ def evaluate_against_pool(
     )
 
 
-@dataclass(eq=False)
-class _Entry:
-    seq: int
-    intent: IntentQuery
-    evaluation: IntentEvaluation
-
-    def rank_key(self) -> tuple[float, float, tuple[str, ...]]:
-        return (-self.evaluation.score, -self.intent.agg_mi, self.intent.lex_key)
-
-
 def run_topk(
     intents: Iterable[IntentQuery],
     k: int,
@@ -129,35 +120,51 @@ def run_topk(
     if k < 1:
         raise ValueError("k must be >= 1")
     pool = DiversifiedSet()
-    entries: list[_Entry] = []
+    # (rank key, seq, entry): two intents of one stream differ in at least one
+    # column's feature, so rank keys never tie and seq is never compared
+    ranked: list[tuple[tuple, int, ScoredIntent]] = []
     stats = EvalStats()
     for seq, intent in enumerate(intents):
         evaluation = evaluate(intent, pool)
         stats.add(evaluation.visited, evaluation.pruned, evaluation.areas_skipped)
-        if evaluation.score <= 0.0:
+        score = evaluation.score
+        if score <= 0.0:
             continue
-        if len(entries) < k:
-            pool.apply(evaluation.outcome, seq)
-            entries.append(_Entry(seq, intent, evaluation))
-            continue
-        worst = max(entries, key=_Entry.rank_key)
-        if evaluation.score > worst.evaluation.score:
-            entries.remove(worst)
-            pool.apply(evaluation.outcome, seq)
-            pool.remove_intent(worst.seq)
-            entries.append(_Entry(seq, intent, evaluation))
-    entries.sort(key=_Entry.rank_key)
-    scored = tuple(
-        ScoredIntent(
-            intent=e.intent,
-            relevance=e.evaluation.relevance,
-            dif=e.evaluation.dif,
-            score=e.evaluation.score,
-            results=SlcaSet(e.evaluation.outcome.inserted),
-        )
-        for e in entries
-    )
-    return TopK(k=k, entries=scored, phi=pool), stats
+        full = len(ranked) == k
+        if full:
+            worst = max(ranked)
+            if score <= worst[2].score:
+                continue
+        pool.apply(evaluation.outcome, seq)
+        if full:
+            ranked.remove(worst)
+            pool.remove_intent(worst[1])
+        results = SlcaSet(evaluation.outcome.inserted)
+        entry = ScoredIntent(intent, evaluation.relevance, evaluation.dif, score, results)
+        ranked.append(((-score, -intent.agg_mi, intent.lex_key), seq, entry))
+    ranked.sort()
+    return TopK(k=k, entries=tuple(entry for _, _, entry in ranked), phi=pool), stats
+
+
+def run_query(
+    keywords: Sequence[str],
+    k: int,
+    m: int,
+    index: IndexBundle,
+    budget: int | None,
+    evaluate: Callable[..., IntentEvaluation],
+    stream: Callable[..., Iterable[IntentQuery]] = iter_intents,
+) -> tuple[TopK, EvalStats]:
+    """One query of any engine: matrix, intent stream, admission.
+
+    ``stream(matrix, index, budget)`` yields at most ``budget`` intents and
+    ``evaluate(intent, pool, table=...)`` scores each.  The table is bound
+    after the matrix, so a query without intents never builds it.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    matrix = build_matrix(list(keywords), m, index)
+    return run_topk(stream(matrix, index, budget), k, partial(evaluate, table=index.entity_table))
 
 
 def diversify_baseline(
@@ -168,10 +175,4 @@ def diversify_baseline(
     budget: int | None = None,
 ) -> tuple[TopK, EvalStats]:
     """Evaluate every generated intent against full node lists."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    matrix = build_matrix(list(keywords), m, index)
-    stream: Iterable[IntentQuery] = iter_intents(matrix, index)
-    if budget is not None:
-        stream = islice(stream, budget)
-    return run_topk(stream, k, partial(evaluate_against_pool, table=index.entity_table))
+    return run_query(keywords, k, m, index, budget, evaluate_against_pool)

@@ -95,12 +95,8 @@ def _byte_offset(data: bytes, line: int, column: int) -> int:
     if line < 1 or line > len(lines):
         return -1
     offset = sum(len(l) + 1 for l in lines[: line - 1])
-    try:
-        text = lines[line - 1].decode("utf-8", errors="replace")
-        offset += len(text[:column].encode("utf-8"))
-    except Exception:
-        offset += column
-    return offset
+    text = lines[line - 1].decode("utf-8", errors="replace")
+    return offset + len(text[:column].encode("utf-8"))
 
 
 def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:

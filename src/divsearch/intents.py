@@ -6,14 +6,16 @@ feature names ascending column by column.  A keyword whose feature column is
 empty degrades to a bare segment (its full posting list, likelihood factor
 1) so that multi-keyword queries stay usable.  A segment's node list holds
 entity ordinals, as the postings do, so intersections compare ints.
-``iter_intents`` resolves each distinct segment once per query and shares
-it between the intents that use it.
+``iter_intents`` is the intent stream of the baseline and anchor engines:
+it cuts the enumeration at the query's budget, resolves each distinct
+segment once per query and shares it between the intents that use it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .features import FeatureEntry, FeatureMatrix
@@ -79,21 +81,13 @@ def iter_combinations(
     Best-first frontier walk over the index lattice: each popped state
     pushes its per-column successors.  The heap key (-aggMi, names) also
     realizes the tie rule because an equal-MI successor step can only grow
-    the name tuple.
+    the name tuple.  The aggregate yielded is the key's own sum, negated
+    back, which is exact.
     """
     active = [i for i, column in enumerate(matrix.columns) if column]
     if not active:
         return
     width = len(matrix.columns)
-
-    def expand(state: tuple[int, ...]) -> tuple[tuple[FeatureEntry | None, ...], float]:
-        chosen: list[FeatureEntry | None] = [None] * width
-        agg = 0.0
-        for pos, col in zip(state, active):
-            entry = matrix.columns[col][pos]
-            chosen[col] = entry
-            agg += entry.mi
-        return tuple(chosen), agg
 
     def key(state: tuple[int, ...]) -> tuple[float, tuple[str, ...]]:
         agg = 0.0
@@ -109,8 +103,10 @@ def iter_combinations(
     seen = {start}
     while heap:
         neg_agg, _, state = heapq.heappop(heap)
-        chosen, agg = expand(state)
-        yield chosen, agg
+        chosen: list[FeatureEntry | None] = [None] * width
+        for pos, col in zip(state, active):
+            chosen[col] = matrix.columns[col][pos]
+        yield tuple(chosen), -neg_agg
         for slot, col in enumerate(active):
             if state[slot] + 1 < len(matrix.columns[col]):
                 succ = state[:slot] + (state[slot] + 1,) + state[slot + 1 :]
@@ -119,15 +115,17 @@ def iter_combinations(
                     heapq.heappush(heap, (*key(succ), succ))
 
 
-def iter_intents(matrix: FeatureMatrix, index: IndexBundle) -> Iterator[IntentQuery]:
-    """Resolved intents in generation order.
+def iter_intents(
+    matrix: FeatureMatrix, index: IndexBundle, budget: int | None = None
+) -> Iterator[IntentQuery]:
+    """The first ``budget`` resolved intents in generation order (all if None).
 
     Each ``(keyword, feature)`` segment is resolved once per call, when the
     first intent that uses it is generated, so the memo holds at most n*m
     segments; every later intent with that key gets the same ``Segment``.
     """
     memo: dict[tuple[str, str | None], Segment] = {}
-    for chosen, agg in iter_combinations(matrix):
+    for chosen, agg in islice(iter_combinations(matrix), budget):
         segments = []
         for keyword, entry in zip(matrix.keywords, chosen):
             feature = entry.feature if entry is not None else None

@@ -1,14 +1,16 @@
 """Parallel area evaluation with shared-segment reuse.
 
-All intent combinations are known up front, so the segments occurring in
+The engine runs the query pipeline of the others (``diversify.run_query``)
+with two parts of its own.  Its intent stream, ``planned_intents``, lists
+every combination up to the budget first, so the segments occurring in
 more than one intent are marked before evaluation starts: the first intent
 that needs one resolves it against the index, later intents reuse the same
-``Segment``, and every shared segment is kept until the query ends.  Each
-intent then goes through ``anchors.evaluate_anchored`` with a ``solve``
-that deals the live areas round-robin into ``workers`` batches run on a
-thread pool.  Workers only read immutable data, the calling thread joins
-them all before scoring, and per-area outputs go back in area order, so
-results are identical for any worker count.
+``Segment``, and every shared segment is kept until the query ends.  Its
+evaluator is ``anchors.evaluate_anchored`` with a ``solve`` that deals the
+live areas round-robin into ``workers`` batches run on a thread pool.
+Workers only read immutable data, the calling thread joins them all before
+scoring, and per-area outputs go back in area order, so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .anchors import Area, area_results, evaluate_anchored
 from .dewey import DeweyId, EntityTable
-from .diversify import EvalStats, TopK, run_topk
-from .features import build_matrix
+from .diversify import EvalStats, TopK, run_query
+from .features import FeatureMatrix
 from .indexing import IndexBundle
 from .intents import IntentQuery, Segment, iter_combinations, resolve_segment
 
@@ -84,6 +86,27 @@ def _deal(
     return outputs
 
 
+def planned_intents(
+    matrix: FeatureMatrix, index: IndexBundle, budget: int | None = None
+) -> Iterator[IntentQuery]:
+    """The first ``budget`` intents in generation order, segments planned.
+
+    Every combination is listed before the first intent is yielded, so the
+    segments shared between intents are known up front.
+    """
+    resolved = list(islice(iter_combinations(matrix), budget))
+    key_rows = [
+        tuple(
+            (keyword, entry.feature if entry is not None else None)
+            for keyword, entry in zip(matrix.keywords, chosen)
+        )
+        for chosen, _ in resolved
+    ]
+    shared = plan_shared_segments(key_rows)
+    for keys, (_, agg) in zip(key_rows, resolved):
+        yield IntentQuery(tuple(shared.resolve(word, feature, index) for word, feature in keys), agg)
+
+
 def diversify_parallel(
     keywords: Sequence[str],
     k: int,
@@ -99,32 +122,6 @@ def diversify_parallel(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    matrix = build_matrix(list(keywords), m, index)
-    combos = iter_combinations(matrix)
-    if budget is not None:
-        combos = islice(combos, budget)
-    resolved = list(combos)
-    key_rows = [
-        tuple(
-            (keyword, entry.feature if entry is not None else None)
-            for keyword, entry in zip(matrix.keywords, chosen)
-        )
-        for chosen, _ in resolved
-    ]
-    shared = plan_shared_segments(key_rows)
-    intents = (
-        IntentQuery(tuple(shared.resolve(keyword, feature, index) for keyword, feature in keys), agg)
-        for keys, (_, agg) in zip(key_rows, resolved)
-    )
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as executor:
-        return run_topk(
-            intents,
-            k,
-            partial(
-                evaluate_anchored,
-                table=index.entity_table,
-                solve=partial(_deal, executor, workers),
-            ),
-        )
+        evaluate = partial(evaluate_anchored, solve=partial(_deal, executor, workers))
+        return run_query(keywords, k, m, index, budget, evaluate, planned_intents)

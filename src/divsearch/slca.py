@@ -9,8 +9,10 @@ table, and its probe loop written out inline.  ``DiversifiedSet``
 accumulates results across accepted intents with the merge semantics used
 for novelty scoring: duplicates and ancestors of existing members are
 dropped, descendants replace the member they refine, everything else
-inserts.  It also keeps its members' places among
-the entities for the anchor engine, rebuilt only after the pool changes.
+inserts.  Each member is attributed to the intent that inserted it, in
+one map, so an evicted intent's members can be found and dropped.  The
+pool also keeps its members' places among the entities for the anchor
+engine, rebuilt only after the pool changes.
 """
 
 from __future__ import annotations
@@ -198,7 +200,6 @@ class DiversifiedSet:
     def __init__(self) -> None:
         self._nodes: list[DeweyId] = []
         self._owner: dict[DeweyId, int] = {}
-        self._by_owner: dict[int, set[DeweyId]] = {}
         self._layout: PoolLayout | None = None
 
     @property
@@ -250,11 +251,9 @@ class DiversifiedSet:
         self._layout = None
         for w in outcome.removed:
             self._discard(w)
-        bucket = self._by_owner.setdefault(intent_id, set())
         for v in outcome.inserted:
             insort(self._nodes, v)
             self._owner[v] = intent_id
-            bucket.add(v)
 
     def merge(self, fresh: Iterable[DeweyId], intent_id: int) -> MergeOutcome:
         outcome = self.preview(fresh)
@@ -264,18 +263,12 @@ class DiversifiedSet:
     def remove_intent(self, intent_id: int) -> None:
         """Drop every node still attributed to an evicted intent."""
         self._layout = None
-        for v in sorted(self._by_owner.pop(intent_id, ())):
+        for v in [v for v in self._nodes if self._owner[v] == intent_id]:
             self._discard(v)
 
     def _discard(self, v: DeweyId) -> None:
-        i = bisect_left(self._nodes, v)
-        del self._nodes[i]
-        owner = self._owner.pop(v)
-        bucket = self._by_owner.get(owner)
-        if bucket is not None:
-            bucket.discard(v)
-            if not bucket:
-                del self._by_owner[owner]
+        del self._nodes[bisect_left(self._nodes, v)]
+        del self._owner[v]
 
 
 def merge_distinct(

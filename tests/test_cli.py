@@ -132,6 +132,21 @@ class TestFeaturesCommand:
         assert captured.out == ""
         assert captured.err == "error: term must be one keyword\n"
 
+    def test_stop_word_is_no_keyword(self, toy_xml_path, tmp_path, capsys):
+        """The loaded index's stop words are dropped from the term, as from a query."""
+        out_dir = str(tmp_path / "idx")
+        main(["index", "--input", str(toy_xml_path), "--entity", "paper", "--out", out_dir])
+        assert (tmp_path / "idx" / "stopwords.txt").exists()
+        capsys.readouterr()
+        assert main(["features", "--index", out_dir, "--term", "the"]) == 2
+        assert capsys.readouterr() == ("", "error: term must be one keyword\n")
+        assert main(["search", "--index", out_dir, "--query", "the"]) == 2
+        capsys.readouterr()
+        assert main(["features", "--index", out_dir, "--term", "the query"]) == 0
+        with_stop_word = capsys.readouterr().out
+        main(["features", "--index", out_dir, "--term", "query"])
+        assert with_stop_word == capsys.readouterr().out
+
     def test_corrupt_index(self, tmp_path, capsys):
         broken = tmp_path / "idx"
         shutil.copytree(GOLDEN_INDEX_DIR, broken)
@@ -140,6 +155,9 @@ class TestFeaturesCommand:
         rc = main(["features", "--index", str(broken), "--term", "query"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        # the index is read before the term, as search reads it before the query
+        assert main(["features", "--index", str(broken), "--term", "query language"]) == 1
+        assert capsys.readouterr() == ("", "error: invalid JSON: Expecting value\n")
 
 
 class TestSearchCommand:

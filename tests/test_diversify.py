@@ -227,6 +227,15 @@ class TestTopKDriver:
         labels = [e.intent.segments[0].feature for e in topk.entries]
         assert labels == ["cc", "aa", "bb"]
 
+    def test_newcomer_is_applied_before_the_evicted_intent_leaves(self):
+        # "fine" refines one's only node, so its merge removes that node first
+        script = {"one": (1.0, ids("1.2")), "fine": (3.0, ids("1.2.1"))}
+        intents = [fake_intent("one", 0.9), fake_intent("fine", 0.8)]
+        topk, _ = run_topk(intents, 1, scripted_evaluator(script))
+        assert [e.intent.segments[0].feature for e in topk.entries] == ["fine"]
+        assert topk.entries[0].results.nodes == ids("1.2.1")
+        assert topk.phi.nodes == ids("1.2.1")
+
     def test_zero_score_never_admitted(self):
         script = {"one": (0.0, ids("1.1"))}
         topk, _ = run_topk([fake_intent("one", 0.9)], 2, scripted_evaluator(script))

@@ -69,6 +69,20 @@ class TestParseCorpus:
         assert exc_info.value.byte_offset >= 0
         assert exc_info.value.byte_offset < len(data)
 
+    @pytest.mark.parametrize(
+        "text, rest",
+        [
+            ("<a><é>x</é><b>y</c></a>", b"c></a>"),
+            ("<a>\n<b>é</b><c>ü</d></a>", b"d></a>"),
+        ],
+    )
+    def test_byte_offset_of_fault_after_multibyte_text(self, text, rest):
+        # expat counts columns in characters; each non-ASCII one here is two bytes
+        data = text.encode("utf-8")
+        with pytest.raises(CorpusParseError) as exc_info:
+            parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
+        assert data[exc_info.value.byte_offset :] == rest
+
     def test_nested_entities_get_own_records(self):
         xml = b"<doc><item><t>alpha</t><item><t>beta</t></item></item></doc>"
         records = parse_corpus(xml, IndexConfig(entity_labels=frozenset({"item"})))

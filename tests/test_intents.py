@@ -17,6 +17,8 @@ from divsearch.intents import (
     resolve_segment,
     segment_node_list,
 )
+from divsearch.parallel import diversify_parallel
+from divsearch.storage import load_index
 from helpers import Entities, count_intersections, ids, patch_everywhere, random_corpus_xml
 
 ENGINES = {"baseline": diversify_baseline, "anchor": diversify_anchored}
@@ -320,3 +322,38 @@ class TestSegmentMemo:
         assert rc == 0
         want = QUERY_QUERY_REPORT.replace('"algo":"baseline"', f'"algo":"{algo}"')
         assert capsys.readouterr().out == want + "\n"
+
+
+class TestQueryPipeline:
+    """The stages ``diversify.run_query`` chains for every engine."""
+
+    @pytest.mark.parametrize("budget", [1, 3, 7])
+    def test_budget_keeps_the_first_intents_and_resolves_only_theirs(
+        self, toy_index, monkeypatch, budget
+    ):
+        matrix = build_matrix(["language", "query"], 4, toy_index)
+        full = list(iter_intents(matrix, toy_index))
+        assert len(full) == 8
+        calls = count_intersections(monkeypatch)
+        cut = list(iter_intents(matrix, toy_index, budget))
+        assert cut == full[:budget]
+        # one intersection per featured key of the kept intents, none beyond
+        keys = {key for intent in cut for key in intent.segment_keys() if key[1] is not None}
+        assert sorted(calls) == sorted(keys)
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            diversify_baseline,
+            diversify_anchored,
+            lambda *args: diversify_parallel(*args, workers=2),
+        ],
+        ids=["baseline", "anchor", "parallel"],
+    )
+    def test_query_without_intents_builds_no_entity_table(self, engine):
+        index = load_index(GOLDEN_INDEX_DIR)
+        with pytest.raises(NoIntentError):
+            engine(["zzzz"], 2, 2, index)
+        assert "entity_table" not in vars(index)
+        engine(["database", "query"], 2, 2, index)
+        assert "entity_table" in vars(index)

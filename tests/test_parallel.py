@@ -7,8 +7,9 @@ import pytest
 from divsearch.diversify import diversify_baseline
 from divsearch.anchors import diversify_anchored, partition_areas
 from divsearch.errors import NoIntentError
+from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
-from divsearch.intents import IntentQuery, Segment, resolve_segment
+from divsearch.intents import IntentQuery, Segment, iter_intents, resolve_segment
 from divsearch import anchors, parallel
 from divsearch.parallel import diversify_parallel, evaluate_area, plan_shared_segments
 from divsearch.slca import DiversifiedSet, PoolLayout
@@ -67,6 +68,27 @@ class TestSharedSegmentTable:
         bare = table.resolve("database", None, toy_index)
         assert bare.node_list == toy_index.posting("database")
         assert bare.feature_list_size == 3
+
+
+class TestPlannedIntents:
+    @pytest.mark.parametrize("budget", [None, 1, 5, 15])
+    def test_plan_sees_exactly_the_budgeted_rows(self, toy_index, monkeypatch, budget):
+        rows = []
+
+        def recording(key_rows):
+            rows.append(list(key_rows))
+            return plan_shared_segments(key_rows)
+
+        monkeypatch.setattr(parallel, "plan_shared_segments", recording)
+        matrix = build_matrix(["query", "query"], 5, toy_index)
+        full = list(iter_intents(matrix, toy_index))
+        assert len(full) == 16
+        planned = list(parallel.planned_intents(matrix, toy_index, budget))
+        assert planned == full[:budget]
+        assert rows == [[intent.segment_keys() for intent in planned]]
+        rows.clear()
+        diversify_parallel(["query", "query"], 2, 5, toy_index, workers=2, budget=budget)
+        assert [len(keys) for keys in rows] == [len(planned)]
 
 
 def entities_of(lists):
