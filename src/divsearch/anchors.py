@@ -4,19 +4,19 @@ Every result already in the pool (an "anchor") splits the document range
 into areas that cannot exchange SLCA results: nodes before the anchor
 subtree, strict descendants, and nodes after, while ancestors of an anchor
 are discarded outright.  Areas missing any segment entirely are skipped
-without inspection.  Each surviving area is solved independently; filtered
-per-area results are exactly the nodes the baseline merge would insert.
+without inspection.  Each surviving area is solved independently; all
+their results go through the pool's merge, as the baseline's SLCAs do.
 
 Node lists hold entity ordinals.  The pool places each anchor among the
 entities once per version (``DiversifiedSet.layout``): its subtree is an
 ordinal range, and the entities among its ancestors are a handful of
 ordinals, so the partition makes int bisects only.
 
-Results equal to an anchor or covering one never materialize from areas,
-yet they count toward relevance (they are full SLCAs).  They are recovered
-by scanning the only possible candidates: prefixes of the anchors, which
-the pool places once per version rather than once per intent, each tested
-by its entity span.
+A full SLCA equal to an anchor or covering one is skipped by the merge,
+and no area need yield it, yet it counts toward relevance.  Such results
+are recovered by scanning the only possible candidates: prefixes of the
+anchors, which the pool places once per version rather than once per
+intent, each tested by its entity span.
 
 :func:`evaluate_anchored` is the whole evaluation for the anchor and the
 parallel engines; both run it through the pipeline of every engine,
@@ -27,17 +27,14 @@ than the baseline in wall time, one SLCA call per live area (README).
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
-from .dewey import DeweyId, EntityTable, subtree_bound
+from .dewey import DeweyId, EntityTable
 from .diversify import EvalStats, IntentEvaluation, TopK, intent_likelihood, run_query
 from .indexing import IndexBundle
 from .intents import IntentQuery
-from .slca import AnchorSpan, DiversifiedSet, MergeOutcome, compute_slca
-
-PRE = "pre"
-DES = "des"
-NEXT = "next"
+from .slca import AnchorSpan, DiversifiedSet, compute_slca
 
 NodeList = tuple[int, ...]
 Range = tuple[int, int, tuple[int, ...]]
@@ -52,8 +49,6 @@ class Area(NamedTuple):
     (``dead``), so neither needs a node to be copied.
     """
 
-    kind: str
-    anchor: DeweyId | None
     sources: tuple[NodeList, ...]
     ranges: tuple[Range, ...]
     total_nodes: int
@@ -90,7 +85,7 @@ def partition_areas(
     areas: list[Area] = []
     discarded = 0
     cursors = [0] * len(sources)
-    for anchor, first, stop, own, ancestors in anchors:
+    for _, first, stop, own, ancestors in anchors:
         pre: list[Range] = []
         des: list[Range] = []
         pre_sizes: list[int] = []
@@ -117,37 +112,19 @@ def partition_areas(
             discarded += len(excluded) + eq
             cursors[li] = b
             exhausted = exhausted or b >= n
-        areas.append(Area(PRE, anchor, sources, tuple(pre), sum(pre_sizes), 0 in pre_sizes))
-        areas.append(Area(DES, anchor, sources, tuple(des), sum(des_sizes), 0 in des_sizes))
+        areas.append(Area(sources, tuple(pre), sum(pre_sizes), 0 in pre_sizes))
+        areas.append(Area(sources, tuple(des), sum(des_sizes), 0 in des_sizes))
         if exhausted:
             break
     sizes = [len(lst) - lo for lst, lo in zip(sources, cursors)]
     tail = tuple((lo, len(lst), ()) for lst, lo in zip(sources, cursors))
-    areas.append(Area(NEXT, None, sources, tail, sum(sizes), 0 in sizes))
+    areas.append(Area(sources, tail, sum(sizes), 0 in sizes))
     return areas, discarded
 
 
-def contains_anchor(node: DeweyId, anchors: Sequence[DeweyId]) -> bool:
-    """True iff node is an ancestor of or equal to some anchor."""
-    i = bisect_left(anchors, node)
-    return i < len(anchors) and anchors[i] < subtree_bound(node)
-
-
-def area_results(
-    area: Area, anchors: Sequence[DeweyId], table: EntityTable
-) -> tuple[DeweyId, ...]:
-    """Area-local SLCAs restricted to nodes the pool merge would insert.
-
-    Descendant-area results can only refine or equal their anchor; the
-    equal case is a duplicate and is dropped here (it still counts toward
-    relevance via the prefix scan).  Results of other areas may escape the
-    area toward the root; any that reach an anchor would be merged away,
-    so they are dropped likewise.
-    """
-    results = compute_slca(area.lists(), table)
-    if area.kind == DES:
-        return tuple(r for r in results if r != area.anchor)
-    return tuple(r for r in results if not contains_anchor(r, anchors))
+def area_results(area: Area, table: EntityTable) -> tuple[DeweyId, ...]:
+    """The SLCAs local to one area, as the pool's merge will receive them."""
+    return compute_slca(area.lists(), table).nodes
 
 
 def covered_anchor_ancestors(
@@ -193,10 +170,9 @@ def evaluate_anchored(
     """Evaluate one intent against the pool using anchor partitioning.
 
     The segments' node lists are ordinals of ``table``.  Dead areas are
-    skipped and their nodes count as pruned.  ``solve(areas, anchors,
-    table)``, if given, returns the filtered results of each live area in
-    area order; without it :func:`area_results` runs on one area after
-    another.
+    skipped and their nodes count as pruned.  ``solve(areas, table)``, if
+    given, returns the results of each live area in area order; without it
+    :func:`area_results` runs on one area after another.
     """
     lists = [segment.node_list for segment in intent.segments]
     layout = pool.layout(table)
@@ -211,23 +187,19 @@ def evaluate_anchored(
             kept.append(area)
             visited += area.total_nodes
     if solve is None:
-        outputs = [area_results(area, pool.nodes, table) for area in kept]
+        outputs = [area_results(area, table) for area in kept]
     else:
-        outputs = solve(kept, pool.nodes, table)
-    # Area order is document order, per-area outputs are sorted, and filtered
-    # results never cross area bounds, so plain concatenation is sorted.
-    inserted: list[DeweyId] = []
-    removed: list[DeweyId] = []
-    for area, results in zip(kept, outputs):
-        if results:
-            if area.kind == DES:
-                removed.append(area.anchor)
-            inserted.extend(results)
-    covered = covered_anchor_ancestors(lists, layout.prefixes, inserted)
-    union_size = len(pool) + len(inserted) - len(removed)
+        outputs = solve(kept, table)
+    # Exact as the baseline's merge: a pre or next area's result lies outside
+    # every anchor's subtree, so it is skipped if it covers one and inserted
+    # otherwise; a des area's result duplicates its anchor or refines it (the
+    # anchor is removed once).  Results of different areas are incomparable
+    # unless one covers an anchor, so area order is the inserted nodes' order.
+    outcome = pool.preview(chain.from_iterable(outputs))
+    covered = covered_anchor_ancestors(lists, layout.prefixes, outcome.inserted)
     return IntentEvaluation(
-        relevance=intent_likelihood(intent) * (len(inserted) + covered),
-        outcome=MergeOutcome(tuple(inserted), tuple(removed), union_size),
+        relevance=intent_likelihood(intent) * (len(outcome.inserted) + covered),
+        outcome=outcome,
         visited=visited,
         pruned=pruned,
         areas_skipped=skipped,
@@ -248,7 +220,6 @@ def diversify_anchored(
 __all__ = [
     "Area",
     "area_results",
-    "contains_anchor",
     "covered_anchor_ancestors",
     "diversify_anchored",
     "evaluate_anchored",

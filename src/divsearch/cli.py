@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .diversify import EvalStats, ScoredIntent, TopK, diversify_baseline
 from .anchors import diversify_anchored
-from .errors import DivSearchError, NoIntentError
+from .errors import DivSearchError, IndexFormatError, NoIntentError
 from .features import top_features
 from .indexing import DEFAULT_STOPWORDS, IndexConfig, build_index, is_token, parse_corpus, tokenize
 from .parallel import diversify_parallel
@@ -110,7 +110,11 @@ def render_search_csv(topk: TopK) -> list[str]:
 def _read_stopwords(path: str | None) -> frozenset[str]:
     if path is None:
         return DEFAULT_STOPWORDS
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DivSearchError(f"{path}:{line}: invalid UTF-8: {exc.reason}") from exc
     # a word that is not one token, such as "don't", can never match one
     return frozenset(word for word in text.lower().split() if is_token(word))
 
@@ -245,7 +249,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DivSearchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, IndexFormatError):  # the file, and the line if known
+            message = f"{exc.path}:{exc.line}: {exc}" if exc.line else f"{exc.path}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

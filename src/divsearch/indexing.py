@@ -89,14 +89,26 @@ def is_token(word: str) -> bool:
     return tokenize(word, frozenset()) == ((word, 0),)
 
 
+_DECLARED_ENCODING = re.compile(rb"<\?xml[^>]*?\sencoding\s*=\s*[\"']([A-Za-z][\w.-]*)")
+_ASCII = "".join(map(chr, range(128)))
+
+
 def _byte_offset(data: bytes, line: int, column: int) -> int:
-    # Expat reports (1-based line, 0-based column in characters).
+    # Expat reports (1-based line, 0-based column in characters of the
+    # declared encoding, UTF-8 by default).  One that changes ASCII gets no
+    # offset, as UTF-16 and UTF-32 do (a zero byte among the first four).
+    match = _DECLARED_ENCODING.match(data)
+    encoding = match.group(1).decode() if match else "utf-8"
+    try:
+        ascii_safe = b"\0" not in data[:4] and _ASCII.encode(encoding) == _ASCII.encode()
+    except (LookupError, UnicodeError):
+        ascii_safe = False
     lines = data.split(b"\n")
-    if line < 1 or line > len(lines):
+    if not ascii_safe or line < 1 or line > len(lines):
         return -1
     offset = sum(len(l) + 1 for l in lines[: line - 1])
-    text = lines[line - 1].decode("utf-8", errors="replace")
-    return offset + len(text[:column].encode("utf-8"))
+    text = lines[line - 1].decode(encoding, errors="surrogateescape")
+    return offset + len(text[:column].encode(encoding, errors="surrogateescape"))
 
 
 def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:

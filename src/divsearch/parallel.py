@@ -9,8 +9,8 @@ that needs one resolves it against the index, later intents reuse the same
 evaluator is ``anchors.evaluate_anchored`` with a ``solve`` that deals the
 live areas round-robin into ``workers`` batches run on a thread pool.
 Workers only read immutable data, the calling thread joins them all before
-scoring, and per-area outputs go back in area order, so results are
-identical for any worker count.
+the pool's merge, and per-area outputs go back in area order, so results
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -62,22 +62,18 @@ def plan_shared_segments(key_rows: Iterable[Sequence[SegmentKey]]) -> SharedSegm
 Results = tuple[DeweyId, ...]
 
 
-def evaluate_area(area: Area, anchors: Sequence[DeweyId], table: EntityTable) -> Results:
-    """Worker task: filtered SLCAs of one area; pure and lock-free."""
-    return area_results(area, anchors, table)
+def evaluate_area(area: Area, table: EntityTable) -> Results:
+    """Worker task: the SLCAs of one area; pure and lock-free."""
+    return area_results(area, table)
 
 
 def _deal(
-    executor: ThreadPoolExecutor,
-    workers: int,
-    kept: Sequence[Area],
-    anchors: Sequence[DeweyId],
-    table: EntityTable,
+    executor: ThreadPoolExecutor, workers: int, kept: Sequence[Area], table: EntityTable
 ) -> list[Results]:
     """``solve`` for :func:`evaluate_anchored`: batch i is ``kept[i::workers]``."""
 
     def run(batch: Sequence[Area]) -> list[Results]:
-        return [evaluate_area(area, anchors, table) for area in batch]
+        return [evaluate_area(area, table) for area in batch]
 
     futures = [executor.submit(run, kept[i::workers]) for i in range(min(workers, len(kept)))]
     outputs: list[Results] = [()] * len(kept)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from divsearch import intents
@@ -50,6 +51,12 @@ class Entities:
 
     def deweys(self, ordinals: Iterable[int]) -> tuple[DeweyId, ...]:
         return tuple(self.table.deweys[i] for i in ordinals)
+
+
+def contains_anchor(node: DeweyId, anchors: Sequence[DeweyId]) -> bool:
+    """True iff node is an ancestor of or equal to some anchor."""
+    i = bisect_left(anchors, node)
+    return i < len(anchors) and anchors[i] < subtree_bound(node)
 
 
 def random_tree(rng: random.Random, max_nodes: int = 200) -> list[DeweyId]:

@@ -3,11 +3,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from divsearch.anchors import (
-    DES,
-    NEXT,
-    PRE,
     area_results,
-    contains_anchor,
     covered_anchor_ancestors,
     diversify_anchored,
     evaluate_anchored,
@@ -17,7 +13,7 @@ from divsearch.dewey import DeweyId, subtree_bound
 from divsearch.diversify import IntentEvaluation, diversify_baseline, evaluate_against_pool
 from divsearch.intents import IntentQuery, Segment
 from divsearch.slca import DiversifiedSet, MergeOutcome, PoolLayout, compute_slca
-from helpers import Entities, d, ids, random_antichain, random_lists, random_tree
+from helpers import Entities, contains_anchor, d, ids, random_antichain, random_lists, random_tree
 
 
 def make_intent(lists) -> IntentQuery:
@@ -55,7 +51,7 @@ def covered(lists, anchors, new_nodes, tree=()):
 def split_single(lists, anchor):
     """partition_areas around one anchor: pre, des, next lists and discarded."""
     ents, areas, discarded = partition(lists, (anchor,))
-    assert [a.kind for a in areas] == [PRE, DES, NEXT]
+    assert len(areas) == 3
     pre, des, nxt = (tuple(area_lists(ents, area)) for area in areas)
     return pre, des, nxt, discarded
 
@@ -103,13 +99,13 @@ class TestPartitionAreas:
     def test_no_anchors_yields_single_tail(self):
         ents, areas, discarded = partition([ids("1.1", "1.2")], ())
         assert discarded == 0
-        assert [a.kind for a in areas] == [NEXT]
+        assert len(areas) == 1
         assert area_lists(ents, areas[0]) == [ids("1.1", "1.2")]
 
     def test_single_anchor_yields_three_areas(self):
         ents, areas, discarded = partition([ids("1.1", "1.2", "1.3")], ids("1.2"))
         assert discarded == 1
-        assert [a.kind for a in areas] == [PRE, DES, NEXT]
+        assert len(areas) == 3
         assert area_lists(ents, areas[0]) == [ids("1.1")]
         assert area_lists(ents, areas[1]) == [()]
         assert area_lists(ents, areas[2]) == [ids("1.3")]
@@ -118,7 +114,7 @@ class TestPartitionAreas:
         lists = [ids("1.1"), ids("1.1", "1.2")]
         ents, areas, discarded = partition(lists, ids("1.1", "1.3"))
         # the first anchor consumes list 0 entirely; 1.3 is never split on
-        assert [a.kind for a in areas] == [PRE, DES, NEXT]
+        assert len(areas) == 3
         assert discarded == 2
         assert area_lists(ents, areas[-1]) == [(), ids("1.2")]
 
@@ -131,7 +127,7 @@ class TestPartitionAreas:
             _, areas, discarded = partition(lists, anchors, tree)
             total = sum(len(lst) for lst in lists)
             assert sum(a.total_nodes for a in areas) + discarded == total
-            assert areas[-1].kind == NEXT
+            assert len(areas) % 2 == 1 and len(areas) <= 2 * len(anchors) + 1
             covered = sum(
                 1 for lst in lists for v in lst if contains_anchor(v, anchors)
             )
@@ -172,11 +168,8 @@ class TestDeadAreas:
     def test_live_areas_are_visited(self):
         lists = [ids("1.1", "1.2.1", "1.3"), ids("1.1", "1.3")]
         _, areas, discarded = partition(lists, ids("1.2"))
-        assert [(area.kind, area.dead, area.total_nodes) for area in areas] == [
-            (PRE, False, 2),
-            (DES, True, 1),
-            (NEXT, False, 2),
-        ]
+        # pre, des and tail area of the anchor
+        assert [(area.dead, area.total_nodes) for area in areas] == [(False, 2), (True, 1), (False, 2)]
         assert discarded == 0
         evaluation = evaluate(lists, ids("1.2"))
         assert (evaluation.visited, evaluation.pruned, evaluation.areas_skipped) == (4, 1, 1)
@@ -194,41 +187,46 @@ class TestContainsAnchor:
 
 
 class TestAreaResults:
-    def run_single_area(self, lists, anchors):
+    """An area hands its SLCAs to the pool's merge unfiltered; the merge drops some."""
+
+    def run_single_area(self, lists, anchors, position):
+        """The one live area's SLCAs, and the evaluation they go into.
+
+        ``position`` is the live area's place: 0 pre, 1 des, 2 the tail.
+        """
         ents, areas, _ = partition(lists, anchors)
-        kept = [area for area in areas if not area.dead]
-        assert len(kept) == 1
-        return kept[0], area_results(kept[0], anchors, ents.table)
+        assert [not area.dead for area in areas] == [i == position for i in range(3)]
+        return area_results(areas[position], ents.table), evaluate(lists, anchors)
 
     def test_descendant_area_drops_anchor_duplicate(self):
-        area, results = self.run_single_area(
-            [ids("1.2.1"), ids("1.2.2")], ids("1.2")
-        )
-        assert area.kind == DES
-        assert results == ()
+        results, evaluation = self.run_single_area([ids("1.2.1"), ids("1.2.2")], ids("1.2"), 1)
+        assert results == ids("1.2")
+        assert evaluation.outcome == MergeOutcome((), (), 1)
+        assert evaluation.relevance == 1.0  # the anchor is still a full SLCA
 
     def test_descendant_area_keeps_refinement(self):
-        area, results = self.run_single_area(
-            [ids("1.2.1"), ids("1.2.1")], ids("1.2")
-        )
-        assert area.kind == DES
+        results, evaluation = self.run_single_area([ids("1.2.1"), ids("1.2.1")], ids("1.2"), 1)
         assert results == ids("1.2.1")
+        assert evaluation.outcome == MergeOutcome(ids("1.2.1"), ids("1.2"), 1)
+        assert evaluation.relevance == 1.0
 
     def test_pre_area_result_covering_anchor_is_dropped(self):
-        area, results = self.run_single_area(
-            [ids("1.1.1"), ids("1.1.2")], ids("1.1.5")
-        )
-        assert area.kind == PRE
-        assert results == ()
+        results, evaluation = self.run_single_area([ids("1.1.1"), ids("1.1.2")], ids("1.1.5"), 0)
+        assert results == ids("1.1")
+        assert evaluation.outcome == MergeOutcome((), (), 1)
+        assert evaluation.relevance == 1.0
 
     def test_tail_result_covering_anchor_is_dropped(self):
-        area, results = self.run_single_area([ids("1.2"), ids("1.3")], ids("1.1"))
-        assert area.kind == NEXT
-        assert results == ()
+        results, evaluation = self.run_single_area([ids("1.2"), ids("1.3")], ids("1.1"), 2)
+        assert results == ids("1")
+        assert evaluation.outcome == MergeOutcome((), (), 1)
+        assert evaluation.relevance == 1.0
 
     def test_independent_result_survives(self):
-        _, results = self.run_single_area([ids("1.3"), ids("1.3")], ids("1.1"))
+        results, evaluation = self.run_single_area([ids("1.3"), ids("1.3")], ids("1.1"), 2)
         assert results == ids("1.3")
+        assert evaluation.outcome == MergeOutcome(ids("1.3"), (), 2)
+        assert evaluation.relevance == 1.0
 
 
 class TestCoveredAnchorAncestors:
@@ -312,7 +310,13 @@ class TestEngineEquivalence:
 
 # Reference: the partition as it was before areas became index ranges.  One
 # frozen span object per list and area, sizes and liveness recomputed on
-# every read, one prefix probe per list and anchor.
+# every read, one prefix probe per list and anchor.  Each area keeps its kind
+# and anchor, and the evaluation filters the area results by hand rather
+# than through the pool's merge.
+
+PRE = "pre"
+DES = "des"
+NEXT = "next"
 
 
 @dataclass(frozen=True)
@@ -391,11 +395,13 @@ def reference_partition(lists, anchors):
 
 
 def reference_evaluate(intent, pool, ents):
-    """The evaluation built from the reference partition, not by the engine's own fold.
+    """The evaluation built from the reference partition, not by the pool's merge.
 
     Relevance counts the full SLCA set of the complete lists, with no
     covered-prefix scan; the merge outcome gathers the filtered area
     results, and every descendant area with a result replaces its anchor.
+    Also returns how many area results the filter dropped as an anchor's
+    duplicate and how many for covering an anchor.
     """
     lists = [ents.deweys(segment.node_list) for segment in intent.segments]
     anchors = pool.nodes
@@ -403,25 +409,29 @@ def reference_evaluate(intent, pool, ents):
     kept = [area for area in areas if not area.dead]
     dead = [area for area in areas if area.dead]
     inserted, removed = [], []
+    duplicates = covering = 0
     for area in kept:
-        results = compute_slca(area.lists())
+        raw = compute_slca(area.lists())
         if area.kind == DES:
-            results = [r for r in results if r != area.anchor]
+            results = [r for r in raw if r != area.anchor]
+            duplicates += len(raw) - len(results)
             if results:
                 removed.append(area.anchor)
         else:
-            results = [r for r in results if not contains_anchor(r, anchors)]
+            results = [r for r in raw if not contains_anchor(r, anchors)]
+            covering += len(raw) - len(results)
         inserted += results
     likelihood = 1.0
     for segment in intent.segments:
         likelihood *= len(segment.node_list) / segment.feature_list_size
-    return IntentEvaluation(
+    evaluation = IntentEvaluation(
         relevance=likelihood * len(compute_slca(lists)),
         outcome=MergeOutcome(tuple(inserted), tuple(removed), len(pool) + len(inserted) - len(removed)),
         visited=sum(area.total_nodes for area in kept),
         pruned=discarded + sum(area.total_nodes for area in dead),
         areas_skipped=len(dead),
     )
+    return evaluation, duplicates, covering
 
 
 def tree_antichain(rng, tree):
@@ -442,7 +452,7 @@ def random_case(rng):
 
 def area_signature(area, ents=None):
     lists = area.lists() if ents is None else area_lists(ents, area)
-    return (area.kind, area.anchor, lists, area.total_nodes, area.dead)
+    return (lists, area.total_nodes, area.dead)
 
 
 class TestAgainstReferencePartition:
@@ -456,6 +466,10 @@ class TestAgainstReferencePartition:
             assert [area_signature(a, ents) for a in areas] == [
                 area_signature(a) for a in ref_areas
             ]
+            # so areas come by position: pre and des per anchor, then the tail
+            spans = len(ref_areas) // 2
+            assert [a.kind for a in ref_areas] == [PRE, DES] * spans + [NEXT]
+            assert [a.anchor for a in ref_areas[:-1:2]] == list(anchors[:spans])
             assert discarded == ref_discarded
             with_ancestors += any(span.excluded for a in ref_areas for span in a.spans)
             stopped_early += len(areas) < 2 * len(anchors) + 1
@@ -465,11 +479,19 @@ class TestAgainstReferencePartition:
 
     def test_same_evaluation_and_counters(self):
         rng = random.Random(46)
-        for _ in range(400):
+        refined = with_duplicate = with_covering = 0
+        for _ in range(2000):
             tree, lists, anchors = random_case(rng)
             ents, ordinal_lists = place(lists, tree)
             intent = make_intent(ordinal_lists)
             pool = DiversifiedSet()
             pool.merge(anchors, 0)
-            want = reference_evaluate(intent, pool, ents)
+            want, duplicates, covering = reference_evaluate(intent, pool, ents)
             assert evaluate_anchored(intent, pool, ents.table) == want
+            refined += bool(want.outcome.removed)
+            with_duplicate += duplicates > 0
+            with_covering += covering > 0
+        # the merge refined an anchor and dropped both kinds of area result
+        assert refined >= 50
+        assert with_duplicate >= 50
+        assert with_covering >= 50

@@ -64,6 +64,18 @@ class TestIndexCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_stopwords_file_that_is_not_utf8(self, toy_xml_path, tmp_path, capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"the\ncaf\xe9 the\n")
+        out_dir = tmp_path / "idx"
+        rc = main(
+            ["index", "--input", str(toy_xml_path), "--entity", "paper",
+             "--out", str(out_dir), "--stopwords", str(stop)]
+        )
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {stop}:2: invalid UTF-8: invalid continuation byte\n")
+        assert not out_dir.exists()
+
     def test_custom_stopwords_replace_defaults(self, toy_xml_path, tmp_path, capsys):
         stop = tmp_path / "stop.txt"
         stop.write_text("Database\n", encoding="utf-8")
@@ -157,7 +169,7 @@ class TestFeaturesCommand:
         assert "error:" in capsys.readouterr().err
         # the index is read before the term, as search reads it before the query
         assert main(["features", "--index", str(broken), "--term", "query language"]) == 1
-        assert capsys.readouterr() == ("", "error: invalid JSON: Expecting value\n")
+        assert capsys.readouterr() == ("", "error: postings.jsonl:9: invalid JSON: Expecting value\n")
 
 
 class TestSearchCommand:
@@ -267,10 +279,19 @@ class TestSearchCommand:
         broken = tmp_path / "idx"
         shutil.copytree(GOLDEN_INDEX_DIR, broken)
         manifest = broken / "manifest.json"
-        manifest.write_text(manifest.read_text().replace('"version":1', '"version":99'))
+        text = manifest.read_text(encoding="utf-8").replace('"version":1', '"version":99')
+        manifest.write_text(text, encoding="utf-8")
         rc = main(["search", "--index", str(broken), "--query", "database"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_index_error_without_a_line_names_only_the_file(self, tmp_path, capsys):
+        broken = tmp_path / "idx"
+        shutil.copytree(GOLDEN_INDEX_DIR, broken)
+        (broken / "manifest.json").write_bytes(b"")
+        rc = main(["search", "--index", str(broken), "--query", "database"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: manifest.json: manifest must be a single JSON object\n")
 
 
     def test_index_bytes_that_are_not_utf8(self, tmp_path, capsys):
@@ -280,7 +301,7 @@ class TestSearchCommand:
             handle.write(b"\xff\n")
         rc = main(["search", "--index", str(broken), "--query", "database"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: invalid UTF-8: invalid start byte\n"
+        assert capsys.readouterr().err == "error: cooccur.jsonl:15: invalid UTF-8: invalid start byte\n"
 
 class TestStopWordQueries:
     """Query tokens are filtered by the stop words the index stores."""
@@ -348,7 +369,7 @@ class TestStopWordQueries:
         rc, out, err = self.search(capsys, built_idx, "database query")
         assert rc == 1
         assert out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: stopwords.txt:2: {message}\n"
 
 
 class TestModuleEntryPoint:
@@ -359,6 +380,7 @@ class TestModuleEntryPoint:
              "--k", "2", "--m", "2"],
             capture_output=True,
             text=True,
+            encoding="utf-8",
         )
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_REPORT + "\n"

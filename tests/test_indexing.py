@@ -6,6 +6,7 @@ from divsearch.errors import CorpusParseError, EmptyCorpusError
 from divsearch.indexing import (
     DEFAULT_STOPWORDS,
     IndexConfig,
+    _byte_offset,
     build_index,
     index_corpus,
     is_token,
@@ -82,6 +83,27 @@ class TestParseCorpus:
         with pytest.raises(CorpusParseError) as exc_info:
             parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
         assert data[exc_info.value.byte_offset :] == rest
+
+    def test_byte_offset_follows_declared_encoding(self):
+        # in Latin-1 each "é" is one byte, not the two it takes in UTF-8
+        text = '<?xml version="1.0" encoding="ISO-8859-1"?><a><b>éé</b><c>y</d></a>'
+        data = text.encode("latin-1")
+        with pytest.raises(CorpusParseError) as exc_info:
+            parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
+        assert exc_info.value.byte_offset == 61
+        assert data[exc_info.value.byte_offset :] == b"d></a>"
+
+    @pytest.mark.parametrize("encoding", ["UTF-16", "UTF-32"])
+    def test_no_byte_offset_in_an_encoding_that_is_not_ascii_compatible(self, encoding):
+        data = f'<?xml version="1.0" encoding="{encoding}"?><a><b>y</c></a>'.encode(encoding)
+        with pytest.raises(CorpusParseError) as exc_info:
+            parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
+        assert exc_info.value.byte_offset == -1
+
+    @pytest.mark.parametrize("encoding", ["x-no-such-codec", "UTF-16", "base64"])
+    def test_no_byte_offset_in_an_unusable_declared_encoding(self, encoding):
+        data = f'<?xml version="1.0" encoding="{encoding}"?><a><b>y</c></a>'.encode("ascii")
+        assert _byte_offset(data, 1, 50) == -1
 
     def test_nested_entities_get_own_records(self):
         xml = b"<doc><item><t>alpha</t><item><t>beta</t></item></item></doc>"

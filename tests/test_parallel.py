@@ -159,12 +159,13 @@ class TestEvaluateArea:
     def test_matches_sequential_result(self):
         lists = [ids("1.1"), ids("1.1")]
         (area,) = toy_areas(lists)
-        assert evaluate_area(area, (), entities_of(lists).table) == ids("1.1")
+        assert evaluate_area(area, entities_of(lists).table) == ids("1.1")
 
-    def test_applies_anchor_filter(self):
+    def test_leaves_anchor_cover_to_the_merge(self):
         lists = [ids("1.2"), ids("1.3")]
         (area,) = toy_areas(lists, ids("1.1"))
-        assert evaluate_area(area, ids("1.1"), entities_of(lists).table) == ()
+        # 1 covers the anchor 1.1; the pool's merge skips it, not the worker
+        assert evaluate_area(area, entities_of(lists).table) == ids("1")
 
 
 def entries_signature(topk):
@@ -211,9 +212,9 @@ class TestDiversifyParallel:
 
         deal = parallel._deal
 
-        def logging_deal(executor, workers, kept, anchor_ids, table):
+        def logging_deal(executor, workers, kept, table):
             log.append(("kept", kept))
-            return deal(executor, workers, kept, anchor_ids, table)
+            return deal(executor, workers, kept, table)
 
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(parallel, "ThreadPoolExecutor", executor)

@@ -150,7 +150,7 @@ class TestFormat:
         save_index(toy_index, tmp_path)
         terms = [
             json.loads(line)["term"]
-            for line in (tmp_path / POSTINGS_FILE).read_text().splitlines()
+            for line in (tmp_path / POSTINGS_FILE).read_text(encoding="utf-8").splitlines()
         ]
         assert terms == sorted(terms)
 
@@ -158,7 +158,7 @@ class TestFormat:
         save_index(toy_index, tmp_path)
         rows = [
             json.loads(line)
-            for line in (tmp_path / COOCCUR_FILE).read_text().splitlines()
+            for line in (tmp_path / COOCCUR_FILE).read_text(encoding="utf-8").splitlines()
         ]
         keys = [(-r["count"], r["a"], r["b"]) for r in rows]
         assert keys == sorted(keys)
