@@ -18,17 +18,19 @@ are recovered by scanning the only possible candidates: prefixes of the
 anchors, which the pool places once per version rather than once per
 intent, each tested by its entity span.
 
-:func:`evaluate_anchored` is the whole evaluation for the anchor and the
-parallel engines; both run it through the pipeline of every engine,
-``diversify.run_query``.  This engine reproduces the paper's pruning; it is slower
-than the baseline in wall time, one SLCA call per live area (README).
+:func:`evaluate_anchored` is the anchor engine's whole evaluation, run
+through the pipeline of every engine, ``diversify.run_query``.  This engine
+reproduces the paper's pruning; it is slower than the baseline in wall
+time, one SLCA call per live area (README).  The parallel engine scores
+like the baseline and uses only :class:`Area` and :func:`area_results`,
+with the intent's whole node lists as one area.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .dewey import DeweyId, EntityTable
 from .diversify import EvalStats, IntentEvaluation, TopK, intent_likelihood, run_query
@@ -165,14 +167,12 @@ def evaluate_anchored(
     intent: IntentQuery,
     pool: DiversifiedSet,
     table: EntityTable,
-    solve: Callable[..., Sequence[Sequence[DeweyId]]] | None = None,
 ) -> IntentEvaluation:
     """Evaluate one intent against the pool using anchor partitioning.
 
     The segments' node lists are ordinals of ``table``.  Dead areas are
-    skipped and their nodes count as pruned.  ``solve(areas, table)``, if
-    given, returns the results of each live area in area order; without it
-    :func:`area_results` runs on one area after another.
+    skipped and their nodes count as pruned; :func:`area_results` solves
+    the live ones in area order.
     """
     lists = [segment.node_list for segment in intent.segments]
     layout = pool.layout(table)
@@ -186,10 +186,7 @@ def evaluate_anchored(
         else:
             kept.append(area)
             visited += area.total_nodes
-    if solve is None:
-        outputs = [area_results(area, table) for area in kept]
-    else:
-        outputs = solve(kept, table)
+    outputs = [area_results(area, table) for area in kept]
     # Exact as the baseline's merge: a pre or next area's result lies outside
     # every anchor's subtree, so it is skipped if it covers one and inserted
     # otherwise; a des area's result duplicates its anchor or refines it (the

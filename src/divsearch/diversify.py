@@ -6,9 +6,10 @@ fresh-result fraction against the accumulated pool; ``IntentEvaluation``
 derives it for every engine.  The driver evaluates intents in generation
 order, admits positive scores into a bounded top-k, and keeps the pool
 consistent with the currently admitted intents, including removal of an
-evicted intent's attributed results.  ``run_query`` chains these stages
-for all three engines; they differ only in the evaluator they pass, and
-parallel also in its intent stream.
+evicted intent's attributed results.  ``run_query`` checks ``k`` and ``m``
+and chains these stages for all three engines; they differ only in the
+evaluator they pass (parallel scores as the baseline does) and, for
+parallel, in the intent stream.
 """
 
 from __future__ import annotations
@@ -159,8 +160,11 @@ def run_query(
 
     ``stream(matrix, index, budget)`` yields at most ``budget`` intents and
     ``evaluate(intent, pool, table=...)`` scores each.  The table is bound
-    after the matrix, so a query without intents never builds it.
+    after the matrix, so a query without intents never builds it.  ``k`` and
+    ``m`` are checked before any work.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
     matrix = build_matrix(list(keywords), m, index)

@@ -143,6 +143,10 @@ def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
         raise CorpusParseError(
             f"malformed XML: {exc}", byte_offset=_byte_offset(data, line, column)
         ) from exc
+    except LookupError as exc:  # a declared encoding with no text codec
+        if type(exc) is not LookupError:  # a KeyError or IndexError is a fault here
+            raise
+        raise CorpusParseError(f"malformed XML: {exc}", byte_offset=-1) from exc
     if not records:
         labels = ", ".join(sorted(config.entity_labels))
         raise EmptyCorpusError(f"no element matched entity labels: {labels}")

@@ -1,4 +1,4 @@
-"""Parallel area evaluation with shared-segment reuse.
+"""The parallel engine: baseline scoring over a planned intent stream.
 
 The engine runs the query pipeline of the others (``diversify.run_query``)
 with two parts of its own.  Its intent stream, ``planned_intents``, lists
@@ -6,29 +6,29 @@ every combination up to the budget first, so the segments occurring in
 more than one intent are marked before evaluation starts: the first intent
 that needs one resolves it against the index, later intents reuse the same
 ``Segment``, and every shared segment is kept until the query ends.  Its
-evaluator is ``anchors.evaluate_anchored`` with a ``solve`` that deals the
-live areas round-robin into ``workers`` batches run on a thread pool.
-Workers only read immutable data, the calling thread joins them all before
-the pool's merge, and per-area outputs go back in area order, so results
-are identical for any worker count.
+evaluator scores an intent as the baseline does, one SLCA over the
+intent's whole node lists, taken as a single area by ``evaluate_area``.
+
+``workers`` is checked and echoed but does not change the work: no thread
+or process is started.  Dealing anchor areas out to a thread pool ran
+~3.5x the baseline's wall time, and a process pool missed a 1.15x gain
+over the baseline at 103k entities (README), so both were dropped.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .anchors import Area, area_results, evaluate_anchored
+from .anchors import Area, area_results
 from .dewey import DeweyId, EntityTable
-from .diversify import EvalStats, TopK, run_query
+from .diversify import EvalStats, IntentEvaluation, TopK, intent_likelihood, run_query
 from .features import FeatureMatrix
 from .indexing import IndexBundle
 from .intents import IntentQuery, Segment, iter_combinations, resolve_segment
+from .slca import DiversifiedSet
 
 SegmentKey = tuple[str, str | None]
 
@@ -59,27 +59,22 @@ def plan_shared_segments(key_rows: Iterable[Sequence[SegmentKey]]) -> SharedSegm
     return SharedSegmentTable(frozenset(key for key, uses in counts.items() if uses >= 2))
 
 
-Results = tuple[DeweyId, ...]
-
-
-def evaluate_area(area: Area, table: EntityTable) -> Results:
-    """Worker task: the SLCAs of one area; pure and lock-free."""
+def evaluate_area(area: Area, table: EntityTable) -> tuple[DeweyId, ...]:
+    """The SLCAs of one area; its own name so the bench's tracer can time it."""
     return area_results(area, table)
 
 
-def _deal(
-    executor: ThreadPoolExecutor, workers: int, kept: Sequence[Area], table: EntityTable
-) -> list[Results]:
-    """``solve`` for :func:`evaluate_anchored`: batch i is ``kept[i::workers]``."""
-
-    def run(batch: Sequence[Area]) -> list[Results]:
-        return [evaluate_area(area, table) for area in batch]
-
-    futures = [executor.submit(run, kept[i::workers]) for i in range(min(workers, len(kept)))]
-    outputs: list[Results] = [()] * len(kept)
-    for i, future in enumerate(futures):  # barrier: all areas land before scoring
-        outputs[i::workers] = future.result()
-    return outputs
+def evaluate_whole(
+    intent: IntentQuery, pool: DiversifiedSet, table: EntityTable
+) -> IntentEvaluation:
+    """Baseline scoring: the SLCAs of the intent's whole node lists as one area."""
+    lists = tuple(segment.node_list for segment in intent.segments)
+    total = sum(len(lst) for lst in lists)
+    area = Area(lists, tuple((0, len(lst), ()) for lst in lists), total, not all(lists))
+    results = evaluate_area(area, table)
+    return IntentEvaluation(
+        intent_likelihood(intent) * len(results), pool.preview(results), total, 0, 0
+    )
 
 
 def planned_intents(
@@ -111,13 +106,11 @@ def diversify_parallel(
     workers: int = 4,
     budget: int | None = None,
 ) -> tuple[TopK, EvalStats]:
-    """Parallel engine; output equals the baseline for any worker count.
+    """Parallel engine; output and work counters equal the baseline's.
 
-    ``workers`` sets how many batches each intent's areas are dealt into; the
-    pool runs them on at most ``os.cpu_count()`` threads.
+    ``workers`` must be >= 1; it is kept for callers and the report, and no
+    longer changes the work.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as executor:
-        evaluate = partial(evaluate_anchored, solve=partial(_deal, executor, workers))
-        return run_query(keywords, k, m, index, budget, evaluate, planned_intents)
+    return run_query(keywords, k, m, index, budget, evaluate_whole, planned_intents)

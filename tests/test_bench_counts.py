@@ -67,7 +67,17 @@ EXPECTED = {
         "anchors.nodes_pruned": 0,
     },
     "anchor": ANCHORED,
-    "parallel": ANCHORED,
+    "parallel": {
+        "slca.calls": 119,
+        "slca.nodes_in": 12295,
+        "slca.results": 792,
+        "intents.intersections": 33,
+        "intents.intersect_nodes_in": 5491,
+        "diversify.nodes_visited": 12295,
+        "anchors.areas": 0,
+        "anchors.areas_skipped": 0,
+        "anchors.nodes_pruned": 0,
+    },
 }
 
 

@@ -64,6 +64,17 @@ class TestIndexCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unusable_declared_encoding(self, tmp_path, capsys):
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(b'<?xml version="1.0" encoding="x-no-such"?><a><b>y</b></a>')
+        out_dir = tmp_path / "idx"
+        rc = main(["index", "--input", str(bad), "--entity", "b", "--out", str(out_dir)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: malformed XML: unknown encoding: x-no-such\n"
+        assert not out_dir.exists()
+
     def test_stopwords_file_that_is_not_utf8(self, toy_xml_path, tmp_path, capsys):
         stop = tmp_path / "stop.txt"
         stop.write_bytes(b"the\ncaf\xe9 the\n")
@@ -218,7 +229,8 @@ class TestSearchCommand:
             "query", "k", "m", "algo", "workers", "intents", "phi", "stats", "elapsedMs",
         ]
         assert report["workers"] == 2
-        assert report["stats"] == {"nodesVisited": 7, "nodesPruned": 1, "areasSkipped": 2}
+        # parallel scores as baseline does: the same counters
+        assert report["stats"] == {"nodesVisited": 8, "nodesPruned": 0, "areasSkipped": 0}
 
     def test_empty_query_is_usage_error(self, capsys):
         rc = main(["search", "--index", GOLDEN_IDX, "--query", "!!!"])

@@ -123,6 +123,9 @@ class TestBaseline:
             diversify_baseline(["query"], 0, 2, toy_index)
         with pytest.raises(ValueError):
             diversify_baseline(["query"], 2, 0, toy_index)
+        # checked before the matrix: no NoIntentError for an unknown keyword
+        with pytest.raises(ValueError, match="k must be"):
+            diversify_baseline(["zzzz"], 0, 2, toy_index)
 
     def test_budget_limits_evaluations(self, toy_index):
         full, full_stats = diversify_baseline(["database", "query"], 2, 2, toy_index)

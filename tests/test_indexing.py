@@ -105,6 +105,15 @@ class TestParseCorpus:
         data = f'<?xml version="1.0" encoding="{encoding}"?><a><b>y</c></a>'.encode("ascii")
         assert _byte_offset(data, 1, 50) == -1
 
+    @pytest.mark.parametrize("encoding", ["x-no-such-codec", "base64"])
+    def test_unusable_declared_encoding_is_a_parse_error(self, encoding):
+        # no codec, or one that is "not a text encoding": expat cannot read it
+        data = f'<?xml version="1.0" encoding="{encoding}"?><a><b>y</b></a>'.encode("ascii")
+        with pytest.raises(CorpusParseError, match="^malformed XML: ") as exc_info:
+            parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
+        assert exc_info.value.byte_offset == -1
+        assert isinstance(exc_info.value.__cause__, LookupError)
+
     def test_nested_entities_get_own_records(self):
         xml = b"<doc><item><t>alpha</t><item><t>beta</t></item></item></doc>"
         records = parse_corpus(xml, IndexConfig(entity_labels=frozenset({"item"})))

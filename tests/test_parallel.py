@@ -1,6 +1,6 @@
 import random
+import threading
 from collections import Counter
-from functools import partial
 
 import pytest
 
@@ -9,10 +9,10 @@ from divsearch.anchors import diversify_anchored, partition_areas
 from divsearch.errors import NoIntentError
 from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
-from divsearch.intents import IntentQuery, Segment, iter_intents, resolve_segment
+from divsearch.intents import iter_intents, resolve_segment
 from divsearch import anchors, parallel
 from divsearch.parallel import diversify_parallel, evaluate_area, plan_shared_segments
-from divsearch.slca import DiversifiedSet, PoolLayout
+from divsearch.slca import PoolLayout
 from helpers import Entities, count_intersections, ids, patch_everywhere, random_corpus_xml
 
 
@@ -102,59 +102,6 @@ def toy_areas(lists, anchors=()):
     return [area for area in areas if not area.dead]
 
 
-class RecordingExecutor(parallel.ThreadPoolExecutor):
-    """A thread pool that logs the areas of every batch it is handed."""
-
-    def __init__(self, log, max_workers):
-        super().__init__(max_workers=max_workers)
-        self.log = log
-
-    def submit(self, fn, areas, *args):
-        self.log.append(("batch", list(areas)))
-        return super().submit(fn, areas, *args)
-
-
-def pool_of(anchor_ids):
-    """A result pool that holds exactly the given antichain."""
-    pool = DiversifiedSet()
-    pool.merge(anchor_ids, 0)
-    return pool
-
-
-def dealt(lists, anchor_ids, workers):
-    """The batches one intent's areas are dealt into.
-
-    Also checks that the evaluation equals the anchor engine's.
-    """
-    ents = entities_of(lists)
-    segments = tuple(Segment("k", None, ents.ordinals(lst), len(lst)) for lst in lists)
-    intent = IntentQuery(segments, 0.0)
-    log = []
-    with RecordingExecutor(log, max_workers=2) as executor:
-        solve = partial(parallel._deal, executor, workers)
-        evaluation = anchors.evaluate_anchored(intent, pool_of(anchor_ids), ents.table, solve)
-    assert evaluation == anchors.evaluate_anchored(intent, pool_of(anchor_ids), ents.table)
-    return [areas for _, areas in log]
-
-
-FIVE_AREAS = ([ids("1.1", "1.2.1", "1.3", "1.4.1", "1.5")], ids("1.2", "1.4"))
-
-
-class TestWorkPlan:
-    """Round-robin deal of an intent's areas into ``workers`` batches."""
-
-    def test_round_robin_assignment(self):
-        areas = toy_areas(*FIVE_AREAS)
-        assert len(areas) == 5
-        assert dealt(*FIVE_AREAS, 2) == [[areas[0], areas[2], areas[4]], [areas[1], areas[3]]]
-
-    def test_more_workers_than_areas(self):
-        (area,) = toy_areas([ids("1.1")])
-        assert dealt([ids("1.1")], (), 6) == [[area]]
-        areas = toy_areas(*FIVE_AREAS)
-        assert dealt(*FIVE_AREAS, 6) == [[area] for area in areas]
-
-
 class TestEvaluateArea:
     def test_matches_sequential_result(self):
         lists = [ids("1.1"), ids("1.1")]
@@ -180,10 +127,21 @@ class TestDiversifyParallel:
             assert entries_signature(par) == entries_signature(base)
             assert par.phi == base.phi
 
-    def test_stats_match_anchored_engine(self, toy_index):
-        _, anch_stats = diversify_anchored(["database", "query"], 2, 2, toy_index)
+    def test_stats_match_baseline_engine(self, toy_index):
+        _, base_stats = diversify_baseline(["database", "query"], 2, 2, toy_index)
         _, par_stats = diversify_parallel(["database", "query"], 2, 2, toy_index, workers=3)
-        assert par_stats == anch_stats
+        assert par_stats == base_stats
+
+    def test_starts_no_thread(self, toy_index, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the parallel engine started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        base, base_stats = diversify_baseline(["database", "query"], 2, 2, toy_index)
+        par, par_stats = diversify_parallel(["database", "query"], 2, 2, toy_index, workers=6)
+        assert entries_signature(par) == entries_signature(base)
+        assert par.phi == base.phi
+        assert par_stats == base_stats
 
     def test_repeated_runs_identical(self, toy_index):
         a, _ = diversify_parallel(["database", "query"], 4, 4, toy_index, workers=6)
@@ -200,39 +158,8 @@ class TestDiversifyParallel:
             diversify_parallel(["query"], 2, 2, toy_index, workers=0)
         with pytest.raises(ValueError):
             diversify_parallel(["query"], 2, 0, toy_index)
-
-    @pytest.mark.parametrize("cpus, threads", [(2, 2), (None, 1)])
-    def test_thread_pool_capped_at_cpu_count(self, toy_index, monkeypatch, cpus, threads):
-        pool_sizes = []
-        log = []
-
-        def executor(max_workers):
-            pool_sizes.append(max_workers)
-            return RecordingExecutor(log, max_workers)
-
-        deal = parallel._deal
-
-        def logging_deal(executor, workers, kept, table):
-            log.append(("kept", kept))
-            return deal(executor, workers, kept, table)
-
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", executor)
-        monkeypatch.setattr(parallel, "_deal", logging_deal)
-        capped, _ = diversify_parallel(["database", "query"], 2, 2, toy_index, workers=8)
-        base, _ = diversify_baseline(["database", "query"], 2, 2, toy_index)
-        assert pool_sizes == [threads]
-        # the areas are still dealt into the requested batches; they queue
-        deals = []
-        for kind, areas in log:
-            if kind == "kept":
-                deals.append((areas, []))
-            else:
-                deals[-1][1].append(areas)
-        assert deals
-        for kept, batches in deals:
-            assert batches == [kept[i::8] for i in range(min(8, len(kept)))]
-        assert entries_signature(capped) == entries_signature(base)
+        with pytest.raises(ValueError, match="k must be"):
+            diversify_parallel(["zzzz"], 0, 2, toy_index)
 
     def test_unknown_keywords_raise(self, toy_index):
         with pytest.raises(NoIntentError):
@@ -256,13 +183,13 @@ class TestDiversifyParallel:
             par, par_stats = diversify_parallel(query, k, m, index, workers=workers)
             assert entries_signature(par) == entries_signature(base)
             assert par.phi == base.phi
-            assert par_stats.nodes_visited <= base_stats.nodes_visited
+            assert par_stats == base_stats
             compared += 1
         assert compared > 20
 
 
 class TestLayerBoundaries:
-    """The benchmark's tracer times the anchor layers by swapping these names.
+    """The benchmark's tracer times the engines' layers by swapping these names.
 
     It replaces each function in every ``divsearch`` module namespace that
     holds it.  An engine that stopped calling one by that name, say after
@@ -275,6 +202,10 @@ class TestLayerBoundaries:
         (anchors, "covered_anchor_ancestors"),
         (parallel, "evaluate_area"),
     ]
+    CALLED = {
+        "anchor": {"partition_areas", "area_results", "covered_anchor_ancestors"},
+        "parallel": {"area_results", "evaluate_area"},
+    }
 
     @pytest.mark.parametrize("engine", ["anchor", "parallel"])
     def test_engines_call_traced_functions(self, toy_index, monkeypatch, engine):
@@ -291,6 +222,4 @@ class TestLayerBoundaries:
             diversify_anchored(["database", "query"], 2, 2, toy_index)
         else:
             diversify_parallel(["database", "query"], 2, 2, toy_index, workers=2)
-        for _, name in self.TRACED:
-            if engine == "parallel" or name != "evaluate_area":
-                assert calls[name] > 0, name
+        assert {name for name, n in calls.items() if n} == self.CALLED[engine]
