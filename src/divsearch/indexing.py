@@ -138,6 +138,8 @@ def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
                 record = pending.pop(id(elem), None)
                 if record is not None:
                     record.tokens = tokenize(" ".join(elem.itertext()), config.stopwords)
+                if not pending:  # no open entity reads this element's text
+                    elem.clear()
     except ET.ParseError as exc:
         line, column = exc.position
         raise CorpusParseError(

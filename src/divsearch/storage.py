@@ -13,15 +13,12 @@ Layout (UTF-8, LF endings, fixed key order per line):
 below (sorting, separators) exists to keep the bytes canonical.
 
 In memory a posting holds entity ordinals; on disk it holds each entity's
-Dewey text, so the files do not depend on that representation.  The writer
-emits one canonical shape per file: compact separators, the key order above,
-and a Dewey ID as ``str(DeweyId)``.  The loader reads that shape on a fast
-path: a posting's Dewey text is looked up among the entities' own texts,
-which gives its ordinal, and a cooccur line is matched by one regular
-expression instead of ``json.loads``.  Any other valid JSON line (other
-spacing or key order, escaped characters, ``"1.01"`` for ``1.1``) goes
-through ``json.loads`` and the full checks, so it loads to the same bundle
-or fails with the same message, file and line.
+Dewey text, so the files do not depend on that representation.  Each JSONL
+line has the writer's one shape: compact separators, the key order above, a
+Dewey ID as ``str(DeweyId)``, a count in plain decimal, and a JSON escape
+only where a string needs one.  The loader matches every line against that
+shape and refuses any other; ``json.loads`` decodes only an escaped string
+and the manifest, so a later version's manifest is still told by its version.
 
 A loaded bundle shares objects between its parts: a cooccur key holds the
 postings' own term strings.  The per-term pair lists
@@ -39,9 +36,9 @@ import re
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .dewey import DeweyId
+from .dewey import DeweyId, _trusted
 from .errors import IndexFormatError, IndexVersionError
 from .indexing import EntityInfo, IndexBundle, IndexConfig, is_token
 
@@ -53,12 +50,35 @@ POSTINGS_FILE = "postings.jsonl"
 COOCCUR_FILE = "cooccur.jsonl"
 STOPWORDS_FILE = "stopwords.txt"
 
-# The writer's cooccur line, with its "\n" when it has one.  A JSON string
-# holding no '"', no '\' and no control character reads back as its raw
-# text, so a match yields exactly what json.loads would; any other line goes
-# through json.loads.
-_JSON_STR = r'"([^"\\\x00-\x1f]*)"'
-_COOCCUR_LINE = re.compile(r'\{"a":%s,"b":%s,"count":([1-9][0-9]*)\}\n?' % (_JSON_STR, _JSON_STR))
+# A JSON string, captured without its quotes: first with no escape, which
+# reads back as its raw text, then with escapes.  Only a line that misses
+# the first form is tried against the second, which is slower.
+_PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
+_ESCAPED_STR = r'"((?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*)"'
+_DEWEY = r"[1-9][0-9]*(?:\.[1-9][0-9]*)*"
+_is_dewey = re.compile(_DEWEY).fullmatch
+
+
+def _grammar(pattern: str, shape: str) -> tuple[Callable, Callable, str]:
+    """Escape-free and escaped matchers of the line ``pattern`` (``%(s)s`` a string, ``%(d)s``
+    a Dewey ID, its "\\n" optional), and the message that refuses any other line."""
+    plain, escaped = (
+        re.compile(pattern % {"s": s, "d": _DEWEY} + r"\n?").fullmatch
+        for s in (_PLAIN_STR, _ESCAPED_STR)
+    )
+    return plain, escaped, f"expected {shape}"
+
+
+_ENTITY_LINE = _grammar(r'\{"dewey":"(%(d)s)","label":%(s)s\}', '{"dewey":"<dewey>","label":<string>}')
+# a posting's list is matched loosely, each entry checked apart: under a
+# repeated group the matcher's memory would grow with the line
+_POSTING_LINE = _grammar(
+    r'\{"term":%(s)s,"entities":\["([0-9.",]+)"\]\}', '{"term":<string>,"entities":["<dewey>",...]}'
+)
+_PAIR_LINE = _grammar(
+    r'\{"a":%(s)s,"b":%(s)s,"count":([1-9][0-9]*)\}', '{"a":<string>,"b":<string>,"count":<count>}'
+)
+_TEXT_LINE = _grammar("(.+)", "")  # any line but a blank one
 
 
 def _dump(obj: Any) -> str:
@@ -178,15 +198,6 @@ def _reading(path: Path) -> Iterator[TextIO]:
         ) from exc
 
 
-def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
-    with _reading(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                raise _fail(path, lineno, "blank line")
-            yield lineno, raw
-
-
 def _undecodable_line(path: Path) -> int:
     """1-based number of the first line of ``path`` that is not UTF-8.
 
@@ -203,31 +214,29 @@ def _undecodable_line(path: Path) -> int:
     return 0
 
 
-def _decode(raw: str, path: Path, lineno: int) -> Any:
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise IndexFormatError(
-            f"invalid JSON: {exc.msg}", path=path.name, line=lineno
-        ) from exc
-
-
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, Any]]:
-    for lineno, raw in _iter_lines(path):
-        yield lineno, _decode(raw, path, lineno)
+def _rows(path: Path, grammar: tuple[Callable, Callable, str]) -> Iterator[tuple[int, tuple]]:
+    """Each line's number and its fields as ``grammar`` captures them."""
+    plain, escaped, expected = grammar
+    with _reading(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            match = plain(raw)
+            if match is not None:
+                yield lineno, match.groups()
+            elif (match := escaped(raw)) is not None:
+                yield lineno, tuple(json.loads(f'"{g}"') if "\\" in g else g for g in match.groups())
+            else:
+                raise _fail(path, lineno, "blank line" if raw == "\n" else expected)
 
 
 def _fail(path: Path, lineno: int, message: str) -> IndexFormatError:
     return IndexFormatError(message, path=path.name, line=lineno)
 
 
-def _parse_dewey(text: Any, path: Path, lineno: int) -> DeweyId:
-    if not isinstance(text, str):
-        raise _fail(path, lineno, f"expected Dewey string, got {text!r}")
-    try:
-        return DeweyId.parse(text)
-    except ValueError as exc:
-        raise _fail(path, lineno, str(exc)) from exc
+def _dewey(text: str, path: Path, lineno: int) -> DeweyId:
+    try:  # the grammar admits only positive components without leading zeros
+        return _trusted(tuple(map(int, text.split("."))))
+    except ValueError:  # a component past int()'s digit limit
+        raise _fail(path, lineno, f"invalid Dewey ID {text!r}") from None
 
 
 def _is_int(value: Any) -> bool:
@@ -237,10 +246,15 @@ def _is_int(value: Any) -> bool:
 
 def _load_manifest(directory: Path) -> dict[str, Any]:
     path = directory / MANIFEST_FILE
-    rows = list(_iter_jsonl(path))
-    if len(rows) != 1 or not isinstance(rows[0][1], dict):
+    rows = []
+    for lineno, (raw,) in _rows(path, _TEXT_LINE):
+        try:
+            rows.append(json.loads(raw))
+        except ValueError as exc:  # a JSONDecodeError, or an int past int()'s digit limit
+            raise _fail(path, lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+    if len(rows) != 1 or not isinstance(rows[0], dict):
         raise _fail(path, len(rows), "manifest must be a single JSON object")
-    manifest = rows[0][1]
+    manifest = rows[0]
     version = manifest.get("version")
     if not _is_int(version) or version != FORMAT_VERSION:
         raise IndexVersionError(
@@ -273,112 +287,78 @@ def load_index(directory: str | Path) -> IndexBundle:
     entities: list[EntityInfo] = []
     # Dewey text as written -> the entity's ordinal; postings resolve through it
     by_text: dict[str, int] = {}
-    for lineno, row in _iter_jsonl(path):
-        if not isinstance(row, dict) or not isinstance(row.get("label"), str):
-            raise _fail(path, lineno, "expected {dewey,label} object")
-        if row["label"] not in labels:
-            raise _fail(path, lineno, f"entity label {row['label']!r} not in the manifest")
-        dewey = _parse_dewey(row.get("dewey"), path, lineno)
+    for lineno, (text, label) in _rows(path, _ENTITY_LINE):
+        if label not in labels:
+            raise _fail(path, lineno, f"entity label {label!r} not in the manifest")
+        dewey = _dewey(text, path, lineno)
         if entities and dewey <= entities[-1].dewey:
             raise _fail(path, lineno, "entities not in document order")
-        by_text[row["dewey"]] = len(entities)
-        entities.append(EntityInfo(dewey, row["label"]))
+        by_text[text] = len(entities)
+        entities.append(EntityInfo(dewey, label))
     if len(entities) != manifest["entityCount"]:
         raise _fail(path, len(entities), "entity count does not match manifest")
 
     path = directory / POSTINGS_FILE
     postings: dict[str, tuple[int, ...]] = {}
-    by_dewey: dict[DeweyId, int] | None = None
     last_term: str | None = None
-    for lineno, row in _iter_jsonl(path):
-        if (
-            not isinstance(row, dict)
-            or not isinstance(row.get("term"), str)
-            or not isinstance(row.get("entities"), list)
-            or not row["entities"]
-        ):
-            raise _fail(path, lineno, "expected {term,entities} object")
-        term = row["term"]
+    for lineno, (term, joined) in _rows(path, _POSTING_LINE):
+        texts = joined.split('","')
+        unknown = None
+        try:
+            # one lookup proves an entry an entity's Dewey text and gives its
+            # ordinal; ordinals sort as the entities' Dewey IDs do
+            order = ids = tuple(map(by_text.__getitem__, texts))
+        except KeyError as exc:  # the first unknown entity; order is checked first
+            if not all(map(_is_dewey, texts)):
+                raise _fail(path, lineno, _POSTING_LINE[-1]) from None  # the shape message
+            order, unknown = [_dewey(text, path, lineno) for text in texts], exc.args[0]
         if last_term is not None and term <= last_term:
             raise _fail(path, lineno, "terms not sorted")
         last_term = term
-        try:
-            # one lookup parses the text, proves the entity known and gives
-            # its ordinal; ordinals sort as the entities' Dewey IDs do
-            ids = list(map(by_text.__getitem__, row["entities"]))
-            order: list[Any] = ids
-            unknown: list[DeweyId] = []
-        except (KeyError, TypeError):
-            # non-canonical text or an unknown entity: parse every entry
-            order = [_parse_dewey(text, path, lineno) for text in row["entities"]]
-            if by_dewey is None:
-                by_dewey = {e.dewey: i for i, e in enumerate(entities)}
-            ids = [by_dewey.get(dewey, -1) for dewey in order]
-            unknown = [dewey for dewey, i in zip(order, ids) if i < 0]
         if any(map(operator.ge, order, islice(order, 1, None))):
             raise _fail(path, lineno, f"posting list for {term!r} not sorted")
-        if unknown:
-            raise _fail(path, lineno, f"posting references unknown entity {unknown[0]}")
-        postings[term] = tuple(ids)
+        if unknown is not None:
+            raise _fail(path, lineno, f"posting references unknown entity {unknown}")
+        postings[term] = ids
 
     path = directory / COOCCUR_FILE
     cooccur: dict[tuple[str, str], int] = {}
-    # one lookup proves a term known and hands back the postings' own key,
-    # so the pairs share the terms' strings
-    known_term = {term: term for term in postings}.get
+    # one lookup proves a term known and gives its posting length and the
+    # postings' own key, so the pairs share the terms' strings
+    known = {term: (term, len(ids)) for term, ids in postings.items()}
     last_count: float = math.inf  # no line before the first
     last_pair = ("", "")
-    canonical = _COOCCUR_LINE.fullmatch
-    with _reading(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            match = canonical(raw)
-            if match is not None:
-                a, b, digits = match.groups()
-                count = int(digits)
-            else:
-                raw = raw.rstrip("\n")
-                if not raw:
-                    raise _fail(path, lineno, "blank line")
-                row = _decode(raw, path, lineno)
-                if (
-                    not isinstance(row, dict)
-                    or not isinstance(row.get("a"), str)
-                    or not isinstance(row.get("b"), str)
-                    or not _is_int(row.get("count"))
-                ):
-                    raise _fail(path, lineno, "expected {a,b,count} object")
-                a, b, count = row["a"], row["b"], row["count"]
-            if a >= b:
-                raise _fail(path, lineno, "pair not in canonical order (a < b)")
-            if count < 1:
-                raise _fail(path, lineno, "count must be >= 1")
-            a = known_term(a)
-            b = known_term(b)
-            if a is None or b is None:
-                raise _fail(path, lineno, "pair references unknown term")
-            pair = (a, b)
-            # sorted means count descending, then pair ascending
-            if count >= last_count and (count > last_count or pair <= last_pair):
-                raise _fail(path, lineno, "triplets not sorted by count desc, pair asc")
-            last_count = count
-            last_pair = pair
-            cooccur[pair] = count
+    for lineno, (a, b, digits) in _rows(path, _PAIR_LINE):
+        if a >= b:
+            raise _fail(path, lineno, "pair not in canonical order (a < b)")
+        try:
+            (a, df_a), (b, df_b) = known[a], known[b]
+        except KeyError:
+            raise _fail(path, lineno, "pair references unknown term") from None
+        try:
+            count = int(digits)
+        except ValueError:  # past int()'s digit limit, so past any posting length
+            count = math.inf
+        if count > df_a or count > df_b:  # a pair occurs only where both terms do
+            term = a if count > df_a else b
+            raise _fail(path, lineno, f"count exceeds the posting length of {term!r}")
+        pair = (a, b)
+        # sorted means count descending, then pair ascending
+        if count >= last_count and (count > last_count or pair <= last_pair):
+            raise _fail(path, lineno, "triplets not sorted by count desc, pair asc")
+        last_count = count
+        last_pair = pair
+        cooccur[pair] = count
 
     path = directory / STOPWORDS_FILE
     stopwords: list[str] = []
     if path.exists():
-        for lineno, word in _iter_lines(path):
+        for lineno, (word,) in _rows(path, _TEXT_LINE):
             if not is_token(word):
                 raise _fail(path, lineno, f"stop word is not one token: {word!r}")
             if stopwords and word <= stopwords[-1]:
                 raise _fail(path, lineno, "stop words not sorted")
             stopwords.append(word)
 
-    config = IndexConfig(
-        entity_labels=labels,
-        window=manifest["window"],
-        stopwords=frozenset(stopwords),
-    )
-    return IndexBundle(
-        entities=tuple(entities), postings=postings, cooccur=cooccur, config=config
-    )
+    config = IndexConfig(entity_labels=labels, window=manifest["window"], stopwords=frozenset(stopwords))
+    return IndexBundle(entities=tuple(entities), postings=postings, cooccur=cooccur, config=config)

@@ -180,7 +180,9 @@ class TestFeaturesCommand:
         assert "error:" in capsys.readouterr().err
         # the index is read before the term, as search reads it before the query
         assert main(["features", "--index", str(broken), "--term", "query language"]) == 1
-        assert capsys.readouterr() == ("", "error: postings.jsonl:9: invalid JSON: Expecting value\n")
+        assert capsys.readouterr() == (
+            "", 'error: postings.jsonl:9: expected {"term":<string>,"entities":["<dewey>",...]}\n'
+        )
 
 
 class TestSearchCommand:

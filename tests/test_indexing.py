@@ -122,6 +122,20 @@ class TestParseCorpus:
         assert [t for t, _ in records[0].tokens] == ["alpha", "beta"]
         assert [t for t, _ in records[1].tokens] == ["beta"]
 
+    def test_text_reaches_only_the_enclosing_entities(self):
+        # parse_corpus clears an element once no open entity encloses it
+        xml = (
+            b"<doc>intro<sec>lead<item>one<b>bold</b>tail<item>inner</item>coda</item>"
+            b"gap<item>two</item>end</sec>last</doc>"
+        )
+        records = parse_corpus(xml, IndexConfig(entity_labels=frozenset({"item"})))
+        assert [str(r.dewey) for r in records] == ["1.1.1", "1.1.1.2", "1.1.2"]
+        assert [[t for t, _ in r.tokens] for r in records] == [
+            ["one", "bold", "tail", "inner", "coda"],
+            ["inner"],
+            ["two"],
+        ]
+
     def test_attribute_values_ignored(self):
         xml = b'<doc><item kind="special"><t>alpha</t></item></doc>'
         records = parse_corpus(xml, IndexConfig(entity_labels=frozenset({"item"})))

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import random
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,12 @@ from conftest import GOLDEN_INDEX_DIR
 from helpers import NON_ASCII_WORDS, Entities, random_corpus_xml
 
 ALL_FILES = (MANIFEST_FILE, ENTITIES_FILE, POSTINGS_FILE, COOCCUR_FILE)
+# the message that refuses a line of another shape than the writer's
+SHAPE = {
+    ENTITIES_FILE: 'expected {"dewey":"<dewey>","label":<string>}',
+    POSTINGS_FILE: 'expected {"term":<string>,"entities":["<dewey>",...]}',
+    COOCCUR_FILE: 'expected {"a":<string>,"b":<string>,"count":<count>}',
+}
 
 
 def _dump(obj):
@@ -65,7 +73,7 @@ def escaped_bundle():
     )
     postings = {term: (0, 2) if i % 2 else (1,) for i, term in enumerate(terms)}  # one, three / two
     cooccur = {
-        (a, b): 1 + (i * 7 + j) % 3
+        (a, b): min(1 + (i * 7 + j) % 3, len(postings[a]), len(postings[b]))  # at most either df
         for i, a in enumerate(terms)
         for j, b in enumerate(terms)
         if a < b
@@ -263,7 +271,7 @@ class TestLoadValidation:
     )
     def test_dewey_component_that_is_not_ascii_digits(self, toy_index, tmp_path, filename, line, text):
         directory = _corrupt(tmp_path, toy_index, filename, lambda t: t.replace('"1.2"', f'"{text}"', 1))
-        _assert_fails_at(directory, filename, line, f"invalid Dewey ID {text!r}")
+        _assert_fails_at(directory, filename, line, SHAPE[filename])
 
     def test_posting_referencing_unknown_entity(self, toy_index, tmp_path):
         directory = _corrupt(
@@ -281,7 +289,7 @@ class TestLoadValidation:
         directory = _corrupt(
             tmp_path, toy_index, POSTINGS_FILE, lambda t: t.replace('["1.3"]', '["1.x"]', 1)
         )
-        _assert_fails_at(directory, POSTINGS_FILE, 2, "invalid Dewey ID '1.x'")
+        _assert_fails_at(directory, POSTINGS_FILE, 2, SHAPE[POSTINGS_FILE])
 
     def test_cooccur_unsorted(self, toy_index, tmp_path):
         def swap(text):
@@ -348,12 +356,16 @@ class TestLoadValidation:
         "line, message",
         [
             ('{"a":"database","b":"zzz","count":2}', "pair references unknown term"),
-            ('{"a":"database","b":"query","count":0}', "count must be >= 1"),
-            ('{"a":"database","b":"query","count":"2"}', "expected {a,b,count} object"),
-            ('{"a":"database","b":"query","count":true}', "expected {a,b,count} object"),
-            ('{"a":"database","b":"query","count":2', "invalid JSON: Expecting ',' delimiter"),
-            ('{"a":"database","b":"query","count":02}', "invalid JSON: Expecting ',' delimiter"),
-            ('{"a":"data\tbase","b":"query","count":2}', "invalid JSON: Invalid control character at"),
+            ('{"a":"database","b":"query","count":0}', SHAPE[COOCCUR_FILE]),
+            ('{"a":"database","b":"query","count":"2"}', SHAPE[COOCCUR_FILE]),
+            ('{"a":"database","b":"query","count":true}', SHAPE[COOCCUR_FILE]),
+            ('{"a":"database","b":"query","count":2', SHAPE[COOCCUR_FILE]),
+            ('{"a":"database","b":"query","count":02}', SHAPE[COOCCUR_FILE]),
+            ('{"a":"data\tbase","b":"query","count":2}', SHAPE[COOCCUR_FILE]),
+            # a pair occurs in no more entities than either term: database
+            # is in 3, query in 2, language in 1; checked before the order
+            ('{"a":"database","b":"query","count":3}', "count exceeds the posting length of 'query'"),
+            ('{"a":"language","b":"query","count":2}', "count exceeds the posting length of 'language'"),
         ],
     )
     def test_bad_cooccur_line(self, toy_index, tmp_path, line, message):
@@ -378,6 +390,24 @@ class TestLoadValidation:
         (tmp_path / COOCCUR_FILE).unlink()
         with pytest.raises(IndexFormatError):
             load_index(tmp_path)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+    @pytest.mark.parametrize(
+        "filename, old, new, line, message",
+        [
+            (MANIFEST_FILE, '"entityCount":3', '"entityCount":{}', 1, "invalid JSON: Exceeds the limit"),
+            (ENTITIES_FILE, '"1.2"', '"1.2.{}"', 2, "invalid Dewey ID '1.2.999"),
+            (COOCCUR_FILE, '"count":2', '"count":{}', 1, "count exceeds the posting length of 'database'"),
+        ],
+        ids=["manifest", "dewey", "count"],
+    )
+    def test_integer_past_the_digit_limit(self, toy_index, tmp_path, filename, old, new, line, message):
+        new = new.format("9" * (sys.get_int_max_str_digits() + 1))
+        directory = _corrupt(tmp_path, toy_index, filename, lambda t: t.replace(old, new, 1))
+        with pytest.raises(IndexFormatError) as exc_info:
+            load_index(directory)
+        assert (exc_info.value.path, exc_info.value.line) == (filename, line)
+        assert str(exc_info.value).startswith(message)
 
 
 class TestWriterMatchesReference:
@@ -462,7 +492,11 @@ class TestStopWords:
 
 
 class TestLoadAcceptsAnyValidJson:
-    """Lines the writer never emits still load, to the same bundle."""
+    """Valid JSON in another shape than the writer's is refused at its line.
+
+    Only a JSON escape inside a string, which the writer emits where a
+    string needs one, loads: to the same bundle as the raw character.
+    """
 
     @pytest.mark.parametrize(
         "filename, old, new",
@@ -483,8 +517,9 @@ class TestLoadAcceptsAnyValidJson:
     )
     def test_non_canonical_line(self, toy_index, tmp_path, filename, old, new):
         directory = _corrupt(tmp_path, toy_index, filename, lambda t: t.replace(old, new, 1))
-        assert new in (directory / filename).read_text(encoding="utf-8")
-        assert load_index(directory) == toy_index
+        lines = (directory / filename).read_text(encoding="utf-8").splitlines()
+        line = next(i for i, text in enumerate(lines, start=1) if new in text)
+        _assert_fails_at(directory, filename, line, SHAPE[filename])
 
     def test_escaped_term_in_cooccur(self, tmp_path):
         config = IndexConfig(entity_labels=frozenset({"item"}))
@@ -511,6 +546,22 @@ class TestLoadAcceptsAnyValidJson:
         terms = {term: term for term in loaded.postings}
         assert all(terms[a] is a and terms[b] is b for a, b in loaded.cooccur)
 
+    def test_json_decodes_only_strings_with_a_backslash(self, tmp_path, monkeypatch):
+        save_index(escaped_bundle(), tmp_path)
+        decoded = []
+        json_loads = json.loads
+
+        def loads(text):
+            decoded.append(text)
+            return json_loads(text)
+
+        monkeypatch.setattr(json, "loads", loads)
+        assert load_index(tmp_path) == escaped_bundle()
+        manifest = (tmp_path / MANIFEST_FILE).read_text(encoding="utf-8")
+        assert decoded[0] == manifest.rstrip("\n")
+        assert len(decoded) > 1
+        assert all(text[0] == text[-1] == '"' and "\\" in text for text in decoded[1:])
+
     def test_postings_share_the_entities_dewey_objects(self, toy_index, tmp_path):
         """Postings hold ordinals; through the table they are the entities' own IDs."""
         save_index(toy_index, tmp_path)
@@ -521,3 +572,35 @@ class TestLoadAcceptsAnyValidJson:
             id(d) in entity_ids for ordinals in loaded.postings.values() for d in ents.deweys(ordinals)
         )
         assert loaded.postings == toy_index.postings
+
+
+class TestOneByteEdits:
+    """Seeded one-byte replacements, deletions and insertions of each file."""
+
+    EDITS_PER_FILE = 250
+    # JSON punctuation, digits and a few bytes that are not UTF-8 on their own
+    ALPHABET = b'{}[]",:.\\ \n0129aeu\x00\x1f\x80\xc3\xff'
+
+    @pytest.mark.parametrize("source", ["golden", "stopwords", "escaped"])
+    def test_load_returns_a_bundle_or_an_index_error(self, toy_index, tmp_path, source):
+        directory = tmp_path / source
+        if source == "golden":
+            shutil.copytree(GOLDEN_INDEX_DIR, directory)
+        else:
+            save_index(toy_index if source == "stopwords" else escaped_bundle(), directory)
+        rng = random.Random(f"one-byte-{source}")
+        loaded = refused = 0
+        for path in sorted(directory.iterdir()):
+            data = path.read_bytes()
+            for _ in range(self.EDITS_PER_FILE):
+                at = rng.randrange(len(data))
+                byte = bytes([rng.choice(self.ALPHABET + data)])
+                kind = rng.randrange(3)  # replace, delete, insert
+                path.write_bytes(data[:at] + (byte if kind != 1 else b"") + data[at + (kind != 2):])
+                try:
+                    load_index(directory)
+                    loaded += 1
+                except IndexFormatError:  # IndexVersionError is one
+                    refused += 1
+            path.write_bytes(data)
+        assert loaded > 0 and refused > 0
