@@ -3,8 +3,9 @@
 Report output is byte-stable for fixed inputs: keys appear in a fixed
 order, floats use 12 significant digits, and run-dependent fields (worker
 count, work counters, elapsed time) appear only when --stats is given.
-``search --query`` and ``features --term`` read their words as the loaded
-index tokenizes text, stop words included.
+``search --query`` and ``features --term`` read their words as the index
+tokenizes text, stop words included, and read only the part of the index
+those words need (``storage.load_for_query``).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .diversify import EvalStats, ScoredIntent, TopK, diversify_baseline
 from .anchors import diversify_anchored
 from .errors import DivSearchError, IndexFormatError, NoIntentError
 from .features import top_features
-from .indexing import DEFAULT_STOPWORDS, IndexConfig, build_index, is_token, parse_corpus, tokenize
+from .indexing import DEFAULT_STOPWORDS, IndexConfig, build_index, is_token, parse_corpus
 from .parallel import diversify_parallel
 from .slca import DiversifiedSet
-from .storage import load_index, save_index
+from .storage import load_for_query, save_index
 
 
 def _f(x: float) -> str:
@@ -137,8 +138,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
-    terms = [token for token, _ in tokenize(args.term, index.config.stopwords)]
+    terms, index = load_for_query(args.index, args.term)
     if len(terms) != 1:
         print("error: term must be one keyword", file=sys.stderr)
         return 2
@@ -157,8 +157,7 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
-    keywords = [token for token, _ in tokenize(args.query, index.config.stopwords)]
+    keywords, index = load_for_query(args.index, args.query)
     if not keywords:
         print("error: query contains no keywords", file=sys.stderr)
         return 2

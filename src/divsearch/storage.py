@@ -20,6 +20,15 @@ only where a string needs one.  The loader matches every line against that
 shape and refuses any other; ``json.loads`` decodes only an escaped string
 and the manifest, so a later version's manifest is still told by its version.
 
+:func:`load_index` reads and checks every line.  :func:`load_for_query`,
+which ``divsearch search`` and ``divsearch features`` use, reads what one
+query needs: every entity, the pairs that name a keyword, and the posting
+lists of the keywords and of their pairs' other terms.  It checks that
+every file is UTF-8, every manifest, stop-word and entity line, the shape
+and term order of every postings line, and each pair and posting line it
+uses in full; the lines it does not use it does not parse.  Both readers
+share their line grammars, messages and checks.
+
 A loaded bundle shares objects between its parts: a cooccur key holds the
 postings' own term strings.  The per-term pair lists
 (``IndexBundle.neighbours``) and the entity table
@@ -36,11 +45,11 @@ import re
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator
 
 from .dewey import DeweyId, _trusted
 from .errors import IndexFormatError, IndexVersionError
-from .indexing import EntityInfo, IndexBundle, IndexConfig, is_token
+from .indexing import EntityInfo, IndexBundle, IndexConfig, is_token, tokenize
 
 FORMAT_VERSION = 1
 
@@ -133,12 +142,20 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     those of one compact ``json.dumps`` per row.
 
     Raises ``ValueError``, before writing any file, if a cooccur pair names
-    a term without postings or a stop word is not one token:
+    a term without postings or counts more entities than either term's
+    posting list holds, or if a stop word is not one token:
     :func:`load_index` would reject that index.
     """
     directory = Path(directory)
     terms = sorted(bundle.postings)
     triplets = _triplets(bundle.cooccur, terms)
+    sizes = {term: len(ids) for term, ids in bundle.postings.items()}
+    for (a, b), count in bundle.cooccur.items():
+        if count > sizes[a] or count > sizes[b]:  # _triplets found both terms
+            term = a if count > sizes[a] else b
+            raise ValueError(
+                f"cooccur pair {(a, b)!r}: count exceeds the posting length of {term!r}"
+            )
     stopwords = sorted(bundle.config.stopwords)
     for word in stopwords:
         if not is_token(word):
@@ -185,17 +202,35 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
 
 
 @contextmanager
-def _reading(path: Path) -> Iterator[TextIO]:
-    """``path`` open for reading; a read or decode error is an IndexFormatError."""
+def _lines(path: Path) -> Iterator[Iterator[tuple[int, str]]]:
+    """The numbered lines of ``path``; a read or decode error is an IndexFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        raise IndexFormatError(f"cannot read index file: {exc}", path=path.name) from exc
-    except UnicodeDecodeError as exc:
-        raise IndexFormatError(
+            yield enumerate(fh, start=1)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
+
+
+def _read_bytes(path: Path) -> bytes:
+    """The bytes of ``path``, read as :func:`_lines` reads its text: checked as
+    UTF-8, with CR LF and a lone CR each ending a line as LF does."""
+    try:
+        data = path.read_bytes()
+        if not data.isascii():
+            data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _unreadable(path: Path, exc: OSError | UnicodeDecodeError) -> IndexFormatError:
+    if isinstance(exc, UnicodeDecodeError):
+        return IndexFormatError(
             f"invalid UTF-8: {exc.reason}", path=path.name, line=_undecodable_line(path)
-        ) from exc
+        )
+    return IndexFormatError(f"cannot read index file: {exc}", path=path.name)
 
 
 def _undecodable_line(path: Path) -> int:
@@ -214,18 +249,19 @@ def _undecodable_line(path: Path) -> int:
     return 0
 
 
-def _rows(path: Path, grammar: tuple[Callable, Callable, str]) -> Iterator[tuple[int, tuple]]:
-    """Each line's number and its fields as ``grammar`` captures them."""
+def _rows(
+    path: Path, lines: Iterable[tuple[int, str]], grammar: tuple[Callable, Callable, str]
+) -> Iterator[tuple[int, tuple]]:
+    """The number and the fields of each of ``lines`` of ``path``, as ``grammar`` captures them."""
     plain, escaped, expected = grammar
-    with _reading(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            match = plain(raw)
-            if match is not None:
-                yield lineno, match.groups()
-            elif (match := escaped(raw)) is not None:
-                yield lineno, tuple(json.loads(f'"{g}"') if "\\" in g else g for g in match.groups())
-            else:
-                raise _fail(path, lineno, "blank line" if raw == "\n" else expected)
+    for lineno, raw in lines:
+        match = plain(raw)
+        if match is not None:
+            yield lineno, match.groups()
+        elif (match := escaped(raw)) is not None:
+            yield lineno, tuple(json.loads(f'"{g}"') if "\\" in g else g for g in match.groups())
+        else:
+            raise _fail(path, lineno, "blank line" if raw == "\n" else expected)
 
 
 def _fail(path: Path, lineno: int, message: str) -> IndexFormatError:
@@ -247,11 +283,12 @@ def _is_int(value: Any) -> bool:
 def _load_manifest(directory: Path) -> dict[str, Any]:
     path = directory / MANIFEST_FILE
     rows = []
-    for lineno, (raw,) in _rows(path, _TEXT_LINE):
-        try:
-            rows.append(json.loads(raw))
-        except ValueError as exc:  # a JSONDecodeError, or an int past int()'s digit limit
-            raise _fail(path, lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+    with _lines(path) as lines:
+        for lineno, (raw,) in _rows(path, lines, _TEXT_LINE):
+            try:
+                rows.append(json.loads(raw))
+            except ValueError as exc:  # a JSONDecodeError, or an int past int()'s digit limit
+                raise _fail(path, lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
     if len(rows) != 1 or not isinstance(rows[0], dict):
         raise _fail(path, len(rows), "manifest must be a single JSON object")
     manifest = rows[0]
@@ -277,31 +314,36 @@ def _load_manifest(directory: Path) -> dict[str, Any]:
     return manifest
 
 
-def load_index(directory: str | Path) -> IndexBundle:
-    """Read and validate an index directory written by :func:`save_index`."""
-    directory = Path(directory)
-    manifest = _load_manifest(directory)
-
+def _load_entities(
+    directory: Path, manifest: dict[str, Any]
+) -> tuple[list[EntityInfo], dict[str, int]]:
+    """Every entity, and each one's ordinal by its Dewey text as written."""
     labels = frozenset(manifest["entityLabels"])
     path = directory / ENTITIES_FILE
     entities: list[EntityInfo] = []
     # Dewey text as written -> the entity's ordinal; postings resolve through it
     by_text: dict[str, int] = {}
-    for lineno, (text, label) in _rows(path, _ENTITY_LINE):
-        if label not in labels:
-            raise _fail(path, lineno, f"entity label {label!r} not in the manifest")
-        dewey = _dewey(text, path, lineno)
-        if entities and dewey <= entities[-1].dewey:
-            raise _fail(path, lineno, "entities not in document order")
-        by_text[text] = len(entities)
-        entities.append(EntityInfo(dewey, label))
+    with _lines(path) as lines:
+        for lineno, (text, label) in _rows(path, lines, _ENTITY_LINE):
+            if label not in labels:
+                raise _fail(path, lineno, f"entity label {label!r} not in the manifest")
+            dewey = _dewey(text, path, lineno)
+            if entities and dewey <= entities[-1].dewey:
+                raise _fail(path, lineno, "entities not in document order")
+            by_text[text] = len(entities)
+            entities.append(EntityInfo(dewey, label))
     if len(entities) != manifest["entityCount"]:
         raise _fail(path, len(entities), "entity count does not match manifest")
+    return entities, by_text
 
-    path = directory / POSTINGS_FILE
+
+def _read_postings(
+    path: Path, rows: Iterable[tuple[int, tuple]], by_text: dict[str, int]
+) -> dict[str, tuple[int, ...]]:
+    """The posting lists of ``rows``, postings lines in file order, each checked in full."""
     postings: dict[str, tuple[int, ...]] = {}
     last_term: str | None = None
-    for lineno, (term, joined) in _rows(path, _POSTING_LINE):
+    for lineno, (term, joined) in rows:
         texts = joined.split('","')
         unknown = None
         try:
@@ -320,15 +362,24 @@ def load_index(directory: str | Path) -> IndexBundle:
         if unknown is not None:
             raise _fail(path, lineno, f"posting references unknown entity {unknown}")
         postings[term] = ids
+    return postings
 
-    path = directory / COOCCUR_FILE
-    cooccur: dict[tuple[str, str], int] = {}
-    # one lookup proves a term known and gives its posting length and the
-    # postings' own key, so the pairs share the terms' strings
-    known = {term: (term, len(ids)) for term, ids in postings.items()}
+
+def _read_pairs(
+    path: Path,
+    rows: Iterable[tuple[int, tuple]],
+    known: dict[str, tuple[str, int]],
+    cooccur: dict[tuple[str, str], int],
+) -> None:
+    """Check ``rows``, consecutive cooccur lines, and add their pairs to ``cooccur``.
+
+    ``known`` maps each term to the postings' own string and its posting
+    length: one lookup proves a term known and gives both, so the pairs
+    share the terms' strings.  The first row's order is not checked.
+    """
     last_count: float = math.inf  # no line before the first
     last_pair = ("", "")
-    for lineno, (a, b, digits) in _rows(path, _PAIR_LINE):
+    for lineno, (a, b, digits) in rows:
         if a >= b:
             raise _fail(path, lineno, "pair not in canonical order (a < b)")
         try:
@@ -350,15 +401,158 @@ def load_index(directory: str | Path) -> IndexBundle:
         last_pair = pair
         cooccur[pair] = count
 
+
+def _load_stopwords(directory: Path) -> list[str]:
     path = directory / STOPWORDS_FILE
     stopwords: list[str] = []
     if path.exists():
-        for lineno, (word,) in _rows(path, _TEXT_LINE):
-            if not is_token(word):
-                raise _fail(path, lineno, f"stop word is not one token: {word!r}")
-            if stopwords and word <= stopwords[-1]:
-                raise _fail(path, lineno, "stop words not sorted")
-            stopwords.append(word)
+        with _lines(path) as lines:
+            for lineno, (word,) in _rows(path, lines, _TEXT_LINE):
+                if not is_token(word):
+                    raise _fail(path, lineno, f"stop word is not one token: {word!r}")
+                if stopwords and word <= stopwords[-1]:
+                    raise _fail(path, lineno, "stop words not sorted")
+                stopwords.append(word)
+    return stopwords
 
-    config = IndexConfig(entity_labels=labels, window=manifest["window"], stopwords=frozenset(stopwords))
+
+def _bundle(
+    manifest: dict[str, Any],
+    entities: list[EntityInfo],
+    postings: dict[str, tuple[int, ...]],
+    cooccur: dict[tuple[str, str], int],
+    stopwords: list[str],
+) -> IndexBundle:
+    config = IndexConfig(
+        entity_labels=frozenset(manifest["entityLabels"]),
+        window=manifest["window"],
+        stopwords=frozenset(stopwords),
+    )
     return IndexBundle(entities=tuple(entities), postings=postings, cooccur=cooccur, config=config)
+
+
+def load_index(directory: str | Path) -> IndexBundle:
+    """Read and validate an index directory written by :func:`save_index`."""
+    directory = Path(directory)
+    manifest = _load_manifest(directory)
+    entities, by_text = _load_entities(directory, manifest)
+    path = directory / POSTINGS_FILE
+    with _lines(path) as lines:
+        postings = _read_postings(path, _rows(path, lines, _POSTING_LINE), by_text)
+    known = {term: (term, len(ids)) for term, ids in postings.items()}
+    path = directory / COOCCUR_FILE
+    cooccur: dict[tuple[str, str], int] = {}
+    with _lines(path) as lines:
+        _read_pairs(path, _rows(path, lines, _PAIR_LINE), known, cooccur)
+    return _bundle(manifest, entities, postings, cooccur, _load_stopwords(directory))
+
+
+def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexBundle]:
+    """The keywords of ``query`` and the part of the index in ``directory`` that
+    a search for them reads.
+
+    The keywords are ``query`` tokenized with the index's stop words.  The
+    bundle holds every entity, the pairs that name a keyword, and the
+    posting lists of the keywords and of their pairs' other terms: all that
+    ``top_features`` and the engines read of an index for these keywords,
+    so they answer as on :func:`load_index`'s bundle.
+
+    The checks: every file is UTF-8; the manifest, each stop word and each
+    entity line are checked in full; every postings line is checked for its
+    shape and the term order; each pair line and posting line the bundle
+    holds is checked in full, a pair line's order against the lines just
+    before and after it, and no pair may appear twice.  :func:`load_index`
+    makes these checks on every line, but reads a pair listed twice with two
+    counts, each line in order, with the later count.
+    """
+    directory = Path(directory)
+    manifest = _load_manifest(directory)
+    stopwords = _load_stopwords(directory)
+    keywords = [token for token, _ in tokenize(query, frozenset(stopwords))]
+    entities, by_text = _load_entities(directory, manifest)
+
+    pairs_path = directory / COOCCUR_FILE
+    runs, named = _keyword_pair_lines(pairs_path, _read_bytes(pairs_path), frozenset(keywords))
+    read = {term for run in runs for _, (a, b, _) in run for term in (a, b)}
+    wanted = set(keywords).union(*named)
+
+    path = directory / POSTINGS_FILE
+    known: dict[str, tuple[str, int]] = {}
+
+    def wanted_rows(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, tuple]]:
+        """The rows of the wanted terms; every line's shape and term order checked."""
+        last_term: str | None = None
+        for row in _rows(path, lines, _POSTING_LINE):
+            lineno, (term, joined) = row
+            if last_term is not None and term <= last_term:
+                raise _fail(path, lineno, "terms not sorted")
+            last_term = term
+            if term in read:  # a posting's length, when its entries are Dewey IDs
+                known[term] = (term, joined.count('","') + 1)
+            if term in wanted:
+                yield row
+
+    with _lines(path) as lines:
+        postings = _read_postings(path, wanted_rows(lines), by_text)
+
+    cooccur: dict[tuple[str, str], int] = {}
+    for run in runs:
+        _read_pairs(pairs_path, run, known, cooccur)
+    cooccur = {pair: count for pair, count in cooccur.items() if pair in named}
+    return keywords, _bundle(manifest, entities, postings, cooccur, stopwords)
+
+
+def _keyword_pair_lines(
+    path: Path, data: bytes, keywords: frozenset[str]
+) -> tuple[list[list[tuple[int, tuple]]], set[tuple[str, str]]]:
+    """The lines of ``data``, cooccur.jsonl, that a query for ``keywords`` reads.
+
+    A line names a keyword unescaped as ``{"a":"<keyword>","b":`` or as
+    ``,"b":"<keyword>","count":``, and escaped only with a backslash, so
+    ``bytes.find`` locates every line that may name one.  Each is read with
+    the lines just before and after it, so that its order is checked on
+    both sides.  Returns the runs of consecutive lines read, each line's
+    number and fields, and the pairs that name a keyword, each listed once.
+    """
+    needles = [b"\\"]
+    for word in keywords:
+        raw = word.encode()
+        needles += [b'{"a":"%s","b":' % raw, b',"b":"%s","count":' % raw]
+    size = len(data)
+
+    def line_end(at: int) -> int:
+        end = data.find(b"\n", at)
+        return size if end < 0 else end
+
+    found: dict[int, int] = {}  # start -> end of a line, its "\n" left out
+    for needle in needles:
+        at = data.find(needle)
+        while at >= 0:
+            start = data.rfind(b"\n", 0, at) + 1
+            found[start] = end = line_end(at)
+            at = data.find(needle, end)
+    spans = dict(found)
+    for start, end in found.items():
+        if start:
+            spans[data.rfind(b"\n", 0, start - 1) + 1] = start - 1
+        if end + 1 < size:  # nothing follows a final "\n"
+            spans[end + 1] = line_end(end + 1)
+
+    runs: list[list[tuple[int, str]]] = []
+    lineno, counted, last_end = 1, 0, -2
+    for start in sorted(spans):
+        lineno += data.count(b"\n", counted, start)
+        counted = start
+        if start != last_end + 1:
+            runs.append([])
+        last_end = spans[start]
+        runs[-1].append((lineno, data[start : last_end + 1].decode()))
+    rows = [list(_rows(path, run, _PAIR_LINE)) for run in runs]
+
+    named: set[tuple[str, str]] = set()
+    for lineno, (a, b, _) in (row for run in rows for row in run):
+        if a in keywords or b in keywords:
+            if (a, b) in named:
+                raise _fail(path, lineno, "pair listed twice")
+            named.add((a, b))
+    return rows, named
