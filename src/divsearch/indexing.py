@@ -218,7 +218,7 @@ def build_index(corpus: Sequence[EntityRecord], config: IndexConfig) -> IndexBun
     postings: dict[str, list[int]] = {}
     cooccur: dict[tuple[str, str], int] = {}
     for ordinal, record in enumerate(corpus):
-        for term in sorted({token for token, _ in record.tokens}):
+        for term in {token for token, _ in record.tokens}:
             postings.setdefault(term, []).append(ordinal)
         pairs: set[tuple[str, str]] = set()
         toks = record.tokens
@@ -229,7 +229,7 @@ def build_index(corpus: Sequence[EntityRecord], config: IndexConfig) -> IndexBun
                 if term_j != term_i:
                     pairs.add((term_i, term_j) if term_i < term_j else (term_j, term_i))
                 j += 1
-        for pair in sorted(pairs):
+        for pair in pairs:
             cooccur[pair] = cooccur.get(pair, 0) + 1
     entities = tuple(EntityInfo(r.dewey, r.label) for r in corpus)
     frozen = {term: tuple(ids) for term, ids in postings.items()}

@@ -27,7 +27,9 @@ lists of the keywords and of their pairs' other terms.  It checks that
 every file is UTF-8, every manifest, stop-word and entity line, the shape
 and term order of every postings line, and each pair and posting line it
 uses in full; the lines it does not use it does not parse.  Both readers
-share their line grammars, messages and checks.
+read postings.jsonl through one pass, :func:`_read_postings`, and check
+pairs through one function, :func:`_read_pairs`, so their grammars,
+messages and checks are the same code; both refuse a pair listed twice.
 
 A loaded bundle shares objects between its parts: a cooccur key holds the
 postings' own term strings.  The per-term pair lists
@@ -45,7 +47,7 @@ import re
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Collection, Iterable, Iterator
 
 from .dewey import DeweyId, _trusted
 from .errors import IndexFormatError, IndexVersionError
@@ -110,21 +112,36 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 
 def _triplets(
-    cooccur: dict[tuple[str, str], int], terms: list[str]
+    cooccur: dict[tuple[str, str], int], postings: dict[str, tuple[int, ...]], terms: list[str]
 ) -> Iterator[tuple[str, str, int]]:
     """Every (a, b, count), by count descending, then pair ascending.
 
     ``terms`` is sorted.  The sort key packs (-count, rank of a, rank of b)
     into one int, so the sort compares ints rather than tuples of strings.
-    The sort runs here, before the caller writes anything.
+    The same pass checks each pair as :func:`load_index` would, and the
+    sort runs here, before the caller writes anything.
     """
-    rank = {term: i for i, term in enumerate(terms)}
     n = len(terms)
     nn = n * n
-    try:
-        keys = sorted([rank[a] * n + rank[b] - count * nn for (a, b), count in cooccur.items()])
-    except KeyError as exc:
-        raise ValueError(f"cooccur pair names a term without postings: {exc.args[0]!r}") from None
+    rank = {term: (i, len(postings[term])) for i, term in enumerate(terms)}
+    keys = []
+    for (a, b), count in cooccur.items():
+        try:
+            (rank_a, df_a), (rank_b, df_b) = rank[a], rank[b]
+        except KeyError as exc:
+            term = exc.args[0]
+            raise ValueError(f"cooccur pair names a term without postings: {term!r}") from None
+        if rank_a >= rank_b:
+            raise ValueError(f"cooccur pair {(a, b)!r} not in canonical order (a < b)")
+        if count < 1:
+            raise ValueError(f"cooccur pair {(a, b)!r}: count below 1")
+        if count > df_a or count > df_b:
+            term = a if count > df_a else b
+            raise ValueError(
+                f"cooccur pair {(a, b)!r}: count exceeds the posting length of {term!r}"
+            )
+        keys.append(rank_a * n + rank_b - count * nn)
+    keys.sort()
 
     def triplet(key: int) -> tuple[str, str, int]:
         neg_count, pair = divmod(key, nn)
@@ -141,21 +158,34 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     Dewey text (digits and dots, which need no escaping).  The bytes equal
     those of one compact ``json.dumps`` per row.
 
-    Raises ``ValueError``, before writing any file, if a cooccur pair names
-    a term without postings or counts more entities than either term's
-    posting list holds, or if a stop word is not one token:
-    :func:`load_index` would reject that index.
+    Raises ``ValueError``, before writing any file, for a bundle that
+    :func:`load_index` would reject or read back different: no entities;
+    an entity label outside ``config.entity_labels``; entities out of
+    document order; a posting that is empty, not strictly ascending, or
+    holds an ordinal outside the entities; a cooccur pair not in canonical
+    order (a < b), naming a term without postings, or with a count below 1
+    or above either term's posting length; a stop word that is not one
+    token.
     """
     directory = Path(directory)
+    entities = bundle.entities
+    if not entities:
+        raise ValueError("no entities")
+    unknown = {e.label for e in entities} - bundle.config.entity_labels
+    if unknown:
+        raise ValueError(f"entity label {min(unknown)!r} not in config.entity_labels")
+    deweys = [e.dewey for e in entities]
+    if any(map(operator.ge, deweys, islice(deweys, 1, None))):
+        raise ValueError("entities not in document order")
     terms = sorted(bundle.postings)
-    triplets = _triplets(bundle.cooccur, terms)
-    sizes = {term: len(ids) for term, ids in bundle.postings.items()}
-    for (a, b), count in bundle.cooccur.items():
-        if count > sizes[a] or count > sizes[b]:  # _triplets found both terms
-            term = a if count > sizes[a] else b
-            raise ValueError(
-                f"cooccur pair {(a, b)!r}: count exceeds the posting length of {term!r}"
-            )
+    for term, ids in bundle.postings.items():
+        if not ids:
+            raise ValueError(f"posting list for {term!r} is empty")
+        if any(map(operator.ge, ids, islice(ids, 1, None))):
+            raise ValueError(f"posting list for {term!r} not sorted")
+        if ids[0] < 0 or ids[-1] >= len(entities):
+            raise ValueError(f"posting list for {term!r} holds an ordinal outside the entities")
+    triplets = _triplets(bundle.cooccur, bundle.postings, terms)
     stopwords = sorted(bundle.config.stopwords)
     for word in stopwords:
         if not is_token(word):
@@ -338,12 +368,32 @@ def _load_entities(
 
 
 def _read_postings(
-    path: Path, rows: Iterable[tuple[int, tuple]], by_text: dict[str, int]
-) -> dict[str, tuple[int, ...]]:
-    """The posting lists of ``rows``, postings lines in file order, each checked in full."""
+    path: Path,
+    lines: Iterable[tuple[int, str]],
+    by_text: dict[str, int],
+    wanted: Collection[str] | None = None,
+    lengths: Collection[str] = (),
+) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[str, int]]]:
+    """Read ``lines``, postings.jsonl: the posting lists of the ``wanted``
+    terms (of every term when None), each checked in full, and ``known`` for
+    :func:`_read_pairs`.
+
+    Every line's shape and the term order are checked.  ``known`` maps each
+    term read in full to itself and its posting length, and each other
+    ``lengths`` term to its entry count: its posting length, if its entries
+    are Dewey IDs.
+    """
     postings: dict[str, tuple[int, ...]] = {}
+    known: dict[str, tuple[str, int]] = {}
     last_term: str | None = None
-    for lineno, (term, joined) in rows:
+    for lineno, (term, joined) in _rows(path, lines, _POSTING_LINE):
+        if last_term is not None and term <= last_term:
+            raise _fail(path, lineno, "terms not sorted")
+        last_term = term
+        if wanted is not None and term not in wanted:
+            if term in lengths:
+                known[term] = (term, joined.count('","') + 1)
+            continue
         texts = joined.split('","')
         unknown = None
         try:
@@ -354,31 +404,28 @@ def _read_postings(
             if not all(map(_is_dewey, texts)):
                 raise _fail(path, lineno, _POSTING_LINE[-1]) from None  # the shape message
             order, unknown = [_dewey(text, path, lineno) for text in texts], exc.args[0]
-        if last_term is not None and term <= last_term:
-            raise _fail(path, lineno, "terms not sorted")
-        last_term = term
         if any(map(operator.ge, order, islice(order, 1, None))):
             raise _fail(path, lineno, f"posting list for {term!r} not sorted")
         if unknown is not None:
             raise _fail(path, lineno, f"posting references unknown entity {unknown}")
         postings[term] = ids
-    return postings
+        known[term] = (term, len(ids))
+    return postings, known
 
 
 def _read_pairs(
-    path: Path,
-    rows: Iterable[tuple[int, tuple]],
-    known: dict[str, tuple[str, int]],
-    cooccur: dict[tuple[str, str], int],
-) -> None:
-    """Check ``rows``, consecutive cooccur lines, and add their pairs to ``cooccur``.
+    path: Path, rows: Iterable[tuple[int, tuple]], known: dict[str, tuple[str, int]]
+) -> dict[tuple[str, str], int]:
+    """The pairs of ``rows``, cooccur.jsonl lines in file order, each checked.
 
     ``known`` maps each term to the postings' own string and its posting
     length: one lookup proves a term known and gives both, so the pairs
-    share the terms' strings.  The first row's order is not checked.
+    share the terms' strings.  A row's order is checked against the row
+    before it when that row is the line just above it; no pair may be
+    listed twice.
     """
-    last_count: float = math.inf  # no line before the first
-    last_pair = ("", "")
+    cooccur: dict[tuple[str, str], int] = {}
+    last_lineno, last_count, last_pair = 0, math.inf, ("", "")  # no line before the first
     for lineno, (a, b, digits) in rows:
         if a >= b:
             raise _fail(path, lineno, "pair not in canonical order (a < b)")
@@ -395,11 +442,17 @@ def _read_pairs(
             raise _fail(path, lineno, f"count exceeds the posting length of {term!r}")
         pair = (a, b)
         # sorted means count descending, then pair ascending
-        if count >= last_count and (count > last_count or pair <= last_pair):
+        if (
+            count >= last_count
+            and (count > last_count or pair <= last_pair)
+            and lineno == last_lineno + 1
+        ):
             raise _fail(path, lineno, "triplets not sorted by count desc, pair asc")
-        last_count = count
-        last_pair = pair
+        if pair in cooccur:
+            raise _fail(path, lineno, "pair listed twice")
+        last_lineno, last_count, last_pair = lineno, count, pair
         cooccur[pair] = count
+    return cooccur
 
 
 def _load_stopwords(directory: Path) -> list[str]:
@@ -438,12 +491,10 @@ def load_index(directory: str | Path) -> IndexBundle:
     entities, by_text = _load_entities(directory, manifest)
     path = directory / POSTINGS_FILE
     with _lines(path) as lines:
-        postings = _read_postings(path, _rows(path, lines, _POSTING_LINE), by_text)
-    known = {term: (term, len(ids)) for term, ids in postings.items()}
+        postings, known = _read_postings(path, lines, by_text)
     path = directory / COOCCUR_FILE
-    cooccur: dict[tuple[str, str], int] = {}
     with _lines(path) as lines:
-        _read_pairs(path, _rows(path, lines, _PAIR_LINE), known, cooccur)
+        cooccur = _read_pairs(path, _rows(path, lines, _PAIR_LINE), known)
     return _bundle(manifest, entities, postings, cooccur, _load_stopwords(directory))
 
 
@@ -461,9 +512,9 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
     entity line are checked in full; every postings line is checked for its
     shape and the term order; each pair line and posting line the bundle
     holds is checked in full, a pair line's order against the lines just
-    before and after it, and no pair may appear twice.  :func:`load_index`
-    makes these checks on every line, but reads a pair listed twice with two
-    counts, each line in order, with the later count.
+    before and after it, and no pair read may be listed twice.
+    :func:`load_index` makes the same checks, through the same code, on
+    every line.
     """
     directory = Path(directory)
     manifest = _load_manifest(directory)
@@ -472,47 +523,27 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
     entities, by_text = _load_entities(directory, manifest)
 
     pairs_path = directory / COOCCUR_FILE
-    runs, named = _keyword_pair_lines(pairs_path, _read_bytes(pairs_path), frozenset(keywords))
-    read = {term for run in runs for _, (a, b, _) in run for term in (a, b)}
-    wanted = set(keywords).union(*named)
-
+    rows, named = _keyword_pair_lines(pairs_path, _read_bytes(pairs_path), frozenset(keywords))
+    read = {term for _, (a, b, _) in rows for term in (a, b)}
     path = directory / POSTINGS_FILE
-    known: dict[str, tuple[str, int]] = {}
-
-    def wanted_rows(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, tuple]]:
-        """The rows of the wanted terms; every line's shape and term order checked."""
-        last_term: str | None = None
-        for row in _rows(path, lines, _POSTING_LINE):
-            lineno, (term, joined) = row
-            if last_term is not None and term <= last_term:
-                raise _fail(path, lineno, "terms not sorted")
-            last_term = term
-            if term in read:  # a posting's length, when its entries are Dewey IDs
-                known[term] = (term, joined.count('","') + 1)
-            if term in wanted:
-                yield row
-
     with _lines(path) as lines:
-        postings = _read_postings(path, wanted_rows(lines), by_text)
-
-    cooccur: dict[tuple[str, str], int] = {}
-    for run in runs:
-        _read_pairs(pairs_path, run, known, cooccur)
+        postings, known = _read_postings(path, lines, by_text, set(keywords).union(*named), read)
+    cooccur = _read_pairs(pairs_path, rows, known)
     cooccur = {pair: count for pair, count in cooccur.items() if pair in named}
     return keywords, _bundle(manifest, entities, postings, cooccur, stopwords)
 
 
 def _keyword_pair_lines(
     path: Path, data: bytes, keywords: frozenset[str]
-) -> tuple[list[list[tuple[int, tuple]]], set[tuple[str, str]]]:
+) -> tuple[list[tuple[int, tuple]], set[tuple[str, str]]]:
     """The lines of ``data``, cooccur.jsonl, that a query for ``keywords`` reads.
 
     A line names a keyword unescaped as ``{"a":"<keyword>","b":`` or as
     ``,"b":"<keyword>","count":``, and escaped only with a backslash, so
     ``bytes.find`` locates every line that may name one.  Each is read with
     the lines just before and after it, so that its order is checked on
-    both sides.  Returns the runs of consecutive lines read, each line's
-    number and fields, and the pairs that name a keyword, each listed once.
+    both sides.  Returns each line's number and fields, in file order, and
+    the pairs that name a keyword.
     """
     needles = [b"\\"]
     for word in keywords:
@@ -538,21 +569,12 @@ def _keyword_pair_lines(
         if end + 1 < size:  # nothing follows a final "\n"
             spans[end + 1] = line_end(end + 1)
 
-    runs: list[list[tuple[int, str]]] = []
-    lineno, counted, last_end = 1, 0, -2
+    lines: list[tuple[int, str]] = []
+    lineno, counted = 1, 0
     for start in sorted(spans):
         lineno += data.count(b"\n", counted, start)
         counted = start
-        if start != last_end + 1:
-            runs.append([])
-        last_end = spans[start]
-        runs[-1].append((lineno, data[start : last_end + 1].decode()))
-    rows = [list(_rows(path, run, _PAIR_LINE)) for run in runs]
-
-    named: set[tuple[str, str]] = set()
-    for lineno, (a, b, _) in (row for run in rows for row in run):
-        if a in keywords or b in keywords:
-            if (a, b) in named:
-                raise _fail(path, lineno, "pair listed twice")
-            named.add((a, b))
+        lines.append((lineno, data[start : spans[start] + 1].decode()))
+    rows = list(_rows(path, lines, _PAIR_LINE))
+    named = {(a, b) for _, (a, b, _) in rows if a in keywords or b in keywords}
     return rows, named

@@ -1,4 +1,6 @@
 import json
+import os
+import random
 import shutil
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN_INDEX_DIR
+from helpers import random_corpus_xml
 from divsearch.cli import main
 
 GOLDEN_IDX = str(GOLDEN_INDEX_DIR)
@@ -398,3 +401,33 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_REPORT + "\n"
+
+
+class TestHashSeed:
+    """Index bytes and reports do not depend on the order of a set or a dict."""
+
+    def test_same_bytes_under_two_hash_seeds(self, toy_xml_path, tmp_path):
+        corpus = tmp_path / "random.xml"
+        corpus.write_bytes(random_corpus_xml(random.Random("hash-seed")))
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+
+            def divsearch(*args):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "divsearch", *args], capture_output=True, env=env
+                )
+                assert proc.returncode == 0, proc.stderr
+                return proc.stdout
+
+            files = {}
+            for source, label in ((toy_xml_path, "paper"), (corpus, "item")):
+                out = tmp_path / seed / source.stem
+                divsearch("index", "--input", str(source), "--entity", label, "--out", str(out))
+                files.update({(source.stem, p.name): p.read_bytes() for p in out.iterdir()})
+            report = divsearch(
+                "search", "--index", str(out), "--query", "w00 w01", "--k", "3", "--m", "3"
+            )
+            outputs.append((files, report))
+        assert len(outputs[0][0]) == 10 and b'"intents":[{' in outputs[0][1]
+        assert outputs[0] == outputs[1]

@@ -162,12 +162,45 @@ class TestChecks:
         assert refusal(load_index, directory) == unsorted
         assert refusal(load_for_query, directory, "image") == unsorted
 
+    def test_order_not_checked_across_lines_not_read(self, tmp_path):
+        def replace(lines):  # (image,system) on line 4: line 5 is out of order, line 8 is not
+            lines[3] = '{"a":"image","b":"system","count":1}\n'
+            return lines
+
+        directory = golden_copy(tmp_path, replace)
+        assert refusal(load_index, directory) == (COOCCUR_FILE, 5, self.UNSORTED[2])
+        # "language" reads lines 2-4 and 8-11; line 8 follows line 4 in what is read
+        keywords, part = load_for_query(directory, "language")
+        assert part == restricted(load_index(GOLDEN_INDEX_DIR), keywords)
+
     def test_pair_listed_twice(self, tmp_path):
-        def duplicate(lines):  # sorted, and load_index keeps the second count
+        def duplicate(lines):  # in order: only the listed-once rule refuses it
             return lines[:4] + ['{"a":"database","b":"query","count":1}\n'] + lines[4:]
 
         directory = golden_copy(tmp_path, duplicate)
-        assert refusal(load_for_query, directory, "query") == (COOCCUR_FILE, 5, "pair listed twice")
+        twice = (COOCCUR_FILE, 5, "pair listed twice")
+        assert refusal(load_index, directory) == twice
+        assert refusal(load_for_query, directory, "query") == twice
+
+    def test_pair_listed_twice_far_apart(self, tmp_path):
+        """Both copies name the keyword; the lines read around them are apart."""
+        fillers = [f"f{i}" for i in range(6)]
+        entities = tuple(EntityInfo(DeweyId((1, j)), "item") for j in (1, 2))
+        bundle = IndexBundle(
+            entities=entities,
+            postings={term: (0, 1) for term in [*fillers, "x", "y"]},
+            cooccur={("x", "y"): 2, **{(a, b): 1 for a in fillers for b in fillers if a < b}},
+            config=IndexConfig(entity_labels=frozenset({"item"})),
+        )
+        save_index(bundle, tmp_path)
+        path = tmp_path / COOCCUR_FILE
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert (len(lines), lines[0]) == (16, '{"a":"x","b":"y","count":2}\n')
+        path.write_text("".join(lines) + '{"a":"x","b":"y","count":1}\n', encoding="utf-8")
+        twice = (COOCCUR_FILE, 17, "pair listed twice")
+        assert refusal(load_index, tmp_path) == twice
+        assert refusal(load_for_query, tmp_path, "x") == twice
+        assert refusal(load_for_query, tmp_path, "zzzz y") == twice
 
     def test_crlf_line_ends_read_as_load_index_reads_them(self, tmp_path, monkeypatch):
         directory = golden_copy(tmp_path)

@@ -432,6 +432,55 @@ class TestWriterMatchesReference:
         assert not (tmp_path / "idx").exists()
 
 
+def _round_trips(bundle, directory):
+    try:
+        reference_save(bundle, directory)
+        return load_index(directory) == bundle
+    except (IndexError, IndexFormatError):
+        return False
+
+
+class TestSaveRefuses:
+    """``save_index`` refuses, before writing any file, a bundle that would not load back."""
+
+    ENTITIES = tuple(EntityInfo(DeweyId((1, j)), "item") for j in (1, 2, 3))
+    GOOD = IndexBundle(
+        entities=ENTITIES,
+        postings={"a": (0, 1), "b": (1, 2)},
+        cooccur={("a", "b"): 1},
+        config=IndexConfig(entity_labels=frozenset({"item"})),
+    )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"cooccur": {("b", "a"): 1}}, "not in canonical order"),
+            ({"cooccur": {("a", "a"): 1}}, "not in canonical order"),
+            ({"cooccur": {("a", "b"): 0}}, "count below 1"),
+            ({"postings": {"a": (0, 1), "b": (1, 2), "c": ()}}, "'c' is empty"),
+            ({"postings": {"a": (1, 0), "b": (1, 2)}}, "'a' not sorted"),
+            ({"entities": (ENTITIES[0], EntityInfo(DeweyId((1, 2)), "other"), ENTITIES[2])},
+             "'other' not in config.entity_labels"),
+            ({"entities": (ENTITIES[1], ENTITIES[0], ENTITIES[2])}, "not in document order"),
+            ({"postings": {"a": (-1,), "b": (1, 2)}}, "'a' holds an ordinal outside"),
+            ({"postings": {"a": (0, 3), "b": (1, 2)}}, "'a' holds an ordinal outside"),
+            ({"entities": (), "postings": {}, "cooccur": {}}, "no entities"),
+        ],
+        ids=[
+            "reversed-pair", "self-pair", "zero-count", "empty-posting", "unsorted-posting",
+            "label", "document-order", "negative-ordinal", "ordinal-past-the-end", "no-entities",
+        ],
+    )
+    def test_refused_before_any_file(self, tmp_path, change, message):
+        save_index(self.GOOD, tmp_path / "good")
+        assert load_index(tmp_path / "good") == self.GOOD
+        bad = dataclasses.replace(self.GOOD, **change)
+        with pytest.raises(ValueError, match=message):
+            save_index(bad, tmp_path / "idx")
+        assert not (tmp_path / "idx").exists()
+        assert not _round_trips(bad, tmp_path / "ref")
+
+
 class TestStopWords:
     """``stopwords.txt``: the index's stop words, ascending, one per line."""
 
