@@ -36,7 +36,7 @@ from .dewey import DeweyId, EntityTable
 from .diversify import EvalStats, IntentEvaluation, TopK, intent_likelihood, run_query
 from .indexing import IndexBundle
 from .intents import IntentQuery
-from .slca import AnchorSpan, DiversifiedSet, compute_slca
+from .slca import AncestorSet, AnchorSpan, DiversifiedSet, compute_slca
 
 NodeList = tuple[int, ...]
 Range = tuple[int, int, tuple[int, ...]]
@@ -124,9 +124,16 @@ def partition_areas(
     return areas, discarded
 
 
-def area_results(area: Area, table: EntityTable) -> tuple[DeweyId, ...]:
-    """The SLCAs local to one area, as the pool's merge will receive them."""
-    return compute_slca(area.lists(), table).nodes
+def area_results(
+    area: Area, table: EntityTable, ancestors: Sequence[AncestorSet] | None = None
+) -> tuple[DeweyId, ...]:
+    """The SLCAs local to one area, as the pool's merge will receive them.
+
+    ``ancestors`` is for an area of whole node lists only: the anchor
+    engine's areas are fresh slices, whose segments' ancestor sets do not
+    apply, so it passes none and ``compute_slca`` runs its lookup kernel.
+    """
+    return compute_slca(area.lists(), table, ancestors).nodes
 
 
 def covered_anchor_ancestors(

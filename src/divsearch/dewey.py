@@ -104,7 +104,7 @@ class EntityTable:
     are typed arrays whose item size holds the greatest depth.
     """
 
-    __slots__ = ("deweys", "depths", "levels", "logs")
+    __slots__ = ("deweys", "depths", "levels", "logs", "_parents")
 
     def __init__(self, deweys: Iterable[DeweyId]) -> None:
         self.deweys = tuple(deweys)
@@ -122,6 +122,7 @@ class EntityTable:
         self.logs = bytes(1) + b"".join(
             bytes([k]) * (1 << k) for k in range(len(self.deweys).bit_length())
         )
+        self._parents: tuple[list, dict] | None = None
 
     def lcp(self, i: int, j: int) -> int:
         """Shared depth of entities i and j; the depth of i when i == j."""
@@ -132,6 +133,52 @@ class EntityTable:
         k = self.logs[j - i]
         level = self.levels[k]
         return min(level[i + 1], level[j - (1 << k) + 1])
+
+    def parents(self) -> tuple[list, dict]:
+        """The parent of every node above or at an entity, built on first use.
+
+        A node is keyed by its ordinal if it is an entity and by its
+        ``DeweyId`` otherwise.  Returns ``(up, above)``: ``up[i]`` is the key
+        of entity i's parent, ``above[v]`` that of the non-entity node v's;
+        the root's parent is None.  One pass in document order keeps the
+        entities on the path to the current one, cut to its shared depth
+        with the previous entity, so the deepest left is its nearest entity
+        ancestor; a sibling of the previous entity takes its parent.  Each
+        non-entity node is made once and shared.
+        """
+        if self._parents is None:
+            deweys, depths, shared = self.deweys, self.depths, self.levels[0]
+            up: list = []
+            above: dict = {}
+            made: dict[tuple, DeweyId] = {}  # each non-entity node's one object
+            path: list[int] = []  # ends with the previous entity
+            last = 0  # its depth
+            for i, v in enumerate(deweys):
+                if len(v) == last and shared[i] == last - 1:
+                    up.append(up[-1])
+                    path[-1] = i
+                    continue
+                last = len(v)
+                while path and depths[path[-1]] > shared[i]:
+                    path.pop()
+                key = path[-1] if path else None
+                low = depths[key] if path else 0
+                if low < len(v) - 1:  # the parent is not an entity
+                    parent = made.get(v[:-1])
+                    if parent is None:  # nor made yet: make it and the ones above, root first
+                        for depth in range(low + 1, len(v)):
+                            node = made.get(v[:depth])
+                            if node is None:
+                                node = _trusted(v[:depth])
+                                made[node] = node
+                                above[node] = key
+                            key = node
+                    else:
+                        key = parent
+                up.append(key)
+                path.append(i)
+            self._parents = (up, above)
+        return self._parents
 
     def node(self, i: int, depth: int) -> DeweyId:
         """The ancestor-or-self of entity i at ``depth``."""

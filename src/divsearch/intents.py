@@ -5,7 +5,8 @@ stream is ordered by aggregated MI descending, ties resolved by the chosen
 feature names ascending column by column.  A keyword whose feature column is
 empty degrades to a bare segment (its full posting list, likelihood factor
 1) so that multi-keyword queries stay usable.  A segment's node list holds
-entity ordinals, as the postings do, so intersections compare ints.
+entity ordinals, as the postings do, so intersections compare ints; the
+segment also carries the list's ancestor set for the SLCA step.
 ``iter_intents`` is the intent stream of the baseline and anchor engines:
 it cuts the enumeration at the query's budget, resolves each distinct
 segment once per query and shares it between the intents that use it.
@@ -14,22 +15,31 @@ segment once per query and shares it between the intents that use it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
 
 from .features import FeatureEntry, FeatureMatrix
 from .indexing import IndexBundle
+from .slca import AncestorSet, proper_ancestors
 
 
 @dataclass(frozen=True)
 class Segment:
-    """One keyword with its chosen context; feature None = bare keyword."""
+    """One keyword with its chosen context; feature None = bare keyword.
+
+    ``ancestors`` is ``slca.proper_ancestors`` of the node list, built by
+    ``resolve_segment`` so every intent sharing the segment reuses it; it
+    lives as long as the query's segment memo.  It is derived from the node
+    list, so it takes no part in equality or hashing.  A segment built
+    without it (None) is scored by the SLCA lookup kernel instead.
+    """
 
     keyword: str
     feature: str | None
     node_list: tuple[int, ...]  # entity ordinals, ascending
     feature_list_size: int
+    ancestors: AncestorSet | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -62,15 +72,14 @@ def segment_node_list(keyword: str, feature: str, index: IndexBundle) -> tuple[i
 
 
 def resolve_segment(keyword: str, feature: str | None, index: IndexBundle) -> Segment:
+    """The segment's node list, its feature's posting length and its ancestor set."""
     if feature is None:
         nodes = index.posting(keyword)
-        return Segment(keyword, None, nodes, len(nodes))
-    return Segment(
-        keyword,
-        feature,
-        segment_node_list(keyword, feature, index),
-        len(index.posting(feature)),
-    )
+        size = len(nodes)
+    else:
+        nodes = segment_node_list(keyword, feature, index)
+        size = len(index.posting(feature))
+    return Segment(keyword, feature, nodes, size, proper_ancestors(nodes, index.entity_table))
 
 
 def iter_combinations(

@@ -7,7 +7,8 @@ more than one intent are marked before evaluation starts: the first intent
 that needs one resolves it against the index, later intents reuse the same
 ``Segment``, and every shared segment is kept until the query ends.  Its
 evaluator scores an intent as the baseline does, one SLCA over the
-intent's whole node lists, taken as a single area by ``evaluate_area``.
+intent's whole node lists and their ancestor sets, taken as a single area
+by ``evaluate_area``.
 
 ``workers`` is checked and echoed but does not change the work: no thread
 or process is started.  Dealing anchor areas out to a thread pool ran
@@ -24,11 +25,18 @@ from typing import Iterable, Iterator, Sequence
 
 from .anchors import Area, area_results
 from .dewey import DeweyId, EntityTable
-from .diversify import EvalStats, IntentEvaluation, TopK, intent_likelihood, run_query
+from .diversify import (
+    EvalStats,
+    IntentEvaluation,
+    TopK,
+    intent_likelihood,
+    run_query,
+    segment_ancestors,
+)
 from .features import FeatureMatrix
 from .indexing import IndexBundle
 from .intents import IntentQuery, Segment, iter_combinations, resolve_segment
-from .slca import DiversifiedSet
+from .slca import AncestorSet, DiversifiedSet
 
 SegmentKey = tuple[str, str | None]
 
@@ -59,19 +67,21 @@ def plan_shared_segments(key_rows: Iterable[Sequence[SegmentKey]]) -> SharedSegm
     return SharedSegmentTable(frozenset(key for key, uses in counts.items() if uses >= 2))
 
 
-def evaluate_area(area: Area, table: EntityTable) -> tuple[DeweyId, ...]:
+def evaluate_area(
+    area: Area, table: EntityTable, ancestors: Sequence[AncestorSet] | None = None
+) -> tuple[DeweyId, ...]:
     """The SLCAs of one area; its own name so the bench's tracer can time it."""
-    return area_results(area, table)
+    return area_results(area, table, ancestors)
 
 
 def evaluate_whole(
     intent: IntentQuery, pool: DiversifiedSet, table: EntityTable
 ) -> IntentEvaluation:
-    """Baseline scoring: the SLCAs of the intent's whole node lists as one area."""
+    """Baseline scoring: the SLCAs of the intent's whole node lists and sets as one area."""
     lists = tuple(segment.node_list for segment in intent.segments)
     total = sum(len(lst) for lst in lists)
     area = Area(lists, tuple((0, len(lst), ()) for lst in lists), total, not all(lists))
-    results = evaluate_area(area, table)
+    results = evaluate_area(area, table, segment_ancestors(intent))
     return IntentEvaluation(
         intent_likelihood(intent) * len(results), pool.preview(results), total, 0, 0
     )

@@ -3,22 +3,27 @@
 ``compute_slca`` finds the smallest lowest common ancestors of a family of
 sorted node lists: nodes whose subtree contains at least one node from every
 list while no descendant's subtree does.  It is the whole cost of a
-baseline query once segments are shared, so it runs on entity ordinals:
-bisects on ints, shared depths from the entity table's range-minimum
-table, and its probe loop written out inline.  ``DiversifiedSet``
-accumulates results across accepted intents with the merge semantics used
-for novelty scoring: duplicates and ancestors of existing members are
-dropped, descendants replace the member they refine, everything else
-inserts.  Each member is attributed to the intent that inserted it, in
-one map, so an evicted intent's members can be found and dropped.  The
-pool also keeps its members' places among the entities for the anchor
-engine, rebuilt only after the pool changes.
+baseline query once segments are shared, so it has two paths on entity
+ordinals.  Given each list's ancestor set (``proper_ancestors``, built once
+per segment), it intersects the sets in C: the nodes covering every list
+form a subtree closed under ancestors, and its leaves are the SLCAs.
+Without them it runs the lookup kernel: bisects on ints, shared depths from
+the entity table's range-minimum table, and its probe loop written out
+inline.  ``DiversifiedSet`` accumulates results across accepted intents
+with the merge semantics used for novelty scoring: duplicates and
+ancestors of existing members are dropped, descendants replace the member
+they refine, everything else inserts.  Each member is attributed to the
+intent that inserted it, in one map, so an evicted intent's members can be
+found and dropped.  The pool also keeps its members' places among the
+entities for the anchor engine, rebuilt only after the pool changes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import compress
+from operator import ge
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dewey import DeweyId, EntityTable, is_ancestor_or_self, prefix_bounds
@@ -40,18 +45,54 @@ class SlcaSet:
         return self.nodes[i]
 
 
+AncestorSet = frozenset  # of entity ordinals and DeweyIds, see proper_ancestors
+
+
+def proper_ancestors(nodes: Sequence[int], table: EntityTable) -> AncestorSet:
+    """P(L): every proper ancestor of an entity in the ordinal list ``nodes``.
+
+    An ancestor that is an entity is keyed by its ordinal, as list members
+    are, so a list and these sets intersect directly; any other node is
+    keyed by its ``DeweyId``, as ``EntityTable.parents`` keys it.  The set
+    grows a level at a time, from the members' parents up to the root; only
+    the first step visits every member, and it runs in C.
+    """
+    up, above = table.parents()
+    out: set = set()
+    level = set(map(up.__getitem__, nodes))
+    while level:
+        level.discard(None)
+        level -= out
+        out |= level
+        level = {up[x] if x.__class__ is int else above[x] for x in level}
+    return frozenset(out)
+
+
 def compute_slca(
-    lists: Sequence[Sequence[int]] | Sequence[Sequence[DeweyId]], table: EntityTable | None = None
+    lists: Sequence[Sequence[int]] | Sequence[Sequence[DeweyId]],
+    table: EntityTable | None = None,
+    ancestors: Sequence[AncestorSet] | None = None,
 ) -> SlcaSet:
     """SLCA set of one sorted, duplicate-free node list per query segment.
 
     The lists hold ordinals of ``table``'s entities.  Without a table they
     hold Dewey IDs, and a table is built from their union first.
 
-    Indexed Lookup Eager: each entity i of the shortest list (the driver)
-    starts as the candidate (i, d) with d its depth, the node being i's
-    ancestor-or-self at depth d.  Against each other list, d becomes
-    ``min(d, max(lcp(i, lst[j]), lcp(lst[j-1], i)))`` with ``j`` the
+    With ``ancestors``, ``proper_ancestors`` of each list against ``table``,
+    the answer comes from set algebra.  A node covers list i iff it is in
+    L_i or in P(L_i).  Starting from the shortest list s, the cover is
+    P(L_s) | L_s; each other list cuts it to (cover & P(L_i)) |
+    (cover & L_i), set operations that run in C.  The cover is then every
+    node covering all the lists, and it is closed under ancestors, so in
+    document order a member has a descendant in the cover iff the next
+    member is deeper; the others are the SLCAs.  The work is linear in the
+    lists' total length.  The sets are keyed against ``table``, so this
+    path needs it.
+
+    Without the sets, Indexed Lookup Eager: each entity i of the shortest
+    list (the driver) starts as the candidate (i, d) with d its depth, the
+    node being i's ancestor-or-self at depth d.  Against each other list, d
+    becomes ``min(d, max(lcp(i, lst[j]), lcp(lst[j-1], i)))`` with ``j`` the
     insertion point of i: the deepest member of the list shares most with i
     next to that point.  A value >= d means the node covers the list and
     nothing is cut; 0 means no common root, so no candidate.  Cost is
@@ -71,6 +112,8 @@ def compute_slca(
         raise ValueError("compute_slca requires at least one node list")
     if any(not lst for lst in lists):
         return SlcaSet()
+    if ancestors is not None:
+        return _covering_leaves(lists, table, ancestors)
     if table is None:
         nodes = sorted(set().union(*lists))
         table = EntityTable(nodes)
@@ -133,6 +176,25 @@ def compute_slca(
     if last >= 0:
         kept.append((last, last_d))
     return SlcaSet(tuple(table.node(i, d) for i, d in kept))
+
+
+def _covering_leaves(
+    lists: Sequence[Sequence[int]], table: EntityTable, ancestors: Sequence[AncestorSet]
+) -> SlcaSet:
+    """The set-algebra path of ``compute_slca``: the leaves of the covering nodes."""
+    s = min(range(len(lists)), key=lambda i: len(lists[i]))
+    cover = ancestors[s].union(lists[s])
+    for i, (lst, above) in enumerate(zip(lists, ancestors)):
+        if i != s and cover:
+            cover = cover.intersection(lst) | (cover & above)
+    if not cover:
+        return SlcaSet()
+    deweys = table.deweys
+    nodes = sorted([deweys[x] if x.__class__ is int else x for x in cover])
+    depths = list(map(len, nodes))
+    kept = list(compress(nodes, map(ge, depths, depths[1:])))
+    kept.append(nodes[-1])
+    return SlcaSet(tuple(kept))
 
 
 @dataclass(frozen=True)

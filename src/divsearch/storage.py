@@ -133,6 +133,8 @@ def _triplets(
             raise ValueError(f"cooccur pair names a term without postings: {term!r}") from None
         if rank_a >= rank_b:
             raise ValueError(f"cooccur pair {(a, b)!r} not in canonical order (a < b)")
+        if count.__class__ is not int:
+            raise ValueError(f"cooccur pair {(a, b)!r}: count {count!r} is not an int")
         if count < 1:
             raise ValueError(f"cooccur pair {(a, b)!r}: count below 1")
         if count > df_a or count > df_b:
@@ -150,6 +152,18 @@ def _triplets(
     return map(triplet, keys)
 
 
+def _refuse_unencodable(kind: str, texts: list[str]) -> None:
+    """``ValueError`` naming the first text that UTF-8 cannot encode (a lone surrogate)."""
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        for text in texts:
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{kind} {text!r} cannot be written as UTF-8") from None
+
+
 def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     """Write the index files, creating the directory if needed.
 
@@ -159,13 +173,14 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     those of one compact ``json.dumps`` per row.
 
     Raises ``ValueError``, before writing any file, for a bundle that
-    :func:`load_index` would reject or read back different: no entities;
-    an entity label outside ``config.entity_labels``; entities out of
-    document order; a posting that is empty, not strictly ascending, or
-    holds an ordinal outside the entities; a cooccur pair not in canonical
-    order (a < b), naming a term without postings, or with a count below 1
-    or above either term's posting length; a stop word that is not one
-    token.
+    :func:`load_index` would reject or read back different, or that it
+    cannot write: no entities; an entity label outside
+    ``config.entity_labels``; entities out of document order; a label or
+    term that UTF-8 cannot encode (it holds a lone surrogate); a posting
+    that is empty, not strictly ascending, or holds an ordinal outside the
+    entities; a cooccur pair not in canonical order (a < b), naming a term
+    without postings, or with a count that is not an int, below 1 or above
+    either term's posting length; a stop word that is not one token.
     """
     directory = Path(directory)
     entities = bundle.entities
@@ -177,7 +192,10 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     deweys = [e.dewey for e in entities]
     if any(map(operator.ge, deweys, islice(deweys, 1, None))):
         raise ValueError("entities not in document order")
+    labels = sorted(bundle.config.entity_labels)
+    _refuse_unencodable("label", labels)
     terms = sorted(bundle.postings)
+    _refuse_unencodable("term", terms)
     for term, ids in bundle.postings.items():
         if not ids:
             raise ValueError(f"posting list for {term!r} is empty")
@@ -196,7 +214,7 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
         "version": FORMAT_VERSION,
         "entityCount": bundle.entity_count,
         "window": bundle.config.window,
-        "entityLabels": sorted(bundle.config.entity_labels),
+        "entityLabels": labels,
         "logBase": "e",  # MI uses the natural log
     }
     _write_lines(directory / MANIFEST_FILE, [_dump(manifest) + "\n"])

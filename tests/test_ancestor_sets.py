@@ -1,0 +1,205 @@
+"""The set-algebra SLCA path: per-segment ancestor sets, intersected in C.
+
+``compute_slca(lists, table, ancestors)`` must answer as the lookup kernel
+and the SLCA oracle do, for every shape of entity table: entities that
+nest, a root that is an entity and a list member, non-entity nodes between
+entities.  Each segment's set is built once per query, when the segment
+is resolved, and never carried over to the next query.
+"""
+
+import random
+
+from divsearch.anchors import diversify_anchored
+from divsearch.dewey import DeweyId, EntityTable, is_ancestor_or_self
+from divsearch.diversify import diversify_baseline
+from divsearch.features import build_matrix
+from divsearch.indexing import IndexConfig, index_corpus
+from divsearch.intents import iter_intents
+from divsearch.parallel import diversify_parallel
+from divsearch.slca import compute_slca, proper_ancestors
+from helpers import Entities, patch_everywhere, random_corpus_xml, random_tree, slca_oracle
+
+
+def key(table: EntityTable, node: DeweyId):
+    """A node as the sets key it: its ordinal if it is an entity, else itself."""
+    return table.deweys.index(node) if node in table.deweys else node
+
+
+def brute_ancestors(table: EntityTable, ordinals) -> frozenset:
+    return frozenset(
+        key(table, DeweyId(table.deweys[i][:depth]))
+        for i in ordinals
+        for depth in range(1, len(table.deweys[i]))
+    )
+
+
+def random_entities(rng: random.Random, tree: list[DeweyId]) -> Entities:
+    """Some of the tree's nodes as entities, often the root among them."""
+    chosen = [v for v in tree if rng.random() < rng.choice((0.3, 0.7, 1.0))]
+    if rng.random() < 0.5:
+        chosen.append(tree[0])
+    return Entities.of_tree(chosen or tree[:1])
+
+
+def random_ordinal_lists(rng: random.Random, size: int) -> list[tuple[int, ...]]:
+    """One to four sorted lists of ordinals; sometimes empty, repeated or one alone."""
+    lists = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.05:
+            lists.append(())
+        elif roll < 0.15 and lists:
+            lists.append(rng.choice(lists))
+        else:
+            count = rng.randint(1, max(1, size // 2))
+            lists.append(tuple(sorted(rng.sample(range(size), min(count, size)))))
+    return lists
+
+
+class TestProperAncestors:
+    def test_equals_every_proper_prefix_keyed_by_entity(self):
+        rng = random.Random(81)
+        for _ in range(300):
+            ents = random_entities(rng, random_tree(rng, 60))
+            table = ents.table
+            size = len(table.deweys)
+            nodes = tuple(sorted(rng.sample(range(size), rng.randint(0, size))))
+            assert proper_ancestors(nodes, table) == brute_ancestors(table, nodes)
+
+    def test_parents_name_each_node_once(self):
+        rng = random.Random(82)
+        for _ in range(200):
+            table = random_entities(rng, random_tree(rng, 60)).table
+            up, above = table.parents()
+            for i, v in enumerate(table.deweys):
+                assert up[i] == (key(table, DeweyId(v[:-1])) if len(v) > 1 else None)
+            for node, parent in above.items():
+                assert node not in table.deweys
+                assert parent == (key(table, DeweyId(node[:-1])) if len(node) > 1 else None)
+            made = [k for k in up if isinstance(k, DeweyId)]
+            assert all(k is next(a for a in above if a == k) for k in made)
+            assert table.parents() is table.parents()
+
+
+class TestSetPath:
+    def test_matches_the_lookup_kernel_and_the_oracle(self):
+        rng = random.Random(83)
+        seen = dict.fromkeys(
+            ("nested", "root member", "entity above another list", "single", "twice", "empty"), 0
+        )
+        for _ in range(1500):
+            tree = random_tree(rng, 50)
+            ents = random_entities(rng, tree)
+            table = ents.table
+            lists = random_ordinal_lists(rng, len(table.deweys))
+            sets = [proper_ancestors(lst, table) for lst in lists]
+            got = compute_slca(lists, table, sets)
+            assert got == compute_slca(lists, table)
+            assert got.nodes == slca_oracle(tree, [ents.deweys(lst) for lst in lists])
+
+            members = [ents.deweys(lst) for lst in lists]
+            flat = sorted({v for lst in members for v in lst})
+            seen["nested"] += any(is_ancestor_or_self(a, b) for a, b in zip(flat, flat[1:]))
+            seen["root member"] += DeweyId((1,)) in flat
+            seen["entity above another list"] += any(
+                a != b and is_ancestor_or_self(a, b)
+                for i, lst in enumerate(members)
+                for j, other in enumerate(members)
+                if i != j
+                for a in lst
+                for b in other
+            )
+            seen["single"] += len(lists) == 1
+            seen["twice"] += len(set(lists)) < len(lists)
+            seen["empty"] += () in lists
+        assert min(seen.values()) > 50, seen
+
+    def test_non_entity_ancestors_are_results(self):
+        """Two entities under a non-entity node meet there."""
+        table = EntityTable([DeweyId((1, 1, 1)), DeweyId((1, 1, 2)), DeweyId((1, 2, 1))])
+        lists = [(0,), (1, 2)]
+        got = compute_slca(lists, table, [proper_ancestors(lst, table) for lst in lists])
+        assert got.nodes == (DeweyId((1, 1)),)
+        assert got == compute_slca(lists, table)
+
+    def test_the_root_entity_covers_lists_in_different_subtrees(self):
+        table = EntityTable([DeweyId((1,)), DeweyId((1, 1)), DeweyId((1, 2))])
+        for lists in ([(1,), (2,)], [(0,), (2,)], [(0,), (0,)], [(0, 1)]):
+            got = compute_slca(lists, table, [proper_ancestors(lst, table) for lst in lists])
+            assert got == compute_slca(lists, table)
+        assert compute_slca([(1,), (2,)], table, [proper_ancestors((1,), table)] * 2).nodes == (
+            DeweyId((1,)),
+        )
+
+
+def omni_index(rng: random.Random):
+    """A nested corpus whose every entity holds ``omni``: its MI with any term is 0."""
+    xml = random_corpus_xml(rng, max_entities=40).replace(b"<item><t>", b"<item><t>omni ")
+    return index_corpus(xml, IndexConfig(entity_labels=frozenset({"item"})))
+
+
+def entries(topk):
+    return [(e.intent, e.relevance, e.score, e.results.nodes) for e in topk.entries]
+
+
+class TestBareKeyword:
+    def test_bare_segment_scores_as_the_anchor_engine(self):
+        rng = random.Random(84)
+        checked = 0
+        for _ in range(60):
+            index = omni_index(rng)
+            other = rng.choice(sorted(set(index.postings) - {"omni"}))
+            matrix = build_matrix(["omni", other], 4, index)
+            if not matrix.columns[1]:
+                continue
+            intent = next(iter_intents(matrix, index))
+            bare = intent.segments[0]
+            assert bare.feature is None
+            assert bare.node_list == index.posting("omni")
+            assert bare.ancestors == brute_ancestors(index.entity_table, bare.node_list)
+            for k in (1, 3):
+                base, _ = diversify_baseline(["omni", other], k, 4, index)
+                anch, _ = diversify_anchored(["omni", other], k, 4, index)
+                par, _ = diversify_parallel(["omni", other], k, 4, index, workers=2)
+                want = entries(anch)
+                assert entries(base) == want
+                assert entries(par) == want
+                assert base.phi == anch.phi == par.phi
+                checked += bool(want)
+        assert checked > 40
+
+
+class TestOncePerQuery:
+    def count_builds(self, monkeypatch) -> list[tuple[int, ...]]:
+        built: list[tuple[int, ...]] = []
+
+        def counting(nodes, table):
+            built.append(nodes)
+            return proper_ancestors(nodes, table)
+
+        patch_everywhere(monkeypatch, proper_ancestors, counting)
+        return built
+
+    def test_built_once_per_distinct_segment_and_again_next_query(self, toy_index, monkeypatch):
+        query = ["database", "query"]
+        keys = {
+            intent.segment_keys()
+            for intent in iter_intents(build_matrix(query, 3, toy_index), toy_index)
+        }
+        distinct = {key for keys_of in keys for key in keys_of}
+        assert sum(map(len, keys)) > len(distinct)  # intents share segments
+        built = self.count_builds(monkeypatch)
+        for engine in (diversify_baseline, diversify_anchored, diversify_parallel):
+            del built[:]
+            engine(query, 3, 3, toy_index)
+            assert len(built) == len(distinct), engine.__name__
+            engine(query, 3, 3, toy_index)
+            assert len(built) == 2 * len(distinct), engine.__name__
+
+    def test_intents_share_one_set_per_segment(self, toy_index):
+        by_key = {}
+        for intent in iter_intents(build_matrix(["database", "query"], 3, toy_index), toy_index):
+            for segment in intent.segments:
+                first = by_key.setdefault((segment.keyword, segment.feature), segment.ancestors)
+                assert segment.ancestors is first
+        assert len(by_key) > 1

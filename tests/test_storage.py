@@ -436,7 +436,7 @@ def _round_trips(bundle, directory):
     try:
         reference_save(bundle, directory)
         return load_index(directory) == bundle
-    except (IndexError, IndexFormatError):
+    except (IndexError, IndexFormatError, UnicodeEncodeError):
         return False
 
 
@@ -465,10 +465,17 @@ class TestSaveRefuses:
             ({"postings": {"a": (-1,), "b": (1, 2)}}, "'a' holds an ordinal outside"),
             ({"postings": {"a": (0, 3), "b": (1, 2)}}, "'a' holds an ordinal outside"),
             ({"entities": (), "postings": {}, "cooccur": {}}, "no entities"),
+            ({"cooccur": {("a", "b"): 1.5}}, r"\('a', 'b'\): count 1.5 is not an int"),
+            ({"postings": {"a": (0, 1), "b\ud800": (1, 2)}, "cooccur": {("a", "b\ud800"): 1}},
+             r"term 'b\\ud800' cannot be written as UTF-8"),
+            ({"entities": tuple(EntityInfo(e.dewey, "it\ud800em") for e in ENTITIES),
+              "config": IndexConfig(entity_labels=frozenset({"it\ud800em"}))},
+             r"label 'it\\ud800em' cannot be written as UTF-8"),
         ],
         ids=[
             "reversed-pair", "self-pair", "zero-count", "empty-posting", "unsorted-posting",
             "label", "document-order", "negative-ordinal", "ordinal-past-the-end", "no-entities",
+            "count-not-an-int", "surrogate-term", "surrogate-label",
         ],
     )
     def test_refused_before_any_file(self, tmp_path, change, message):
