@@ -128,7 +128,10 @@ def cmd_index(args: argparse.Namespace) -> int:
     )
     data = Path(args.input).read_bytes()
     bundle = build_index(parse_corpus(data, config), config)
-    save_index(bundle, args.out)
+    try:
+        save_index(bundle, args.out)
+    except ValueError as exc:  # a bundle it cannot write, such as a label with a backslash
+        raise DivSearchError(str(exc)) from exc
     print(
         f"entities={bundle.entity_count}"
         f" terms={len(bundle.postings)}"

@@ -15,10 +15,13 @@ below (sorting, separators) exists to keep the bytes canonical.
 In memory a posting holds entity ordinals; on disk it holds each entity's
 Dewey text, so the files do not depend on that representation.  Each JSONL
 line has the writer's one shape: compact separators, the key order above, a
-Dewey ID as ``str(DeweyId)``, a count in plain decimal, and a JSON escape
-only where a string needs one.  The loader matches every line against that
-shape and refuses any other; ``json.loads`` decodes only an escaped string
-and the manifest, so a later version's manifest is still told by its version.
+Dewey ID as ``str(DeweyId)``, a count in plain decimal, and each string raw,
+with no JSON escape.  No term the indexer makes needs one, since each is
+one token, and a label, an element name, needs one only when its namespace
+URI holds a character that JSON escapes; :func:`save_index` refuses a term
+or label that needs one.  The loader matches every line against that shape
+and refuses any other, an escaped string included; ``json.loads`` reads the
+manifest only, so a later version's manifest is still told by its version.
 
 :func:`load_index` reads and checks every line.  :func:`load_for_query`,
 which ``divsearch search`` and ``divsearch features`` use, reads what one
@@ -61,23 +64,19 @@ POSTINGS_FILE = "postings.jsonl"
 COOCCUR_FILE = "cooccur.jsonl"
 STOPWORDS_FILE = "stopwords.txt"
 
-# A JSON string, captured without its quotes: first with no escape, which
-# reads back as its raw text, then with escapes.  Only a line that misses
-# the first form is tried against the second, which is slower.
-_PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
-_ESCAPED_STR = r'"((?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*)"'
+# A JSON string with no escape, captured without its quotes: its raw text
+_STR = r'"([^"\\\x00-\x1f]*)"'
 _DEWEY = r"[1-9][0-9]*(?:\.[1-9][0-9]*)*"
 _is_dewey = re.compile(_DEWEY).fullmatch
+# what a JSON string escapes (RFC 8259, section 7), and what UTF-8 cannot
+# encode: a lone surrogate
+_unwritable = re.compile(r'["\\\x00-\x1f\ud800-\udfff]').search
 
 
-def _grammar(pattern: str, shape: str) -> tuple[Callable, Callable, str]:
-    """Escape-free and escaped matchers of the line ``pattern`` (``%(s)s`` a string, ``%(d)s``
-    a Dewey ID, its "\\n" optional), and the message that refuses any other line."""
-    plain, escaped = (
-        re.compile(pattern % {"s": s, "d": _DEWEY} + r"\n?").fullmatch
-        for s in (_PLAIN_STR, _ESCAPED_STR)
-    )
-    return plain, escaped, f"expected {shape}"
+def _grammar(pattern: str, shape: str) -> tuple[Callable, str]:
+    """The matcher of the line ``pattern`` (``%(s)s`` a string, ``%(d)s`` a Dewey ID,
+    its "\\n" optional), and the message that refuses any other line."""
+    return re.compile(pattern % {"s": _STR, "d": _DEWEY} + r"\n?").fullmatch, f"expected {shape}"
 
 
 _ENTITY_LINE = _grammar(r'\{"dewey":"(%(d)s)","label":%(s)s\}', '{"dewey":"<dewey>","label":<string>}')
@@ -90,19 +89,6 @@ _PAIR_LINE = _grammar(
     r'\{"a":%(s)s,"b":%(s)s,"count":([1-9][0-9]*)\}', '{"a":<string>,"b":<string>,"count":<count>}'
 )
 _TEXT_LINE = _grammar("(.+)", "")  # any line but a blank one
-
-
-def _dump(obj: Any) -> str:
-    # separators chosen for byte-stable, compact output
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
-
-
-class _JsonText(dict):
-    """``value -> _dump(value)``, computed once per distinct value."""
-
-    def __missing__(self, value: Any) -> str:
-        text = self[value] = _dump(value)
-        return text
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -152,31 +138,29 @@ def _triplets(
     return map(triplet, keys)
 
 
-def _refuse_unencodable(kind: str, texts: list[str]) -> None:
-    """``ValueError`` naming the first text that UTF-8 cannot encode (a lone surrogate)."""
-    try:
-        "".join(texts).encode("utf-8")
-    except UnicodeEncodeError:
-        for text in texts:
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValueError(f"{kind} {text!r} cannot be written as UTF-8") from None
+def _refuse_unwritable(kind: str, texts: list[str]) -> None:
+    """``ValueError`` naming the first of ``texts`` that an index file cannot hold raw."""
+    for text in texts:
+        if found := _unwritable(text):
+            raise ValueError(
+                f"{kind} {text!r} holds {found.group()!r}, which an index file cannot hold"
+            )
 
 
 def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     """Write the index files, creating the directory if needed.
 
-    Each line is assembled from the JSON text of its parts; a term or a label
-    is encoded once however many lines name it, and so is each entity's
-    Dewey text (digits and dots, which need no escaping).  The bytes equal
-    those of one compact ``json.dumps`` per row.
+    Each line is assembled from the raw text of its parts; each entity's
+    Dewey text is made once however many lines name it.  No string needs a
+    JSON escape, so the bytes equal those of one compact ``json.dumps`` per
+    row.
 
     Raises ``ValueError``, before writing any file, for a bundle that
     :func:`load_index` would reject or read back different, or that it
     cannot write: no entities; an entity label outside
     ``config.entity_labels``; entities out of document order; a label or
-    term that UTF-8 cannot encode (it holds a lone surrogate); a posting
+    term that holds a character JSON would escape (``"``, ``\\`` or U+0000 to
+    U+001F) or that UTF-8 cannot encode (a lone surrogate); a posting
     that is empty, not strictly ascending, or holds an ordinal outside the
     entities; a cooccur pair not in canonical order (a < b), naming a term
     without postings, or with a count that is not an int, below 1 or above
@@ -193,9 +177,9 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     if any(map(operator.ge, deweys, islice(deweys, 1, None))):
         raise ValueError("entities not in document order")
     labels = sorted(bundle.config.entity_labels)
-    _refuse_unencodable("label", labels)
+    _refuse_unwritable("label", labels)
     terms = sorted(bundle.postings)
-    _refuse_unencodable("term", terms)
+    _refuse_unwritable("term", terms)
     for term, ids in bundle.postings.items():
         if not ids:
             raise ValueError(f"posting list for {term!r} is empty")
@@ -217,33 +201,30 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
         "entityLabels": labels,
         "logBase": "e",  # MI uses the natural log
     }
-    _write_lines(directory / MANIFEST_FILE, [_dump(manifest) + "\n"])
+    # separators chosen for byte-stable, compact output
+    _write_lines(
+        directory / MANIFEST_FILE,
+        [json.dumps(manifest, separators=(",", ":"), ensure_ascii=False) + "\n"],
+    )
 
-    encoded = _JsonText()  # labels and terms
-    texts = [str(e.dewey) for e in bundle.entities]  # by ordinal
+    texts = [str(e.dewey) for e in entities]  # by ordinal
     _write_lines(
         directory / ENTITIES_FILE,
-        (
-            '{"dewey":"%s","label":%s}\n' % (text, encoded[e.label])
-            for text, e in zip(texts, bundle.entities)
-        ),
+        ('{"dewey":"%s","label":"%s"}\n' % (text, e.label) for text, e in zip(texts, entities)),
     )
 
     _write_lines(
         directory / POSTINGS_FILE,
         (
-            '{"term":%s,"entities":["%s"]}\n'
-            % (encoded[term], '","'.join(map(texts.__getitem__, bundle.postings[term])))
+            '{"term":"%s","entities":["%s"]}\n'
+            % (term, '","'.join(map(texts.__getitem__, bundle.postings[term])))
             for term in terms
         ),
     )
 
     _write_lines(
         directory / COOCCUR_FILE,
-        (
-            '{"a":%s,"b":%s,"count":%d}\n' % (encoded[a], encoded[b], count)
-            for a, b, count in triplets
-        ),
+        ('{"a":"%s","b":"%s","count":%d}\n' % triplet for triplet in triplets),
     )
 
     _write_lines(directory / STOPWORDS_FILE, (word + "\n" for word in stopwords))
@@ -298,18 +279,15 @@ def _undecodable_line(path: Path) -> int:
 
 
 def _rows(
-    path: Path, lines: Iterable[tuple[int, str]], grammar: tuple[Callable, Callable, str]
+    path: Path, lines: Iterable[tuple[int, str]], grammar: tuple[Callable, str]
 ) -> Iterator[tuple[int, tuple]]:
     """The number and the fields of each of ``lines`` of ``path``, as ``grammar`` captures them."""
-    plain, escaped, expected = grammar
+    matcher, expected = grammar
     for lineno, raw in lines:
-        match = plain(raw)
-        if match is not None:
-            yield lineno, match.groups()
-        elif (match := escaped(raw)) is not None:
-            yield lineno, tuple(json.loads(f'"{g}"') if "\\" in g else g for g in match.groups())
-        else:
+        match = matcher(raw)
+        if match is None:
             raise _fail(path, lineno, "blank line" if raw == "\n" else expected)
+        yield lineno, match.groups()
 
 
 def _fail(path: Path, lineno: int, message: str) -> IndexFormatError:
@@ -556,12 +534,13 @@ def _keyword_pair_lines(
 ) -> tuple[list[tuple[int, tuple]], set[tuple[str, str]]]:
     """The lines of ``data``, cooccur.jsonl, that a query for ``keywords`` reads.
 
-    A line names a keyword unescaped as ``{"a":"<keyword>","b":`` or as
-    ``,"b":"<keyword>","count":``, and escaped only with a backslash, so
-    ``bytes.find`` locates every line that may name one.  Each is read with
-    the lines just before and after it, so that its order is checked on
-    both sides.  Returns each line's number and fields, in file order, and
-    the pairs that name a keyword.
+    A line names a keyword as ``{"a":"<keyword>","b":`` or as
+    ``,"b":"<keyword>","count":``, so ``bytes.find`` locates every line that
+    names one.  A line that holds a backslash, an escape that might spell a
+    keyword, is read too and so refused.  Each is read with the lines just
+    before and after it, so that its order is checked on both sides.
+    Returns each line's number and fields, in file order, and the pairs that
+    name a keyword.
     """
     needles = [b"\\"]
     for word in keywords:

@@ -78,6 +78,19 @@ class TestIndexCommand:
         assert err == "error: malformed XML: unknown encoding: x-no-such\n"
         assert not out_dir.exists()
 
+    def test_label_an_index_file_cannot_hold(self, tmp_path, capsys):
+        corpus = tmp_path / "ns.xml"
+        corpus.write_bytes(b'<r xmlns="urn:a\\b"><item>alpha beta</item><item>beta</item></r>')
+        out_dir = tmp_path / "idx"
+        rc = main(["index", "--input", str(corpus), "--entity", "{urn:a\\b}item", "--out", str(out_dir)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: label '{urn:a\\\\b}item' holds '\\\\', which an index file cannot hold\n"
+        )
+        assert not out_dir.exists()
+
     def test_stopwords_file_that_is_not_utf8(self, toy_xml_path, tmp_path, capsys):
         stop = tmp_path / "stop.txt"
         stop.write_bytes(b"the\ncaf\xe9 the\n")

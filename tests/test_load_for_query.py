@@ -22,7 +22,7 @@ from divsearch.indexing import EntityInfo, IndexBundle, IndexConfig, index_corpu
 from divsearch.storage import COOCCUR_FILE, POSTINGS_FILE, load_for_query, load_index, save_index
 from conftest import GOLDEN_INDEX_DIR
 from helpers import NON_ASCII_WORDS, random_corpus_xml
-from test_storage import escaped_bundle
+from test_storage import SHAPE, raw_bundle
 
 ENGINES = ("baseline", "anchor", "parallel")
 
@@ -107,21 +107,25 @@ class TestSameReports:
         assert_same_outputs(monkeypatch, tmp_path, ["solo", "solo alpha", "alpha solo beta"])
 
     def test_escaped_terms(self, tmp_path, monkeypatch):
-        save_index(escaped_bundle(), tmp_path)
+        save_index(raw_bundle(), tmp_path / "raw")
         queries = ["plain é", "é", "plain"]
-        assert_same_outputs(monkeypatch, tmp_path, queries)
-        # a keyword whose stored spelling carries a JSON escape is still found
-        for name in (POSTINGS_FILE, COOCCUR_FILE):
-            path = tmp_path / name
-            text = path.read_text(encoding="utf-8")
-            text = text.replace('"plain"', '"\\u0070lain"').replace('"é"', '"\\u00e9"')
-            path.write_text(text, encoding="utf-8")
-        assert "\\u0070lain" in (tmp_path / COOCCUR_FILE).read_text(encoding="utf-8")
-        assert load_index(tmp_path) == escaped_bundle()
-        assert_same_outputs(monkeypatch, tmp_path, queries)
-        keywords, part = load_for_query(tmp_path, "plain é")
-        assert part == restricted(escaped_bundle(), keywords)
+        assert_same_outputs(monkeypatch, tmp_path / "raw", queries)
+        keywords, part = load_for_query(tmp_path / "raw", "plain é")
+        assert part == restricted(raw_bundle(), keywords)
         assert part.cooccur
+        # a keyword spelled with a JSON escape is refused at its first line, by both readers
+        for name in (POSTINGS_FILE, COOCCUR_FILE):
+            directory = tmp_path / name
+            shutil.copytree(tmp_path / "raw", directory)
+            path = directory / name
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            at = next(i for i, text in enumerate(lines) if '"plain"' in text)
+            lines[at] = lines[at].replace('"plain"', '"\\u0070lain"')
+            path.write_text("".join(lines), encoding="utf-8")
+            escaped = (name, at + 1, SHAPE[name])
+            assert refusal(load_index, directory) == escaped
+            for query in queries:
+                assert refusal(load_for_query, directory, query) == escaped
 
 
 def golden_copy(tmp_path, edit_pairs=None):
@@ -329,7 +333,7 @@ class TestOneByteEdits:
         [
             ("golden", "database query", {"without the lines"}),
             ("stopwords", "image", {"as intact", "without the lines"}),  # 4 of 14 pair lines read
-            ("escaped", "plain é", set()),
+            ("raw", "plain é", set()),
         ],
     )
     def test_scoped_report_or_an_index_error(self, toy_index, tmp_path, source, query, seen):
@@ -337,7 +341,7 @@ class TestOneByteEdits:
         if source == "golden":
             shutil.copytree(GOLDEN_INDEX_DIR, directory)
         else:
-            save_index(toy_index if source == "stopwords" else escaped_bundle(), directory)
+            save_index(toy_index if source == "stopwords" else raw_bundle(), directory)
         intact = scoped_report(directory, query)
         assert intact == report(*whole_index(directory, query)) != "no intent"
         rng = random.Random(f"one-byte-scoped-{source}")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -16,11 +17,14 @@ from divsearch.storage import (
     MANIFEST_FILE,
     POSTINGS_FILE,
     STOPWORDS_FILE,
+    load_for_query,
     load_index,
     save_index,
 )
-from conftest import GOLDEN_INDEX_DIR
+from conftest import DATA_DIR, GOLDEN_INDEX_DIR
 from helpers import NON_ASCII_WORDS, Entities, random_corpus_xml
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 ALL_FILES = (MANIFEST_FILE, ENTITIES_FILE, POSTINGS_FILE, COOCCUR_FILE)
 # the message that refuses a line of another shape than the writer's
@@ -65,12 +69,11 @@ def reference_save(bundle, directory):
     write(COOCCUR_FILE, [{"a": a, "b": b, "count": count} for (a, b), count in triplets])
 
 
-def escaped_bundle():
-    """A hand-built index whose terms and labels all need JSON escapes."""
+def raw_bundle():
+    """A hand-built index whose terms and labels hold characters that JSON
+    leaves raw: non-ASCII ones, U+2028 and U+007F among them."""
     one, two, three = DeweyId((1, 1)), DeweyId((1, 2)), DeweyId((1, 2, 1))
-    terms = sorted(
-        ['quo"te', "back\\slash", "tab\there", "new\nline", "ctl\x01", "sep\u2028", "é", "plain"]
-    )
+    terms = sorted(["naïve", "日本語", "𝔡𝔟", "del\x7f", "ab", "sep\u2028", "é", "plain"])
     postings = {term: (0, 2) if i % 2 else (1,) for i, term in enumerate(terms)}  # one, three / two
     cooccur = {
         (a, b): min(1 + (i * 7 + j) % 3, len(postings[a]), len(postings[b]))  # at most either df
@@ -79,10 +82,10 @@ def escaped_bundle():
         if a < b
     }
     return IndexBundle(
-        entities=(EntityInfo(one, "item"), EntityInfo(two, 'la"bel'), EntityInfo(three, "item")),
+        entities=(EntityInfo(one, "item"), EntityInfo(two, "étiquette"), EntityInfo(three, "item")),
         postings=postings,
         cooccur=cooccur,
-        config=IndexConfig(entity_labels=frozenset({"item", 'la"bel'}), window=2),
+        config=IndexConfig(entity_labels=frozenset({"item", "étiquette"}), window=2),
     )
 
 
@@ -419,17 +422,41 @@ class TestWriterMatchesReference:
             config = IndexConfig(entity_labels=frozenset({"item"}), window=rng.randint(1, 4))
             _assert_same_bytes(index_corpus(xml, config), tmp_path / f"c{i}")
 
-    def test_terms_and_labels_needing_escapes(self, tmp_path):
-        bundle = escaped_bundle()
+    def test_raw_terms_and_labels(self, tmp_path):
+        bundle = raw_bundle()
         _assert_same_bytes(bundle, tmp_path)
         assert load_index(tmp_path / "new") == bundle
 
     def test_pair_naming_a_term_without_postings_is_refused(self, tmp_path):
-        bundle = escaped_bundle()
+        bundle = raw_bundle()
         orphaned = dataclasses.replace(bundle, cooccur={**bundle.cooccur, ("orphan", "plain"): 2})
         with pytest.raises(ValueError, match="'orphan'"):
             save_index(orphaned, tmp_path / "idx")
         assert not (tmp_path / "idx").exists()
+
+
+class TestBuiltIndexesHoldNoEscape:
+    """The indexer writes no JSON escape, so refusing one refuses no index it builds."""
+
+    def test_no_file_holds_a_backslash(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from corpora import longtail_corpus, skewed_corpus
+
+        rng = random.Random("no-escape")
+        corpora = [("toy", (DATA_DIR / "toy.xml").read_bytes(), "paper")]
+        corpora += [
+            (f"random{i}", random_corpus_xml(rng, words=NON_ASCII_WORDS if i % 2 else None), "item")
+            for i in range(12)
+        ]
+        corpora += [
+            ("skewed", skewed_corpus(20250804, sections=6).xml, "item"),
+            ("longtail", longtail_corpus(20250804, sections=4).xml, "item"),
+        ]
+        for name, xml, label in corpora:
+            config = IndexConfig(entity_labels=frozenset({label}), window=2)
+            save_index(index_corpus(xml, config), tmp_path / name)
+            for path in sorted((tmp_path / name).iterdir()):
+                assert b"\\" not in path.read_bytes(), path
 
 
 def _round_trips(bundle, directory):
@@ -438,6 +465,27 @@ def _round_trips(bundle, directory):
         return load_index(directory) == bundle
     except (IndexError, IndexFormatError, UnicodeEncodeError):
         return False
+
+
+def _term_spelled(term):
+    """The change to ``TestSaveRefuses.GOOD`` that spells its term "b" as ``term``."""
+    return {"postings": {"a": (0, 1), term: (1, 2)}, "cooccur": {("a", term): 1}}
+
+
+def _label_spelled(label):
+    """The change to ``TestSaveRefuses.GOOD`` that spells its label "item" as ``label``."""
+    entities = tuple(EntityInfo(DeweyId((1, j)), label) for j in (1, 2, 3))
+    return {"entities": entities, "config": IndexConfig(entity_labels=frozenset({label}))}
+
+
+def _cannot_hold(kind, text, char):
+    return re.escape(f"{kind} {text!r} holds {char!r}, which an index file cannot hold")
+
+
+# characters that a JSON string escapes, and one that UTF-8 cannot encode
+UNWRITABLE = {
+    "quote": '"', "backslash": "\\", "tab": "\t", "lf": "\n", "ctl": "\x01", "surrogate": "\ud800"
+}
 
 
 class TestSaveRefuses:
@@ -466,16 +514,19 @@ class TestSaveRefuses:
             ({"postings": {"a": (0, 3), "b": (1, 2)}}, "'a' holds an ordinal outside"),
             ({"entities": (), "postings": {}, "cooccur": {}}, "no entities"),
             ({"cooccur": {("a", "b"): 1.5}}, r"\('a', 'b'\): count 1.5 is not an int"),
-            ({"postings": {"a": (0, 1), "b\ud800": (1, 2)}, "cooccur": {("a", "b\ud800"): 1}},
-             r"term 'b\\ud800' cannot be written as UTF-8"),
-            ({"entities": tuple(EntityInfo(e.dewey, "it\ud800em") for e in ENTITIES),
-              "config": IndexConfig(entity_labels=frozenset({"it\ud800em"}))},
-             r"label 'it\\ud800em' cannot be written as UTF-8"),
+            *(
+                case
+                for char in UNWRITABLE.values()
+                for case in [
+                    (_term_spelled(f"b{char}"), _cannot_hold("term", f"b{char}", char)),
+                    (_label_spelled(f"it{char}em"), _cannot_hold("label", f"it{char}em", char)),
+                ]
+            ),
         ],
         ids=[
             "reversed-pair", "self-pair", "zero-count", "empty-posting", "unsorted-posting",
             "label", "document-order", "negative-ordinal", "ordinal-past-the-end", "no-entities",
-            "count-not-an-int", "surrogate-term", "surrogate-label",
+            "count-not-an-int", *(f"{name}-{kind}" for name in UNWRITABLE for kind in ("term", "label")),
         ],
     )
     def test_refused_before_any_file(self, tmp_path, change, message):
@@ -548,11 +599,8 @@ class TestStopWords:
 
 
 class TestLoadAcceptsAnyValidJson:
-    """Valid JSON in another shape than the writer's is refused at its line.
-
-    Only a JSON escape inside a string, which the writer emits where a
-    string needs one, loads: to the same bundle as the raw character.
-    """
+    """Valid JSON in another shape than the writer's is refused at its line,
+    a JSON escape inside a string included: the writer emits none."""
 
     @pytest.mark.parametrize(
         "filename, old, new",
@@ -585,25 +633,30 @@ class TestLoadAcceptsAnyValidJson:
         directory = _corrupt(
             tmp_path, bundle, COOCCUR_FILE, lambda t: t.replace("é", "\\u00e9")
         )
-        assert "\\u00e9" in (directory / COOCCUR_FILE).read_text(encoding="utf-8")
-        assert load_index(directory) == bundle
+        lines = (directory / COOCCUR_FILE).read_text(encoding="utf-8").splitlines()
+        line = next(i for i, text in enumerate(lines, start=1) if "\\u00e9" in text)
+        _assert_fails_at(directory, COOCCUR_FILE, line, SHAPE[COOCCUR_FILE])
+        for query in ("café", "noir"):  # a backslash line is read for any query
+            with pytest.raises(IndexFormatError) as exc_info:
+                load_for_query(directory, query)
+            refused = exc_info.value
+            assert (refused.path, refused.line, str(refused)) == (
+                COOCCUR_FILE, line, SHAPE[COOCCUR_FILE]
+            )
 
     def test_cooccur_keys_are_the_postings_terms(self, tmp_path):
         config = IndexConfig(entity_labels=frozenset({"item"}))
         bundle = index_corpus(
             "<doc><item>café crème</item><item>café noir thé</item></doc>".encode(), config
         )
-        # the first line goes through json.loads, the others through the fast path
-        directory = _corrupt(
-            tmp_path, bundle, COOCCUR_FILE, lambda t: t.replace("é", "\\u00e9", 2)
-        )
-        loaded = load_index(directory)
+        save_index(bundle, tmp_path)
+        loaded = load_index(tmp_path)
         assert loaded == bundle
         terms = {term: term for term in loaded.postings}
         assert all(terms[a] is a and terms[b] is b for a, b in loaded.cooccur)
 
-    def test_json_decodes_only_strings_with_a_backslash(self, tmp_path, monkeypatch):
-        save_index(escaped_bundle(), tmp_path)
+    def test_json_decodes_only_the_manifest(self, tmp_path, monkeypatch):
+        save_index(raw_bundle(), tmp_path)
         decoded = []
         json_loads = json.loads
 
@@ -612,11 +665,11 @@ class TestLoadAcceptsAnyValidJson:
             return json_loads(text)
 
         monkeypatch.setattr(json, "loads", loads)
-        assert load_index(tmp_path) == escaped_bundle()
-        manifest = (tmp_path / MANIFEST_FILE).read_text(encoding="utf-8")
-        assert decoded[0] == manifest.rstrip("\n")
-        assert len(decoded) > 1
-        assert all(text[0] == text[-1] == '"' and "\\" in text for text in decoded[1:])
+        manifest = (tmp_path / MANIFEST_FILE).read_text(encoding="utf-8").rstrip("\n")
+        assert load_index(tmp_path) == raw_bundle()
+        assert decoded == [manifest]
+        assert load_for_query(tmp_path, "plain é")[1].cooccur
+        assert decoded == [manifest, manifest]
 
     def test_postings_share_the_entities_dewey_objects(self, toy_index, tmp_path):
         """Postings hold ordinals; through the table they are the entities' own IDs."""
@@ -637,13 +690,13 @@ class TestOneByteEdits:
     # JSON punctuation, digits and a few bytes that are not UTF-8 on their own
     ALPHABET = b'{}[]",:.\\ \n0129aeu\x00\x1f\x80\xc3\xff'
 
-    @pytest.mark.parametrize("source", ["golden", "stopwords", "escaped"])
+    @pytest.mark.parametrize("source", ["golden", "stopwords", "raw"])
     def test_load_returns_a_bundle_or_an_index_error(self, toy_index, tmp_path, source):
         directory = tmp_path / source
         if source == "golden":
             shutil.copytree(GOLDEN_INDEX_DIR, directory)
         else:
-            save_index(toy_index if source == "stopwords" else escaped_bundle(), directory)
+            save_index(toy_index if source == "stopwords" else raw_bundle(), directory)
         rng = random.Random(f"one-byte-{source}")
         loaded = refused = 0
         for path in sorted(directory.iterdir()):
