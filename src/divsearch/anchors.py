@@ -4,8 +4,9 @@ Every result already in the pool (an "anchor") splits the document range
 into areas that cannot exchange SLCA results: nodes before the anchor
 subtree, strict descendants, and nodes after, while ancestors of an anchor
 are discarded outright.  Areas missing any segment entirely are skipped
-without inspection.  Each surviving area is solved independently; all
-their results go through the pool's merge, as the baseline's SLCAs do.
+without inspection.  The surviving areas' nodes are solved together, in
+one SLCA call per intent over the segments' ancestor sets, and the results
+go through the pool's merge, as the baseline's SLCAs do.
 
 Node lists hold entity ordinals.  The pool places each anchor among the
 entities once per version (``DiversifiedSet.layout``): its subtree is an
@@ -21,9 +22,10 @@ intent, each tested by its entity span.
 :func:`evaluate_anchored` is the anchor engine's whole evaluation, run
 through the pipeline of every engine, ``diversify.run_query``.  This engine
 reproduces the paper's pruning; it is slower than the baseline in wall
-time, one SLCA call per live area (README).  The parallel engine scores
-like the baseline and uses only :class:`Area` and :func:`area_results`,
-with the intent's whole node lists as one area.
+time, since its sweep cuts every list at every anchor for every intent
+(README).  The parallel engine scores like the baseline and uses only
+:class:`Area` and :func:`area_results`, with the intent's whole node lists
+as one area.
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .dewey import DeweyId, EntityTable
-from .diversify import EvalStats, IntentEvaluation, TopK, intent_likelihood, run_query
+from .diversify import (
+    EvalStats,
+    IntentEvaluation,
+    TopK,
+    intent_likelihood,
+    run_query,
+    segment_ancestors,
+)
 from .indexing import IndexBundle
 from .intents import IntentQuery
 from .slca import AncestorSet, AnchorSpan, DiversifiedSet, compute_slca
@@ -55,6 +64,13 @@ class Area(NamedTuple):
     ranges: tuple[Range, ...]
     total_nodes: int
     dead: bool
+
+    @classmethod
+    def whole(cls, lists: Sequence[NodeList]) -> "Area":
+        """The area of every position of ``lists``."""
+        sources = tuple(lists)
+        ranges = tuple((0, len(lst), ()) for lst in sources)
+        return cls(sources, ranges, sum(map(len, sources)), not all(sources))
 
     def lists(self) -> list[NodeList]:
         out: list[NodeList] = []
@@ -127,11 +143,12 @@ def partition_areas(
 def area_results(
     area: Area, table: EntityTable, ancestors: Sequence[AncestorSet] | None = None
 ) -> tuple[DeweyId, ...]:
-    """The SLCAs local to one area, as the pool's merge will receive them.
+    """The SLCAs of one area's lists, as the pool's merge will receive them.
 
-    ``ancestors`` is for an area of whole node lists only: the anchor
-    engine's areas are fresh slices, whose segments' ancestor sets do not
-    apply, so it passes none and ``compute_slca`` runs its lookup kernel.
+    ``ancestors`` are the segments' own sets, ``proper_ancestors`` of their
+    whole node lists, or None for the lookup kernel.  The anchor engine's
+    area holds only live nodes, yet the whole lists' sets are exact for
+    every result that covers no anchor (:func:`evaluate_anchored`).
     """
     return compute_slca(area.lists(), table, ancestors).nodes
 
@@ -178,8 +195,9 @@ def evaluate_anchored(
     """Evaluate one intent against the pool using anchor partitioning.
 
     The segments' node lists are ordinals of ``table``.  Dead areas are
-    skipped and their nodes count as pruned; :func:`area_results` solves
-    the live ones in area order.
+    skipped and their nodes count as pruned; the live areas' nodes, joined
+    list by list in area order, are solved as one area by
+    :func:`area_results`, with no call if no area is live.
     """
     lists = [segment.node_list for segment in intent.segments]
     layout = pool.layout(table)
@@ -193,13 +211,18 @@ def evaluate_anchored(
         else:
             kept.append(area)
             visited += area.total_nodes
-    outputs = [area_results(area, table) for area in kept]
-    # Exact as the baseline's merge: a pre or next area's result lies outside
-    # every anchor's subtree, so it is skipped if it covers one and inserted
-    # otherwise; a des area's result duplicates its anchor or refines it (the
-    # anchor is removed once).  Results of different areas are incomparable
-    # unless one covers an anchor, so area order is the inserted nodes' order.
-    outcome = pool.preview(chain.from_iterable(outputs))
+    results: tuple[DeweyId, ...] = ()
+    if kept:
+        live = [tuple(chain.from_iterable(parts)) for parts in zip(*(a.lists() for a in kept))]
+        results = area_results(Area.whole(live), table, segment_ancestors(intent))
+    # Exact as the baseline's merge.  A node that is not an ancestor-or-self
+    # of an anchor has its whole subtree in one area, and live lists hold no
+    # anchor's ancestor, so it covers list i through the whole list's set iff
+    # a live member of list i lies below it: its cover and its minimality
+    # are those of the live nodes alone.  Every other result is equal to or
+    # above an anchor, which the merge skips; a result below an anchor
+    # refines it (the anchor is removed once).
+    outcome = pool.preview(results)
     covered = covered_anchor_ancestors(lists, layout.prefixes, outcome.inserted)
     return IntentEvaluation(
         relevance=intent_likelihood(intent) * (len(outcome.inserted) + covered),

@@ -78,12 +78,10 @@ def evaluate_whole(
     intent: IntentQuery, pool: DiversifiedSet, table: EntityTable
 ) -> IntentEvaluation:
     """Baseline scoring: the SLCAs of the intent's whole node lists and sets as one area."""
-    lists = tuple(segment.node_list for segment in intent.segments)
-    total = sum(len(lst) for lst in lists)
-    area = Area(lists, tuple((0, len(lst), ()) for lst in lists), total, not all(lists))
+    area = Area.whole([segment.node_list for segment in intent.segments])
     results = evaluate_area(area, table, segment_ancestors(intent))
     return IntentEvaluation(
-        intent_likelihood(intent) * len(results), pool.preview(results), total, 0, 0
+        intent_likelihood(intent) * len(results), pool.preview(results), area.total_nodes, 0, 0
     )
 
 

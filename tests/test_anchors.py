@@ -12,13 +12,35 @@ from divsearch.anchors import (
 from divsearch.dewey import DeweyId, subtree_bound
 from divsearch.diversify import IntentEvaluation, diversify_baseline, evaluate_against_pool
 from divsearch.intents import IntentQuery, Segment
-from divsearch.slca import DiversifiedSet, MergeOutcome, PoolLayout, compute_slca
-from helpers import Entities, contains_anchor, d, ids, random_antichain, random_lists, random_tree
+from divsearch.slca import (
+    DiversifiedSet,
+    MergeOutcome,
+    PoolLayout,
+    compute_slca,
+    proper_ancestors,
+)
+from helpers import (
+    Entities,
+    contains_anchor,
+    d,
+    ids,
+    patch_everywhere,
+    random_antichain,
+    random_lists,
+    random_tree,
+)
 
 
-def make_intent(lists) -> IntentQuery:
+def make_intent(lists, table=None) -> IntentQuery:
+    """An intent of the ordinal lists; with a table its segments carry ancestor sets."""
     segments = tuple(
-        Segment(f"k{i}", f"f{i}", tuple(lst), max(1, len(lst)))
+        Segment(
+            f"k{i}",
+            f"f{i}",
+            tuple(lst),
+            max(1, len(lst)),
+            None if table is None else proper_ancestors(tuple(lst), table),
+        )
         for i, lst in enumerate(lists)
     )
     return IntentQuery(segments, 0.0)
@@ -495,3 +517,79 @@ class TestAgainstReferencePartition:
         assert refined >= 50
         assert with_duplicate >= 50
         assert with_covering >= 50
+
+    def test_ancestor_sets_of_whole_lists_are_exact_for_live_nodes(self):
+        """Segments with sets take the set path over the live nodes only.
+
+        The sets are those of the whole lists, nodes that were discarded or
+        sit in dead areas included; the evaluation must still equal the
+        reference's and the baseline's, which takes the same sets.
+        """
+        rng = random.Random(47)
+        refined = with_covering = set_reaches_pruned = 0
+        for _ in range(2500):
+            tree, lists, anchors = random_case(rng)
+            ents, ordinal_lists = place(lists, tree)
+            intent = make_intent(ordinal_lists, ents.table)
+            pool = DiversifiedSet()
+            pool.merge(anchors, 0)
+            want, _, covering = reference_evaluate(intent, pool, ents)
+            got = evaluate_anchored(intent, pool, ents.table)
+            assert got == want
+            base = evaluate_against_pool(intent, pool, ents.table)
+            assert (got.outcome, got.relevance) == (base.outcome, base.relevance)
+            refined += bool(want.outcome.removed)
+            with_covering += covering > 0
+            set_reaches_pruned += got.visited > 0 and got.pruned > 0
+        assert refined >= 50
+        assert with_covering >= 50
+        # live and pruned nodes together: the whole lists' sets hold both
+        assert set_reaches_pruned >= 500
+
+
+class TestOneSlcaCallPerIntent:
+    """The anchor engine solves all of an intent's live areas in one SLCA call."""
+
+    def count_calls(self, monkeypatch) -> list[int]:
+        """Patch ``compute_slca`` to count; the list holds the running count."""
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return compute_slca(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, compute_slca, counting)
+        return calls
+
+    def test_one_call_with_a_live_area_and_none_without(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        rng = random.Random(48)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            tree, lists, anchors = random_case(rng)
+            ents, ordinal_lists = place(lists, tree)
+            _, areas, _ = partition(lists, anchors, tree)
+            live = not all(area.dead for area in areas)
+            pool = DiversifiedSet()
+            pool.merge(anchors, 0)
+            for table in (None, ents.table):
+                before = calls[0]
+                evaluate_anchored(make_intent(ordinal_lists, table), pool, ents.table)
+                assert calls[0] - before == int(live)
+            seen[live] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_engine_makes_at_most_one_call_per_intent(self, toy_index, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        made = []
+
+        def evaluating(intent, pool, table):
+            before = calls[0]
+            evaluation = evaluate_anchored(intent, pool, table)
+            made.append((calls[0] - before, evaluation.visited > 0))
+            return evaluation
+
+        patch_everywhere(monkeypatch, evaluate_anchored, evaluating)
+        diversify_anchored(["database", "query"], 4, 4, toy_index)
+        assert made and all(n == live for n, live in made)
+        assert {live for _, live in made} == {True, False}

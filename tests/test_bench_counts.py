@@ -43,9 +43,9 @@ COUNTS = (
 )
 
 ANCHORED = {
-    "slca.calls": 670,
+    "slca.calls": 99,
     "slca.nodes_in": 9013,
-    "slca.results": 769,
+    "slca.results": 523,
     "intents.intersections": 33,
     "intents.intersect_nodes_in": 5491,
     "diversify.nodes_visited": 9013,
