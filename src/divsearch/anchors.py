@@ -41,7 +41,6 @@ from .diversify import (
     TopK,
     intent_likelihood,
     run_query,
-    segment_ancestors,
 )
 from .indexing import IndexBundle
 from .intents import IntentQuery
@@ -141,14 +140,14 @@ def partition_areas(
 
 
 def area_results(
-    area: Area, table: EntityTable, ancestors: Sequence[AncestorSet] | None = None
+    area: Area, table: EntityTable, ancestors: Sequence[AncestorSet]
 ) -> tuple[DeweyId, ...]:
     """The SLCAs of one area's lists, as the pool's merge will receive them.
 
     ``ancestors`` are the segments' own sets, ``proper_ancestors`` of their
-    whole node lists, or None for the lookup kernel.  The anchor engine's
-    area holds only live nodes, yet the whole lists' sets are exact for
-    every result that covers no anchor (:func:`evaluate_anchored`).
+    whole node lists.  The anchor engine's area holds only live nodes, yet
+    the whole lists' sets are exact for every result that covers no anchor
+    (:func:`evaluate_anchored`).
     """
     return compute_slca(area.lists(), table, ancestors).nodes
 
@@ -214,7 +213,7 @@ def evaluate_anchored(
     results: tuple[DeweyId, ...] = ()
     if kept:
         live = [tuple(chain.from_iterable(parts)) for parts in zip(*(a.lists() for a in kept))]
-        results = area_results(Area.whole(live), table, segment_ancestors(intent))
+        results = area_results(Area.whole(live), table, [s.ancestors for s in intent.segments])
     # Exact as the baseline's merge.  A node that is not an ancestor-or-self
     # of an anchor has its whole subtree in one area, and live lists hold no
     # anchor's ancestor, so it covers list i through the whole list's set iff

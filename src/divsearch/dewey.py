@@ -7,8 +7,8 @@ tuple subclass: all comparisons and hashing come from ``tuple`` for free.
 
 The engines work on entity ordinals instead: positions in an
 ``EntityTable``, a document-ordered run of distinct Dewey IDs.  The table
-answers the shared depth of any two of its entities in O(1), so the SLCA
-kernel compares ints and never slices a tuple until a result is built.
+maps each entity to its parent, so the SLCA step's ancestor sets hold ints
+and make a ``DeweyId`` only for a node that is not an entity.
 """
 
 from __future__ import annotations
@@ -93,46 +93,22 @@ def prefix_bounds(nodes: Iterable[DeweyId]) -> tuple[tuple[DeweyId, DeweyId], ..
 class EntityTable:
     """Distinct Dewey IDs in document order, addressed by ordinal.
 
-    ``lcp(i, j)`` is the shared depth of entities i and j.  For i < j it is
-    the minimum of ``lcp[i+1..j]``, where ``lcp[k]`` is the shared depth of
-    entities k-1 and k, because the IDs are sorted.  ``levels`` is a sparse
-    table over that array (Bender & Farach-Colton, "The LCA Problem
-    Revisited", 2000): ``levels[k][x]`` is the minimum of
-    ``lcp[x .. x + 2**k - 1]``, so with ``k = logs[j - i]``, the floor of
-    log2, the minimum of ``lcp[i+1..j]`` is the smaller of
-    ``levels[k][i+1]`` and ``levels[k][j - 2**k + 1]``.  Depths and levels
-    are typed arrays whose item size holds the greatest depth.
+    ``depths[i]`` is the depth of entity i and ``shared[i]`` its shared
+    depth with entity i-1 (0 for the first), as ``common_prefix_len`` gives
+    it; ``parents`` builds its map from the two.  Both are typed arrays
+    whose item size holds the greatest depth.
     """
 
-    __slots__ = ("deweys", "depths", "levels", "logs", "_parents")
+    __slots__ = ("deweys", "depths", "shared", "_parents")
 
     def __init__(self, deweys: Iterable[DeweyId]) -> None:
         self.deweys = tuple(deweys)
         depths = [len(v) for v in self.deweys]
         code = next(c for c in "BHILQ" if max(depths, default=0) < 1 << 8 * array(c).itemsize)
         self.depths = array(code, depths)
-        level = array(code, [0])
-        level.extend(map(common_prefix_len, self.deweys, self.deweys[1:]))
-        self.levels = [level]
-        h = 1
-        while 2 * h < len(self.deweys):
-            level = array(code, [a if a < b else b for a, b in zip(level, level[h:])])
-            self.levels.append(level)
-            h *= 2
-        self.logs = bytes(1) + b"".join(
-            bytes([k]) * (1 << k) for k in range(len(self.deweys).bit_length())
-        )
+        self.shared = array(code, [0])
+        self.shared.extend(map(common_prefix_len, self.deweys, self.deweys[1:]))
         self._parents: tuple[list, dict] | None = None
-
-    def lcp(self, i: int, j: int) -> int:
-        """Shared depth of entities i and j; the depth of i when i == j."""
-        if i == j:
-            return self.depths[i]
-        if i > j:
-            i, j = j, i
-        k = self.logs[j - i]
-        level = self.levels[k]
-        return min(level[i + 1], level[j - (1 << k) + 1])
 
     def parents(self) -> tuple[list, dict]:
         """The parent of every node above or at an entity, built on first use.
@@ -147,7 +123,7 @@ class EntityTable:
         non-entity node is made once and shared.
         """
         if self._parents is None:
-            deweys, depths, shared = self.deweys, self.depths, self.levels[0]
+            deweys, depths, shared = self.deweys, self.depths, self.shared
             up: list = []
             above: dict = {}
             made: dict[tuple, DeweyId] = {}  # each non-entity node's one object
@@ -179,8 +155,3 @@ class EntityTable:
                 path.append(i)
             self._parents = (up, above)
         return self._parents
-
-    def node(self, i: int, depth: int) -> DeweyId:
-        """The ancestor-or-self of entity i at ``depth``."""
-        v = self.deweys[i]
-        return v if depth == len(v) else _trusted(v[:depth])

@@ -22,7 +22,7 @@ from .dewey import EntityTable
 from .features import build_matrix
 from .indexing import IndexBundle
 from .intents import IntentQuery, iter_intents
-from .slca import AncestorSet, DiversifiedSet, MergeOutcome, SlcaSet, compute_slca
+from .slca import DiversifiedSet, MergeOutcome, SlcaSet, compute_slca
 
 
 @dataclass
@@ -91,22 +91,12 @@ def intent_likelihood(intent: IntentQuery) -> float:
     return likelihood
 
 
-def segment_ancestors(intent: IntentQuery) -> list[AncestorSet] | None:
-    """Each segment's ancestor set, or None if a segment was built without one."""
-    sets = [segment.ancestors for segment in intent.segments]
-    return None if any(a is None for a in sets) else sets
-
-
 def evaluate_against_pool(
     intent: IntentQuery, pool: DiversifiedSet, table: EntityTable
 ) -> IntentEvaluation:
-    """Baseline evaluation: full SLCA over complete node lists of ``table`` ordinals.
-
-    The segments' ancestor sets, when built, take ``compute_slca``'s
-    set-algebra path.
-    """
+    """Baseline evaluation: full SLCA over complete node lists of ``table`` ordinals."""
     lists = [segment.node_list for segment in intent.segments]
-    slca = compute_slca(lists, table, segment_ancestors(intent))
+    slca = compute_slca(lists, table, [segment.ancestors for segment in intent.segments])
     return IntentEvaluation(
         relevance=intent_likelihood(intent) * len(slca),
         outcome=pool.preview(slca),

@@ -31,15 +31,14 @@ class Segment:
     ``ancestors`` is ``slca.proper_ancestors`` of the node list, built by
     ``resolve_segment`` so every intent sharing the segment reuses it; it
     lives as long as the query's segment memo.  It is derived from the node
-    list, so it takes no part in equality or hashing.  A segment built
-    without it (None) is scored by the SLCA lookup kernel instead.
+    list, so it takes no part in equality or hashing.
     """
 
     keyword: str
     feature: str | None
     node_list: tuple[int, ...]  # entity ordinals, ascending
     feature_list_size: int
-    ancestors: AncestorSet | None = field(default=None, compare=False, repr=False)
+    ancestors: AncestorSet = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .diversify import (
     TopK,
     intent_likelihood,
     run_query,
-    segment_ancestors,
 )
 from .features import FeatureMatrix
 from .indexing import IndexBundle
@@ -68,7 +67,7 @@ def plan_shared_segments(key_rows: Iterable[Sequence[SegmentKey]]) -> SharedSegm
 
 
 def evaluate_area(
-    area: Area, table: EntityTable, ancestors: Sequence[AncestorSet] | None = None
+    area: Area, table: EntityTable, ancestors: Sequence[AncestorSet]
 ) -> tuple[DeweyId, ...]:
     """The SLCAs of one area; its own name so the bench's tracer can time it."""
     return area_results(area, table, ancestors)
@@ -79,7 +78,7 @@ def evaluate_whole(
 ) -> IntentEvaluation:
     """Baseline scoring: the SLCAs of the intent's whole node lists and sets as one area."""
     area = Area.whole([segment.node_list for segment in intent.segments])
-    results = evaluate_area(area, table, segment_ancestors(intent))
+    results = evaluate_area(area, table, [s.ancestors for s in intent.segments])
     return IntentEvaluation(
         intent_likelihood(intent) * len(results), pool.preview(results), area.total_nodes, 0, 0
     )

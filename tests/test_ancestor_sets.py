@@ -1,10 +1,12 @@
-"""The set-algebra SLCA path: per-segment ancestor sets, intersected in C.
+"""The set-algebra SLCA: per-segment ancestor sets, intersected in C.
 
-``compute_slca(lists, table, ancestors)`` must answer as the lookup kernel
-and the SLCA oracle do, for every shape of entity table: entities that
-nest, a root that is an entity and a list member, non-entity nodes between
-entities.  Each segment's set is built once per query, when the segment
-is resolved, and never carried over to the next query.
+``compute_slca(lists, table, ancestors)`` must answer as the SLCA oracle
+does, for every shape of entity table: entities that nest, a root that is
+an entity and a list member, non-entity nodes between entities, and a short
+list against one long enough that the cover is bisected into it.  Without
+``ancestors`` it builds the same sets itself.  Each segment's set is built
+once per query, when the segment is resolved, and never carried over to the
+next query.
 """
 
 import random
@@ -16,7 +18,7 @@ from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import iter_intents
 from divsearch.parallel import diversify_parallel
-from divsearch.slca import compute_slca, proper_ancestors
+from divsearch.slca import BISECT_RATIO, compute_slca, proper_ancestors
 from helpers import Entities, patch_everywhere, random_corpus_xml, random_tree, slca_oracle
 
 
@@ -39,6 +41,30 @@ def random_entities(rng: random.Random, tree: list[DeweyId]) -> Entities:
     if rng.random() < 0.5:
         chosen.append(tree[0])
     return Entities.of_tree(chosen or tree[:1])
+
+
+def shallow_tree(rng: random.Random, size: int) -> list[DeweyId]:
+    """A random tree of ``size`` nodes at most four levels deep, so covers stay short."""
+    nodes = [DeweyId((1,))]
+    children = {nodes[0]: 0}
+    while len(nodes) < size:
+        parent = rng.choice(nodes)
+        if len(parent) < 4:
+            children[parent] += 1
+            child = DeweyId(parent + (children[parent],))
+            children[child] = 0
+            nodes.append(child)
+    return nodes
+
+
+class WalkCounting(tuple):
+    """A node list that counts how often it is walked; indexing is not counted."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return tuple.__iter__(self)
 
 
 def random_ordinal_lists(rng: random.Random, size: int) -> list[tuple[int, ...]]:
@@ -82,7 +108,7 @@ class TestProperAncestors:
 
 
 class TestSetPath:
-    def test_matches_the_lookup_kernel_and_the_oracle(self):
+    def test_matches_the_oracle(self):
         rng = random.Random(83)
         seen = dict.fromkeys(
             ("nested", "root member", "entity above another list", "single", "twice", "empty"), 0
@@ -94,7 +120,6 @@ class TestSetPath:
             lists = random_ordinal_lists(rng, len(table.deweys))
             sets = [proper_ancestors(lst, table) for lst in lists]
             got = compute_slca(lists, table, sets)
-            assert got == compute_slca(lists, table)
             assert got.nodes == slca_oracle(tree, [ents.deweys(lst) for lst in lists])
 
             members = [ents.deweys(lst) for lst in lists]
@@ -123,13 +148,44 @@ class TestSetPath:
         assert got == compute_slca(lists, table)
 
     def test_the_root_entity_covers_lists_in_different_subtrees(self):
-        table = EntityTable([DeweyId((1,)), DeweyId((1, 1)), DeweyId((1, 2))])
+        ents = Entities.of_tree([DeweyId((1,)), DeweyId((1, 1)), DeweyId((1, 2))])
+        table = ents.table
         for lists in ([(1,), (2,)], [(0,), (2,)], [(0,), (0,)], [(0, 1)]):
             got = compute_slca(lists, table, [proper_ancestors(lst, table) for lst in lists])
+            assert got.nodes == slca_oracle(table.deweys, [ents.deweys(lst) for lst in lists])
             assert got == compute_slca(lists, table)
         assert compute_slca([(1,), (2,)], table, [proper_ancestors((1,), table)] * 2).nodes == (
             DeweyId((1,)),
         )
+
+    def test_a_short_list_is_bisected_into_a_long_one(self):
+        """Both sides of the size switch match the oracle, and the switch picks its side.
+
+        The cover is bisected into a list ``BISECT_RATIO`` times longer than
+        it, which is never walked, and intersected with a shorter one, which
+        is walked once.
+        """
+        rng = random.Random(85)
+        seen = {"bisected": 0, "intersected": 0}
+        for _ in range(300):
+            tree = shallow_tree(rng, rng.randint(200, 600))
+            ents = random_entities(rng, tree)
+            table = ents.table
+            size = len(table.deweys)
+            if size < 2 * BISECT_RATIO:
+                continue
+            short = tuple(sorted(rng.sample(range(size), rng.randint(1, 2))))
+            count = rng.randint(BISECT_RATIO * len(short), size)
+            long = WalkCounting(sorted(rng.sample(range(size), count)))
+            lists = [short, long] if rng.random() < 0.5 else [long, short]
+            sets = [proper_ancestors(lst, table) for lst in lists]
+            bisected = len(sets[lists.index(short)].union(short)) * BISECT_RATIO < len(long)
+            long.walks = 0
+            got = compute_slca(lists, table, sets)
+            assert long.walks == (not bisected)
+            assert got.nodes == slca_oracle(tree, [ents.deweys(lst) for lst in lists])
+            seen["bisected" if bisected else "intersected"] += 1
+        assert min(seen.values()) > 100, seen
 
 
 def omni_index(rng: random.Random):

@@ -31,15 +31,15 @@ from helpers import (
 )
 
 
-def make_intent(lists, table=None) -> IntentQuery:
-    """An intent of the ordinal lists; with a table its segments carry ancestor sets."""
+def make_intent(lists, table) -> IntentQuery:
+    """An intent of the ordinal lists of ``table``'s entities, with their ancestor sets."""
     segments = tuple(
         Segment(
             f"k{i}",
             f"f{i}",
             tuple(lst),
             max(1, len(lst)),
-            None if table is None else proper_ancestors(tuple(lst), table),
+            proper_ancestors(tuple(lst), table),
         )
         for i, lst in enumerate(lists)
     )
@@ -164,7 +164,7 @@ def evaluate(lists, anchors):
     ents, ordinal_lists = place(lists)
     pool = DiversifiedSet()
     pool.merge(anchors, 0)
-    return evaluate_anchored(make_intent(ordinal_lists), pool, ents.table)
+    return evaluate_anchored(make_intent(ordinal_lists, ents.table), pool, ents.table)
 
 
 class TestDeadAreas:
@@ -218,7 +218,9 @@ class TestAreaResults:
         """
         ents, areas, _ = partition(lists, anchors)
         assert [not area.dead for area in areas] == [i == position for i in range(3)]
-        return area_results(areas[position], ents.table), evaluate(lists, anchors)
+        area = areas[position]
+        sets = [proper_ancestors(lst, ents.table) for lst in area.lists()]
+        return area_results(area, ents.table, sets), evaluate(lists, anchors)
 
     def test_descendant_area_drops_anchor_duplicate(self):
         results, evaluation = self.run_single_area([ids("1.2.1"), ids("1.2.2")], ids("1.2"), 1)
@@ -287,7 +289,7 @@ class TestEngineEquivalence:
         for _ in range(200):
             tree = random_tree(rng, 50)
             ents, lists = place(random_lists(rng, tree), tree)
-            intent = make_intent(lists)
+            intent = make_intent(lists, ents.table)
             pool = DiversifiedSet()
             pool.merge(random_antichain(rng), 0)
             base = evaluate_against_pool(intent, pool, ents.table)
@@ -301,7 +303,7 @@ class TestEngineEquivalence:
 
     def test_duplicate_of_pool_scores_zero_without_visits(self):
         ents, lists = place([ids("1.1"), ids("1.1")])
-        intent = make_intent(lists)
+        intent = make_intent(lists, ents.table)
         pool = DiversifiedSet()
         pool.merge(ids("1.1"), 0)
         anch = evaluate_anchored(intent, pool, ents.table)
@@ -505,7 +507,7 @@ class TestAgainstReferencePartition:
         for _ in range(2000):
             tree, lists, anchors = random_case(rng)
             ents, ordinal_lists = place(lists, tree)
-            intent = make_intent(ordinal_lists)
+            intent = make_intent(ordinal_lists, ents.table)
             pool = DiversifiedSet()
             pool.merge(anchors, 0)
             want, duplicates, covering = reference_evaluate(intent, pool, ents)
@@ -519,11 +521,11 @@ class TestAgainstReferencePartition:
         assert with_covering >= 50
 
     def test_ancestor_sets_of_whole_lists_are_exact_for_live_nodes(self):
-        """Segments with sets take the set path over the live nodes only.
+        """The anchor engine's one SLCA call runs over the live nodes only.
 
-        The sets are those of the whole lists, nodes that were discarded or
-        sit in dead areas included; the evaluation must still equal the
-        reference's and the baseline's, which takes the same sets.
+        The segments' sets are those of the whole lists, nodes that were
+        discarded or sit in dead areas included; the evaluation must still
+        equal the reference's and the baseline's, which takes the same sets.
         """
         rng = random.Random(47)
         refined = with_covering = set_reaches_pruned = 0
@@ -572,10 +574,9 @@ class TestOneSlcaCallPerIntent:
             live = not all(area.dead for area in areas)
             pool = DiversifiedSet()
             pool.merge(anchors, 0)
-            for table in (None, ents.table):
-                before = calls[0]
-                evaluate_anchored(make_intent(ordinal_lists, table), pool, ents.table)
-                assert calls[0] - before == int(live)
+            before = calls[0]
+            evaluate_anchored(make_intent(ordinal_lists, ents.table), pool, ents.table)
+            assert calls[0] - before == int(live)
             seen[live] += 1
         assert min(seen.values()) > 50, seen
 

@@ -161,7 +161,9 @@ class TestBaseline:
 
 
 def fake_intent(name: str, agg: float) -> IntentQuery:
-    segment = Segment(keyword="k", feature=name, node_list=(), feature_list_size=1)
+    segment = Segment(
+        keyword="k", feature=name, node_list=(), feature_list_size=1, ancestors=frozenset()
+    )
     return IntentQuery((segment,), agg)
 
 

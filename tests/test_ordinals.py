@@ -1,8 +1,8 @@
 """The ordinal path: entity tables, their shared depths, and SLCA on a bundle.
 
-``compute_slca`` with a table runs on entity ordinals and takes every shared
-depth from the table's range-minimum levels.  These tests hold the table to
-``common_prefix_len`` and the bundle-path kernel to the SLCA oracle on
+``EntityTable`` keeps each entity's depth and its shared depth with the
+entity before it; ``parents`` builds its map from the two.  These tests hold
+the table to ``common_prefix_len`` and the bundle path to the SLCA oracle on
 corpora whose entities nest.
 """
 
@@ -30,21 +30,39 @@ def deep_chain(depth: int, rng: random.Random) -> list[DeweyId]:
     return nodes
 
 
-def assert_every_lcp(table: EntityTable) -> None:
-    deweys = table.deweys
+def assert_every_range(table: EntityTable) -> None:
+    """Entities i < j share the least of the shared depths from i+1 to j."""
+    deweys, shared = table.deweys, table.shared
+    assert list(table.depths) == [len(v) for v in deweys]
     for i, a in enumerate(deweys):
-        assert table.lcp(i, i) == len(a)
+        least = len(a)
         for j in range(i + 1, len(deweys)):
-            want = common_prefix_len(a, deweys[j])
-            assert table.lcp(i, j) == want
-            assert table.lcp(j, i) == want
+            least = min(least, shared[j])
+            assert least == common_prefix_len(a, deweys[j])
+
+
+def assert_parents(table: EntityTable) -> None:
+    """``parents`` names each entity's parent as a brute-force search finds it."""
+    up, above = table.parents()
+    ordinal = {v: i for i, v in enumerate(table.deweys)}
+
+    def parent_key(node):
+        return ordinal.get(node[:-1], DeweyId(node[:-1])) if len(node) > 1 else None
+
+    assert up == [parent_key(v) for v in table.deweys]
+    for node, parent in above.items():
+        assert node not in ordinal
+        assert parent == parent_key(node)
 
 
 class TestEntityTable:
-    def test_lcp_equals_common_prefix_len_for_every_pair(self):
+    def test_shared_depths_equal_common_prefix_len_of_neighbours(self):
         rng = random.Random(71)
         for _ in range(60):
-            assert_every_lcp(Entities.of_tree(random_tree(rng, 90)).table)
+            table = Entities.of_tree(random_tree(rng, 90)).table
+            deweys = table.deweys
+            assert list(table.shared) == [0] + list(map(common_prefix_len, deweys, deweys[1:]))
+            assert_every_range(table)
 
     def test_chain_deeper_than_255_levels(self):
         rng = random.Random(72)
@@ -52,22 +70,18 @@ class TestEntityTable:
         table = Entities.of_tree(nodes).table
         assert max(table.depths) == 300
         assert table.depths.itemsize >= 2
-        assert all(level.itemsize >= 2 for level in table.levels)
-        assert_every_lcp(table)
+        assert table.shared.itemsize >= 2
+        assert max(table.shared) >= 256
+        assert_every_range(table)
+        assert_parents(table)
         tail = sorted(nodes)[-40:]
         lists = [tuple(tail[0::2]), tuple(tail[1::3])]
         assert compute_slca(lists).nodes == slca_oracle(nodes, lists)
 
-    def test_shallow_levels_take_one_byte(self):
+    def test_shallow_tables_take_one_byte(self):
         table = Entities.of_tree(ids("1", "1.1", "1.2", "1.2.1", "1.3")).table
-        assert table.depths.itemsize == 1
-        assert [level.itemsize for level in table.levels] == [1] * len(table.levels)
-        assert list(table.levels[0]) == [0, 1, 1, 2, 1]
-
-    def test_node_is_the_entity_or_its_ancestor(self):
-        table = Entities.of_tree(ids("1.1", "1.2", "1.2.1", "1.2.2", "1.4")).table
-        assert table.node(3, 2) == DeweyId.parse("1.2")
-        assert table.node(3, 3) is table.deweys[3]
+        assert table.depths.itemsize == table.shared.itemsize == 1
+        assert list(table.shared) == [0, 1, 1, 2, 1]
 
     def test_pool_layout_places_members_and_prefixes(self):
         table = Entities.of_tree(ids("1", "1.1", "1.2", "1.2.1", "1.2.2", "1.4")).table
@@ -89,7 +103,8 @@ class TestEntityTable:
         nodes = sorted({DeweyId((1, rng.randint(1, 4), rng.randint(1, 4))) for _ in range(size)})
         table = EntityTable(nodes)
         assert len(table.deweys) == len(nodes)
-        assert_every_lcp(table)
+        assert_every_range(table)
+        assert_parents(table)
 
 
 def closure(nodes):

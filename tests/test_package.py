@@ -1,6 +1,8 @@
 """The names the package itself exports: the library's entry points."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import divsearch
 
@@ -45,3 +47,12 @@ def test_other_names_stay_in_their_modules():
                   merge_distinct, SharedSegmentTable, evaluate_area, plan_shared_segments)
     )
     assert not hasattr(divsearch, "compute_slca")
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """``pyproject.toml`` declares Python >= 3.10, so no file may use newer syntax."""
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for part in ("src", "tests", "perfbench") for p in (root / part).rglob("*.py")]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -12,7 +12,7 @@ from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import iter_intents, resolve_segment
 from divsearch import anchors, parallel
 from divsearch.parallel import diversify_parallel, evaluate_area, plan_shared_segments
-from divsearch.slca import PoolLayout
+from divsearch.slca import PoolLayout, proper_ancestors
 from helpers import Entities, count_intersections, ids, patch_everywhere, random_corpus_xml
 
 
@@ -102,17 +102,23 @@ def toy_areas(lists, anchors=()):
     return [area for area in areas if not area.dead]
 
 
+def area_slcas(area, lists):
+    """``evaluate_area`` with the area's lists' own ancestor sets."""
+    table = entities_of(lists).table
+    return evaluate_area(area, table, [proper_ancestors(lst, table) for lst in area.lists()])
+
+
 class TestEvaluateArea:
     def test_matches_sequential_result(self):
         lists = [ids("1.1"), ids("1.1")]
         (area,) = toy_areas(lists)
-        assert evaluate_area(area, entities_of(lists).table) == ids("1.1")
+        assert area_slcas(area, lists) == ids("1.1")
 
     def test_leaves_anchor_cover_to_the_merge(self):
         lists = [ids("1.2"), ids("1.3")]
         (area,) = toy_areas(lists, ids("1.1"))
         # 1 covers the anchor 1.1; the pool's merge skips it, not the worker
-        assert evaluate_area(area, entities_of(lists).table) == ids("1")
+        assert area_slcas(area, lists) == ids("1")
 
 
 def entries_signature(topk):

@@ -57,7 +57,11 @@ def _previous_nearest_prefix_len(x, lst):
 
 
 def _previous_compute_slca(lists):
-    """The kernel as it stood with a prefix helper call for every probe."""
+    """Indexed Lookup Eager on Dewey IDs, a prefix helper call for every probe.
+
+    A test-only reference: ``compute_slca`` intersects ancestor sets and
+    shares no step with this driver-and-probe algorithm.
+    """
     if any(not lst for lst in lists):
         return SlcaSet()
     driver_pos = min(range(len(lists)), key=lambda i: len(lists[i]))
@@ -159,7 +163,7 @@ class TestComputeSlca:
 
 
 class TestAgainstPreviousKernel:
-    """The kernel answers as the one with a prefix helper per probe did."""
+    """``compute_slca`` answers as Indexed Lookup Eager on Dewey IDs does."""
 
     def test_same_results_on_random_trees(self):
         rng = random.Random(64)
