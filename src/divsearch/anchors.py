@@ -8,10 +8,11 @@ without inspection.  The surviving areas' nodes are solved together, in
 one SLCA call per intent over the segments' ancestor sets, and the results
 go through the pool's merge, as the baseline's SLCAs do.
 
-Node lists hold entity ordinals.  The pool places each anchor among the
-entities once per version (``DiversifiedSet.layout``): its subtree is an
-ordinal range, and the entities among its ancestors are a handful of
-ordinals, so the partition makes int bisects only.
+Node lists hold entity ordinals.  The pool places its anchors among the
+entities once per version (``DiversifiedSet.layout``): three cut ordinals
+per anchor, which bound its subtree, and the entities among their
+ancestors.  An area is no object but a range of positions per list: the
+partition bisects each list at every cut and keeps the positions only.
 
 A full SLCA equal to an anchor or covering one is skipped by the merge,
 and no area need yield it, yet it counts toward relevance.  Such results
@@ -24,15 +25,15 @@ through the pipeline of every engine, ``diversify.run_query``.  This engine
 reproduces the paper's pruning; it is slower than the baseline in wall
 time, since its sweep cuts every list at every anchor for every intent
 (README).  The parallel engine scores like the baseline and uses only
-:class:`Area` and :func:`area_results`, with the intent's whole node lists
-as one area.
+:func:`area_results`, on the intent's whole node lists.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import chain
-from typing import NamedTuple, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress, repeat
+from operator import sub
+from typing import Sequence
 
 from .dewey import DeweyId, EntityTable
 from .diversify import (
@@ -44,112 +45,74 @@ from .diversify import (
 )
 from .indexing import IndexBundle
 from .intents import IntentQuery
-from .slca import AncestorSet, AnchorSpan, DiversifiedSet, compute_slca
+from .slca import AncestorSet, DiversifiedSet, PoolLayout, compute_slca
 
 NodeList = tuple[int, ...]
-Range = tuple[int, int, tuple[int, ...]]
-
-
-class Area(NamedTuple):
-    """One independent evaluation region: an index range per segment list.
-
-    ``ranges[i]`` is ``(lo, hi, excluded)``: positions ``lo .. hi-1`` of
-    ``sources[i]`` minus the sorted positions in ``excluded``.  The sweep
-    that builds an area also fixes its size and whether some list is empty
-    (``dead``), so neither needs a node to be copied.
-    """
-
-    sources: tuple[NodeList, ...]
-    ranges: tuple[Range, ...]
-    total_nodes: int
-    dead: bool
-
-    @classmethod
-    def whole(cls, lists: Sequence[NodeList]) -> "Area":
-        """The area of every position of ``lists``."""
-        sources = tuple(lists)
-        ranges = tuple((0, len(lst), ()) for lst in sources)
-        return cls(sources, ranges, sum(map(len, sources)), not all(sources))
-
-    def lists(self) -> list[NodeList]:
-        out: list[NodeList] = []
-        for lst, (lo, hi, excluded) in zip(self.sources, self.ranges):
-            if excluded:
-                skip = set(excluded)
-                out.append(tuple(lst[i] for i in range(lo, hi) if i not in skip))
-            else:
-                out.append(lst[lo:hi])
-        return out
 
 
 def partition_areas(
-    lists: Sequence[NodeList], anchors: Sequence[AnchorSpan]
-) -> tuple[list[Area], int]:
-    """Split all segment lists around every anchor in document order.
+    lists: Sequence[NodeList], layout: PoolLayout
+) -> tuple[list[int], list[bool], list[NodeList], int]:
+    """Cut every segment list at every anchor's entity span, in document order.
 
-    Returns the ordered candidate areas (pre, des per anchor, then the
-    final tail) plus the count of discarded nodes (ancestors of or equal to
-    an anchor).  Per list and anchor, ``lst[lo:a]`` precedes the anchor's
-    subtree, ``lst[a+eq:b]`` are its strict descendants and ``lst[b:]``
-    follows it, where ``eq`` is 1 if the anchor itself is listed: ``a`` and
-    ``b`` are the insertion points of the anchor's entity span.  Entities
-    that are proper ancestors of the anchor hide among the preceding nodes,
-    so each one not below ``lst[lo]`` is probed.  If any list's remainder
-    empties, later anchors cannot yield full coverage; the loop stops and
-    the tail absorbs the rest.
+    The areas are, per anchor, the nodes before its subtree (pre) and its
+    strict descendants (des), then the tail after the last anchor.  Each is
+    a range of positions per list, found by one ``bisect`` map per list
+    over ``layout.cuts``.  A listed anchor and its entity ancestors are
+    discarded: the anchor sits between its pre and des positions, and each
+    of its ancestors in ``layout.hidden`` is removed from the pre area it
+    falls in.  An area is live iff no list's part of it is empty.  Once some
+    list has no node past an anchor's subtree, later anchors cannot yield
+    full coverage: the sweep stops there and the tail absorbs the rest.
+
+    Returns each area's node count, whether it is live, the live areas'
+    nodes joined list by list, and the count of discarded nodes.
     """
-    sources = tuple(lists)
-    areas: list[Area] = []
+    cuts, hidden = layout.cuts, layout.hidden
+    # the first anchor whose subtree ends past some list's last node
+    stop = min((bisect_right(cuts, lst[-1]) // 3 if lst else 0 for lst in lists), default=len(cuts))
+    cuts = cuts[: 3 * stop + 3]
+    if cuts:
+        hidden = hidden[: bisect_left(hidden, cuts[-3])]
+    columns: list[list[int]] = []
+    spans = []
     discarded = 0
-    cursors = [0] * len(sources)
-    for _, first, stop, own, ancestors in anchors:
-        pre: list[Range] = []
-        des: list[Range] = []
-        pre_sizes: list[int] = []
-        des_sizes: list[int] = []
-        exhausted = False
-        for li, lst in enumerate(sources):
-            lo = cursors[li]
-            a = bisect_left(lst, first, lo)
-            excluded: tuple[int, ...] = ()
-            if ancestors and a > lo:
-                head = lst[lo]
-                for q in ancestors:
-                    if q >= head:
-                        j = bisect_left(lst, q, lo, a)
-                        if j < a and lst[j] == q:
-                            excluded += (j,)
-            n = len(lst)
-            eq = 1 if a < n and lst[a] == own else 0
-            b = bisect_left(lst, stop, a)
-            pre.append((lo, a, excluded))
-            des.append((a + eq, b, ()))
-            pre_sizes.append(a - lo - len(excluded))
-            des_sizes.append(b - a - eq)
-            discarded += len(excluded) + eq
-            cursors[li] = b
-            exhausted = exhausted or b >= n
-        areas.append(Area(sources, tuple(pre), sum(pre_sizes), 0 in pre_sizes))
-        areas.append(Area(sources, tuple(des), sum(des_sizes), 0 in des_sizes))
-        if exhausted:
-            break
-    sizes = [len(lst) - lo for lst, lo in zip(sources, cursors)]
-    tail = tuple((lo, len(lst), ()) for lst, lo in zip(sources, cursors))
-    areas.append(Area(sources, tail, sum(sizes), 0 in sizes))
-    return areas, discarded
+    for lst in lists:
+        marks = [0, *map(bisect_left, repeat(lst), cuts), len(lst)]
+        starts, ends = marks[:-1], marks[1:]
+        discarded += sum(ends[1::3]) - sum(starts[1::3])  # listed anchors
+        del starts[1::3], ends[1::3]
+        sizes = list(map(sub, ends, starts))
+        gone = set()
+        for q in hidden:
+            i = bisect_left(lst, q)
+            if i < len(lst) and lst[i] == q:
+                gone.add(q)
+                sizes[bisect_right(cuts, q) // 3 * 2] -= 1
+        discarded += len(gone)
+        columns.append(sizes)
+        spans.append((starts, ends, gone))
+    areas = list(zip(*columns))
+    alive = list(map(all, areas))
+    live = []
+    for lst, (starts, ends, gone) in zip(lists, spans):
+        parts = map(slice, compress(starts, alive), compress(ends, alive))
+        nodes = tuple(chain.from_iterable(map(lst.__getitem__, parts)))
+        live.append(tuple(v for v in nodes if v not in gone) if gone else nodes)
+    return list(map(sum, areas)), alive, live, discarded
 
 
 def area_results(
-    area: Area, table: EntityTable, ancestors: Sequence[AncestorSet]
+    lists: Sequence[NodeList], table: EntityTable, ancestors: Sequence[AncestorSet]
 ) -> tuple[DeweyId, ...]:
     """The SLCAs of one area's lists, as the pool's merge will receive them.
 
     ``ancestors`` are the segments' own sets, ``proper_ancestors`` of their
-    whole node lists.  The anchor engine's area holds only live nodes, yet
+    whole node lists.  The anchor engine's lists hold only live nodes, yet
     the whole lists' sets are exact for every result that covers no anchor
     (:func:`evaluate_anchored`).
     """
-    return compute_slca(area.lists(), table, ancestors).nodes
+    return compute_slca(lists, table, ancestors).nodes
 
 
 def covered_anchor_ancestors(
@@ -200,20 +163,11 @@ def evaluate_anchored(
     """
     lists = [segment.node_list for segment in intent.segments]
     layout = pool.layout(table)
-    areas, pruned = partition_areas(lists, layout.anchors)
-    kept: list[Area] = []
-    visited = skipped = 0
-    for area in areas:
-        if area.dead:
-            pruned += area.total_nodes
-            skipped += 1
-        else:
-            kept.append(area)
-            visited += area.total_nodes
+    sizes, alive, live, discarded = partition_areas(lists, layout)
+    visited = sum(map(len, live))
     results: tuple[DeweyId, ...] = ()
-    if kept:
-        live = [tuple(chain.from_iterable(parts)) for parts in zip(*(a.lists() for a in kept))]
-        results = area_results(Area.whole(live), table, [s.ancestors for s in intent.segments])
+    if visited:
+        results = area_results(live, table, [s.ancestors for s in intent.segments])
     # Exact as the baseline's merge.  A node that is not an ancestor-or-self
     # of an anchor has its whole subtree in one area, and live lists hold no
     # anchor's ancestor, so it covers list i through the whole list's set iff
@@ -227,8 +181,8 @@ def evaluate_anchored(
         relevance=intent_likelihood(intent) * (len(outcome.inserted) + covered),
         outcome=outcome,
         visited=visited,
-        pruned=pruned,
-        areas_skipped=skipped,
+        pruned=discarded + sum(sizes) - visited,
+        areas_skipped=alive.count(False),
     )
 
 
@@ -244,7 +198,6 @@ def diversify_anchored(
 
 
 __all__ = [
-    "Area",
     "area_results",
     "covered_anchor_ancestors",
     "diversify_anchored",

@@ -7,8 +7,8 @@ more than one intent are marked before evaluation starts: the first intent
 that needs one resolves it against the index, later intents reuse the same
 ``Segment``, and every shared segment is kept until the query ends.  Its
 evaluator scores an intent as the baseline does, one SLCA over the
-intent's whole node lists and their ancestor sets, taken as a single area
-by ``evaluate_area``.
+intent's whole node lists and their ancestor sets, through
+``evaluate_area``.
 
 ``workers`` is checked and echoed but does not change the work: no thread
 or process is started.  Dealing anchor areas out to a thread pool ran
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .anchors import Area, area_results
+from .anchors import NodeList, area_results
 from .dewey import DeweyId, EntityTable
 from .diversify import (
     EvalStats,
@@ -67,20 +67,20 @@ def plan_shared_segments(key_rows: Iterable[Sequence[SegmentKey]]) -> SharedSegm
 
 
 def evaluate_area(
-    area: Area, table: EntityTable, ancestors: Sequence[AncestorSet]
+    lists: Sequence[NodeList], table: EntityTable, ancestors: Sequence[AncestorSet]
 ) -> tuple[DeweyId, ...]:
-    """The SLCAs of one area; its own name so the bench's tracer can time it."""
-    return area_results(area, table, ancestors)
+    """The SLCAs of some node lists; its own name so the bench's tracer can time it."""
+    return area_results(lists, table, ancestors)
 
 
 def evaluate_whole(
     intent: IntentQuery, pool: DiversifiedSet, table: EntityTable
 ) -> IntentEvaluation:
-    """Baseline scoring: the SLCAs of the intent's whole node lists and sets as one area."""
-    area = Area.whole([segment.node_list for segment in intent.segments])
-    results = evaluate_area(area, table, [s.ancestors for s in intent.segments])
+    """Baseline scoring: the SLCAs of the intent's whole node lists and their sets."""
+    lists = [segment.node_list for segment in intent.segments]
+    results = evaluate_area(lists, table, [s.ancestors for s in intent.segments])
     return IntentEvaluation(
-        intent_likelihood(intent) * len(results), pool.preview(results), area.total_nodes, 0, 0
+        intent_likelihood(intent) * len(results), pool.preview(results), sum(map(len, lists)), 0, 0
     )
 
 

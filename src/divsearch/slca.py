@@ -149,45 +149,42 @@ class MergeOutcome:
         return self.distinct_count / self.union_size
 
 
-class AnchorSpan(NamedTuple):
-    """A pool member placed among a table's entities."""
-
-    node: DeweyId
-    lo: int  # the entities in node's subtree are ordinals lo .. hi-1
-    hi: int
-    own: int | None  # node's own ordinal, None if node is not an entity
-    ancestors: tuple[int, ...]  # entities that are proper ancestors of node, ascending
-
-
 class PoolLayout(NamedTuple):
     """The members of a pool placed among the entities of ``table``.
 
-    ``anchors`` holds one span per member, in document order.  ``prefixes``
-    holds every distinct prefix of the members, as ``dewey.prefix_bounds``
-    lists them, each as ``(prefix, bound, lo, hi)`` with its entity span.
+    ``cuts`` holds three ordinals per member, in document order: ``lo``,
+    the start of its strict descendants (``lo + 1`` if the member is itself
+    an entity, else ``lo``) and ``hi``, so that the entities of its subtree
+    are ``lo .. hi-1``.  The members form an antichain, so ``cuts`` never
+    falls.  ``hidden`` holds, ascending, every entity that is a proper
+    ancestor of some member.  ``prefixes`` holds every distinct prefix of
+    the members, as ``dewey.prefix_bounds`` lists them, each as
+    ``(prefix, bound, lo, hi)`` with its entity span.
     """
 
     table: EntityTable
-    anchors: tuple[AnchorSpan, ...]
+    cuts: tuple[int, ...]
+    hidden: tuple[int, ...]
     prefixes: tuple[tuple[DeweyId, DeweyId, int, int], ...]
 
     @classmethod
     def build(cls, nodes: Sequence[DeweyId], table: EntityTable) -> "PoolLayout":
         deweys = table.deweys
+        members = set(nodes)
+        cuts: list[int] = []
+        hidden: list[int] = []
         prefixes = []
-        # prefix -> (lo, hi, its own ordinal or None); members are prefixes too
-        places: dict[DeweyId, tuple[int, int, int | None]] = {}
         lo = 0
         for p, bound in prefix_bounds(nodes):  # ascending, so lo never falls
             lo = bisect_left(deweys, p, lo)
             hi = bisect_left(deweys, bound, lo)
             prefixes.append((p, bound, lo, hi))
-            places[p] = (lo, hi, lo if lo < hi and deweys[lo] == p else None)
-        anchors = []
-        for v in nodes:
-            above = (places[v[:depth]][2] for depth in range(1, len(v)))
-            anchors.append(AnchorSpan(v, *places[v], tuple(i for i in above if i is not None)))
-        return cls(table, tuple(anchors), tuple(prefixes))
+            own = lo < hi and deweys[lo] == p
+            if p in members:
+                cuts += (lo, lo + own, hi)
+            elif own:
+                hidden.append(lo)
+        return cls(table, tuple(cuts), tuple(hidden), tuple(prefixes))
 
 
 class DiversifiedSet:

@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from divsearch.anchors import (
     area_results,
@@ -53,14 +54,16 @@ def place(lists, tree=()):
 
 
 def partition(lists, anchors, tree=()):
-    """partition_areas on Dewey lists: the entity map, areas and discarded."""
+    """partition_areas on Dewey lists.
+
+    Returns the entity map, each area's size, the live flags, the live
+    nodes as Dewey lists and the discarded count.
+    """
     ents, ordinal_lists = place(lists, tree)
-    layout = PoolLayout.build(anchors, ents.table)
-    return (ents, *partition_areas(ordinal_lists, layout.anchors))
-
-
-def area_lists(ents, area):
-    return [ents.deweys(lst) for lst in area.lists()]
+    sizes, alive, live, discarded = partition_areas(
+        ordinal_lists, PoolLayout.build(anchors, ents.table)
+    )
+    return ents, sizes, alive, [ents.deweys(lst) for lst in live], discarded
 
 
 def covered(lists, anchors, new_nodes, tree=()):
@@ -71,74 +74,77 @@ def covered(lists, anchors, new_nodes, tree=()):
 
 
 def split_single(lists, anchor):
-    """partition_areas around one anchor: pre, des, next lists and discarded."""
-    ents, areas, discarded = partition(lists, (anchor,))
-    assert len(areas) == 3
-    pre, des, nxt = (tuple(area_lists(ents, area)) for area in areas)
-    return pre, des, nxt, discarded
+    """partition_areas around one anchor: pre, des and next sizes, live flags, live lists, discarded."""
+    _, sizes, alive, live, discarded = partition(lists, (anchor,))
+    assert len(sizes) == len(alive) == 3
+    return sizes, alive, live, discarded
 
 
 class TestSingleAnchorPartition:
     def test_four_way_split(self):
-        pre, des, nxt, discarded = split_single(
+        sizes, alive, live, discarded = split_single(
             [ids("1", "1.1", "1.2.1", "1.3")], d("1.2")
         )
-        assert discarded == 1
-        assert pre == (ids("1.1"),)
-        assert des == (ids("1.2.1"),)
-        assert nxt == (ids("1.3"),)
+        assert discarded == 1  # 1 is the anchor's ancestor
+        assert sizes == [1, 1, 1]
+        assert alive == [True, True, True]
+        assert live == [ids("1.1", "1.2.1", "1.3")]
 
     def test_anchor_member_is_covered(self):
-        pre, des, nxt, discarded = split_single([ids("1.2")], d("1.2"))
+        sizes, alive, live, discarded = split_single([ids("1.2")], d("1.2"))
         assert discarded == 1
-        assert pre == ((),)
-        assert des == ((),)
-        assert nxt == ((),)
+        assert sizes == [0, 0, 0]
+        assert alive == [False, False, False]
+        assert live == [()]
 
     def test_root_anchor_absorbs_descendants(self):
-        pre, des, nxt, discarded = split_single([ids("1", "1.1", "1.2")], d("1"))
+        sizes, alive, live, discarded = split_single([ids("1", "1.1", "1.2")], d("1"))
         assert discarded == 1
-        assert des == (ids("1.1", "1.2"),)
-        assert pre == ((),)
-        assert nxt == ((),)
+        assert sizes == [0, 2, 0]
+        assert alive == [False, True, False]
+        assert live == [ids("1.1", "1.2")]
 
     def test_anchor_after_all_nodes(self):
-        pre, _, _, discarded = split_single([ids("1.1", "1.2")], d("1.5"))
-        assert pre == (ids("1.1", "1.2"),)
+        sizes, _, live, discarded = split_single([ids("1.1", "1.2")], d("1.5"))
+        assert sizes == [2, 0, 0]
+        assert live == [ids("1.1", "1.2")]
         assert discarded == 0
 
     def test_anchor_before_all_nodes(self):
-        _, _, nxt, _ = split_single([ids("1.2", "1.3")], d("1.1"))
-        assert nxt == (ids("1.2", "1.3"),)
+        sizes, _, live, _ = split_single([ids("1.2", "1.3")], d("1.1"))
+        assert sizes == [0, 0, 2]
+        assert live == [ids("1.2", "1.3")]
 
     def test_covered_counts_accumulate_across_lists(self):
-        pre, _, _, discarded = split_single([ids("1"), ids("1", "1.2")], d("1.2"))
+        sizes, alive, live, discarded = split_single([ids("1"), ids("1", "1.2")], d("1.2"))
         assert discarded == 3
-        assert pre == ((), ())
+        assert sizes == [0, 0, 0]
+        assert not any(alive)
+        assert live == [(), ()]
 
 
 class TestPartitionAreas:
     def test_no_anchors_yields_single_tail(self):
-        ents, areas, discarded = partition([ids("1.1", "1.2")], ())
+        _, sizes, alive, live, discarded = partition([ids("1.1", "1.2")], ())
         assert discarded == 0
-        assert len(areas) == 1
-        assert area_lists(ents, areas[0]) == [ids("1.1", "1.2")]
+        assert (sizes, alive) == ([2], [True])
+        assert live == [ids("1.1", "1.2")]
 
     def test_single_anchor_yields_three_areas(self):
-        ents, areas, discarded = partition([ids("1.1", "1.2", "1.3")], ids("1.2"))
+        _, sizes, alive, live, discarded = partition([ids("1.1", "1.2", "1.3")], ids("1.2"))
         assert discarded == 1
-        assert len(areas) == 3
-        assert area_lists(ents, areas[0]) == [ids("1.1")]
-        assert area_lists(ents, areas[1]) == [()]
-        assert area_lists(ents, areas[2]) == [ids("1.3")]
+        assert sizes == [1, 0, 1]
+        assert alive == [True, False, True]
+        assert live == [ids("1.1", "1.3")]
 
     def test_exhausted_list_stops_splitting(self):
         lists = [ids("1.1"), ids("1.1", "1.2")]
-        ents, areas, discarded = partition(lists, ids("1.1", "1.3"))
+        _, sizes, alive, live, discarded = partition(lists, ids("1.1", "1.3"))
         # the first anchor consumes list 0 entirely; 1.3 is never split on
-        assert len(areas) == 3
+        assert sizes == [0, 0, 1]
         assert discarded == 2
-        assert area_lists(ents, areas[-1]) == [(), ids("1.2")]
+        assert not any(alive)
+        assert live == [(), ()]
 
     def test_node_conservation(self):
         rng = random.Random(41)
@@ -146,14 +152,19 @@ class TestPartitionAreas:
             tree = random_tree(rng, 60)
             lists = random_lists(rng, tree)
             anchors = random_antichain(rng)
-            _, areas, discarded = partition(lists, anchors, tree)
+            _, sizes, alive, live, discarded = partition(lists, anchors, tree)
             total = sum(len(lst) for lst in lists)
-            assert sum(a.total_nodes for a in areas) + discarded == total
-            assert len(areas) % 2 == 1 and len(areas) <= 2 * len(anchors) + 1
+            assert sum(sizes) + discarded == total
+            assert len(sizes) == len(alive)
+            assert len(sizes) % 2 == 1 and len(sizes) <= 2 * len(anchors) + 1
+            for lst, nodes in zip(lists, live):
+                assert set(nodes) <= set(lst) and list(nodes) == sorted(nodes)
+                assert not any(contains_anchor(v, anchors) for v in nodes)
+            assert sum(map(len, live)) == sum(size for size, up in zip(sizes, alive) if up)
             covered = sum(
                 1 for lst in lists for v in lst if contains_anchor(v, anchors)
             )
-            if len(areas) == 2 * len(anchors) + 1:
+            if len(sizes) == 2 * len(anchors) + 1:
                 assert discarded == covered
             else:
                 assert discarded <= covered
@@ -172,26 +183,27 @@ class TestDeadAreas:
 
     def test_fully_consumed_lists(self):
         lists = [ids("1.1"), ids("1.1")]
-        _, areas, discarded = partition(lists, ids("1.1"))
+        _, _, alive, _, discarded = partition(lists, ids("1.1"))
         assert discarded == 2
-        assert [area.dead for area in areas] == [True, True, True]
+        assert alive == [False, False, False]
         evaluation = evaluate(lists, ids("1.1"))
         assert (evaluation.visited, evaluation.pruned, evaluation.areas_skipped) == (0, 2, 3)
 
     def test_dead_area_counts_surviving_nodes(self):
         lists = [ids("1.1", "1.3"), ids("1.3")]
-        _, areas, discarded = partition(lists, ids("1.3"))
+        _, sizes, alive, _, discarded = partition(lists, ids("1.3"))
         # 1.1 sits in a pre area whose second list is empty
-        assert [(area.dead, area.total_nodes) for area in areas] == [(True, 1), (True, 0), (True, 0)]
+        assert list(zip(alive, sizes)) == [(False, 1), (False, 0), (False, 0)]
         assert discarded == 2
         evaluation = evaluate(lists, ids("1.3"))
         assert (evaluation.visited, evaluation.pruned, evaluation.areas_skipped) == (0, 3, 3)
 
     def test_live_areas_are_visited(self):
         lists = [ids("1.1", "1.2.1", "1.3"), ids("1.1", "1.3")]
-        _, areas, discarded = partition(lists, ids("1.2"))
+        _, sizes, alive, live, discarded = partition(lists, ids("1.2"))
         # pre, des and tail area of the anchor
-        assert [(area.dead, area.total_nodes) for area in areas] == [(False, 2), (True, 1), (False, 2)]
+        assert list(zip(alive, sizes)) == [(True, 2), (False, 1), (True, 2)]
+        assert live == [ids("1.1", "1.3"), ids("1.1", "1.3")]
         assert discarded == 0
         evaluation = evaluate(lists, ids("1.2"))
         assert (evaluation.visited, evaluation.pruned, evaluation.areas_skipped) == (4, 1, 1)
@@ -216,10 +228,10 @@ class TestAreaResults:
 
         ``position`` is the live area's place: 0 pre, 1 des, 2 the tail.
         """
-        ents, areas, _ = partition(lists, anchors)
-        assert [not area.dead for area in areas] == [i == position for i in range(3)]
-        area = areas[position]
-        sets = [proper_ancestors(lst, ents.table) for lst in area.lists()]
+        ents, _, alive, live, _ = partition(lists, anchors)
+        assert alive == [i == position for i in range(3)]
+        area = [ents.ordinals(lst) for lst in live]
+        sets = [proper_ancestors(lst, ents.table) for lst in area]
         return area_results(area, ents.table, sets), evaluate(lists, anchors)
 
     def test_descendant_area_drops_anchor_duplicate(self):
@@ -332,7 +344,7 @@ class TestEngineEquivalence:
         assert anch.phi == base.phi
 
 
-# Reference: the partition as it was before areas became index ranges.  One
+# Reference: the partition as it was before areas became positions.  One
 # frozen span object per list and area, sizes and liveness recomputed on
 # every read, one prefix probe per list and anchor.  Each area keeps its kind
 # and anchor, and the evaluation filters the area results by hand rather
@@ -474,9 +486,10 @@ def random_case(rng):
     return tree, lists, anchors
 
 
-def area_signature(area, ents=None):
-    lists = area.lists() if ents is None else area_lists(ents, area)
-    return (lists, area.total_nodes, area.dead)
+def reference_live(areas, width):
+    """The live areas' nodes of a reference partition, joined list by list."""
+    parts = [area.lists() for area in areas if not area.dead]
+    return [tuple(chain.from_iterable(lists)) for lists in zip(*parts)] if parts else [()] * width
 
 
 class TestAgainstReferencePartition:
@@ -485,18 +498,18 @@ class TestAgainstReferencePartition:
         with_ancestors = stopped_early = 0
         for _ in range(400):
             tree, lists, anchors = random_case(rng)
-            ents, areas, discarded = partition(lists, anchors, tree)
+            _, sizes, alive, live, discarded = partition(lists, anchors, tree)
             ref_areas, ref_discarded = reference_partition(lists, anchors)
-            assert [area_signature(a, ents) for a in areas] == [
-                area_signature(a) for a in ref_areas
-            ]
+            assert sizes == [a.total_nodes for a in ref_areas]
+            assert alive == [not a.dead for a in ref_areas]
+            assert live == reference_live(ref_areas, len(lists))
             # so areas come by position: pre and des per anchor, then the tail
             spans = len(ref_areas) // 2
             assert [a.kind for a in ref_areas] == [PRE, DES] * spans + [NEXT]
             assert [a.anchor for a in ref_areas[:-1:2]] == list(anchors[:spans])
             assert discarded == ref_discarded
             with_ancestors += any(span.excluded for a in ref_areas for span in a.spans)
-            stopped_early += len(areas) < 2 * len(anchors) + 1
+            stopped_early += len(sizes) < 2 * len(anchors) + 1
         # both the ancestor probe and the early stop were exercised
         assert with_ancestors > 50
         assert stopped_early > 50
@@ -570,8 +583,7 @@ class TestOneSlcaCallPerIntent:
         for _ in range(400):
             tree, lists, anchors = random_case(rng)
             ents, ordinal_lists = place(lists, tree)
-            _, areas, _ = partition(lists, anchors, tree)
-            live = not all(area.dead for area in areas)
+            live = any(partition(lists, anchors, tree)[2])
             pool = DiversifiedSet()
             pool.merge(anchors, 0)
             before = calls[0]

@@ -15,7 +15,7 @@ from divsearch.errors import NoIntentError
 from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import iter_intents
-from divsearch.slca import AnchorSpan, PoolLayout, compute_slca
+from divsearch.slca import PoolLayout, compute_slca
 from helpers import Entities, ids, random_corpus_xml, random_lists, random_tree, slca_oracle
 
 
@@ -86,10 +86,9 @@ class TestEntityTable:
     def test_pool_layout_places_members_and_prefixes(self):
         table = Entities.of_tree(ids("1", "1.1", "1.2", "1.2.1", "1.2.2", "1.4")).table
         layout = PoolLayout.build(ids("1.2.2", "1.3"), table)
-        assert layout.anchors == (
-            AnchorSpan(DeweyId.parse("1.2.2"), 4, 5, 4, (0, 2)),
-            AnchorSpan(DeweyId.parse("1.3"), 5, 5, None, (0,)),
-        )
+        # 1.2.2 is entity 4 with no descendants; 1.3 holds no entity
+        assert layout.cuts == (4, 5, 5, 5, 5, 5)
+        assert layout.hidden == (0, 2)
         assert layout.prefixes == (
             (DeweyId.parse("1"), DeweyId.parse("2"), 0, 6),
             (DeweyId.parse("1.2"), DeweyId.parse("1.3"), 2, 5),

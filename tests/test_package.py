@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import divsearch
@@ -47,6 +48,23 @@ def test_other_names_stay_in_their_modules():
                   merge_distinct, SharedSegmentTable, evaluate_area, plan_shared_segments)
     )
     assert not hasattr(divsearch, "compute_slca")
+
+
+def test_every_modules_all_names_what_it_defines():
+    """A stale ``__all__`` entry breaks ``import *`` only when someone runs it."""
+    modules = [divsearch] + [
+        importlib.import_module(f"divsearch.{info.name}")
+        for info in pkgutil.iter_modules(divsearch.__path__)
+    ]
+    listed = 0
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}"
+            listed += 1
+    assert listed > len(divsearch.__all__)
+    namespace = {}
+    exec("from divsearch.anchors import *", namespace)
+    assert "partition_areas" in namespace
 
 
 def test_every_source_file_parses_as_python_3_10():

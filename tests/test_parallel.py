@@ -95,30 +95,29 @@ def entities_of(lists):
     return Entities.of_tree(v for lst in lists for v in lst)
 
 
-def toy_areas(lists, anchors=()):
+def toy_live(lists, anchors=()):
+    """The live nodes of the lists around the anchors, joined list by list."""
     ents = entities_of(lists)
     ordinal_lists = [ents.ordinals(lst) for lst in lists]
-    areas, _ = partition_areas(ordinal_lists, PoolLayout.build(anchors, ents.table).anchors)
-    return [area for area in areas if not area.dead]
+    return partition_areas(ordinal_lists, PoolLayout.build(anchors, ents.table))[2]
 
 
-def area_slcas(area, lists):
-    """``evaluate_area`` with the area's lists' own ancestor sets."""
+def area_slcas(live, lists):
+    """``evaluate_area`` with the live lists' own ancestor sets."""
     table = entities_of(lists).table
-    return evaluate_area(area, table, [proper_ancestors(lst, table) for lst in area.lists()])
+    return evaluate_area(live, table, [proper_ancestors(lst, table) for lst in live])
 
 
 class TestEvaluateArea:
     def test_matches_sequential_result(self):
         lists = [ids("1.1"), ids("1.1")]
-        (area,) = toy_areas(lists)
-        assert area_slcas(area, lists) == ids("1.1")
+        assert area_slcas(toy_live(lists), lists) == ids("1.1")
 
     def test_leaves_anchor_cover_to_the_merge(self):
         lists = [ids("1.2"), ids("1.3")]
-        (area,) = toy_areas(lists, ids("1.1"))
+        live = toy_live(lists, ids("1.1"))
         # 1 covers the anchor 1.1; the pool's merge skips it, not the worker
-        assert area_slcas(area, lists) == ids("1")
+        assert area_slcas(live, lists) == ids("1")
 
 
 def entries_signature(topk):

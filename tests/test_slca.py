@@ -303,15 +303,16 @@ class TestAttribution:
                 )
                 for p, bound, lo, hi in built.prefixes:
                     assert (lo, hi) == scan_span(table, p)
-                assert [a.node for a in built.anchors] == list(phi.nodes)
-                for node, lo, hi, own, ancestors in built.anchors:
-                    assert (lo, hi) == scan_span(table, node)
-                    assert own == (table.deweys.index(node) if node in table.deweys else None)
-                    assert ancestors == tuple(
-                        i
-                        for i, v in enumerate(table.deweys)
-                        if len(v) < len(node) and is_ancestor_or_self(v, node)
-                    )
+                cuts = []
+                for node in phi.nodes:
+                    lo, hi = scan_span(table, node)
+                    cuts += (lo, lo + (node in table.deweys), hi)
+                assert built.cuts == tuple(cuts)
+                assert built.hidden == tuple(
+                    i
+                    for i, v in enumerate(table.deweys)
+                    if any(len(v) < len(node) and is_ancestor_or_self(v, node) for node in phi.nodes)
+                )
                 assert phi.layout(table) is built
             other = Entities.of_tree(table.deweys).table
             assert phi.layout(other).table is other
