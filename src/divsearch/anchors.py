@@ -8,30 +8,34 @@ without inspection.  The surviving areas' nodes are solved together, in
 one SLCA call per intent over the segments' ancestor sets, and the results
 go through the pool's merge, as the baseline's SLCAs do.
 
-Node lists hold entity ordinals.  The pool places its anchors among the
-entities once per version (``DiversifiedSet.layout``): three cut ordinals
-per anchor, which bound its subtree, and the entities among their
-ancestors.  An area is no object but a range of positions per list: the
-partition bisects each list at every cut and keeps the positions only.
+Node lists hold entity ordinals.  The pool places each node among the
+entities once for its life and lays out each version from those placements
+(``DiversifiedSet.layout``): three cut ordinals per anchor, which bound its
+subtree, and the entities among their ancestors.  An area is no object but
+a range of positions per list.  Each layout bisects a segment's list at
+its cuts once, up to the list's own stop (:func:`cut_list`), and every
+intent of that pool version sharing the segment slices the kept positions
+at its own stop.
 
 A full SLCA equal to an anchor or covering one is skipped by the merge,
 and no area need yield it, yet it counts toward relevance.  Such results
 are recovered by scanning the only possible candidates: prefixes of the
-anchors, which the pool places once per version rather than once per
-intent, each tested by its entity span.
+anchors, which the pool places once for its life and lists once per
+version, each tested by its entity span.
 
 :func:`evaluate_anchored` is the anchor engine's whole evaluation, run
 through the pipeline of every engine, ``diversify.run_query``.  This engine
 reproduces the paper's pruning; it is slower than the baseline in wall
-time, since its sweep cuts every list at every anchor for every intent
-(README).  The parallel engine scores like the baseline and uses only
-:func:`area_results`, on the intent's whole node lists.
+time, since each pool version still cuts each segment list at every anchor
+up to its stop, and every intent joins its live areas and scans the
+anchors' prefixes (README).  The parallel engine scores like the baseline
+and uses only :func:`area_results`, on the intent's whole node lists.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import sub
 from typing import Sequence
 
@@ -50,6 +54,40 @@ from .slca import AncestorSet, DiversifiedSet, PoolLayout, compute_slca
 NodeList = tuple[int, ...]
 
 
+def cut_list(lst: NodeList, layout: PoolLayout) -> tuple:
+    """``lst`` cut at ``layout``, up to its own stop; one entry per list and layout.
+
+    The list's stop is the first anchor whose subtree ends past its last
+    node; it sweeps the anchors up to that one, ``swept`` of them.  Per list
+    are kept: ``starts`` and ``ends``, each area's positions (pre and des
+    per swept anchor, with the tail's start), the areas' ``sizes`` with the
+    hidden hits taken off, ``listed``, the running count of listed anchors
+    over the swept ones, and ``hits``, the list's members in
+    ``layout.hidden`` below the last swept anchor's ``lo``, ascending.  The
+    entry holds ``lst`` itself, so its ``id`` is not reused while the entry
+    lives.
+    """
+    entry = layout.lists.get(id(lst))
+    if entry is None:
+        cuts, hidden = layout.cuts, layout.hidden
+        swept = min(bisect_right(cuts, lst[-1]) // 3 + 1 if lst else 1, len(cuts) // 3)
+        cuts = cuts[: 3 * swept]
+        marks = [0, *map(bisect_left, repeat(lst), cuts)]
+        listed = list(accumulate(map(sub, marks[2::3], marks[1::3]), initial=0))
+        starts, ends = marks, marks[1:]
+        del starts[1::3], ends[1::3]
+        sizes = list(map(sub, ends, starts))
+        hits = []
+        if cuts:
+            for q in hidden[: bisect_left(hidden, cuts[-3])]:
+                i = bisect_left(lst, q)
+                if i < len(lst) and lst[i] == q:
+                    hits.append(q)
+                    sizes[bisect_right(cuts, q) // 3 * 2] -= 1
+        entry = layout.lists[id(lst)] = (lst, swept, starts, ends, sizes, listed, hits)
+    return entry
+
+
 def partition_areas(
     lists: Sequence[NodeList], layout: PoolLayout
 ) -> tuple[list[int], list[bool], list[NodeList], int]:
@@ -57,41 +95,31 @@ def partition_areas(
 
     The areas are, per anchor, the nodes before its subtree (pre) and its
     strict descendants (des), then the tail after the last anchor.  Each is
-    a range of positions per list, found by one ``bisect`` map per list
-    over ``layout.cuts``.  A listed anchor and its entity ancestors are
-    discarded: the anchor sits between its pre and des positions, and each
-    of its ancestors in ``layout.hidden`` is removed from the pre area it
-    falls in.  An area is live iff no list's part of it is empty.  Once some
-    list has no node past an anchor's subtree, later anchors cannot yield
-    full coverage: the sweep stops there and the tail absorbs the rest.
+    a range of positions per list.  A listed anchor and its entity ancestors
+    are discarded: the anchor sits between its pre and des positions, and
+    each of its ancestors in ``layout.hidden`` is removed from the pre area
+    it falls in.  An area is live iff no list's part of it is empty.  Once
+    some list has no node past an anchor's subtree, later anchors cannot
+    yield full coverage: the sweep stops there and the tail absorbs the
+    rest.  So the intent's stop is the least of its lists' own stops, and
+    each list, cut once per layout up to its own stop (:func:`cut_list`),
+    is sliced there; a hidden hit at or past the stop anchor's ``lo`` lies
+    in the tail and stays.
 
     Returns each area's node count, whether it is live, the live areas'
     nodes joined list by list, and the count of discarded nodes.
     """
-    cuts, hidden = layout.cuts, layout.hidden
-    # the first anchor whose subtree ends past some list's last node
-    stop = min((bisect_right(cuts, lst[-1]) // 3 if lst else 0 for lst in lists), default=len(cuts))
-    cuts = cuts[: 3 * stop + 3]
-    if cuts:
-        hidden = hidden[: bisect_left(hidden, cuts[-3])]
+    entries = [cut_list(lst, layout) for lst in lists]
+    swept = min((entry[1] for entry in entries), default=0)
+    limit = layout.cuts[3 * swept - 3] if swept else 0
     columns: list[list[int]] = []
     spans = []
     discarded = 0
-    for lst in lists:
-        marks = [0, *map(bisect_left, repeat(lst), cuts), len(lst)]
-        starts, ends = marks[:-1], marks[1:]
-        discarded += sum(ends[1::3]) - sum(starts[1::3])  # listed anchors
-        del starts[1::3], ends[1::3]
-        sizes = list(map(sub, ends, starts))
-        gone = set()
-        for q in hidden:
-            i = bisect_left(lst, q)
-            if i < len(lst) and lst[i] == q:
-                gone.add(q)
-                sizes[bisect_right(cuts, q) // 3 * 2] -= 1
-        discarded += len(gone)
-        columns.append(sizes)
-        spans.append((starts, ends, gone))
+    for lst, _, starts, ends, sizes, listed, hits in entries:
+        k = bisect_left(hits, limit)
+        discarded += listed[swept] + k
+        columns.append([*sizes[: 2 * swept], len(lst) - starts[2 * swept]])
+        spans.append((starts, [*ends[: 2 * swept], len(lst)], set(hits[:k])))
     areas = list(zip(*columns))
     alive = list(map(all, areas))
     live = []

@@ -80,16 +80,6 @@ def subtree_bound(a: DeweyId) -> DeweyId:
     return _trusted(tuple(a[:-1]) + (a[-1] + 1,))
 
 
-def prefix_bounds(nodes: Iterable[DeweyId]) -> tuple[tuple[DeweyId, DeweyId], ...]:
-    """Every distinct prefix of the nodes, in document order, with its bound.
-
-    A node is a prefix of itself; each prefix p comes paired with
-    ``subtree_bound(p)``.
-    """
-    prefixes = {_trusted(v[:plen]) for v in nodes for plen in range(1, len(v) + 1)}
-    return tuple((p, subtree_bound(p)) for p in sorted(prefixes))
-
-
 class EntityTable:
     """Distinct Dewey IDs in document order, addressed by ordinal.
 

@@ -12,17 +12,21 @@ with the merge semantics used for novelty scoring: duplicates and
 ancestors of existing members are dropped, descendants replace the member
 they refine, everything else inserts.  Each member is attributed to the
 intent that inserted it, in one map, so an evicted intent's members can be
-found and dropped.  The pool also keeps its members' places among the
-entities for the anchor engine, rebuilt only after the pool changes.
+found and dropped.  For the anchor engine the pool also places each node
+among the entities once, with the spans of its prefixes, and keeps that
+placement for its life; after each change a layout of the members
+(``PoolLayout``) is gathered from the kept placements.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
-from .dewey import DeweyId, EntityTable, is_ancestor_or_self, prefix_bounds
+from .dewey import DeweyId, EntityTable, _trusted, is_ancestor_or_self, subtree_bound
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,8 @@ class MergeOutcome:
         return self.distinct_count / self.union_size
 
 
-class PoolLayout(NamedTuple):
+@dataclass(eq=False)
+class PoolLayout:
     """The members of a pool placed among the entities of ``table``.
 
     ``cuts`` holds three ordinals per member, in document order: ``lo``,
@@ -158,33 +163,66 @@ class PoolLayout(NamedTuple):
     are ``lo .. hi-1``.  The members form an antichain, so ``cuts`` never
     falls.  ``hidden`` holds, ascending, every entity that is a proper
     ancestor of some member.  ``prefixes`` holds every distinct prefix of
-    the members, as ``dewey.prefix_bounds`` lists them, each as
-    ``(prefix, bound, lo, hi)`` with its entity span.
+    the members in document order, a member being a prefix of itself, each
+    as ``(prefix, bound, lo, hi)``: its ``subtree_bound`` and its entity
+    span.  ``lists`` is the anchor partition's cache of each segment list
+    cut at this layout (``anchors.partition_areas``), keyed by the list's
+    ``id``; it lives as long as the layout, one pool version.
     """
 
     table: EntityTable
     cuts: tuple[int, ...]
     hidden: tuple[int, ...]
     prefixes: tuple[tuple[DeweyId, DeweyId, int, int], ...]
+    lists: dict[int, tuple] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, nodes: Sequence[DeweyId], table: EntityTable) -> "PoolLayout":
-        deweys = table.deweys
-        members = set(nodes)
-        cuts: list[int] = []
-        hidden: list[int] = []
-        prefixes = []
-        lo = 0
-        for p, bound in prefix_bounds(nodes):  # ascending, so lo never falls
-            lo = bisect_left(deweys, p, lo)
-            hi = bisect_left(deweys, bound, lo)
-            prefixes.append((p, bound, lo, hi))
-            own = lo < hi and deweys[lo] == p
-            if p in members:
-                cuts += (lo, lo + own, hi)
-            elif own:
-                hidden.append(lo)
-        return cls(table, tuple(cuts), tuple(hidden), tuple(prefixes))
+    def build(
+        cls, nodes: Sequence[DeweyId], table: EntityTable, placed: dict | None = None
+    ) -> "PoolLayout":
+        """Lay out the document-ordered antichain ``nodes`` from their placements.
+
+        ``placed`` maps each node placed against ``table`` so far, members
+        and their prefixes, to its ``place`` row; nodes missing from it are
+        placed and added.  A member's prefixes come root first, and the
+        members are in document order, so the first occurrences of the
+        prefixes are in document order too.
+        """
+        placed = {} if placed is None else placed
+        rows = [placed.get(v) or place(v, table, placed) for v in nodes]
+        return cls(
+            table,
+            tuple(chain.from_iterable(map(itemgetter(0), rows))),
+            tuple(sorted(set(chain.from_iterable(map(itemgetter(1), rows))))),
+            tuple(dict.fromkeys(chain.from_iterable(map(itemgetter(2), rows)))),
+        )
+
+
+def place(v: DeweyId, table: EntityTable, placed: dict) -> tuple:
+    """Place node ``v`` and each of its prefixes not yet in ``placed``.
+
+    A node's row is ``(cut, hidden, prefixes)``: its three ``PoolLayout``
+    cuts, the entity ordinals among its proper prefixes, and the
+    ``(prefix, bound, lo, hi)`` of every prefix, root first.  A prefix's
+    span lies inside its parent's, so each one is found by two bisects into
+    the parent's span only.
+    """
+    deweys = table.deweys
+    row: tuple = ((0, 0, len(deweys)), (), ())
+    for n in range(1, len(v) + 1):
+        got = placed.get(v[:n])
+        if got is None:
+            (lo, start, hi), hidden, prefixes = row
+            if start > lo:  # the parent is an entity
+                hidden += (lo,)
+            p = _trusted(v[:n])
+            bound = subtree_bound(p)
+            lo = bisect_left(deweys, p, lo, hi)
+            hi = bisect_left(deweys, bound, lo, hi)
+            start = lo + (lo < hi and deweys[lo] == p)
+            got = placed[p] = ((lo, start, hi), hidden, prefixes + ((p, bound, lo, hi),))
+        row = got
+    return row
 
 
 class DiversifiedSet:
@@ -194,6 +232,7 @@ class DiversifiedSet:
         self._nodes: list[DeweyId] = []
         self._owner: dict[DeweyId, int] = {}
         self._layout: PoolLayout | None = None
+        self._placed: tuple[EntityTable, dict] | None = None
 
     @property
     def nodes(self) -> tuple[DeweyId, ...]:
@@ -203,10 +242,15 @@ class DiversifiedSet:
         """The members placed among ``table``'s entities, once per pool version.
 
         Only ``apply`` and ``remove_intent`` change the pool; both drop the
-        built layout, so every intent evaluated in between reuses it.
+        built layout, so every intent evaluated in between reuses it.  Each
+        node is placed once for the life of the pool: its row (``place``)
+        is kept, departed members' too, until a layout is asked of another
+        table, and a new version is built from the kept rows.
         """
         if self._layout is None or self._layout.table is not table:
-            self._layout = PoolLayout.build(self._nodes, table)
+            if self._placed is None or self._placed[0] is not table:
+                self._placed = (table, {})
+            self._layout = PoolLayout.build(self._nodes, table, self._placed[1])
         return self._layout
 
     def __len__(self) -> int:

@@ -53,6 +53,17 @@ class Entities:
         return tuple(self.table.deweys[i] for i in ordinals)
 
 
+def prefix_bounds(nodes: Iterable[DeweyId]) -> tuple[tuple[DeweyId, DeweyId], ...]:
+    """Every distinct prefix of the nodes, in document order, with its bound.
+
+    A node is a prefix of itself; each prefix p comes paired with
+    ``subtree_bound(p)``.  The reference for the prefixes a pool layout
+    lists.
+    """
+    prefixes = {DeweyId(v[:plen]) for v in nodes for plen in range(1, len(v) + 1)}
+    return tuple((p, subtree_bound(p)) for p in sorted(prefixes))
+
+
 def contains_anchor(node: DeweyId, anchors: Sequence[DeweyId]) -> bool:
     """True iff node is an ancestor of or equal to some anchor."""
     i = bisect_left(anchors, node)

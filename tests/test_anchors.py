@@ -3,6 +3,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
+from divsearch import anchors as anchors_module
 from divsearch.anchors import (
     area_results,
     covered_anchor_ancestors,
@@ -560,6 +561,80 @@ class TestAgainstReferencePartition:
         assert with_covering >= 50
         # live and pruned nodes together: the whole lists' sets hold both
         assert set_reaches_pruned >= 500
+
+
+def excluded_counts(areas, width):
+    """How many anchor ancestors a reference partition excludes from each list."""
+    return [sum(len(area.spans[i].excluded) for area in areas) for i in range(width)]
+
+
+class TestSegmentCache:
+    """A layout cuts each segment list once; every intent of the version slices it.
+
+    The intents of one pool version draw their lists from one set of list
+    objects, as intents sharing a segment share its node list, so their
+    stops differ from the lists' own.
+    """
+
+    def test_shared_lists_match_the_reference(self):
+        rng = random.Random(49)
+        stop_below = dropped = 0
+        for _ in range(150):
+            tree = random_tree(rng, 60)
+            shared = random_lists(rng, tree, max_lists=6)
+            ents, ordinal_lists = place(shared, tree)
+            for _ in range(3):  # pool versions over the same list objects
+                anchors = tree_antichain(rng, tree)
+                layout = PoolLayout.build(anchors, ents.table)
+                own = [reference_partition([lst], anchors)[0] for lst in shared]
+                for _ in range(4):
+                    picks = rng.sample(range(len(shared)), rng.randint(1, len(shared)))
+                    lists = [shared[i] for i in picks]
+                    sizes, alive, live, discarded = partition_areas(
+                        [ordinal_lists[i] for i in picks], layout
+                    )
+                    ref_areas, ref_discarded = reference_partition(lists, anchors)
+                    assert sizes == [a.total_nodes for a in ref_areas]
+                    assert alive == [not a.dead for a in ref_areas]
+                    assert [ents.deweys(lst) for lst in live] == reference_live(ref_areas, len(lists))
+                    assert discarded == ref_discarded
+                    stop_below += any(len(own[i]) > len(ref_areas) for i in picks)
+                    mine = excluded_counts(ref_areas, len(lists))
+                    dropped += any(
+                        excluded_counts(own[i], 1)[0] > n for i, n in zip(picks, mine)
+                    )
+        # some list was sliced below its own stop, losing a hidden hit with it
+        assert stop_below > 50, stop_below
+        assert dropped > 50, dropped
+
+    def test_each_list_is_bisected_once_per_layout(self, monkeypatch):
+        calls: dict[int, int] = {}
+
+        def counting(seq, *args):
+            calls[id(seq)] = calls.get(id(seq), 0) + 1
+            return bisect_left(seq, *args)
+
+        monkeypatch.setattr(anchors_module, "bisect_left", counting)
+        rng = random.Random(50)
+        for _ in range(100):
+            tree = random_tree(rng, 60)
+            shared = [lst for lst in random_lists(rng, tree, max_lists=5) if lst]
+            anchors = tree_antichain(rng, tree)
+            if not shared or not anchors:
+                continue
+            ents, ordinal_lists = place(shared, tree)
+            for _ in range(2):  # a new layout cuts every list again
+                layout = PoolLayout.build(anchors, ents.table)
+                before = {id(lst): calls.get(id(lst), 0) for lst in ordinal_lists}
+                cut = {}
+                for _ in range(4):
+                    picks = rng.sample(range(len(shared)), rng.randint(1, len(shared)))
+                    partition_areas([ordinal_lists[i] for i in picks], layout)
+                    for i in picks:
+                        cut.setdefault(i, calls[id(ordinal_lists[i])])
+                        assert calls[id(ordinal_lists[i])] == cut[i]
+                for i, count in cut.items():
+                    assert count > before[id(ordinal_lists[i])]
 
 
 class TestOneSlcaCallPerIntent:

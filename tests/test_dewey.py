@@ -6,10 +6,9 @@ from divsearch.dewey import (
     DeweyId,
     common_prefix_len,
     is_ancestor_or_self,
-    prefix_bounds,
     subtree_bound,
 )
-from helpers import d, ids
+from helpers import d, ids, prefix_bounds
 
 
 class TestConstruction:

@@ -10,7 +10,6 @@ from divsearch.dewey import (
     _trusted,
     common_prefix_len,
     is_ancestor_or_self,
-    prefix_bounds,
 )
 from divsearch.diversify import dif
 from divsearch.slca import (
@@ -19,7 +18,16 @@ from divsearch.slca import (
     compute_slca,
     merge_distinct,
 )
-from helpers import Entities, d, ids, random_antichain, random_lists, random_tree, slca_oracle
+from helpers import (
+    Entities,
+    d,
+    ids,
+    prefix_bounds,
+    random_antichain,
+    random_lists,
+    random_tree,
+    slca_oracle,
+)
 
 
 def scan_span(table, node):
@@ -283,39 +291,60 @@ class TestAttribution:
     def test_prefix_bounds_follow_every_change(self):
         """The layout is built once per pool version and table.
 
-        ``apply`` and ``remove_intent`` drop it.  Its prefixes are
+        ``apply`` and ``remove_intent`` drop it.  The pool keeps each node's
+        placement for as long as it lays out against one table, so every
+        version is laid out against tables A, B and A again, and members of
+        evicted intents come back in later merges.  Its prefixes are
         ``prefix_bounds`` of the members; every span is checked against a
         scan of the entities.
         """
         rng = random.Random(65)
+        returned = 0
         for _ in range(100):
-            table = Entities.of_tree(random_antichain(rng, 12) + random_antichain(rng, 12)).table
+            a, b = (
+                Entities.of_tree(random_antichain(rng, 12) + random_antichain(rng, 12)).table
+                for _ in range(2)
+            )
             phi = DiversifiedSet()
+            evicted: set = set()
             for step in range(8):
                 if step % 3 == 2:
+                    before = set(phi.nodes)
                     phi.remove_intent(rng.randrange(step))
+                    evicted |= before - set(phi.nodes)
                 else:
-                    phi.merge(random_antichain(rng), step)
-                built = phi.layout(table)
-                assert built.table is table
-                assert [(p, bound) for p, bound, _, _ in built.prefixes] == list(
-                    prefix_bounds(phi.nodes)
-                )
-                for p, bound, lo, hi in built.prefixes:
-                    assert (lo, hi) == scan_span(table, p)
-                cuts = []
-                for node in phi.nodes:
-                    lo, hi = scan_span(table, node)
-                    cuts += (lo, lo + (node in table.deweys), hi)
-                assert built.cuts == tuple(cuts)
-                assert built.hidden == tuple(
-                    i
-                    for i, v in enumerate(table.deweys)
-                    if any(len(v) < len(node) and is_ancestor_or_self(v, node) for node in phi.nodes)
-                )
-                assert phi.layout(table) is built
-            other = Entities.of_tree(table.deweys).table
+                    back = rng.sample(sorted(evicted), min(len(evicted), rng.randint(0, 3)))
+                    fresh = []
+                    for v in sorted({*random_antichain(rng), *back}):
+                        if not fresh or not is_ancestor_or_self(fresh[-1], v):
+                            fresh.append(v)
+                    phi.merge(fresh, step)
+                    returned += bool(evicted.intersection(phi.nodes))
+                for table in (a, b, a):
+                    built = phi.layout(table)
+                    assert built.table is table
+                    assert [(p, bound) for p, bound, _, _ in built.prefixes] == list(
+                        prefix_bounds(phi.nodes)
+                    )
+                    for p, bound, lo, hi in built.prefixes:
+                        assert (lo, hi) == scan_span(table, p)
+                    cuts = []
+                    for node in phi.nodes:
+                        lo, hi = scan_span(table, node)
+                        cuts += (lo, lo + (node in table.deweys), hi)
+                    assert built.cuts == tuple(cuts)
+                    assert built.hidden == tuple(
+                        i
+                        for i, v in enumerate(table.deweys)
+                        if any(
+                            len(v) < len(node) and is_ancestor_or_self(v, node) for node in phi.nodes
+                        )
+                    )
+                    assert phi.layout(table) is built
+            other = Entities.of_tree(a.deweys).table
             assert phi.layout(other).table is other
+        # an evicted member was placed again after its departure
+        assert returned > 50, returned
 
     def test_equality_covers_attribution(self):
         a = DiversifiedSet()
