@@ -7,13 +7,13 @@ tuple subclass: all comparisons and hashing come from ``tuple`` for free.
 
 The engines work on entity ordinals instead: positions in an
 ``EntityTable``, a document-ordered run of distinct Dewey IDs.  The table
-maps each entity to its parent, so the SLCA step's ancestor sets hold ints
-and make a ``DeweyId`` only for a node that is not an entity.
+also gives every node at or above an entity one number, an entity's being
+its ordinal, and each node's parent by number, so the SLCA step's ancestor
+sets hold ints only.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable
 
 
@@ -57,14 +57,6 @@ def _trusted(components: tuple[int, ...]) -> DeweyId:
     return tuple.__new__(DeweyId, components)
 
 
-def common_prefix_len(a: DeweyId, b: DeweyId) -> int:
-    n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n
-
-
 def is_ancestor_or_self(a: DeweyId, b: DeweyId) -> bool:
     """True iff a's subtree contains b (prefix test, includes a == b)."""
     return len(a) <= len(b) and b[: len(a)] == tuple(a)
@@ -83,65 +75,39 @@ def subtree_bound(a: DeweyId) -> DeweyId:
 class EntityTable:
     """Distinct Dewey IDs in document order, addressed by ordinal.
 
-    ``depths[i]`` is the depth of entity i and ``shared[i]`` its shared
-    depth with entity i-1 (0 for the first), as ``common_prefix_len`` gives
-    it; ``parents`` builds its map from the two.  Both are typed arrays
-    whose item size holds the greatest depth.
+    ``tree`` numbers every node at or above an entity: entity i keeps number
+    i and each other such node takes the next free number.
     """
 
-    __slots__ = ("deweys", "depths", "shared", "_parents")
+    __slots__ = ("deweys", "_tree")
 
     def __init__(self, deweys: Iterable[DeweyId]) -> None:
         self.deweys = tuple(deweys)
-        depths = [len(v) for v in self.deweys]
-        code = next(c for c in "BHILQ" if max(depths, default=0) < 1 << 8 * array(c).itemsize)
-        self.depths = array(code, depths)
-        self.shared = array(code, [0])
-        self.shared.extend(map(common_prefix_len, self.deweys, self.deweys[1:]))
-        self._parents: tuple[list, dict] | None = None
+        self._tree: tuple[list[DeweyId], list[int | None]] | None = None
 
-    def parents(self) -> tuple[list, dict]:
-        """The parent of every node above or at an entity, built on first use.
+    def tree(self) -> tuple[list[DeweyId], list[int | None]]:
+        """The nodes at or above an entity and their parents, built on first use.
 
-        A node is keyed by its ordinal if it is an entity and by its
-        ``DeweyId`` otherwise.  Returns ``(up, above)``: ``up[i]`` is the key
-        of entity i's parent, ``above[v]`` that of the non-entity node v's;
-        the root's parent is None.  One pass in document order keeps the
-        entities on the path to the current one, cut to its shared depth
-        with the previous entity, so the deepest left is its nearest entity
-        ancestor; a sibling of the previous entity takes its parent.  Each
-        non-entity node is made once and shared.
+        Returns ``(nodes, up)``: ``nodes[x]`` is node x's Dewey ID and
+        ``up[x]`` its parent's number, None for the root.  Each entity's
+        prefixes are walked upward until one is numbered, numbering the
+        others on the way; a loop, as chains may be thousands of levels deep.
         """
-        if self._parents is None:
-            deweys, depths, shared = self.deweys, self.depths, self.shared
-            up: list = []
-            above: dict = {}
-            made: dict[tuple, DeweyId] = {}  # each non-entity node's one object
-            path: list[int] = []  # ends with the previous entity
-            last = 0  # its depth
+        if self._tree is None:
+            deweys = self.deweys
+            nodes = list(deweys)
+            up: list[int | None] = [None] * len(nodes)
+            # an entity is an ancestor of another only if the next one is its descendant
+            number = {v: i for i, (v, w) in enumerate(zip(deweys, deweys[1:])) if w[: len(v)] == v}
             for i, v in enumerate(deweys):
-                if len(v) == last and shared[i] == last - 1:
-                    up.append(up[-1])
-                    path[-1] = i
-                    continue
-                last = len(v)
-                while path and depths[path[-1]] > shared[i]:
-                    path.pop()
-                key = path[-1] if path else None
-                low = depths[key] if path else 0
-                if low < len(v) - 1:  # the parent is not an entity
-                    parent = made.get(v[:-1])
-                    if parent is None:  # nor made yet: make it and the ones above, root first
-                        for depth in range(low + 1, len(v)):
-                            node = made.get(v[:depth])
-                            if node is None:
-                                node = _trusted(v[:depth])
-                                made[node] = node
-                                above[node] = key
-                            key = node
-                    else:
-                        key = parent
-                up.append(key)
-                path.append(i)
-            self._parents = (up, above)
-        return self._parents
+                child = i
+                for depth in range(len(v) - 1, 0, -1):
+                    parent = v[:depth]
+                    up[child] = n = number.setdefault(parent, len(nodes))
+                    if n < len(nodes):
+                        break  # an entity, or a node whose walk went on up
+                    nodes.append(_trusted(parent))
+                    up.append(None)
+                    child = n
+            self._tree = (nodes, up)
+        return self._tree

@@ -188,7 +188,7 @@ class IndexBundle:
 
     @cached_property
     def entity_table(self) -> EntityTable:
-        """The entities' Dewey IDs by ordinal, with O(1) shared depths.
+        """The entities' Dewey IDs by ordinal, and the tree they span.
 
         Built on first use, like ``neighbours``; the engines' node lists
         are ordinals into it.

@@ -3,10 +3,11 @@
 ``compute_slca`` finds the smallest lowest common ancestors of a family of
 sorted node lists: nodes whose subtree contains at least one node from every
 list while no descendant's subtree does.  It is the whole cost of a
-baseline query once segments are shared, so it works on entity ordinals
-and each list's ancestor set (``proper_ancestors``, built once per
-segment), and intersects the sets in C: the nodes covering every list form
-a subtree closed under ancestors, and its leaves are the SLCAs.
+baseline query once segments are shared, so it works on node numbers
+(``EntityTable.tree``, an entity's being its ordinal) and each list's
+ancestor set (``proper_ancestors``, built once per segment), and
+intersects the sets in C: the nodes covering every list form a subtree
+closed under ancestors, and its leaves are the SLCAs.
 ``DiversifiedSet`` accumulates results across accepted intents
 with the merge semantics used for novelty scoring: duplicates and
 ancestors of existing members are dropped, descendants replace the member
@@ -45,7 +46,7 @@ class SlcaSet:
         return self.nodes[i]
 
 
-AncestorSet = frozenset  # of entity ordinals and DeweyIds, see proper_ancestors
+AncestorSet = frozenset  # of node numbers (EntityTable.tree), see proper_ancestors
 
 # compute_slca bisects the cover into a list this many times longer than it;
 # the break-even measured against 102,541 entities lies between 25 and 34
@@ -55,20 +56,19 @@ BISECT_RATIO = 32
 def proper_ancestors(nodes: Sequence[int], table: EntityTable) -> AncestorSet:
     """P(L): every proper ancestor of an entity in the ordinal list ``nodes``.
 
-    An ancestor that is an entity is keyed by its ordinal, as list members
-    are, so a list and these sets intersect directly; any other node is
-    keyed by its ``DeweyId``, as ``EntityTable.parents`` keys it.  The set
-    grows a level at a time, from the members' parents up to the root; only
-    the first step visits every member, and it runs in C.
+    Each ancestor is named by its number in ``table.tree()``, an entity's
+    being its ordinal, as list members are, so a list and these sets
+    intersect directly.  The set grows a level at a time, from the members'
+    parents up to the root; every step runs in C.
     """
-    up, above = table.parents()
+    up = table.tree()[1]
     out: set = set()
     level = set(map(up.__getitem__, nodes))
     while level:
         level.discard(None)
         level -= out
         out |= level
-        level = {up[x] if x.__class__ is int else above[x] for x in level}
+        level = set(map(up.__getitem__, level))
     return frozenset(out)
 
 
@@ -91,12 +91,14 @@ def compute_slca(
     (cover & P(L_i)) | (cover & L_i), set operations that run in C.  The
     second term walks all of L_i, so against a list more than
     ``BISECT_RATIO`` times longer than the cover it is found instead by
-    bisecting into L_i the cover's entities outside P(L_i).  The cover is
-    then every node covering all the lists.  It is closed under ancestors,
-    so a member has a descendant in the cover iff it is the parent of a
-    member; the others are the SLCAs, and only they are sorted.  The work is
-    linear in the lists' total length, or in the cover's times log |L_i|
-    when the cover is that much shorter.
+    bisecting into L_i the cover's entities outside P(L_i), the numbers
+    below the entity count.  The cover is then every node covering all the
+    lists.  It is closed under ancestors, so a member has a descendant in
+    the cover iff it is the parent of a member; the others are the SLCAs.
+    Only they are turned into Dewey IDs and sorted, by number first, so the
+    entities come as one sorted run.  The work is linear in the lists'
+    total length, or in the cover's times log |L_i| when the cover is that
+    much shorter.
     """
     if not lists:
         raise ValueError("compute_slca requires at least one node list")
@@ -109,6 +111,7 @@ def compute_slca(
         lists = [[ordinal[v] for v in lst] for lst in lists]
     if ancestors is None:
         ancestors = [proper_ancestors(lst, table) for lst in lists]
+    entities = len(table.deweys)
     s = min(range(len(lists)), key=lambda i: len(lists[i]))
     cover = ancestors[s].union(lists[s])
     for i, (lst, above) in enumerate(zip(lists, ancestors)):
@@ -121,18 +124,16 @@ def compute_slca(
                 [
                     x
                     for x in cover - inside
-                    if x.__class__ is int and (j := bisect_left(lst, x)) < size and lst[j] == x
+                    if x < entities and (j := bisect_left(lst, x)) < size and lst[j] == x
                 ]
             )
         else:
             cover = cover.intersection(lst) | (cover & above)
-    up, above = table.parents()
-    leaves = cover.difference([up[x] if x.__class__ is int else above[x] for x in cover])
-    deweys = table.deweys
-    nodes = [deweys[x] for x in sorted([x for x in leaves if x.__class__ is int])]
-    nodes += [x for x in leaves if x.__class__ is not int]
-    nodes.sort()  # the entities come as one sorted run
-    return SlcaSet(tuple(nodes))
+    nodes, up = table.tree()
+    leaves = cover.difference(map(up.__getitem__, cover))
+    found = list(map(nodes.__getitem__, sorted(leaves)))
+    found.sort()  # the entities come first, as one sorted run
+    return SlcaSet(tuple(found))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,15 @@ class Entities:
         return tuple(self.table.deweys[i] for i in ordinals)
 
 
+def common_prefix_len(a: DeweyId, b: DeweyId) -> int:
+    """The number of leading components a and b share: their LCA's depth."""
+    n = min(len(a), len(b))
+    for i in range(n):
+        if a[i] != b[i]:
+            return i
+    return n
+
+
 def prefix_bounds(nodes: Iterable[DeweyId]) -> tuple[tuple[DeweyId, DeweyId], ...]:
     """Every distinct prefix of the nodes, in document order, with its bound.
 

@@ -1,5 +1,10 @@
 """The set-algebra SLCA: per-segment ancestor sets, intersected in C.
 
+The sets name each node by its number in ``EntityTable.tree``, an entity
+by its ordinal; the brute-force sets here search the numbered nodes for
+every proper prefix of every member, and the tree is held to the same
+search.
+
 ``compute_slca(lists, table, ancestors)`` must answer as the SLCA oracle
 does, for every shape of entity table: entities that nest, a root that is
 an entity and a list member, non-entity nodes between entities, and a short
@@ -22,14 +27,14 @@ from divsearch.slca import BISECT_RATIO, compute_slca, proper_ancestors
 from helpers import Entities, patch_everywhere, random_corpus_xml, random_tree, slca_oracle
 
 
-def key(table: EntityTable, node: DeweyId):
-    """A node as the sets key it: its ordinal if it is an entity, else itself."""
-    return table.deweys.index(node) if node in table.deweys else node
+def number(table: EntityTable, node) -> int:
+    """A node as the sets name it: its position among the tree's nodes."""
+    return table.tree()[0].index(node)
 
 
 def brute_ancestors(table: EntityTable, ordinals) -> frozenset:
     return frozenset(
-        key(table, DeweyId(table.deweys[i][:depth]))
+        number(table, table.deweys[i][:depth])
         for i in ordinals
         for depth in range(1, len(table.deweys[i]))
     )
@@ -92,19 +97,16 @@ class TestProperAncestors:
             nodes = tuple(sorted(rng.sample(range(size), rng.randint(0, size))))
             assert proper_ancestors(nodes, table) == brute_ancestors(table, nodes)
 
-    def test_parents_name_each_node_once(self):
+    def test_tree_numbers_each_node_once(self):
         rng = random.Random(82)
         for _ in range(200):
             table = random_entities(rng, random_tree(rng, 60)).table
-            up, above = table.parents()
-            for i, v in enumerate(table.deweys):
-                assert up[i] == (key(table, DeweyId(v[:-1])) if len(v) > 1 else None)
-            for node, parent in above.items():
-                assert node not in table.deweys
-                assert parent == (key(table, DeweyId(node[:-1])) if len(node) > 1 else None)
-            made = [k for k in up if isinstance(k, DeweyId)]
-            assert all(k is next(a for a in above if a == k) for k in made)
-            assert table.parents() is table.parents()
+            nodes, up = table.tree()
+            assert nodes[: len(table.deweys)] == list(table.deweys)
+            assert len(set(nodes)) == len(nodes)
+            for x, v in enumerate(nodes):
+                assert up[x] == (number(table, v[:-1]) if len(v) > 1 else None)
+            assert table.tree() is table.tree()
 
 
 class TestSetPath:

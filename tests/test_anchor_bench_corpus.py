@@ -6,18 +6,23 @@ output.  Here the bench's own ``hub`` corpus and engine queries check both:
 the same entries and pool as the baseline, from strictly fewer visited
 nodes.  The bench indexes only ``item``, so no anchor there has an entity
 ancestor; the same corpus with ``sec`` entities as well reaches the
-partition's exclusion of those ancestors.  The generator is imported
-read-only from ``perfbench/corpora.py``.
+partition's exclusion of those ancestors.  A smaller copy of the corpus,
+indexed both ways, pins every engine's ``--stats`` report to recorded
+SHA-256 digests.  The generator is imported read-only from
+``perfbench/corpora.py``.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
 import pytest
 
 from divsearch.anchors import diversify_anchored, partition_areas
+from divsearch.cli import render_search_report
 from divsearch.diversify import diversify_baseline
 from divsearch.indexing import IndexConfig, index_corpus
+from divsearch.parallel import diversify_parallel
 from helpers import patch_everywhere
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -43,6 +48,13 @@ def hub_index():
 @pytest.fixture(scope="module")
 def nested_index():
     return bench_corpus(40, {"sec", "item"})
+
+
+@pytest.fixture(scope="module")
+def flat_index():
+    """The nested corpus's 40 sections with ``item`` entities only: the root
+    and the sections are non-entity nodes."""
+    return bench_corpus(40, {"item"})
 
 
 def assert_anchor_equals_baseline_with_fewer_visits(index, query, k, m):
@@ -75,3 +87,68 @@ def test_nested_entities_reach_the_ancestor_exclusion(nested_index, monkeypatch)
     for query, k, m in QUERIES:
         diversify_anchored(query, k, m, nested_index)
     assert len(calls) > 100 and sum(calls) > 40, (len(calls), sum(calls))
+
+
+ENGINES = {
+    "baseline": diversify_baseline,
+    "anchor": diversify_anchored,
+    "parallel": diversify_parallel,
+}
+
+# SHA-256 of each engine's report, baseline, anchor and parallel in that
+# order, keyed by (entity labels, query, k, m), on the 40-section corpus
+REPORT_DIGESTS = {
+    ("item", "hub0 hub1", 5, 5): (
+        "5e39eb222c96ee45ada4d0bd5a2ab83f6f30901241c96b9bb98b517d4eb4d863",
+        "8abb06b4fcd757e5cb58b73255fe1c6338cf09e8d10c092b6099f9d6bfa27235",
+        "5ae7ccf3a4737c2f88455d422cef00f138b5522e451ffc4c63b1f9f9ea491f70",
+    ),
+    ("item", "hub0 hub1", 10, 20): (
+        "c425432fdb3a8b56e6414d64b65ed545142e4b95ec6c3cb935d23c155dc2599a",
+        "2aed50249e0469e0d4ab09dca174e800678138beeb0e3606f4c4380b7709e48f",
+        "a77097f0657a85ec31f87a69fead5d8cfa722f92d59da2b9ad1ffc7759841cc7",
+    ),
+    ("item", "hub1 hub4 hub7", 3, 4): (
+        "99854ddd6f1e921c9ececa6affd4e1cdb31aec377ea2a9384f7deed639d7bf0b",
+        "456ba77345f87e8b1c0dd88f3b12d2d9137f3845b8deb52f17e82f7aad57f506",
+        "aad2f3c5957aa9db6c59237fda1cae2e33d1825f66b216fe5428672a03bd4fc1",
+    ),
+    ("item", "hub2 ctx11", 4, 6): (
+        "382986f2f9e4d862504c4d48e05f850d2c935dd2f6d4cf32e0bdb85a67e18a9e",
+        "3e0cf74de317583b2aee538281265658e7c2dc47b0905e807530dd2eee5689f1",
+        "cab8637e0c2e60b0d5793c5e10b956019dfb2ce5b2916c782980e5430f9c7308",
+    ),
+    ("item sec", "hub0 hub1", 5, 5): (
+        "73984ed39017e94c390b7fb4866d24de182b90b8edb8a86ad47b09c9be1224ae",
+        "d8461c1a43756db089f3c31ffade877e4a8ab4cf73d57d35000a5a76b59ecabb",
+        "9bc880f552887068771672c0f909b10fbd2421c4cbbc757dac7bf927c789c836",
+    ),
+    ("item sec", "hub0 hub1", 10, 20): (
+        "a0d7535ab816a1bae807342f440ec6303a9737b99c7f31d92f6d480d3650769b",
+        "86f4b440cdc05beaa3843132295466a01baae6c2f0eba2c12fbba4616b6ea9ae",
+        "b67b749177d6d3608811405e1865d84aba2a41e022b4f91c63909b7aa5e943c1",
+    ),
+    ("item sec", "hub1 hub4 hub7", 3, 4): (
+        "efa1f8f74bae954c4244309cfe43408c6310ac9ce51866e35e16a2898b98f454",
+        "2cc8ec16dc524dc03a1b5afc0bc30823666ec5c5aa8f5abd740f223ee8334040",
+        "aa219cfdc573b3b73129d0d206abca5698302ae57871cfe54ca2186ca44ecf45",
+    ),
+    ("item sec", "hub2 ctx11", 4, 6): (
+        "739d7f42ccd58ff84f4ab7ed459fefe341707cf50bfd80e17b46d988f56e43a5",
+        "65faee0c980272089a90a6c6c4fbe19403a6528207e59670bf45033dd1bb1e5f",
+        "c70865e6f891bedfc89c7efdf62bacde4f304b84fd80f32b5f181fc7f1dad095",
+    ),
+}
+
+
+@pytest.mark.parametrize("labels,query,k,m", sorted(REPORT_DIGESTS))
+def test_reports_match_their_recorded_digests(flat_index, nested_index, labels, query, k, m):
+    index = nested_index if labels == "item sec" else flat_index
+    words = query.split()
+    got = []
+    for algo, engine in ENGINES.items():
+        topk, stats = engine(words, k, m, index)
+        counts = (stats.nodes_visited, stats.nodes_pruned, stats.areas_skipped)
+        report = render_search_report(words, k, m, algo, topk, stats=counts)
+        got.append(hashlib.sha256(report.encode()).hexdigest())
+    assert tuple(got) == REPORT_DIGESTS[labels, query, k, m]

@@ -4,11 +4,10 @@ import pytest
 
 from divsearch.dewey import (
     DeweyId,
-    common_prefix_len,
     is_ancestor_or_self,
     subtree_bound,
 )
-from helpers import d, ids, prefix_bounds
+from helpers import common_prefix_len, d, ids, prefix_bounds
 
 
 class TestConstruction:

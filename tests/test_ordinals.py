@@ -1,8 +1,9 @@
-"""The ordinal path: entity tables, their shared depths, and SLCA on a bundle.
+"""The ordinal path: entity tables, their numbered trees, and SLCA on a bundle.
 
-``EntityTable`` keeps each entity's depth and its shared depth with the
-entity before it; ``parents`` builds its map from the two.  These tests hold
-the table to ``common_prefix_len`` and the bundle path to the SLCA oracle on
+``EntityTable.tree`` numbers every node at or above an entity, an entity
+by its ordinal, and names each node's parent by number.  These tests hold
+the tree to a brute-force parent search, on chains deep enough that a
+recursive build would fail, and the bundle path to the SLCA oracle on
 corpora whose entities nest.
 """
 
@@ -10,12 +11,12 @@ import random
 
 import pytest
 
-from divsearch.dewey import DeweyId, EntityTable, common_prefix_len, is_ancestor_or_self
+from divsearch.dewey import DeweyId, EntityTable, is_ancestor_or_self
 from divsearch.errors import NoIntentError
 from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import iter_intents
-from divsearch.slca import PoolLayout, compute_slca
+from divsearch.slca import PoolLayout, compute_slca, proper_ancestors
 from helpers import Entities, ids, random_corpus_xml, random_lists, random_tree, slca_oracle
 
 
@@ -30,58 +31,53 @@ def deep_chain(depth: int, rng: random.Random) -> list[DeweyId]:
     return nodes
 
 
-def assert_every_range(table: EntityTable) -> None:
-    """Entities i < j share the least of the shared depths from i+1 to j."""
-    deweys, shared = table.deweys, table.shared
-    assert list(table.depths) == [len(v) for v in deweys]
-    for i, a in enumerate(deweys):
-        least = len(a)
-        for j in range(i + 1, len(deweys)):
-            least = min(least, shared[j])
-            assert least == common_prefix_len(a, deweys[j])
-
-
-def assert_parents(table: EntityTable) -> None:
-    """``parents`` names each entity's parent as a brute-force search finds it."""
-    up, above = table.parents()
-    ordinal = {v: i for i, v in enumerate(table.deweys)}
-
-    def parent_key(node):
-        return ordinal.get(node[:-1], DeweyId(node[:-1])) if len(node) > 1 else None
-
-    assert up == [parent_key(v) for v in table.deweys]
-    for node, parent in above.items():
-        assert node not in ordinal
-        assert parent == parent_key(node)
+def assert_tree(table: EntityTable) -> None:
+    """``tree`` numbers each node at or above an entity once, entities by
+    their ordinals, and names each node's parent as a search of the
+    numbered nodes finds it."""
+    nodes, up = table.tree()
+    deweys = table.deweys
+    assert nodes[: len(deweys)] == list(deweys)
+    assert all(type(v) is DeweyId for v in nodes)
+    spanned = {v[:depth] for v in deweys for depth in range(1, len(v) + 1)}
+    assert len(nodes) == len(spanned) and set(nodes) == spanned
+    number = {v: x for x, v in enumerate(nodes)}
+    assert len(up) == len(nodes)
+    for x, v in enumerate(nodes):
+        assert up[x] == (number[v[:-1]] if len(v) > 1 else None)
+    assert table.tree() is table.tree()
 
 
 class TestEntityTable:
-    def test_shared_depths_equal_common_prefix_len_of_neighbours(self):
+    def test_tree_matches_a_brute_force_parent_search(self):
         rng = random.Random(71)
         for _ in range(60):
-            table = Entities.of_tree(random_tree(rng, 90)).table
-            deweys = table.deweys
-            assert list(table.shared) == [0] + list(map(common_prefix_len, deweys, deweys[1:]))
-            assert_every_range(table)
+            tree = random_tree(rng, 90)
+            chosen = [v for v in tree if rng.random() < rng.choice((0.2, 0.5, 1.0))]
+            assert_tree(Entities.of_tree(chosen or tree[-1:]).table)
 
     def test_chain_deeper_than_255_levels(self):
         rng = random.Random(72)
         nodes = deep_chain(300, rng)
         table = Entities.of_tree(nodes).table
-        assert max(table.depths) == 300
-        assert table.depths.itemsize >= 2
-        assert table.shared.itemsize >= 2
-        assert max(table.shared) >= 256
-        assert_every_range(table)
-        assert_parents(table)
+        assert max(map(len, table.deweys)) == 300
+        assert_tree(table)
         tail = sorted(nodes)[-40:]
         lists = [tuple(tail[0::2]), tuple(tail[1::3])]
         assert compute_slca(lists).nodes == slca_oracle(nodes, lists)
 
-    def test_shallow_tables_take_one_byte(self):
-        table = Entities.of_tree(ids("1", "1.1", "1.2", "1.2.1", "1.3")).table
-        assert table.depths.itemsize == table.shared.itemsize == 1
-        assert list(table.shared) == [0, 1, 1, 2, 1]
+    def test_entity_5000_non_entity_levels_down(self):
+        """Past the recursion limit: the build walks the chain in a loop."""
+        deep = DeweyId((1,) * 5001)
+        sibling = DeweyId(deep[:-1] + (2,))
+        table = EntityTable([deep, sibling])
+        assert_tree(table)
+        nodes, up = table.tree()
+        chain = frozenset(range(2, 5002))
+        assert proper_ancestors((0,), table) == proper_ancestors((0, 1), table) == chain
+        assert nodes[up[0]] == deep[:-1] and up[0] == up[1]
+        lists = [(0,), (1,)]
+        assert compute_slca(lists, table).nodes == (DeweyId(deep[:-1]),)
 
     def test_pool_layout_places_members_and_prefixes(self):
         table = Entities.of_tree(ids("1", "1.1", "1.2", "1.2.1", "1.2.2", "1.4")).table
@@ -102,8 +98,7 @@ class TestEntityTable:
         nodes = sorted({DeweyId((1, rng.randint(1, 4), rng.randint(1, 4))) for _ in range(size)})
         table = EntityTable(nodes)
         assert len(table.deweys) == len(nodes)
-        assert_every_range(table)
-        assert_parents(table)
+        assert_tree(table)
 
 
 def closure(nodes):

@@ -8,7 +8,6 @@ import pytest
 from divsearch.dewey import (
     DeweyId,
     _trusted,
-    common_prefix_len,
     is_ancestor_or_self,
 )
 from divsearch.diversify import dif
@@ -20,6 +19,7 @@ from divsearch.slca import (
 )
 from helpers import (
     Entities,
+    common_prefix_len,
     d,
     ids,
     prefix_bounds,
