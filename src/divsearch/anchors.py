@@ -6,7 +6,8 @@ subtree, strict descendants, and nodes after, while ancestors of an anchor
 are discarded outright.  Areas missing any segment entirely are skipped
 without inspection.  The surviving areas' nodes are solved together, in
 one SLCA call per intent over the segments' ancestor sets, and the results
-go through the pool's merge, as the baseline's SLCAs do.
+go through the pool's merge, as the baseline's SLCAs do.  Only they are
+visited; ``diversify.run_topk`` counts every other input node as pruned.
 
 Node lists hold entity ordinals.  The pool places each node among the
 entities once for its life and lays out each version from those placements
@@ -35,7 +36,7 @@ and uses only :func:`area_results`, on the intent's whole node lists.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from operator import sub
 from typing import Sequence
 
@@ -61,8 +62,7 @@ def cut_list(lst: NodeList, layout: PoolLayout) -> tuple:
     node; it sweeps the anchors up to that one, ``swept`` of them.  Per list
     are kept: ``starts`` and ``ends``, each area's positions (pre and des
     per swept anchor, with the tail's start), the areas' ``sizes`` with the
-    hidden hits taken off, ``listed``, the running count of listed anchors
-    over the swept ones, and ``hits``, the list's members in
+    hidden hits taken off, and ``hits``, the list's members in
     ``layout.hidden`` below the last swept anchor's ``lo``, ascending.  The
     entry holds ``lst`` itself, so its ``id`` is not reused while the entry
     lives.
@@ -73,7 +73,6 @@ def cut_list(lst: NodeList, layout: PoolLayout) -> tuple:
         swept = min(bisect_right(cuts, lst[-1]) // 3 + 1 if lst else 1, len(cuts) // 3)
         cuts = cuts[: 3 * swept]
         marks = [0, *map(bisect_left, repeat(lst), cuts)]
-        listed = list(accumulate(map(sub, marks[2::3], marks[1::3]), initial=0))
         starts, ends = marks, marks[1:]
         del starts[1::3], ends[1::3]
         sizes = list(map(sub, ends, starts))
@@ -84,19 +83,19 @@ def cut_list(lst: NodeList, layout: PoolLayout) -> tuple:
                 if i < len(lst) and lst[i] == q:
                     hits.append(q)
                     sizes[bisect_right(cuts, q) // 3 * 2] -= 1
-        entry = layout.lists[id(lst)] = (lst, swept, starts, ends, sizes, listed, hits)
+        entry = layout.lists[id(lst)] = (lst, swept, starts, ends, sizes, hits)
     return entry
 
 
 def partition_areas(
     lists: Sequence[NodeList], layout: PoolLayout
-) -> tuple[list[int], list[bool], list[NodeList], int]:
+) -> tuple[list[bool], list[NodeList]]:
     """Cut every segment list at every anchor's entity span, in document order.
 
     The areas are, per anchor, the nodes before its subtree (pre) and its
     strict descendants (des), then the tail after the last anchor.  Each is
     a range of positions per list.  A listed anchor and its entity ancestors
-    are discarded: the anchor sits between its pre and des positions, and
+    are left out: the anchor sits between its pre and des positions, and
     each of its ancestors in ``layout.hidden`` is removed from the pre area
     it falls in.  An area is live iff no list's part of it is empty.  Once
     some list has no node past an anchor's subtree, later anchors cannot
@@ -106,28 +105,25 @@ def partition_areas(
     is sliced there; a hidden hit at or past the stop anchor's ``lo`` lies
     in the tail and stays.
 
-    Returns each area's node count, whether it is live, the live areas'
-    nodes joined list by list, and the count of discarded nodes.
+    Returns whether each area is live, and the live areas' nodes joined
+    list by list.  Every other node is pruned (``diversify.run_topk``).
     """
     entries = [cut_list(lst, layout) for lst in lists]
     swept = min((entry[1] for entry in entries), default=0)
     limit = layout.cuts[3 * swept - 3] if swept else 0
     columns: list[list[int]] = []
     spans = []
-    discarded = 0
-    for lst, _, starts, ends, sizes, listed, hits in entries:
-        k = bisect_left(hits, limit)
-        discarded += listed[swept] + k
+    for lst, _, starts, ends, sizes, hits in entries:
         columns.append([*sizes[: 2 * swept], len(lst) - starts[2 * swept]])
-        spans.append((starts, [*ends[: 2 * swept], len(lst)], set(hits[:k])))
-    areas = list(zip(*columns))
-    alive = list(map(all, areas))
+        gone = set(hits[: bisect_left(hits, limit)])
+        spans.append((starts, [*ends[: 2 * swept], len(lst)], gone))
+    alive = list(map(all, zip(*columns)))
     live = []
     for lst, (starts, ends, gone) in zip(lists, spans):
         parts = map(slice, compress(starts, alive), compress(ends, alive))
         nodes = tuple(chain.from_iterable(map(lst.__getitem__, parts)))
         live.append(tuple(v for v in nodes if v not in gone) if gone else nodes)
-    return list(map(sum, areas)), alive, live, discarded
+    return alive, live
 
 
 def area_results(
@@ -185,13 +181,13 @@ def evaluate_anchored(
     """Evaluate one intent against the pool using anchor partitioning.
 
     The segments' node lists are ordinals of ``table``.  Dead areas are
-    skipped and their nodes count as pruned; the live areas' nodes, joined
-    list by list in area order, are solved as one area by
-    :func:`area_results`, with no call if no area is live.
+    skipped; the live areas' nodes, joined list by list in area order, are
+    the nodes visited, and are solved as one area by :func:`area_results`,
+    with no call if no area is live.
     """
     lists = [segment.node_list for segment in intent.segments]
     layout = pool.layout(table)
-    sizes, alive, live, discarded = partition_areas(lists, layout)
+    alive, live = partition_areas(lists, layout)
     visited = sum(map(len, live))
     results: tuple[DeweyId, ...] = ()
     if visited:
@@ -209,7 +205,6 @@ def evaluate_anchored(
         relevance=intent_likelihood(intent) * (len(outcome.inserted) + covered),
         outcome=outcome,
         visited=visited,
-        pruned=discarded + sum(sizes) - visited,
         areas_skipped=alive.count(False),
     )
 

@@ -27,7 +27,7 @@ from .slca import DiversifiedSet, MergeOutcome, SlcaSet, compute_slca
 
 @dataclass
 class EvalStats:
-    """Work counters; visited + pruned = total input nodes per intent."""
+    """Work counters; per intent, pruned = input nodes - visited (:func:`run_topk`)."""
 
     nodes_visited: int = 0
     nodes_pruned: int = 0
@@ -43,13 +43,13 @@ class EvalStats:
 class IntentEvaluation:
     """Everything one engine pass learns about one intent.
 
-    ``dif`` and ``score`` are derived here, the same way for every engine.
+    ``visited`` counts the input nodes read; :func:`run_topk` counts the
+    rest as pruned.  ``dif`` and ``score`` are derived here, for every engine.
     """
 
     relevance: float
     outcome: MergeOutcome
     visited: int
-    pruned: int
     areas_skipped: int
 
     @property
@@ -101,7 +101,6 @@ def evaluate_against_pool(
         relevance=intent_likelihood(intent) * len(slca),
         outcome=pool.preview(slca),
         visited=sum(len(lst) for lst in lists),
-        pruned=0,
         areas_skipped=0,
     )
 
@@ -113,10 +112,12 @@ def run_topk(
 ) -> tuple[TopK, EvalStats]:
     """Shared admission loop for all three engines.
 
-    Only intents with score > 0 are admitted.  Once full, a newcomer must
-    strictly beat the worst admitted score; the evicted intent's remaining
-    attributed nodes leave the pool.  The new outcome is applied before the
-    eviction so its recorded replacements stay valid.
+    An intent's pruned count is its input, the summed node-list lengths of
+    its segments, less the nodes it visited.  Only intents with score > 0
+    are admitted.  Once full, a newcomer must strictly beat the worst
+    admitted score; the evicted intent's remaining attributed nodes leave
+    the pool.  The new outcome is applied before the eviction so its
+    recorded replacements stay valid.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -127,7 +128,8 @@ def run_topk(
     stats = EvalStats()
     for seq, intent in enumerate(intents):
         evaluation = evaluate(intent, pool)
-        stats.add(evaluation.visited, evaluation.pruned, evaluation.areas_skipped)
+        total = sum(len(segment.node_list) for segment in intent.segments)
+        stats.add(evaluation.visited, total - evaluation.visited, evaluation.areas_skipped)
         score = evaluation.score
         if score <= 0.0:
             continue

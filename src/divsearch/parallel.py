@@ -80,7 +80,7 @@ def evaluate_whole(
     lists = [segment.node_list for segment in intent.segments]
     results = evaluate_area(lists, table, [s.ancestors for s in intent.segments])
     return IntentEvaluation(
-        intent_likelihood(intent) * len(results), pool.preview(results), sum(map(len, lists)), 0, 0
+        intent_likelihood(intent) * len(results), pool.preview(results), sum(map(len, lists)), 0
     )
 
 

@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 from divsearch import anchors as anchors_module
@@ -12,7 +13,12 @@ from divsearch.anchors import (
     partition_areas,
 )
 from divsearch.dewey import DeweyId, subtree_bound
-from divsearch.diversify import IntentEvaluation, diversify_baseline, evaluate_against_pool
+from divsearch.diversify import (
+    IntentEvaluation,
+    diversify_baseline,
+    evaluate_against_pool,
+    run_topk,
+)
 from divsearch.intents import IntentQuery, Segment
 from divsearch.slca import (
     DiversifiedSet,
@@ -54,17 +60,20 @@ def place(lists, tree=()):
     return ents, [ents.ordinals(lst) for lst in lists]
 
 
+def input_less_live(lists, live):
+    """The nodes an intent of ``lists`` prunes when it visits ``live``."""
+    return sum(map(len, lists)) - sum(map(len, live))
+
+
 def partition(lists, anchors, tree=()):
     """partition_areas on Dewey lists.
 
-    Returns the entity map, each area's size, the live flags, the live
-    nodes as Dewey lists and the discarded count.
+    Returns the entity map, the live flags, the live nodes as Dewey lists
+    and the pruned count: the input nodes that are not live.
     """
     ents, ordinal_lists = place(lists, tree)
-    sizes, alive, live, discarded = partition_areas(
-        ordinal_lists, PoolLayout.build(anchors, ents.table)
-    )
-    return ents, sizes, alive, [ents.deweys(lst) for lst in live], discarded
+    alive, live = partition_areas(ordinal_lists, PoolLayout.build(anchors, ents.table))
+    return ents, alive, [ents.deweys(lst) for lst in live], input_less_live(lists, live)
 
 
 def covered(lists, anchors, new_nodes, tree=()):
@@ -75,100 +84,91 @@ def covered(lists, anchors, new_nodes, tree=()):
 
 
 def split_single(lists, anchor):
-    """partition_areas around one anchor: pre, des and next sizes, live flags, live lists, discarded."""
-    _, sizes, alive, live, discarded = partition(lists, (anchor,))
-    assert len(sizes) == len(alive) == 3
-    return sizes, alive, live, discarded
+    """partition_areas around one anchor: pre, des and next live flags, live lists, pruned."""
+    _, alive, live, pruned = partition(lists, (anchor,))
+    assert len(alive) == 3
+    return alive, live, pruned
 
 
 class TestSingleAnchorPartition:
     def test_four_way_split(self):
-        sizes, alive, live, discarded = split_single(
-            [ids("1", "1.1", "1.2.1", "1.3")], d("1.2")
-        )
-        assert discarded == 1  # 1 is the anchor's ancestor
-        assert sizes == [1, 1, 1]
+        alive, live, pruned = split_single([ids("1", "1.1", "1.2.1", "1.3")], d("1.2"))
+        assert pruned == 1  # 1 is the anchor's ancestor
         assert alive == [True, True, True]
         assert live == [ids("1.1", "1.2.1", "1.3")]
 
     def test_anchor_member_is_covered(self):
-        sizes, alive, live, discarded = split_single([ids("1.2")], d("1.2"))
-        assert discarded == 1
-        assert sizes == [0, 0, 0]
+        alive, live, pruned = split_single([ids("1.2")], d("1.2"))
+        assert pruned == 1
         assert alive == [False, False, False]
         assert live == [()]
 
     def test_root_anchor_absorbs_descendants(self):
-        sizes, alive, live, discarded = split_single([ids("1", "1.1", "1.2")], d("1"))
-        assert discarded == 1
-        assert sizes == [0, 2, 0]
+        alive, live, pruned = split_single([ids("1", "1.1", "1.2")], d("1"))
+        assert pruned == 1
         assert alive == [False, True, False]
         assert live == [ids("1.1", "1.2")]
 
     def test_anchor_after_all_nodes(self):
-        sizes, _, live, discarded = split_single([ids("1.1", "1.2")], d("1.5"))
-        assert sizes == [2, 0, 0]
+        alive, live, pruned = split_single([ids("1.1", "1.2")], d("1.5"))
+        assert alive == [True, False, False]
         assert live == [ids("1.1", "1.2")]
-        assert discarded == 0
+        assert pruned == 0
 
     def test_anchor_before_all_nodes(self):
-        sizes, _, live, _ = split_single([ids("1.2", "1.3")], d("1.1"))
-        assert sizes == [0, 0, 2]
+        alive, live, _ = split_single([ids("1.2", "1.3")], d("1.1"))
+        assert alive == [False, False, True]
         assert live == [ids("1.2", "1.3")]
 
     def test_covered_counts_accumulate_across_lists(self):
-        sizes, alive, live, discarded = split_single([ids("1"), ids("1", "1.2")], d("1.2"))
-        assert discarded == 3
-        assert sizes == [0, 0, 0]
+        alive, live, pruned = split_single([ids("1"), ids("1", "1.2")], d("1.2"))
+        assert pruned == 3
         assert not any(alive)
         assert live == [(), ()]
 
 
 class TestPartitionAreas:
     def test_no_anchors_yields_single_tail(self):
-        _, sizes, alive, live, discarded = partition([ids("1.1", "1.2")], ())
-        assert discarded == 0
-        assert (sizes, alive) == ([2], [True])
+        _, alive, live, pruned = partition([ids("1.1", "1.2")], ())
+        assert pruned == 0
+        assert alive == [True]
         assert live == [ids("1.1", "1.2")]
 
     def test_single_anchor_yields_three_areas(self):
-        _, sizes, alive, live, discarded = partition([ids("1.1", "1.2", "1.3")], ids("1.2"))
-        assert discarded == 1
-        assert sizes == [1, 0, 1]
+        _, alive, live, pruned = partition([ids("1.1", "1.2", "1.3")], ids("1.2"))
+        assert pruned == 1
         assert alive == [True, False, True]
         assert live == [ids("1.1", "1.3")]
 
     def test_exhausted_list_stops_splitting(self):
         lists = [ids("1.1"), ids("1.1", "1.2")]
-        _, sizes, alive, live, discarded = partition(lists, ids("1.1", "1.3"))
+        _, alive, live, pruned = partition(lists, ids("1.1", "1.3"))
         # the first anchor consumes list 0 entirely; 1.3 is never split on
-        assert sizes == [0, 0, 1]
-        assert discarded == 2
-        assert not any(alive)
+        assert alive == [False, False, False]
+        assert pruned == 3  # both 1.1s are the anchor, 1.2 sits in the dead tail
         assert live == [(), ()]
 
     def test_node_conservation(self):
+        """Every input node is live or pruned; the reference says which."""
         rng = random.Random(41)
         for _ in range(300):
             tree = random_tree(rng, 60)
             lists = random_lists(rng, tree)
             anchors = random_antichain(rng)
-            _, sizes, alive, live, discarded = partition(lists, anchors, tree)
-            total = sum(len(lst) for lst in lists)
-            assert sum(sizes) + discarded == total
-            assert len(sizes) == len(alive)
-            assert len(sizes) % 2 == 1 and len(sizes) <= 2 * len(anchors) + 1
+            _, alive, live, pruned = partition(lists, anchors, tree)
+            ref_areas, ref_discarded = reference_partition(lists, anchors)
+            assert pruned == ref_discarded + sum(a.total_nodes for a in ref_areas if a.dead)
+            assert len(alive) % 2 == 1 and len(alive) <= 2 * len(anchors) + 1
             for lst, nodes in zip(lists, live):
                 assert set(nodes) <= set(lst) and list(nodes) == sorted(nodes)
                 assert not any(contains_anchor(v, anchors) for v in nodes)
-            assert sum(map(len, live)) == sum(size for size, up in zip(sizes, alive) if up)
             covered = sum(
                 1 for lst in lists for v in lst if contains_anchor(v, anchors)
             )
-            if len(sizes) == 2 * len(anchors) + 1:
-                assert discarded == covered
+            if len(alive) == 2 * len(anchors) + 1:
+                assert ref_discarded == covered
             else:
-                assert discarded <= covered
+                assert ref_discarded <= covered
 
 
 def evaluate(lists, anchors):
@@ -184,30 +184,31 @@ class TestDeadAreas:
 
     def test_fully_consumed_lists(self):
         lists = [ids("1.1"), ids("1.1")]
-        _, _, alive, _, discarded = partition(lists, ids("1.1"))
-        assert discarded == 2
+        _, alive, _, pruned = partition(lists, ids("1.1"))
+        assert pruned == 2
         assert alive == [False, False, False]
         evaluation = evaluate(lists, ids("1.1"))
-        assert (evaluation.visited, evaluation.pruned, evaluation.areas_skipped) == (0, 2, 3)
+        assert (evaluation.visited, evaluation.areas_skipped) == (0, 3)
 
     def test_dead_area_counts_surviving_nodes(self):
         lists = [ids("1.1", "1.3"), ids("1.3")]
-        _, sizes, alive, _, discarded = partition(lists, ids("1.3"))
+        _, alive, live, pruned = partition(lists, ids("1.3"))
         # 1.1 sits in a pre area whose second list is empty
-        assert list(zip(alive, sizes)) == [(False, 1), (False, 0), (False, 0)]
-        assert discarded == 2
+        assert alive == [False, False, False]
+        assert live == [(), ()]
+        assert pruned == 3
         evaluation = evaluate(lists, ids("1.3"))
-        assert (evaluation.visited, evaluation.pruned, evaluation.areas_skipped) == (0, 3, 3)
+        assert (evaluation.visited, evaluation.areas_skipped) == (0, 3)
 
     def test_live_areas_are_visited(self):
         lists = [ids("1.1", "1.2.1", "1.3"), ids("1.1", "1.3")]
-        _, sizes, alive, live, discarded = partition(lists, ids("1.2"))
-        # pre, des and tail area of the anchor
-        assert list(zip(alive, sizes)) == [(True, 2), (False, 1), (True, 2)]
+        _, alive, live, pruned = partition(lists, ids("1.2"))
+        # pre, des and tail area of the anchor; 1.2.1 sits alone in des
+        assert alive == [True, False, True]
         assert live == [ids("1.1", "1.3"), ids("1.1", "1.3")]
-        assert discarded == 0
+        assert pruned == 1
         evaluation = evaluate(lists, ids("1.2"))
-        assert (evaluation.visited, evaluation.pruned, evaluation.areas_skipped) == (4, 1, 1)
+        assert (evaluation.visited, evaluation.areas_skipped) == (4, 1)
         assert evaluation.outcome == MergeOutcome(ids("1.1", "1.3"), (), 3)
 
 
@@ -229,7 +230,7 @@ class TestAreaResults:
 
         ``position`` is the live area's place: 0 pre, 1 des, 2 the tail.
         """
-        ents, _, alive, live, _ = partition(lists, anchors)
+        ents, alive, live, _ = partition(lists, anchors)
         assert alive == [i == position for i in range(3)]
         area = [ents.ordinals(lst) for lst in live]
         sets = [proper_ancestors(lst, ents.table) for lst in area]
@@ -312,7 +313,29 @@ class TestEngineEquivalence:
             assert anch.score == base.score
             assert anch.outcome == base.outcome
             assert anch.visited <= base.visited
-            assert anch.visited + anch.pruned == base.visited
+
+    def test_admission_run_prunes_what_the_reference_prunes(self):
+        """nodesPruned of whole runs: the reference's discarded and dead-area nodes, summed."""
+        rng = random.Random(44)
+        pruning_runs = 0
+        for _ in range(150):
+            tree = random_tree(rng, 50)
+            groups = [random_lists(rng, tree) for _ in range(rng.randint(2, 6))]
+            ents, flat = place([lst for group in groups for lst in group], tree)
+            lists = iter(flat)
+            intents = [make_intent([next(lists) for _ in group], ents.table) for group in groups]
+            want = []
+
+            def evaluating(intent, pool):
+                want.append(reference_evaluate(intent, pool, ents)[1])
+                return evaluate_anchored(intent, pool, ents.table)
+
+            _, stats = run_topk(intents, rng.randint(1, 3), evaluating)
+            _, base = run_topk(intents, 1, partial(evaluate_against_pool, table=ents.table))
+            assert stats.nodes_pruned == sum(want)
+            assert stats.nodes_visited + stats.nodes_pruned == base.nodes_visited
+            pruning_runs += sum(want) > 0
+        assert pruning_runs > 50, pruning_runs
 
     def test_duplicate_of_pool_scores_zero_without_visits(self):
         ents, lists = place([ids("1.1"), ids("1.1")])
@@ -321,7 +344,6 @@ class TestEngineEquivalence:
         pool.merge(ids("1.1"), 0)
         anch = evaluate_anchored(intent, pool, ents.table)
         assert anch.visited == 0
-        assert anch.pruned == 2
         assert anch.relevance == 1.0
         assert anch.dif == 0.0
         assert anch.score == 0.0
@@ -437,7 +459,8 @@ def reference_evaluate(intent, pool, ents):
     Relevance counts the full SLCA set of the complete lists, with no
     covered-prefix scan; the merge outcome gathers the filtered area
     results, and every descendant area with a result replaces its anchor.
-    Also returns how many area results the filter dropped as an anchor's
+    Also returns the pruned count, the discarded nodes and the dead areas'
+    nodes, and how many area results the filter dropped as an anchor's
     duplicate and how many for covering an anchor.
     """
     lists = [ents.deweys(segment.node_list) for segment in intent.segments]
@@ -465,10 +488,10 @@ def reference_evaluate(intent, pool, ents):
         relevance=likelihood * len(compute_slca(lists)),
         outcome=MergeOutcome(tuple(inserted), tuple(removed), len(pool) + len(inserted) - len(removed)),
         visited=sum(area.total_nodes for area in kept),
-        pruned=discarded + sum(area.total_nodes for area in dead),
         areas_skipped=len(dead),
     )
-    return evaluation, duplicates, covering
+    pruned = discarded + sum(area.total_nodes for area in dead)
+    return evaluation, pruned, duplicates, covering
 
 
 def tree_antichain(rng, tree):
@@ -495,24 +518,26 @@ def reference_live(areas, width):
 
 class TestAgainstReferencePartition:
     def test_same_areas_and_discarded(self):
+        """Same live flags and live nodes; the rest is what the reference discards or kills."""
         rng = random.Random(45)
-        with_ancestors = stopped_early = 0
+        with_ancestors = with_listed = stopped_early = 0
         for _ in range(400):
             tree, lists, anchors = random_case(rng)
-            _, sizes, alive, live, discarded = partition(lists, anchors, tree)
+            _, alive, live, pruned = partition(lists, anchors, tree)
             ref_areas, ref_discarded = reference_partition(lists, anchors)
-            assert sizes == [a.total_nodes for a in ref_areas]
             assert alive == [not a.dead for a in ref_areas]
             assert live == reference_live(ref_areas, len(lists))
             # so areas come by position: pre and des per anchor, then the tail
             spans = len(ref_areas) // 2
             assert [a.kind for a in ref_areas] == [PRE, DES] * spans + [NEXT]
             assert [a.anchor for a in ref_areas[:-1:2]] == list(anchors[:spans])
-            assert discarded == ref_discarded
+            assert pruned == ref_discarded + sum(a.total_nodes for a in ref_areas if a.dead)
             with_ancestors += any(span.excluded for a in ref_areas for span in a.spans)
-            stopped_early += len(sizes) < 2 * len(anchors) + 1
-        # both the ancestor probe and the early stop were exercised
+            with_listed += any(a in lst for a in anchors[:spans] for lst in lists)
+            stopped_early += len(alive) < 2 * len(anchors) + 1
+        # the ancestor probe, a listed anchor and the early stop were all exercised
         assert with_ancestors > 50
+        assert with_listed > 50
         assert stopped_early > 50
 
     def test_same_evaluation_and_counters(self):
@@ -524,8 +549,10 @@ class TestAgainstReferencePartition:
             intent = make_intent(ordinal_lists, ents.table)
             pool = DiversifiedSet()
             pool.merge(anchors, 0)
-            want, duplicates, covering = reference_evaluate(intent, pool, ents)
-            assert evaluate_anchored(intent, pool, ents.table) == want
+            want, pruned, duplicates, covering = reference_evaluate(intent, pool, ents)
+            got = evaluate_anchored(intent, pool, ents.table)
+            assert got == want
+            assert sum(map(len, lists)) - got.visited == pruned
             refined += bool(want.outcome.removed)
             with_duplicate += duplicates > 0
             with_covering += covering > 0
@@ -549,14 +576,14 @@ class TestAgainstReferencePartition:
             intent = make_intent(ordinal_lists, ents.table)
             pool = DiversifiedSet()
             pool.merge(anchors, 0)
-            want, _, covering = reference_evaluate(intent, pool, ents)
+            want, pruned, _, covering = reference_evaluate(intent, pool, ents)
             got = evaluate_anchored(intent, pool, ents.table)
             assert got == want
             base = evaluate_against_pool(intent, pool, ents.table)
             assert (got.outcome, got.relevance) == (base.outcome, base.relevance)
             refined += bool(want.outcome.removed)
             with_covering += covering > 0
-            set_reaches_pruned += got.visited > 0 and got.pruned > 0
+            set_reaches_pruned += got.visited > 0 and pruned > 0
         assert refined >= 50
         assert with_covering >= 50
         # live and pruned nodes together: the whole lists' sets hold both
@@ -590,14 +617,12 @@ class TestSegmentCache:
                 for _ in range(4):
                     picks = rng.sample(range(len(shared)), rng.randint(1, len(shared)))
                     lists = [shared[i] for i in picks]
-                    sizes, alive, live, discarded = partition_areas(
-                        [ordinal_lists[i] for i in picks], layout
-                    )
+                    alive, live = partition_areas([ordinal_lists[i] for i in picks], layout)
                     ref_areas, ref_discarded = reference_partition(lists, anchors)
-                    assert sizes == [a.total_nodes for a in ref_areas]
                     assert alive == [not a.dead for a in ref_areas]
                     assert [ents.deweys(lst) for lst in live] == reference_live(ref_areas, len(lists))
-                    assert discarded == ref_discarded
+                    dead = sum(a.total_nodes for a in ref_areas if a.dead)
+                    assert input_less_live(lists, live) == ref_discarded + dead
                     stop_below += any(len(own[i]) > len(ref_areas) for i in picks)
                     mine = excluded_counts(ref_areas, len(lists))
                     dropped += any(
@@ -658,7 +683,7 @@ class TestOneSlcaCallPerIntent:
         for _ in range(400):
             tree, lists, anchors = random_case(rng)
             ents, ordinal_lists = place(lists, tree)
-            live = any(partition(lists, anchors, tree)[2])
+            live = any(partition(lists, anchors, tree)[1])
             pool = DiversifiedSet()
             pool.merge(anchors, 0)
             before = calls[0]

@@ -160,23 +160,28 @@ class TestBaseline:
                 assert 0.0 < entry.score <= entry.relevance + 1e-15
 
 
-def fake_intent(name: str, agg: float) -> IntentQuery:
-    segment = Segment(
-        keyword="k", feature=name, node_list=(), feature_list_size=1, ancestors=frozenset()
+def fake_intent(name: str, agg: float, *sizes: int) -> IntentQuery:
+    """An intent of one segment per size, each a list of that many placeholder nodes."""
+    segments = tuple(
+        Segment(
+            keyword=f"k{i}", feature=name, node_list=tuple(range(size)),
+            feature_list_size=max(1, size), ancestors=frozenset(),
+        )
+        for i, size in enumerate(sizes or (0,))
     )
-    return IntentQuery((segment,), agg)
+    return IntentQuery(segments, agg)
 
 
-def scripted_evaluator(script):
-    """Maps intent feature name to (relevance, fresh nodes)."""
+def scripted_evaluator(script, visits=None):
+    """Maps intent feature name to (relevance, fresh nodes); ``visits`` to nodes visited."""
 
     def evaluate(intent, pool):
-        relevance, fresh = script[intent.segments[0].feature]
+        name = intent.segments[0].feature
+        relevance, fresh = script[name]
         return IntentEvaluation(
             relevance=relevance,
             outcome=pool.preview(fresh),
-            visited=len(fresh),
-            pruned=0,
+            visited=(visits or {}).get(name, 0),
             areas_skipped=0,
         )
 
@@ -251,10 +256,22 @@ class TestTopKDriver:
         with pytest.raises(ValueError):
             run_topk([], 0, scripted_evaluator({}))
 
+    def test_pruned_is_every_segments_input_less_visited(self):
+        script = {"one": (1.0, ids("1.1")), "two": (1.0, ids("1.2")), "none": (0.0, ())}
+        intents = [
+            fake_intent("one", 0.9, 3, 5),
+            fake_intent("two", 0.8, 4, 1, 2),
+            fake_intent("none", 0.7, 6),
+        ]
+        visits = {"one": 6, "two": 7, "none": 0}
+        _, stats = run_topk(intents, 1, scripted_evaluator(script, visits))
+        assert stats.nodes_visited == 13
+        assert stats.nodes_pruned == (8 - 6) + (7 - 7) + (6 - 0)
+
 
 class TestEvaluateAgainstPool:
     def test_visited_counts_all_segment_nodes(self, toy_index):
         intent = toy_intent(toy_index, ("database", None), ("query", "language"))
         evaluation = evaluate_against_pool(intent, DiversifiedSet(), toy_index.entity_table)
         assert evaluation.visited == 4  # 3 database entities + 1 intersection node
-        assert evaluation.pruned == 0
+        assert evaluation.areas_skipped == 0

@@ -99,7 +99,7 @@ def toy_live(lists, anchors=()):
     """The live nodes of the lists around the anchors, joined list by list."""
     ents = entities_of(lists)
     ordinal_lists = [ents.ordinals(lst) for lst in lists]
-    return partition_areas(ordinal_lists, PoolLayout.build(anchors, ents.table))[2]
+    return partition_areas(ordinal_lists, PoolLayout.build(anchors, ents.table))[1]
 
 
 def area_slcas(live, lists):
