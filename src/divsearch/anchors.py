@@ -22,7 +22,8 @@ A full SLCA equal to an anchor or covering one is skipped by the merge,
 and no area need yield it, yet it counts toward relevance.  Such results
 are recovered by scanning the only possible candidates: prefixes of the
 anchors, which the pool places once for its life and lists once per
-version, each tested by its entity span.
+version.  Each is tested for cover by its entity span, and for minimality
+by set algebra on Dewey prefixes (:func:`covered_anchor_ancestors`).
 
 :func:`evaluate_anchored` is the anchor engine's whole evaluation, run
 through the pipeline of every engine, ``diversify.run_query``.  This engine
@@ -50,7 +51,7 @@ from .diversify import (
 )
 from .indexing import IndexBundle
 from .intents import IntentQuery
-from .slca import AncestorSet, DiversifiedSet, PoolLayout, compute_slca
+from .slca import AncestorSet, DiversifiedSet, PoolLayout, compute_slca, proper_prefixes
 
 NodeList = tuple[int, ...]
 
@@ -141,36 +142,30 @@ def area_results(
 
 def covered_anchor_ancestors(
     lists: Sequence[NodeList],
-    prefixes: Sequence[tuple[DeweyId, DeweyId, int, int]],
+    prefixes: Sequence[tuple[DeweyId, int, int]],
     new_nodes: Sequence[DeweyId],
 ) -> int:
     """Count full SLCAs that are ancestors of or equal to an anchor.
 
     Any such result is a prefix of some anchor, so only those candidates
-    need testing.  ``prefixes`` holds them in document order as
-    ``(prefix, bound, lo, hi)``: its subtree bound and its entity span, as
-    ``DiversifiedSet.layout`` keeps them for the pool.  A candidate counts
-    iff its span holds a member of every segment list (it covers) and no
-    covering candidate or fresh result lies strictly inside its subtree (it
-    is minimal).
+    need testing.  ``prefixes`` holds them as ``(prefix, lo, hi)``, its
+    entity span, as ``DiversifiedSet.layout`` keeps them for the pool.  A
+    candidate covers iff its span holds a member of every segment list.  It
+    counts iff no covering candidate or fresh result lies strictly inside
+    its subtree (it is minimal).  The covering candidates are closed under
+    ancestors, so one lies inside p iff p is the parent of one; a fresh
+    result lies inside p iff p is its proper prefix, as no fresh result
+    equals a prefix of an anchor.
     """
-    covered: list[tuple[DeweyId, DeweyId]] = []
-    for p, bound, lo, hi in prefixes:
+    covered = set()
+    for p, lo, hi in prefixes:
         for lst in lists:
             i = bisect_left(lst, lo)
             if i >= len(lst) or lst[i] >= hi:
                 break
         else:
-            covered.append((p, bound))
-    count = 0
-    for idx, (p, bound) in enumerate(covered):
-        if idx + 1 < len(covered) and covered[idx + 1][0] < bound:
-            continue
-        j = bisect_left(new_nodes, p)
-        if j < len(new_nodes) and new_nodes[j] < bound:
-            continue
-        count += 1
-    return count
+            covered.add(p)
+    return len(covered - {p[:-1] for p in covered} - proper_prefixes(new_nodes))
 
 
 def evaluate_anchored(

@@ -1,9 +1,11 @@
-"""Dewey node labels: hierarchical IDs with document order and ancestry tests.
+"""Dewey node labels: hierarchical IDs in document order.
 
 A Dewey ID is the sequence of 1-based child ordinals on the path from the
 root to a node.  Tuple comparison is lexicographic, which coincides with
-document order, and ancestry is a strict-prefix test.  ``DeweyId`` is a thin
-tuple subclass: all comparisons and hashing come from ``tuple`` for free.
+document order, and a node's ancestors are its proper prefixes: ancestry
+is decided by sets of prefixes or by the range ``[a, subtree_bound(a))``,
+not pairwise here.  ``DeweyId`` is a thin tuple subclass: all comparisons
+and hashing come from ``tuple`` for free.
 
 The engines work on entity ordinals instead: positions in an
 ``EntityTable``, a document-ordered run of distinct Dewey IDs.  The table
@@ -55,11 +57,6 @@ class DeweyId(tuple):
 def _trusted(components: tuple[int, ...]) -> DeweyId:
     # Internal fast path: skip validation for components we built ourselves.
     return tuple.__new__(DeweyId, components)
-
-
-def is_ancestor_or_self(a: DeweyId, b: DeweyId) -> bool:
-    """True iff a's subtree contains b (prefix test, includes a == b)."""
-    return len(a) <= len(b) and b[: len(a)] == tuple(a)
 
 
 def subtree_bound(a: DeweyId) -> DeweyId:

@@ -11,23 +11,25 @@ closed under ancestors, and its leaves are the SLCAs.
 ``DiversifiedSet`` accumulates results across accepted intents
 with the merge semantics used for novelty scoring: duplicates and
 ancestors of existing members are dropped, descendants replace the member
-they refine, everything else inserts.  Each member is attributed to the
-intent that inserted it, in one map, so an evicted intent's members can be
-found and dropped.  For the anchor engine the pool also places each node
-among the entities once, with the spans of its prefixes, and keeps that
-placement for its life; after each change a layout of the members
-(``PoolLayout``) is gathered from the kept placements.
+they refine, everything else inserts.  Pool and results are antichains, so
+the merge is set algebra on Dewey prefixes (``proper_prefixes``).  Each
+member is attributed to the intent that inserted it, in one map, so an
+evicted intent's members can be found and dropped.  For the anchor engine
+the pool also places each node among the entities once, with the spans of
+its prefixes, and keeps that placement for its life; after each change a
+layout of the members (``PoolLayout``) is gathered from the kept
+placements.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .dewey import DeweyId, EntityTable, _trusted, is_ancestor_or_self, subtree_bound
+from .dewey import DeweyId, EntityTable, _trusted, subtree_bound
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,11 @@ def proper_ancestors(nodes: Sequence[int], table: EntityTable) -> AncestorSet:
         out |= level
         level = set(map(up.__getitem__, level))
     return frozenset(out)
+
+
+def proper_prefixes(nodes: Iterable[DeweyId]) -> set:
+    """Every proper prefix of the nodes: all their proper ancestors, as tuples."""
+    return {v[:n] for v in nodes for n in range(1, len(v))}
 
 
 def compute_slca(
@@ -165,16 +172,16 @@ class PoolLayout:
     falls.  ``hidden`` holds, ascending, every entity that is a proper
     ancestor of some member.  ``prefixes`` holds every distinct prefix of
     the members in document order, a member being a prefix of itself, each
-    as ``(prefix, bound, lo, hi)``: its ``subtree_bound`` and its entity
-    span.  ``lists`` is the anchor partition's cache of each segment list
-    cut at this layout (``anchors.partition_areas``), keyed by the list's
-    ``id``; it lives as long as the layout, one pool version.
+    as ``(prefix, lo, hi)``: its entity span.  ``lists`` is the anchor
+    partition's cache of each segment list cut at this layout
+    (``anchors.partition_areas``), keyed by the list's ``id``; it lives as
+    long as the layout, one pool version.
     """
 
     table: EntityTable
     cuts: tuple[int, ...]
     hidden: tuple[int, ...]
-    prefixes: tuple[tuple[DeweyId, DeweyId, int, int], ...]
+    prefixes: tuple[tuple[DeweyId, int, int], ...]
     lists: dict[int, tuple] = field(default_factory=dict)
 
     @classmethod
@@ -204,9 +211,9 @@ def place(v: DeweyId, table: EntityTable, placed: dict) -> tuple:
 
     A node's row is ``(cut, hidden, prefixes)``: its three ``PoolLayout``
     cuts, the entity ordinals among its proper prefixes, and the
-    ``(prefix, bound, lo, hi)`` of every prefix, root first.  A prefix's
-    span lies inside its parent's, so each one is found by two bisects into
-    the parent's span only.
+    ``(prefix, lo, hi)`` of every prefix, root first.  A prefix's span lies
+    inside its parent's, so each one is found by two bisects into the
+    parent's span only: at the prefix and at its ``subtree_bound``.
     """
     deweys = table.deweys
     row: tuple = ((0, 0, len(deweys)), (), ())
@@ -217,11 +224,10 @@ def place(v: DeweyId, table: EntityTable, placed: dict) -> tuple:
             if start > lo:  # the parent is an entity
                 hidden += (lo,)
             p = _trusted(v[:n])
-            bound = subtree_bound(p)
             lo = bisect_left(deweys, p, lo, hi)
-            hi = bisect_left(deweys, bound, lo, hi)
+            hi = bisect_left(deweys, subtree_bound(p), lo, hi)
             start = lo + (lo < hi and deweys[lo] == p)
-            got = placed[p] = ((lo, start, hi), hidden, prefixes + ((p, bound, lo, hi),))
+            got = placed[p] = ((lo, start, hi), hidden, prefixes + ((p, lo, hi),))
         row = got
     return row
 
@@ -232,6 +238,7 @@ class DiversifiedSet:
     def __init__(self) -> None:
         self._nodes: list[DeweyId] = []
         self._owner: dict[DeweyId, int] = {}
+        self._above: set | None = None  # every prefix of a member, members too
         self._layout: PoolLayout | None = None
         self._placed: tuple[EntityTable, dict] | None = None
 
@@ -266,27 +273,25 @@ class DiversifiedSet:
         return self._nodes == other._nodes and self._owner == other._owner
 
     def preview(self, fresh: Iterable[DeweyId]) -> MergeOutcome:
-        """Dry-run merge: what would change, without mutating the pool."""
-        nodes = list(self._nodes)
-        inserted: list[DeweyId] = []
-        removed: list[DeweyId] = []
-        for v in fresh:
-            i = bisect_left(nodes, v)
-            if i < len(nodes) and nodes[i] == v:
-                continue  # duplicate
-            if i < len(nodes) and is_ancestor_or_self(v, nodes[i]):
-                continue  # coarser than an existing member
-            if i > 0 and is_ancestor_or_self(nodes[i - 1], v):
-                removed.append(nodes[i - 1])
-                nodes[i - 1] = v  # descendant refines its ancestor in place
-            else:
-                nodes.insert(i, v)
-            inserted.append(v)
-        return MergeOutcome(inserted=tuple(inserted), removed=tuple(removed), union_size=len(nodes))
+        """Dry-run merge: what would change, without mutating the pool.
+
+        ``fresh`` must be a document-ordered antichain, as every ``SlcaSet``
+        is; the members are one too.  A fresh result is dropped iff it is a
+        member or a proper prefix of one, a set built once per pool version;
+        the others insert, in input order.  A member is removed iff it is a
+        proper prefix of an inserted result (no dropped one has any).  The
+        union is the members less the removed, plus the inserted.
+        """
+        if self._above is None:
+            self._above = proper_prefixes(self._nodes).union(self._nodes)
+        inserted = tuple(filterfalse(self._above.__contains__, fresh))
+        # iterating the members keeps their DeweyId objects
+        removed = tuple(sorted(proper_prefixes(inserted).intersection(self._nodes)))
+        return MergeOutcome(inserted, removed, len(self._nodes) - len(removed) + len(inserted))
 
     def apply(self, outcome: MergeOutcome, intent_id: int) -> None:
         """Commit a previously previewed merge, attributing inserts."""
-        self._layout = None
+        self._above = self._layout = None
         for w in outcome.removed:
             self._discard(w)
         for v in outcome.inserted:
@@ -300,7 +305,7 @@ class DiversifiedSet:
 
     def remove_intent(self, intent_id: int) -> None:
         """Drop every node still attributed to an evicted intent."""
-        self._layout = None
+        self._above = self._layout = None
         for v in [v for v in self._nodes if self._owner[v] == intent_id]:
             self._discard(v)
 

@@ -62,15 +62,30 @@ def common_prefix_len(a: DeweyId, b: DeweyId) -> int:
     return n
 
 
-def prefix_bounds(nodes: Iterable[DeweyId]) -> tuple[tuple[DeweyId, DeweyId], ...]:
-    """Every distinct prefix of the nodes, in document order, with its bound.
+def is_ancestor_or_self(a: DeweyId, b: DeweyId) -> bool:
+    """True iff a's subtree contains b: a is a prefix of b, or b itself."""
+    return len(a) <= len(b) and b[: len(a)] == tuple(a)
 
-    A node is a prefix of itself; each prefix p comes paired with
-    ``subtree_bound(p)``.  The reference for the prefixes a pool layout
-    lists.
+
+def scan_span(table: EntityTable, node: DeweyId) -> tuple[int, int]:
+    """(lo, hi) of the entities in node's subtree, by a scan of the table."""
+    inside = [i for i, v in enumerate(table.deweys) if is_ancestor_or_self(node, v)]
+    lo = sum(1 for v in table.deweys if v < node)
+    assert inside == list(range(lo, lo + len(inside)))
+    return lo, lo + len(inside)
+
+
+def prefix_bounds(
+    nodes: Iterable[DeweyId], table: EntityTable
+) -> tuple[tuple[DeweyId, int, int], ...]:
+    """Every distinct prefix of the nodes, in document order, with its entity span.
+
+    A node is a prefix of itself; each prefix p comes as ``(p, lo, hi)``,
+    ``scan_span`` of it in ``table``.  The reference for the rows a pool
+    layout lists.
     """
     prefixes = {DeweyId(v[:plen]) for v in nodes for plen in range(1, len(v) + 1)}
-    return tuple((p, subtree_bound(p)) for p in sorted(prefixes))
+    return tuple((p, *scan_span(table, p)) for p in sorted(prefixes))
 
 
 def contains_anchor(node: DeweyId, anchors: Sequence[DeweyId]) -> bool:

@@ -17,14 +17,21 @@ next query.
 import random
 
 from divsearch.anchors import diversify_anchored
-from divsearch.dewey import DeweyId, EntityTable, is_ancestor_or_self
+from divsearch.dewey import DeweyId, EntityTable
 from divsearch.diversify import diversify_baseline
 from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import iter_intents
 from divsearch.parallel import diversify_parallel
 from divsearch.slca import BISECT_RATIO, compute_slca, proper_ancestors
-from helpers import Entities, patch_everywhere, random_corpus_xml, random_tree, slca_oracle
+from helpers import (
+    Entities,
+    is_ancestor_or_self,
+    patch_everywhere,
+    random_corpus_xml,
+    random_tree,
+    slca_oracle,
+)
 
 
 def number(table: EntityTable, node) -> int:

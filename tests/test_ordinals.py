@@ -11,13 +11,21 @@ import random
 
 import pytest
 
-from divsearch.dewey import DeweyId, EntityTable, is_ancestor_or_self
+from divsearch.dewey import DeweyId, EntityTable
 from divsearch.errors import NoIntentError
 from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import iter_intents
 from divsearch.slca import PoolLayout, compute_slca, proper_ancestors
-from helpers import Entities, ids, random_corpus_xml, random_lists, random_tree, slca_oracle
+from helpers import (
+    Entities,
+    ids,
+    is_ancestor_or_self,
+    random_corpus_xml,
+    random_lists,
+    random_tree,
+    slca_oracle,
+)
 
 
 def deep_chain(depth: int, rng: random.Random) -> list[DeweyId]:
@@ -86,10 +94,10 @@ class TestEntityTable:
         assert layout.cuts == (4, 5, 5, 5, 5, 5)
         assert layout.hidden == (0, 2)
         assert layout.prefixes == (
-            (DeweyId.parse("1"), DeweyId.parse("2"), 0, 6),
-            (DeweyId.parse("1.2"), DeweyId.parse("1.3"), 2, 5),
-            (DeweyId.parse("1.2.2"), DeweyId.parse("1.2.3"), 4, 5),
-            (DeweyId.parse("1.3"), DeweyId.parse("1.4"), 5, 5),
+            (DeweyId.parse("1"), 0, 6),
+            (DeweyId.parse("1.2"), 2, 5),
+            (DeweyId.parse("1.2.2"), 4, 5),
+            (DeweyId.parse("1.3"), 5, 5),
         )
 
     @pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 8, 9, 17])

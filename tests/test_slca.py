@@ -5,11 +5,7 @@ from collections import Counter
 
 import pytest
 
-from divsearch.dewey import (
-    DeweyId,
-    _trusted,
-    is_ancestor_or_self,
-)
+from divsearch.dewey import DeweyId, _trusted
 from divsearch.diversify import dif
 from divsearch.slca import (
     DiversifiedSet,
@@ -22,34 +18,33 @@ from helpers import (
     common_prefix_len,
     d,
     ids,
+    is_ancestor_or_self,
     prefix_bounds,
     random_antichain,
     random_lists,
     random_tree,
+    scan_span,
     slca_oracle,
 )
 
 
-def scan_span(table, node):
-    """(lo, hi) of the entities in node's subtree, by a scan of the table."""
-    inside = [i for i, v in enumerate(table.deweys) if is_ancestor_or_self(node, v)]
-    lo = sum(1 for v in table.deweys if v < node)
-    assert inside == list(range(lo, lo + len(inside)))
-    return lo, lo + len(inside)
-
-
 def _naive_merge(phi_nodes, fresh):
-    """Reference merge: literal rule application, no incremental tricks."""
+    """Reference merge: literal rule application, no incremental tricks.
+
+    Returns the merged nodes in document order, the inserted results and
+    the members they removed, each in the order the rules fired.
+    """
     nodes = list(phi_nodes)
-    inserted = []
+    inserted, removed = [], []
     for v in fresh:
         if any(is_ancestor_or_self(v, w) for w in nodes):
             continue  # v duplicates or covers an existing member
         for w in [w for w in nodes if is_ancestor_or_self(w, v) and w != v]:
             nodes.remove(w)
+            removed.append(w)
         nodes.append(v)
         inserted.append(v)
-    return sorted(nodes), inserted
+    return sorted(nodes), inserted, removed
 
 
 def _previous_nearest_prefix_len(x, lst):
@@ -249,18 +244,54 @@ class TestMergeDistinct:
 
     def test_matches_naive_reference(self):
         rng = random.Random(65)
+        shapes = Counter()
         for _ in range(300):
             base = random_antichain(rng)
             fresh = random_antichain(rng)
             phi = DiversifiedSet()
             phi.merge(base, 0)
             outcome = phi.preview(fresh)
-            want_nodes, want_inserted = _naive_merge(base, fresh)
+            want_nodes, want_inserted, want_removed = _naive_merge(base, fresh)
             assert outcome.inserted == tuple(want_inserted)
+            assert outcome.removed == tuple(sorted(want_removed))
             assert outcome.distinct_count == len(want_inserted)
             assert outcome.union_size == len(want_nodes)
             phi.apply(outcome, 1)
             assert list(phi.nodes) == want_nodes
+            shapes["duplicate"] += any(v in base for v in fresh)
+            shapes["coarser"] += any(v != w and is_ancestor_or_self(v, w) for v in fresh for w in base)
+            shapes["refinement"] += bool(want_removed)
+            shapes["plain insert"] += any(
+                not any(is_ancestor_or_self(w, v) for w in base) for v in want_inserted
+            )
+        assert len(shapes) == 4
+        assert min(shapes.values()) > 50, shapes
+
+    def test_every_pool_version_matches_naive_reference(self):
+        """Merges and evictions interleave; each preview sees the pool as it is.
+
+        Every eviction follows a preview that was not applied, as a rejected
+        intent's is, so the pool has a version's sets built when it changes.
+        """
+        rng = random.Random(67)
+        evictions = 0
+        for _ in range(100):
+            phi = DiversifiedSet()
+            for step in range(8):
+                if step % 3 == 2:
+                    before = phi.nodes
+                    phi.preview(random_antichain(rng))
+                    phi.remove_intent(rng.randrange(step))
+                    evictions += phi.nodes != before
+                fresh = random_antichain(rng)
+                outcome = phi.preview(fresh)
+                want_nodes, want_inserted, want_removed = _naive_merge(phi.nodes, fresh)
+                assert outcome.inserted == tuple(want_inserted)
+                assert outcome.removed == tuple(sorted(want_removed))
+                assert outcome.union_size == len(want_nodes)
+                phi.apply(outcome, step)
+                assert list(phi.nodes) == want_nodes
+        assert evictions > 50, evictions
 
     def test_antichain_invariant_after_merge_sequence(self):
         rng = random.Random(66)
@@ -294,9 +325,9 @@ class TestAttribution:
         ``apply`` and ``remove_intent`` drop it.  The pool keeps each node's
         placement for as long as it lays out against one table, so every
         version is laid out against tables A, B and A again, and members of
-        evicted intents come back in later merges.  Its prefixes are
-        ``prefix_bounds`` of the members; every span is checked against a
-        scan of the entities.
+        evicted intents come back in later merges.  Its prefix rows are
+        ``prefix_bounds`` of the members, each span found by a scan of the
+        entities.
         """
         rng = random.Random(65)
         returned = 0
@@ -323,11 +354,7 @@ class TestAttribution:
                 for table in (a, b, a):
                     built = phi.layout(table)
                     assert built.table is table
-                    assert [(p, bound) for p, bound, _, _ in built.prefixes] == list(
-                        prefix_bounds(phi.nodes)
-                    )
-                    for p, bound, lo, hi in built.prefixes:
-                        assert (lo, hi) == scan_span(table, p)
+                    assert built.prefixes == prefix_bounds(phi.nodes, table)
                     cuts = []
                     for node in phi.nodes:
                         lo, hi = scan_span(table, node)
