@@ -20,18 +20,18 @@ at its own stop.
 
 A full SLCA equal to an anchor or covering one is skipped by the merge,
 and no area need yield it, yet it counts toward relevance.  Such results
-are recovered by scanning the only possible candidates: prefixes of the
-anchors, which the pool places once for its life and lists once per
-version.  Each is tested for cover by its entity span, and for minimality
-by set algebra on Dewey prefixes (:func:`covered_anchor_ancestors`).
+are recovered from the only possible candidates, the anchors' prefixes:
+their tree numbers, placed by the pool once for its life, go through
+``compute_slca``'s cover rule and leaf step on the segments' ancestor
+sets (:func:`covered_anchor_ancestors`).
 
 :func:`evaluate_anchored` is the anchor engine's whole evaluation, run
 through the pipeline of every engine, ``diversify.run_query``.  This engine
 reproduces the paper's pruning; it is slower than the baseline in wall
 time, since each pool version still cuts each segment list at every anchor
-up to its stop, and every intent joins its live areas and scans the
-anchors' prefixes (README).  The parallel engine scores like the baseline
-and uses only :func:`area_results`, on the intent's whole node lists.
+up to its stop, and every intent joins its live areas and cuts the anchors'
+prefix numbers by its lists (README).  The parallel engine scores like the
+baseline and uses only :func:`area_results`, on the intent's whole lists.
 """
 
 from __future__ import annotations
@@ -142,30 +142,29 @@ def area_results(
 
 def covered_anchor_ancestors(
     lists: Sequence[NodeList],
-    prefixes: Sequence[tuple[DeweyId, int, int]],
+    ancestors: Sequence[AncestorSet],
+    prefixes: frozenset,
+    table: EntityTable,
     new_nodes: Sequence[DeweyId],
 ) -> int:
     """Count full SLCAs that are ancestors of or equal to an anchor.
 
     Any such result is a prefix of some anchor, so only those candidates
-    need testing.  ``prefixes`` holds them as ``(prefix, lo, hi)``, its
-    entity span, as ``DiversifiedSet.layout`` keeps them for the pool.  A
-    candidate covers iff its span holds a member of every segment list.  It
-    counts iff no covering candidate or fresh result lies strictly inside
-    its subtree (it is minimal).  The covering candidates are closed under
-    ancestors, so one lies inside p iff p is the parent of one; a fresh
-    result lies inside p iff p is its proper prefix, as no fresh result
-    equals a prefix of an anchor.
+    need testing: ``prefixes``, their tree numbers, as ``DiversifiedSet.layout``
+    keeps them.  As in ``compute_slca``, a candidate covers list L iff it
+    is in L or in P(L), ``ancestors`` holding each list's P(L), and the
+    covering candidates are closed under ancestors, so the minimal ones
+    are the parent of none.  Such a leaf counts iff it is no proper prefix
+    of a fresh result, as no fresh result equals a prefix of an anchor.
     """
-    covered = set()
-    for p, lo, hi in prefixes:
-        for lst in lists:
-            i = bisect_left(lst, lo)
-            if i >= len(lst) or lst[i] >= hi:
-                break
-        else:
-            covered.add(p)
-    return len(covered - {p[:-1] for p in covered} - proper_prefixes(new_nodes))
+    cover = prefixes
+    for lst, above in zip(lists, ancestors):
+        cover = cover.intersection(lst) | (cover & above)
+        if not cover:
+            return 0
+    nodes, up = table.tree()
+    leaves = cover.difference(map(up.__getitem__, cover))
+    return len(set(map(nodes.__getitem__, leaves)) - proper_prefixes(new_nodes))
 
 
 def evaluate_anchored(
@@ -181,12 +180,13 @@ def evaluate_anchored(
     with no call if no area is live.
     """
     lists = [segment.node_list for segment in intent.segments]
+    ancestors = [segment.ancestors for segment in intent.segments]
     layout = pool.layout(table)
     alive, live = partition_areas(lists, layout)
     visited = sum(map(len, live))
     results: tuple[DeweyId, ...] = ()
     if visited:
-        results = area_results(live, table, [s.ancestors for s in intent.segments])
+        results = area_results(live, table, ancestors)
     # Exact as the baseline's merge.  A node that is not an ancestor-or-self
     # of an anchor has its whole subtree in one area, and live lists hold no
     # anchor's ancestor, so it covers list i through the whole list's set iff
@@ -195,7 +195,7 @@ def evaluate_anchored(
     # above an anchor, which the merge skips; a result below an anchor
     # refines it (the anchor is removed once).
     outcome = pool.preview(results)
-    covered = covered_anchor_ancestors(lists, layout.prefixes, outcome.inserted)
+    covered = covered_anchor_ancestors(lists, ancestors, layout.prefixes, table, outcome.inserted)
     return IntentEvaluation(
         relevance=intent_likelihood(intent) * (len(outcome.inserted) + covered),
         outcome=outcome,

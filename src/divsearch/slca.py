@@ -15,9 +15,9 @@ they refine, everything else inserts.  Pool and results are antichains, so
 the merge is set algebra on Dewey prefixes (``proper_prefixes``).  Each
 member is attributed to the intent that inserted it, in one map, so an
 evicted intent's members can be found and dropped.  For the anchor engine
-the pool also places each node among the entities once, with the spans of
-its prefixes, and keeps that placement for its life; after each change a
-layout of the members (``PoolLayout``) is gathered from the kept
+the pool also places each node among the entities once, with the tree
+numbers of its prefixes, and keeps that placement for its life; after each
+change a layout of the members (``PoolLayout``) is gathered from the kept
 placements.
 """
 
@@ -170,18 +170,18 @@ class PoolLayout:
     an entity, else ``lo``) and ``hi``, so that the entities of its subtree
     are ``lo .. hi-1``.  The members form an antichain, so ``cuts`` never
     falls.  ``hidden`` holds, ascending, every entity that is a proper
-    ancestor of some member.  ``prefixes`` holds every distinct prefix of
-    the members in document order, a member being a prefix of itself, each
-    as ``(prefix, lo, hi)``: its entity span.  ``lists`` is the anchor
-    partition's cache of each segment list cut at this layout
-    (``anchors.partition_areas``), keyed by the list's ``id``; it lives as
-    long as the layout, one pool version.
+    ancestor of some member.  ``prefixes`` holds the tree number
+    (``EntityTable.tree``) of every prefix of the members that holds an
+    entity, a member being a prefix of itself; it is closed under parents.
+    ``lists`` is the anchor partition's cache of each segment list cut at
+    this layout (``anchors.partition_areas``), keyed by the list's ``id``;
+    it lives as long as the layout, one pool version.
     """
 
     table: EntityTable
     cuts: tuple[int, ...]
     hidden: tuple[int, ...]
-    prefixes: tuple[tuple[DeweyId, int, int], ...]
+    prefixes: frozenset
     lists: dict[int, tuple] = field(default_factory=dict)
 
     @classmethod
@@ -192,42 +192,45 @@ class PoolLayout:
 
         ``placed`` maps each node placed against ``table`` so far, members
         and their prefixes, to its ``place`` row; nodes missing from it are
-        placed and added.  A member's prefixes come root first, and the
-        members are in document order, so the first occurrences of the
-        prefixes are in document order too.
+        placed and added.  The hidden entities are the prefixes' numbers
+        below the entity count, less the members that are entities.
         """
         placed = {} if placed is None else placed
         rows = [placed.get(v) or place(v, table, placed) for v in nodes]
-        return cls(
-            table,
-            tuple(chain.from_iterable(map(itemgetter(0), rows))),
-            tuple(sorted(set(chain.from_iterable(map(itemgetter(1), rows))))),
-            tuple(dict.fromkeys(chain.from_iterable(map(itemgetter(2), rows)))),
-        )
+        cuts = tuple(chain.from_iterable(map(itemgetter(0), rows)))
+        prefixes = frozenset(chain.from_iterable(map(itemgetter(1), rows)))
+        members = {lo for lo, start in zip(cuts[::3], cuts[1::3]) if start > lo}
+        hidden = sorted(filter(len(table.deweys).__gt__, prefixes - members))
+        return cls(table, cuts, tuple(hidden), prefixes)
 
 
 def place(v: DeweyId, table: EntityTable, placed: dict) -> tuple:
     """Place node ``v`` and each of its prefixes not yet in ``placed``.
 
-    A node's row is ``(cut, hidden, prefixes)``: its three ``PoolLayout``
-    cuts, the entity ordinals among its proper prefixes, and the
-    ``(prefix, lo, hi)`` of every prefix, root first.  A prefix's span lies
-    inside its parent's, so each one is found by two bisects into the
-    parent's span only: at the prefix and at its ``subtree_bound``.
+    A node's row is ``(cut, prefixes)``: its three ``PoolLayout`` cuts and
+    the tree numbers of its prefixes that hold an entity, root first.  A
+    prefix's span lies inside its parent's, so it is found by two bisects
+    into the parent's span only.  Its number is its first entity ``lo``
+    walked up once per level between them, and it is that entity iff the
+    walk is empty.
     """
     deweys = table.deweys
-    row: tuple = ((0, 0, len(deweys)), (), ())
+    up = table.tree()[1]
+    row: tuple = ((0, 0, len(deweys)), ())
     for n in range(1, len(v) + 1):
         got = placed.get(v[:n])
         if got is None:
-            (lo, start, hi), hidden, prefixes = row
-            if start > lo:  # the parent is an entity
-                hidden += (lo,)
+            (lo, start, hi), prefixes = row
             p = _trusted(v[:n])
-            lo = bisect_left(deweys, p, lo, hi)
+            lo = start = bisect_left(deweys, p, lo, hi)
             hi = bisect_left(deweys, subtree_bound(p), lo, hi)
-            start = lo + (lo < hi and deweys[lo] == p)
-            got = placed[p] = ((lo, start, hi), hidden, prefixes + ((p, lo, hi),))
+            if lo < hi:
+                x = lo
+                for _ in range(len(deweys[lo]) - n):
+                    x = up[x]
+                start += x == lo
+                prefixes += (x,)
+            got = placed[p] = ((lo, start, hi), prefixes)
         row = got
     return row
 

@@ -81,8 +81,9 @@ def prefix_bounds(
     """Every distinct prefix of the nodes, in document order, with its entity span.
 
     A node is a prefix of itself; each prefix p comes as ``(p, lo, hi)``,
-    ``scan_span`` of it in ``table``.  The reference for the rows a pool
-    layout lists.
+    ``scan_span`` of it in ``table``.  The scan reference for a pool
+    layout's prefixes: the tree numbers of the rows with ``lo < hi``, the
+    prefixes that hold an entity.
     """
     prefixes = {DeweyId(v[:plen]) for v in nodes for plen in range(1, len(v) + 1)}
     return tuple((p, *scan_span(table, p)) for p in sorted(prefixes))

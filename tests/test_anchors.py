@@ -32,6 +32,7 @@ from helpers import (
     contains_anchor,
     d,
     ids,
+    is_ancestor_or_self,
     patch_everywhere,
     random_antichain,
     random_lists,
@@ -77,10 +78,11 @@ def partition(lists, anchors, tree=()):
 
 
 def covered(lists, anchors, new_nodes, tree=()):
-    """covered_anchor_ancestors on Dewey lists, with the anchors' prefixes."""
+    """covered_anchor_ancestors on Dewey lists, with the anchors' prefix numbers."""
     ents, ordinal_lists = place(lists, tree)
     prefixes = PoolLayout.build(anchors, ents.table).prefixes
-    return covered_anchor_ancestors(ordinal_lists, prefixes, new_nodes)
+    sets = [proper_ancestors(lst, ents.table) for lst in ordinal_lists]
+    return covered_anchor_ancestors(ordinal_lists, sets, prefixes, ents.table, new_nodes)
 
 
 def split_single(lists, anchor):
@@ -281,9 +283,15 @@ class TestCoveredAnchorAncestors:
         assert covered(lists, ids("1.1.1"), ()) == 1
 
     def test_matches_full_slca_partition(self):
+        """The count of full SLCAs at or above an anchor, on random pools.
+
+        A covering prefix covers some list only through the list itself (it
+        is listed and nothing below it is) and some list only through its
+        ancestor set (it is not listed), and some anchor holds no entity.
+        """
         rng = random.Random(42)
-        checked = 0
-        for _ in range(300):
+        checked = by_list = by_ancestors = no_entity = 0
+        for _ in range(1200):
             tree = random_tree(rng, 60)
             lists = random_lists(rng, tree)
             if any(not lst for lst in lists):
@@ -294,7 +302,22 @@ class TestCoveredAnchorAncestors:
             rest = tuple(v for v in full if not contains_anchor(v, anchors))
             assert covered(lists, anchors, rest, tree) == len(anc)
             checked += 1
-        assert checked > 200
+            ways = set()
+            for p in {a[:n] for a in anchors for n in range(1, len(a) + 1)}:
+                inside = [[v for v in lst if is_ancestor_or_self(p, v)] for lst in lists]
+                for got in inside if all(inside) else ():
+                    if got == [p]:
+                        ways.add("list")
+                    elif got[0] != p:
+                        ways.add("above")
+            by_list += "list" in ways
+            by_ancestors += "above" in ways
+            entities = set(tree).union(*lists)
+            no_entity += any(not any(is_ancestor_or_self(a, v) for v in entities) for a in anchors)
+        assert checked > 800
+        assert by_list > 50, by_list
+        assert by_ancestors > 50, by_ancestors
+        assert no_entity > 20, no_entity
 
 
 class TestEngineEquivalence:

@@ -325,9 +325,9 @@ class TestAttribution:
         ``apply`` and ``remove_intent`` drop it.  The pool keeps each node's
         placement for as long as it lays out against one table, so every
         version is laid out against tables A, B and A again, and members of
-        evicted intents come back in later merges.  Its prefix rows are
-        ``prefix_bounds`` of the members, each span found by a scan of the
-        entities.
+        evicted intents come back in later merges.  Its prefixes are the
+        tree numbers of the ``prefix_bounds`` rows of the members that hold
+        an entity, each span found by a scan of the entities.
         """
         rng = random.Random(65)
         returned = 0
@@ -354,7 +354,9 @@ class TestAttribution:
                 for table in (a, b, a):
                     built = phi.layout(table)
                     assert built.table is table
-                    assert built.prefixes == prefix_bounds(phi.nodes, table)
+                    number = {v: x for x, v in enumerate(table.tree()[0])}
+                    bounds = prefix_bounds(phi.nodes, table)
+                    assert built.prefixes == {number[p] for p, lo, hi in bounds if lo < hi}
                     cuts = []
                     for node in phi.nodes:
                         lo, hi = scan_span(table, node)
