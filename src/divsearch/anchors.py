@@ -9,8 +9,8 @@ one SLCA call per intent over the segments' ancestor sets, and the results
 go through the pool's merge, as the baseline's SLCAs do.  Only they are
 visited; ``diversify.run_topk`` counts every other input node as pruned.
 
-Node lists hold entity ordinals.  The pool places each node among the
-entities once for its life and lays out each version from those placements
+Node lists hold entity ordinals, and anchors and results tree numbers.
+The pool lays out each version from its members' entity spans
 (``DiversifiedSet.layout``): three cut ordinals per anchor, which bound its
 subtree, and the entities among their ancestors.  An area is no object but
 a range of positions per list.  Each layout bisects a segment's list at
@@ -20,8 +20,8 @@ at its own stop.
 
 A full SLCA equal to an anchor or covering one is skipped by the merge,
 and no area need yield it, yet it counts toward relevance.  Such results
-are recovered from the only possible candidates, the anchors' prefixes:
-their tree numbers, placed by the pool once for its life, go through
+are recovered from the only possible candidates, the anchors and their
+ancestors, the set the pool's merge tests against: they go through
 ``compute_slca``'s cover rule and leaf step on the segments' ancestor
 sets (:func:`covered_anchor_ancestors`).
 
@@ -30,7 +30,7 @@ through the pipeline of every engine, ``diversify.run_query``.  This engine
 reproduces the paper's pruning; it is slower than the baseline in wall
 time, since each pool version still cuts each segment list at every anchor
 up to its stop, and every intent joins its live areas and cuts the anchors'
-prefix numbers by its lists (README).  The parallel engine scores like the
+ancestry by its lists (README).  The parallel engine scores like the
 baseline and uses only :func:`area_results`, on the intent's whole lists.
 """
 
@@ -41,7 +41,7 @@ from itertools import chain, compress, repeat
 from operator import sub
 from typing import Sequence
 
-from .dewey import DeweyId, EntityTable
+from .dewey import EntityTable
 from .diversify import (
     EvalStats,
     IntentEvaluation,
@@ -51,7 +51,7 @@ from .diversify import (
 )
 from .indexing import IndexBundle
 from .intents import IntentQuery
-from .slca import AncestorSet, DiversifiedSet, PoolLayout, compute_slca, proper_prefixes
+from .slca import AncestorSet, DiversifiedSet, PoolLayout, compute_slca, proper_ancestors
 
 NodeList = tuple[int, ...]
 
@@ -129,7 +129,7 @@ def partition_areas(
 
 def area_results(
     lists: Sequence[NodeList], table: EntityTable, ancestors: Sequence[AncestorSet]
-) -> tuple[DeweyId, ...]:
+) -> tuple[int, ...]:
     """The SLCAs of one area's lists, as the pool's merge will receive them.
 
     ``ancestors`` are the segments' own sets, ``proper_ancestors`` of their
@@ -145,26 +145,27 @@ def covered_anchor_ancestors(
     ancestors: Sequence[AncestorSet],
     prefixes: frozenset,
     table: EntityTable,
-    new_nodes: Sequence[DeweyId],
+    new_nodes: Sequence[int],
 ) -> int:
     """Count full SLCAs that are ancestors of or equal to an anchor.
 
-    Any such result is a prefix of some anchor, so only those candidates
-    need testing: ``prefixes``, their tree numbers, as ``DiversifiedSet.layout``
+    Any such result is an anchor or an ancestor of one, so only those
+    candidates need testing: ``prefixes``, as ``DiversifiedSet.layout``
     keeps them.  As in ``compute_slca``, a candidate covers list L iff it
     is in L or in P(L), ``ancestors`` holding each list's P(L), and the
     covering candidates are closed under ancestors, so the minimal ones
-    are the parent of none.  Such a leaf counts iff it is no proper prefix
-    of a fresh result, as no fresh result equals a prefix of an anchor.
+    are the parent of none.  Such a leaf counts iff it is no proper
+    ancestor of a fresh result ``new_nodes``, as no fresh result equals an
+    anchor or an ancestor of one.
     """
     cover = prefixes
     for lst, above in zip(lists, ancestors):
         cover = cover.intersection(lst) | (cover & above)
         if not cover:
             return 0
-    nodes, up = table.tree()
+    up = table.tree()[1]
     leaves = cover.difference(map(up.__getitem__, cover))
-    return len(set(map(nodes.__getitem__, leaves)) - proper_prefixes(new_nodes))
+    return len(leaves - proper_ancestors(new_nodes, table))
 
 
 def evaluate_anchored(
@@ -184,7 +185,7 @@ def evaluate_anchored(
     layout = pool.layout(table)
     alive, live = partition_areas(lists, layout)
     visited = sum(map(len, live))
-    results: tuple[DeweyId, ...] = ()
+    results: tuple[int, ...] = ()
     if visited:
         results = area_results(live, table, ancestors)
     # Exact as the baseline's merge.  A node that is not an ancestor-or-self
@@ -194,7 +195,7 @@ def evaluate_anchored(
     # are those of the live nodes alone.  Every other result is equal to or
     # above an anchor, which the merge skips; a result below an anchor
     # refines it (the anchor is removed once).
-    outcome = pool.preview(results)
+    outcome = pool.preview(results, table)
     covered = covered_anchor_ancestors(lists, ancestors, layout.prefixes, table, outcome.inserted)
     return IntentEvaluation(
         relevance=intent_likelihood(intent) * (len(outcome.inserted) + covered),

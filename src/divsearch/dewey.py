@@ -3,19 +3,21 @@
 A Dewey ID is the sequence of 1-based child ordinals on the path from the
 root to a node.  Tuple comparison is lexicographic, which coincides with
 document order, and a node's ancestors are its proper prefixes: ancestry
-is decided by sets of prefixes or by the range ``[a, subtree_bound(a))``,
-not pairwise here.  ``DeweyId`` is a thin tuple subclass: all comparisons
-and hashing come from ``tuple`` for free.
+is decided by sets of prefixes, not pairwise here.  ``DeweyId`` is a thin
+tuple subclass: all comparisons and hashing come from ``tuple`` for free.
 
 The engines work on entity ordinals instead: positions in an
 ``EntityTable``, a document-ordered run of distinct Dewey IDs.  The table
 also gives every node at or above an entity one number, an entity's being
-its ordinal, and each node's parent by number, so the SLCA step's ancestor
-sets hold ints only.
+its ordinal, each node's parent by number and the span of entities below
+it, so the engines' sets hold ints only.  Dewey IDs appear only at the
+edges: the index names entities by them, and ``render`` turns the
+engines' numbers back into them for a report.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable
 
 
@@ -59,14 +61,7 @@ def _trusted(components: tuple[int, ...]) -> DeweyId:
     return tuple.__new__(DeweyId, components)
 
 
-def subtree_bound(a: DeweyId) -> DeweyId:
-    """Smallest ID following a's entire subtree in document order.
-
-    Every x with a <= x < subtree_bound(a) is a or a descendant of a, and
-    nothing else is; this turns subtree membership into range queries over
-    sorted lists.
-    """
-    return _trusted(tuple(a[:-1]) + (a[-1] + 1,))
+Tree = tuple[list[DeweyId], list[int | None], array, array]
 
 
 class EntityTable:
@@ -80,20 +75,24 @@ class EntityTable:
 
     def __init__(self, deweys: Iterable[DeweyId]) -> None:
         self.deweys = tuple(deweys)
-        self._tree: tuple[list[DeweyId], list[int | None]] | None = None
+        self._tree: Tree | None = None
 
-    def tree(self) -> tuple[list[DeweyId], list[int | None]]:
-        """The nodes at or above an entity and their parents, built on first use.
+    def tree(self) -> Tree:
+        """The nodes at or above an entity, their parents and spans, built on first use.
 
-        Returns ``(nodes, up)``: ``nodes[x]`` is node x's Dewey ID and
-        ``up[x]`` its parent's number, None for the root.  Each entity's
-        prefixes are walked upward until one is numbered, numbering the
-        others on the way; a loop, as chains may be thousands of levels deep.
+        Returns ``(nodes, up, lo, hi)``: ``nodes[x]`` is node x's Dewey ID,
+        ``up[x]`` its parent's number, None for the root, and the entities
+        of its subtree are ``lo[x] .. hi[x]-1``.  Each entity's prefixes are
+        walked upward until one is numbered, numbering the others on the
+        way; a loop, as chains may be thousands of levels deep.  A node is
+        numbered by the first entity below it, its ``lo``, and ``hi`` comes
+        from a second walk, from the last entity up.
         """
         if self._tree is None:
             deweys = self.deweys
             nodes = list(deweys)
             up: list[int | None] = [None] * len(nodes)
+            lo = array("l", range(len(nodes)))
             # an entity is an ancestor of another only if the next one is its descendant
             number = {v: i for i, (v, w) in enumerate(zip(deweys, deweys[1:])) if w[: len(v)] == v}
             for i, v in enumerate(deweys):
@@ -105,6 +104,17 @@ class EntityTable:
                         break  # an entity, or a node whose walk went on up
                     nodes.append(_trusted(parent))
                     up.append(None)
+                    lo.append(i)
                     child = n
-            self._tree = (nodes, up)
+            hi = array("l", [0]) * len(nodes)
+            for i in reversed(range(len(deweys))):
+                x = i
+                while x is not None and not hi[x]:
+                    hi[x] = i + 1
+                    x = up[x]
+            self._tree = (nodes, up, lo, hi)
         return self._tree
+
+    def render(self, numbers: Iterable[int]) -> tuple[DeweyId, ...]:
+        """The nodes of the given tree numbers as Dewey IDs, in document order."""
+        return tuple(sorted(map(self.tree()[0].__getitem__, numbers)))

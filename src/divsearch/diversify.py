@@ -9,12 +9,13 @@ consistent with the currently admitted intents, including removal of an
 evicted intent's attributed results.  ``run_query`` checks ``k`` and ``m``
 and chains these stages for all three engines; they differ only in the
 evaluator they pass (parallel scores as the baseline does) and, for
-parallel, in the intent stream.
+parallel, in the intent stream.  Results and the pool are tree numbers
+until ``run_query`` renders the admitted ones to Dewey IDs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -99,7 +100,7 @@ def evaluate_against_pool(
     slca = compute_slca(lists, table, [segment.ancestors for segment in intent.segments])
     return IntentEvaluation(
         relevance=intent_likelihood(intent) * len(slca),
-        outcome=pool.preview(slca),
+        outcome=pool.preview(slca, table),
         visited=sum(len(lst) for lst in lists),
         areas_skipped=0,
     )
@@ -158,19 +159,25 @@ def run_query(
     evaluate: Callable[..., IntentEvaluation],
     stream: Callable[..., Iterable[IntentQuery]] = iter_intents,
 ) -> tuple[TopK, EvalStats]:
-    """One query of any engine: matrix, intent stream, admission.
+    """One query of any engine: matrix, intent stream, admission, rendering.
 
     ``stream(matrix, index, budget)`` yields at most ``budget`` intents and
     ``evaluate(intent, pool, table=...)`` scores each.  The table is bound
-    after the matrix, so a query without intents never builds it.  ``k`` and
-    ``m`` are checked before any work.
+    after the matrix, so a query without intents never builds it.  The
+    admitted entries' results and the pool, tree numbers until then, are
+    rendered to Dewey IDs.  ``k`` and ``m`` are checked before any work.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
     matrix = build_matrix(list(keywords), m, index)
-    return run_topk(stream(matrix, index, budget), k, partial(evaluate, table=index.entity_table))
+    table = index.entity_table
+    topk, stats = run_topk(stream(matrix, index, budget), k, partial(evaluate, table=table))
+    if topk.entries:  # else the pool is empty too
+        entries = tuple(replace(e, results=SlcaSet(table.render(e.results))) for e in topk.entries)
+        topk = TopK(topk.k, entries, topk.phi.rendered(table))
+    return topk, stats
 
 
 def diversify_baseline(

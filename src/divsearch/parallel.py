@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .anchors import NodeList, area_results
-from .dewey import DeweyId, EntityTable
+from .dewey import EntityTable
 from .diversify import (
     EvalStats,
     IntentEvaluation,
@@ -68,7 +68,7 @@ def plan_shared_segments(key_rows: Iterable[Sequence[SegmentKey]]) -> SharedSegm
 
 def evaluate_area(
     lists: Sequence[NodeList], table: EntityTable, ancestors: Sequence[AncestorSet]
-) -> tuple[DeweyId, ...]:
+) -> tuple[int, ...]:
     """The SLCAs of some node lists; its own name so the bench's tracer can time it."""
     return area_results(lists, table, ancestors)
 
@@ -80,7 +80,7 @@ def evaluate_whole(
     lists = [segment.node_list for segment in intent.segments]
     results = evaluate_area(lists, table, [s.ancestors for s in intent.segments])
     return IntentEvaluation(
-        intent_likelihood(intent) * len(results), pool.preview(results), sum(map(len, lists)), 0
+        intent_likelihood(intent) * len(results), pool.preview(results, table), sum(map(len, lists)), 0
     )
 
 

@@ -7,18 +7,18 @@ baseline query once segments are shared, so it works on node numbers
 (``EntityTable.tree``, an entity's being its ordinal) and each list's
 ancestor set (``proper_ancestors``, built once per segment), and
 intersects the sets in C: the nodes covering every list form a subtree
-closed under ancestors, and its leaves are the SLCAs.
+closed under ancestors, and its leaves are the SLCAs, returned as numbers.
 ``DiversifiedSet`` accumulates results across accepted intents
 with the merge semantics used for novelty scoring: duplicates and
 ancestors of existing members are dropped, descendants replace the member
 they refine, everything else inserts.  Pool and results are antichains, so
-the merge is set algebra on Dewey prefixes (``proper_prefixes``).  Each
-member is attributed to the intent that inserted it, in one map, so an
-evicted intent's members can be found and dropped.  For the anchor engine
-the pool also places each node among the entities once, with the tree
-numbers of its prefixes, and keeps that placement for its life; after each
-change a layout of the members (``PoolLayout``) is gathered from the kept
-placements.
+the merge is set algebra on the members and their proper ancestors, by
+tree number (``proper_ancestors``) when the evaluator passes the table and
+by Dewey prefix (``proper_prefixes``) when it passes none.  Each member is
+attributed to the intent that inserted it, in one map, so an evicted
+intent's members can be found and dropped.  For the anchor engine the
+members are laid out by their entity spans (``PoolLayout``) once per pool
+version.
 """
 
 from __future__ import annotations
@@ -26,25 +26,27 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .dewey import DeweyId, EntityTable, _trusted, subtree_bound
+from .dewey import DeweyId, EntityTable
 
 
 @dataclass(frozen=True)
 class SlcaSet:
-    """Document-ordered, duplicate-free antichain of result nodes."""
+    """Duplicate-free antichain of result nodes.
 
-    nodes: tuple[DeweyId, ...] = ()
+    They are Dewey IDs in document order, or tree numbers ascending.
+    """
 
-    def __iter__(self) -> Iterator[DeweyId]:
+    nodes: tuple = ()
+
+    def __iter__(self) -> Iterator:
         return iter(self.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __getitem__(self, i: int) -> DeweyId:
+    def __getitem__(self, i: int):
         return self.nodes[i]
 
 
@@ -86,8 +88,9 @@ def compute_slca(
 ) -> SlcaSet:
     """SLCA set of one sorted, duplicate-free node list per query segment.
 
-    The lists hold ordinals of ``table``'s entities.  Without a table they
-    hold Dewey IDs, and a table is built from their union first.
+    The lists hold ordinals of ``table``'s entities, and the result holds
+    tree numbers.  Without a table the lists hold Dewey IDs, a table is
+    built from their union first, and the result is rendered to Dewey IDs.
     ``ancestors`` holds ``proper_ancestors`` of each list against ``table``;
     a query builds them once per segment, and without them they are built
     here.  An empty member list means no node can cover every segment:
@@ -101,17 +104,16 @@ def compute_slca(
     bisecting into L_i the cover's entities outside P(L_i), the numbers
     below the entity count.  The cover is then every node covering all the
     lists.  It is closed under ancestors, so a member has a descendant in
-    the cover iff it is the parent of a member; the others are the SLCAs.
-    Only they are turned into Dewey IDs and sorted, by number first, so the
-    entities come as one sorted run.  The work is linear in the lists'
-    total length, or in the cover's times log |L_i| when the cover is that
-    much shorter.
+    the cover iff it is the parent of a member; the others are the SLCAs,
+    sorted.  The work is linear in the lists' total length, or in the
+    cover's times log |L_i| when the cover is that much shorter.
     """
     if not lists:
         raise ValueError("compute_slca requires at least one node list")
     if any(not lst for lst in lists):
         return SlcaSet()
-    if table is None:
+    dewey = table is None
+    if dewey:
         nodes = sorted(set().union(*lists))
         table = EntityTable(nodes)
         ordinal = {v: i for i, v in enumerate(nodes)}
@@ -136,19 +138,17 @@ def compute_slca(
             )
         else:
             cover = cover.intersection(lst) | (cover & above)
-    nodes, up = table.tree()
-    leaves = cover.difference(map(up.__getitem__, cover))
-    found = list(map(nodes.__getitem__, sorted(leaves)))
-    found.sort()  # the entities come first, as one sorted run
-    return SlcaSet(tuple(found))
+    up = table.tree()[1]
+    leaves = sorted(cover.difference(map(up.__getitem__, cover)))
+    return SlcaSet(table.render(leaves) if dewey else tuple(leaves))
 
 
 @dataclass(frozen=True)
 class MergeOutcome:
     """Net effect of merging one fresh result set into the distinct pool."""
 
-    inserted: tuple[DeweyId, ...]
-    removed: tuple[DeweyId, ...]
+    inserted: tuple
+    removed: tuple
     union_size: int
 
     @property
@@ -163,111 +163,82 @@ class MergeOutcome:
 
 @dataclass(eq=False)
 class PoolLayout:
-    """The members of a pool placed among the entities of ``table``.
+    """The members of a pool, tree numbers, laid out among their table's entities.
 
-    ``cuts`` holds three ordinals per member, in document order: ``lo``,
+    ``cuts`` holds three ordinals per member, ordered by the first: ``lo``,
     the start of its strict descendants (``lo + 1`` if the member is itself
-    an entity, else ``lo``) and ``hi``, so that the entities of its subtree
-    are ``lo .. hi-1``.  The members form an antichain, so ``cuts`` never
-    falls.  ``hidden`` holds, ascending, every entity that is a proper
-    ancestor of some member.  ``prefixes`` holds the tree number
-    (``EntityTable.tree``) of every prefix of the members that holds an
-    entity, a member being a prefix of itself; it is closed under parents.
-    ``lists`` is the anchor partition's cache of each segment list cut at
-    this layout (``anchors.partition_areas``), keyed by the list's ``id``;
-    it lives as long as the layout, one pool version.
+    an entity, else ``lo``) and ``hi``, from its span in
+    ``EntityTable.tree``, so that the entities of its subtree are
+    ``lo .. hi-1``.  The members form an antichain, so ``cuts`` never
+    falls.  ``prefixes`` holds the members and their proper ancestors, the
+    set the pool's merge tests against, and ``hidden``, ascending, those
+    ancestors that are entities.  ``lists`` is the anchor partition's cache
+    of each segment list cut at this layout (``anchors.partition_areas``),
+    keyed by the list's ``id``; it lives as long as the layout, one pool
+    version.
     """
 
-    table: EntityTable
     cuts: tuple[int, ...]
     hidden: tuple[int, ...]
     prefixes: frozenset
     lists: dict[int, tuple] = field(default_factory=dict)
 
     @classmethod
-    def build(
-        cls, nodes: Sequence[DeweyId], table: EntityTable, placed: dict | None = None
-    ) -> "PoolLayout":
-        """Lay out the document-ordered antichain ``nodes`` from their placements.
-
-        ``placed`` maps each node placed against ``table`` so far, members
-        and their prefixes, to its ``place`` row; nodes missing from it are
-        placed and added.  The hidden entities are the prefixes' numbers
-        below the entity count, less the members that are entities.
-        """
-        placed = {} if placed is None else placed
-        rows = [placed.get(v) or place(v, table, placed) for v in nodes]
-        cuts = tuple(chain.from_iterable(map(itemgetter(0), rows)))
-        prefixes = frozenset(chain.from_iterable(map(itemgetter(1), rows)))
-        members = {lo for lo, start in zip(cuts[::3], cuts[1::3]) if start > lo}
-        hidden = sorted(filter(len(table.deweys).__gt__, prefixes - members))
-        return cls(table, cuts, tuple(hidden), prefixes)
-
-
-def place(v: DeweyId, table: EntityTable, placed: dict) -> tuple:
-    """Place node ``v`` and each of its prefixes not yet in ``placed``.
-
-    A node's row is ``(cut, prefixes)``: its three ``PoolLayout`` cuts and
-    the tree numbers of its prefixes that hold an entity, root first.  A
-    prefix's span lies inside its parent's, so it is found by two bisects
-    into the parent's span only.  Its number is its first entity ``lo``
-    walked up once per level between them, and it is that entity iff the
-    walk is empty.
-    """
-    deweys = table.deweys
-    up = table.tree()[1]
-    row: tuple = ((0, 0, len(deweys)), ())
-    for n in range(1, len(v) + 1):
-        got = placed.get(v[:n])
-        if got is None:
-            (lo, start, hi), prefixes = row
-            p = _trusted(v[:n])
-            lo = start = bisect_left(deweys, p, lo, hi)
-            hi = bisect_left(deweys, subtree_bound(p), lo, hi)
-            if lo < hi:
-                x = lo
-                for _ in range(len(deweys[lo]) - n):
-                    x = up[x]
-                start += x == lo
-                prefixes += (x,)
-            got = placed[p] = ((lo, start, hi), prefixes)
-        row = got
-    return row
+    def build(cls, nodes: Iterable[int], prefixes: frozenset, table: EntityTable) -> "PoolLayout":
+        """Lay out the antichain ``nodes``, with ``prefixes`` them and their proper ancestors."""
+        _, _, lo, hi = table.tree()
+        entities = len(table.deweys)
+        cuts = sorted((lo[x], lo[x] + (x < entities), hi[x]) for x in nodes)
+        hidden = sorted(filter(entities.__gt__, prefixes.difference(nodes)))
+        return cls(tuple(chain.from_iterable(cuts)), tuple(hidden), prefixes)
 
 
 class DiversifiedSet:
-    """The running distinct SLCA pool with per-intent attribution."""
+    """The running distinct SLCA pool with per-intent attribution.
+
+    Its members are tree numbers of one ``EntityTable`` if the evaluators
+    pass that table to ``preview``, and Dewey IDs if they pass none;
+    ``rendered`` turns the first kind of pool into the second.
+    """
 
     def __init__(self) -> None:
-        self._nodes: list[DeweyId] = []
-        self._owner: dict[DeweyId, int] = {}
-        self._above: set | None = None  # every prefix of a member, members too
+        self._nodes: list = []
+        self._owner: dict = {}
+        self._above: frozenset | set | None = None  # the members and their proper ancestors
         self._layout: PoolLayout | None = None
-        self._placed: tuple[EntityTable, dict] | None = None
 
     @property
-    def nodes(self) -> tuple[DeweyId, ...]:
+    def nodes(self) -> tuple:
         return tuple(self._nodes)
 
+    def _members_and_above(self, table: EntityTable | None) -> frozenset | set:
+        if self._above is None:
+            self._above = _proper(self._nodes, table).union(self._nodes)
+        return self._above
+
     def layout(self, table: EntityTable) -> PoolLayout:
-        """The members placed among ``table``'s entities, once per pool version.
+        """The members laid out among ``table``'s entities, once per pool version.
 
         Only ``apply`` and ``remove_intent`` change the pool; both drop the
-        built layout, so every intent evaluated in between reuses it.  Each
-        node is placed once for the life of the pool: its row (``place``)
-        is kept, departed members' too, until a layout is asked of another
-        table, and a new version is built from the kept rows.
+        built layout, so every intent evaluated in between reuses it, and
+        its prefixes are the set the merge tests against.
         """
-        if self._layout is None or self._layout.table is not table:
-            if self._placed is None or self._placed[0] is not table:
-                self._placed = (table, {})
-            self._layout = PoolLayout.build(self._nodes, table, self._placed[1])
+        if self._layout is None:
+            self._layout = PoolLayout.build(self._nodes, self._members_and_above(table), table)
         return self._layout
+
+    def rendered(self, table: EntityTable) -> "DiversifiedSet":
+        """This pool of ``table``'s tree numbers as a pool of their Dewey IDs."""
+        nodes = table.tree()[0]
+        out = DiversifiedSet()
+        out._owner = {nodes[x]: owner for x, owner in self._owner.items()}
+        out._nodes = sorted(out._owner)
+        return out
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def __iter__(self) -> Iterator[DeweyId]:
+    def __iter__(self) -> Iterator:
         return iter(self._nodes)
 
     def __eq__(self, other: object) -> bool:
@@ -275,21 +246,20 @@ class DiversifiedSet:
             return NotImplemented
         return self._nodes == other._nodes and self._owner == other._owner
 
-    def preview(self, fresh: Iterable[DeweyId]) -> MergeOutcome:
+    def preview(self, fresh: Iterable, table: EntityTable | None = None) -> MergeOutcome:
         """Dry-run merge: what would change, without mutating the pool.
 
-        ``fresh`` must be a document-ordered antichain, as every ``SlcaSet``
-        is; the members are one too.  A fresh result is dropped iff it is a
-        member or a proper prefix of one, a set built once per pool version;
-        the others insert, in input order.  A member is removed iff it is a
-        proper prefix of an inserted result (no dropped one has any).  The
-        union is the members less the removed, plus the inserted.
+        ``fresh`` must be an antichain, as every ``SlcaSet`` is, labelled as
+        the members are: tree numbers of ``table``, or Dewey IDs if it is
+        None.  A fresh result is dropped iff it is a member or a proper
+        ancestor of one, a set built once per pool version; the others
+        insert, in input order.  A member is removed iff it is a proper
+        ancestor of an inserted result (no dropped one has any).  The union
+        is the members less the removed, plus the inserted.
         """
-        if self._above is None:
-            self._above = proper_prefixes(self._nodes).union(self._nodes)
-        inserted = tuple(filterfalse(self._above.__contains__, fresh))
+        inserted = tuple(filterfalse(self._members_and_above(table).__contains__, fresh))
         # iterating the members keeps their DeweyId objects
-        removed = tuple(sorted(proper_prefixes(inserted).intersection(self._nodes)))
+        removed = tuple(sorted(_proper(inserted, table).intersection(self._nodes)))
         return MergeOutcome(inserted, removed, len(self._nodes) - len(removed) + len(inserted))
 
     def apply(self, outcome: MergeOutcome, intent_id: int) -> None:
@@ -301,7 +271,7 @@ class DiversifiedSet:
             insort(self._nodes, v)
             self._owner[v] = intent_id
 
-    def merge(self, fresh: Iterable[DeweyId], intent_id: int) -> MergeOutcome:
+    def merge(self, fresh: Iterable, intent_id: int) -> MergeOutcome:
         outcome = self.preview(fresh)
         self.apply(outcome, intent_id)
         return outcome
@@ -312,9 +282,14 @@ class DiversifiedSet:
         for v in [v for v in self._nodes if self._owner[v] == intent_id]:
             self._discard(v)
 
-    def _discard(self, v: DeweyId) -> None:
+    def _discard(self, v) -> None:
         del self._nodes[bisect_left(self._nodes, v)]
         del self._owner[v]
+
+
+def _proper(nodes: Sequence, table: EntityTable | None) -> frozenset | set:
+    """P(nodes): tree numbers by ``proper_ancestors``, or Dewey prefixes without a table."""
+    return proper_prefixes(nodes) if table is None else proper_ancestors(nodes, table)
 
 
 def merge_distinct(

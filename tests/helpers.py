@@ -14,8 +14,9 @@ from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from divsearch import intents
-from divsearch.dewey import DeweyId, EntityTable, subtree_bound
+from divsearch.dewey import DeweyId, EntityTable
 from divsearch.indexing import EntityRecord
+from divsearch.slca import DiversifiedSet
 
 # Words the tokenizer keeps as they are: two-byte, three-byte and four-byte
 # UTF-8 next to plain ASCII.
@@ -33,13 +34,15 @@ def ids(*texts: str) -> tuple[DeweyId, ...]:
 class Entities:
     """An entity table with its Dewey IDs mapped to ordinals and back.
 
-    The engines' node lists hold entity ordinals; tests state their nodes
-    as Dewey IDs and translate through this map both ways.
+    The engines' node lists hold entity ordinals, and their results and
+    pools tree numbers; tests state their nodes as Dewey IDs and translate
+    through this map both ways.
     """
 
     def __init__(self, table: EntityTable) -> None:
         self.table = table
         self._ordinal = {v: i for i, v in enumerate(table.deweys)}
+        self._number: dict[DeweyId, int] | None = None
 
     @classmethod
     def of_tree(cls, nodes: Iterable[DeweyId]) -> "Entities":
@@ -52,6 +55,18 @@ class Entities:
     def deweys(self, ordinals: Iterable[int]) -> tuple[DeweyId, ...]:
         return tuple(self.table.deweys[i] for i in ordinals)
 
+    def numbers(self, nodes: Iterable[DeweyId]) -> tuple[int, ...]:
+        """The tree numbers of nodes at or above an entity."""
+        if self._number is None:
+            self._number = {v: x for x, v in enumerate(self.table.tree()[0])}
+        return tuple(self._number[v] for v in nodes)
+
+    def pool(self, members: Iterable[DeweyId]) -> DiversifiedSet:
+        """A pool of tree numbers holding the antichain ``members``, all of intent 0."""
+        pool = DiversifiedSet()
+        pool.apply(pool.preview(self.numbers(members), self.table), 0)
+        return pool
+
 
 def common_prefix_len(a: DeweyId, b: DeweyId) -> int:
     """The number of leading components a and b share: their LCA's depth."""
@@ -60,6 +75,16 @@ def common_prefix_len(a: DeweyId, b: DeweyId) -> int:
         if a[i] != b[i]:
             return i
     return n
+
+
+def subtree_bound(a: DeweyId) -> DeweyId:
+    """Smallest ID following a's entire subtree in document order.
+
+    Every x with a <= x < subtree_bound(a) is a or a descendant of a, and
+    nothing else is; this turns subtree membership into range queries over
+    sorted lists.
+    """
+    return DeweyId(tuple(a[:-1]) + (a[-1] + 1,))
 
 
 def is_ancestor_or_self(a: DeweyId, b: DeweyId) -> bool:
@@ -81,12 +106,34 @@ def prefix_bounds(
     """Every distinct prefix of the nodes, in document order, with its entity span.
 
     A node is a prefix of itself; each prefix p comes as ``(p, lo, hi)``,
-    ``scan_span`` of it in ``table``.  The scan reference for a pool
-    layout's prefixes: the tree numbers of the rows with ``lo < hi``, the
-    prefixes that hold an entity.
+    ``scan_span`` of it in ``table``.
     """
     prefixes = {DeweyId(v[:plen]) for v in nodes for plen in range(1, len(v) + 1)}
     return tuple((p, *scan_span(table, p)) for p in sorted(prefixes))
+
+
+def scan_layout(
+    table: EntityTable, members: Sequence[DeweyId]
+) -> tuple[tuple[int, ...], tuple[int, ...], set[int]]:
+    """A pool layout of the members, ``(cuts, hidden, prefixes)``, by scans of the table.
+
+    Per member in document order its ``scan_span`` ``(lo, hi)`` gives the
+    cuts ``lo``, ``lo + 1`` if it is an entity and ``lo`` if not, and
+    ``hi``; hidden are the entities that are proper prefixes of a member;
+    the prefixes are the tree numbers of every prefix of a member.
+    """
+    cuts: list[int] = []
+    for node in sorted(members):
+        lo, hi = scan_span(table, node)
+        cuts += (lo, lo + (node in table.deweys), hi)
+    hidden = tuple(
+        i
+        for i, v in enumerate(table.deweys)
+        if any(len(v) < len(node) and is_ancestor_or_self(v, node) for node in members)
+    )
+    number = {v: x for x, v in enumerate(table.tree()[0])}
+    prefixes = {number[v[:n]] for v in members for n in range(1, len(v) + 1)}
+    return tuple(cuts), hidden, prefixes
 
 
 def contains_anchor(node: DeweyId, anchors: Sequence[DeweyId]) -> bool:

@@ -1,6 +1,6 @@
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 
@@ -12,7 +12,7 @@ from divsearch.anchors import (
     evaluate_anchored,
     partition_areas,
 )
-from divsearch.dewey import DeweyId, subtree_bound
+from divsearch.dewey import DeweyId
 from divsearch.diversify import (
     IntentEvaluation,
     diversify_baseline,
@@ -21,9 +21,7 @@ from divsearch.diversify import (
 )
 from divsearch.intents import IntentQuery, Segment
 from divsearch.slca import (
-    DiversifiedSet,
     MergeOutcome,
-    PoolLayout,
     compute_slca,
     proper_ancestors,
 )
@@ -37,6 +35,7 @@ from helpers import (
     random_antichain,
     random_lists,
     random_tree,
+    subtree_bound,
 )
 
 
@@ -55,10 +54,27 @@ def make_intent(lists, table) -> IntentQuery:
     return IntentQuery(segments, 0.0)
 
 
-def place(lists, tree=()):
-    """The entities of the tree and the lists, and the lists as ordinals."""
-    ents = Entities.of_tree([*tree, *(v for lst in lists for v in lst)])
+def place(lists, tree=(), anchors=()):
+    """The entities of the tree and the lists, and the lists as ordinals.
+
+    An anchor that holds none of those entities becomes one, as a pool
+    filled by earlier intents holds it, so every anchor is a tree node.
+    """
+    nodes = {*tree, *(v for lst in lists for v in lst)}
+    spanned = {v[:n] for v in nodes for n in range(1, len(v) + 1)}
+    ents = Entities.of_tree([*nodes, *(a for a in anchors if a not in spanned)])
     return ents, [ents.ordinals(lst) for lst in lists]
+
+
+def rendered(evaluation, table):
+    """An evaluation with its merge outcome in Dewey IDs."""
+    outcome = evaluation.outcome
+    return replace(
+        evaluation,
+        outcome=MergeOutcome(
+            table.render(outcome.inserted), table.render(outcome.removed), outcome.union_size
+        ),
+    )
 
 
 def input_less_live(lists, live):
@@ -72,17 +88,18 @@ def partition(lists, anchors, tree=()):
     Returns the entity map, the live flags, the live nodes as Dewey lists
     and the pruned count: the input nodes that are not live.
     """
-    ents, ordinal_lists = place(lists, tree)
-    alive, live = partition_areas(ordinal_lists, PoolLayout.build(anchors, ents.table))
+    ents, ordinal_lists = place(lists, tree, anchors)
+    alive, live = partition_areas(ordinal_lists, ents.pool(anchors).layout(ents.table))
     return ents, alive, [ents.deweys(lst) for lst in live], input_less_live(lists, live)
 
 
 def covered(lists, anchors, new_nodes, tree=()):
-    """covered_anchor_ancestors on Dewey lists, with the anchors' prefix numbers."""
-    ents, ordinal_lists = place(lists, tree)
-    prefixes = PoolLayout.build(anchors, ents.table).prefixes
+    """covered_anchor_ancestors on Dewey lists, with the anchors' layout prefixes."""
+    ents, ordinal_lists = place(lists, tree, anchors)
+    prefixes = ents.pool(anchors).layout(ents.table).prefixes
     sets = [proper_ancestors(lst, ents.table) for lst in ordinal_lists]
-    return covered_anchor_ancestors(ordinal_lists, sets, prefixes, ents.table, new_nodes)
+    fresh = ents.numbers(new_nodes)
+    return covered_anchor_ancestors(ordinal_lists, sets, prefixes, ents.table, fresh)
 
 
 def split_single(lists, anchor):
@@ -174,11 +191,10 @@ class TestPartitionAreas:
 
 
 def evaluate(lists, anchors):
-    """evaluate_anchored on Dewey lists against a pool of the anchors."""
-    ents, ordinal_lists = place(lists)
-    pool = DiversifiedSet()
-    pool.merge(anchors, 0)
-    return evaluate_anchored(make_intent(ordinal_lists, ents.table), pool, ents.table)
+    """evaluate_anchored on Dewey lists against a pool of the anchors, rendered."""
+    ents, ordinal_lists = place(lists, anchors=anchors)
+    intent = make_intent(ordinal_lists, ents.table)
+    return rendered(evaluate_anchored(intent, ents.pool(anchors), ents.table), ents.table)
 
 
 class TestDeadAreas:
@@ -236,7 +252,7 @@ class TestAreaResults:
         assert alive == [i == position for i in range(3)]
         area = [ents.ordinals(lst) for lst in live]
         sets = [proper_ancestors(lst, ents.table) for lst in area]
-        return area_results(area, ents.table, sets), evaluate(lists, anchors)
+        return ents.table.render(area_results(area, ents.table, sets)), evaluate(lists, anchors)
 
     def test_descendant_area_drops_anchor_duplicate(self):
         results, evaluation = self.run_single_area([ids("1.2.1"), ids("1.2.2")], ids("1.2"), 1)
@@ -285,22 +301,26 @@ class TestCoveredAnchorAncestors:
     def test_matches_full_slca_partition(self):
         """The count of full SLCAs at or above an anchor, on random pools.
 
-        A covering prefix covers some list only through the list itself (it
-        is listed and nothing below it is) and some list only through its
-        ancestor set (it is not listed), and some anchor holds no entity.
+        Anchors are tree nodes, drawn from a table whose entities are the
+        lists' nodes and part of the tree.  A covering prefix covers some
+        list only through the list itself (it is listed and nothing below
+        it is) and some list only through its ancestor set (it is not
+        listed), and some anchor is no entity.
         """
         rng = random.Random(42)
-        checked = by_list = by_ancestors = no_entity = 0
+        checked = by_list = by_ancestors = non_entity = 0
         for _ in range(1200):
             tree = random_tree(rng, 60)
             lists = random_lists(rng, tree)
             if any(not lst for lst in lists):
                 continue
-            anchors = random_antichain(rng)
+            entities = {v for v in tree if rng.random() < 0.5}.union(*lists)
+            spanned = sorted({DeweyId(v[:n]) for v in entities for n in range(1, len(v) + 1)})
+            anchors = tree_antichain(rng, spanned)
             full = compute_slca(lists)
             anc = [v for v in full if contains_anchor(v, anchors)]
             rest = tuple(v for v in full if not contains_anchor(v, anchors))
-            assert covered(lists, anchors, rest, tree) == len(anc)
+            assert covered(lists, anchors, rest, sorted(entities)) == len(anc)
             checked += 1
             ways = set()
             for p in {a[:n] for a in anchors for n in range(1, len(a) + 1)}:
@@ -312,12 +332,11 @@ class TestCoveredAnchorAncestors:
                         ways.add("above")
             by_list += "list" in ways
             by_ancestors += "above" in ways
-            entities = set(tree).union(*lists)
-            no_entity += any(not any(is_ancestor_or_self(a, v) for v in entities) for a in anchors)
+            non_entity += any(a not in entities for a in anchors)
         assert checked > 800
         assert by_list > 50, by_list
         assert by_ancestors > 50, by_ancestors
-        assert no_entity > 20, no_entity
+        assert non_entity > 20, non_entity
 
 
 class TestEngineEquivalence:
@@ -325,10 +344,10 @@ class TestEngineEquivalence:
         rng = random.Random(43)
         for _ in range(200):
             tree = random_tree(rng, 50)
-            ents, lists = place(random_lists(rng, tree), tree)
+            anchors = random_antichain(rng)
+            ents, lists = place(random_lists(rng, tree), tree, anchors)
             intent = make_intent(lists, ents.table)
-            pool = DiversifiedSet()
-            pool.merge(random_antichain(rng), 0)
+            pool = ents.pool(anchors)
             base = evaluate_against_pool(intent, pool, ents.table)
             anch = evaluate_anchored(intent, pool, ents.table)
             assert anch.relevance == base.relevance
@@ -363,8 +382,7 @@ class TestEngineEquivalence:
     def test_duplicate_of_pool_scores_zero_without_visits(self):
         ents, lists = place([ids("1.1"), ids("1.1")])
         intent = make_intent(lists, ents.table)
-        pool = DiversifiedSet()
-        pool.merge(ids("1.1"), 0)
+        pool = ents.pool(ids("1.1"))
         anch = evaluate_anchored(intent, pool, ents.table)
         assert anch.visited == 0
         assert anch.relevance == 1.0
@@ -487,7 +505,7 @@ def reference_evaluate(intent, pool, ents):
     duplicate and how many for covering an anchor.
     """
     lists = [ents.deweys(segment.node_list) for segment in intent.segments]
-    anchors = pool.nodes
+    anchors = ents.table.render(pool.nodes)
     areas, discarded = reference_partition(lists, anchors)
     kept = [area for area in areas if not area.dead]
     dead = [area for area in areas if area.dead]
@@ -568,13 +586,12 @@ class TestAgainstReferencePartition:
         refined = with_duplicate = with_covering = 0
         for _ in range(2000):
             tree, lists, anchors = random_case(rng)
-            ents, ordinal_lists = place(lists, tree)
+            ents, ordinal_lists = place(lists, tree, anchors)
             intent = make_intent(ordinal_lists, ents.table)
-            pool = DiversifiedSet()
-            pool.merge(anchors, 0)
+            pool = ents.pool(anchors)
             want, pruned, duplicates, covering = reference_evaluate(intent, pool, ents)
             got = evaluate_anchored(intent, pool, ents.table)
-            assert got == want
+            assert rendered(got, ents.table) == want
             assert sum(map(len, lists)) - got.visited == pruned
             refined += bool(want.outcome.removed)
             with_duplicate += duplicates > 0
@@ -595,13 +612,12 @@ class TestAgainstReferencePartition:
         refined = with_covering = set_reaches_pruned = 0
         for _ in range(2500):
             tree, lists, anchors = random_case(rng)
-            ents, ordinal_lists = place(lists, tree)
+            ents, ordinal_lists = place(lists, tree, anchors)
             intent = make_intent(ordinal_lists, ents.table)
-            pool = DiversifiedSet()
-            pool.merge(anchors, 0)
+            pool = ents.pool(anchors)
             want, pruned, _, covering = reference_evaluate(intent, pool, ents)
             got = evaluate_anchored(intent, pool, ents.table)
-            assert got == want
+            assert rendered(got, ents.table) == want
             base = evaluate_against_pool(intent, pool, ents.table)
             assert (got.outcome, got.relevance) == (base.outcome, base.relevance)
             refined += bool(want.outcome.removed)
@@ -635,7 +651,7 @@ class TestSegmentCache:
             ents, ordinal_lists = place(shared, tree)
             for _ in range(3):  # pool versions over the same list objects
                 anchors = tree_antichain(rng, tree)
-                layout = PoolLayout.build(anchors, ents.table)
+                layout = ents.pool(anchors).layout(ents.table)
                 own = [reference_partition([lst], anchors)[0] for lst in shared]
                 for _ in range(4):
                     picks = rng.sample(range(len(shared)), rng.randint(1, len(shared)))
@@ -672,7 +688,7 @@ class TestSegmentCache:
                 continue
             ents, ordinal_lists = place(shared, tree)
             for _ in range(2):  # a new layout cuts every list again
-                layout = PoolLayout.build(anchors, ents.table)
+                layout = ents.pool(anchors).layout(ents.table)
                 before = {id(lst): calls.get(id(lst), 0) for lst in ordinal_lists}
                 cut = {}
                 for _ in range(4):
@@ -705,10 +721,9 @@ class TestOneSlcaCallPerIntent:
         seen = {True: 0, False: 0}
         for _ in range(400):
             tree, lists, anchors = random_case(rng)
-            ents, ordinal_lists = place(lists, tree)
+            ents, ordinal_lists = place(lists, tree, anchors)
             live = any(partition(lists, anchors, tree)[1])
-            pool = DiversifiedSet()
-            pool.merge(anchors, 0)
+            pool = ents.pool(anchors)
             before = calls[0]
             evaluate_anchored(make_intent(ordinal_lists, ents.table), pool, ents.table)
             assert calls[0] - before == int(live)

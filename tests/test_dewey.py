@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from divsearch.dewey import DeweyId, EntityTable, subtree_bound
-from helpers import common_prefix_len, d, ids, is_ancestor_or_self, prefix_bounds
+from divsearch.dewey import DeweyId, EntityTable
+from helpers import common_prefix_len, d, ids, is_ancestor_or_self, prefix_bounds, subtree_bound
 
 
 class TestConstruction:
@@ -111,6 +111,8 @@ class TestAncestry:
 
 
 class TestSubtreeBound:
+    """The tests' reference for subtree ranges, ``helpers.subtree_bound``."""
+
     def test_bound_is_next_sibling_slot(self):
         assert subtree_bound(d("1.2")) == d("1.3")
         assert subtree_bound(d("1")) == d("2")

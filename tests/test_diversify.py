@@ -30,9 +30,9 @@ def toy_intent(index, *pairs):
 
 
 def relevance_and_results(intent, index):
-    """The baseline's relevance and SLCA set: its merge into an empty pool."""
+    """The baseline's relevance and SLCA set: its merge into an empty pool, rendered."""
     evaluation = evaluate_against_pool(intent, DiversifiedSet(), index.entity_table)
-    return evaluation.relevance, evaluation.outcome.inserted
+    return evaluation.relevance, index.entity_table.render(evaluation.outcome.inserted)
 
 
 class TestRelevance:

@@ -1,8 +1,9 @@
 """The ordinal path: entity tables, their numbered trees, and SLCA on a bundle.
 
 ``EntityTable.tree`` numbers every node at or above an entity, an entity
-by its ordinal, and names each node's parent by number.  These tests hold
-the tree to a brute-force parent search, on chains deep enough that a
+by its ordinal, and names each node's parent by number and its span of
+entities.  These tests hold the tree to a brute-force parent search and
+the spans to a scan of the entities, on chains deep enough that a
 recursive build would fail, and the bundle path to the SLCA oracle on
 corpora whose entities nest.
 """
@@ -16,7 +17,7 @@ from divsearch.errors import NoIntentError
 from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import iter_intents
-from divsearch.slca import PoolLayout, compute_slca, proper_ancestors
+from divsearch.slca import compute_slca, proper_ancestors
 from helpers import (
     Entities,
     ids,
@@ -24,6 +25,8 @@ from helpers import (
     random_corpus_xml,
     random_lists,
     random_tree,
+    scan_layout,
+    scan_span,
     slca_oracle,
 )
 
@@ -43,7 +46,7 @@ def assert_tree(table: EntityTable) -> None:
     """``tree`` numbers each node at or above an entity once, entities by
     their ordinals, and names each node's parent as a search of the
     numbered nodes finds it."""
-    nodes, up = table.tree()
+    nodes, up = table.tree()[:2]
     deweys = table.deweys
     assert nodes[: len(deweys)] == list(deweys)
     assert all(type(v) is DeweyId for v in nodes)
@@ -56,13 +59,39 @@ def assert_tree(table: EntityTable) -> None:
     assert table.tree() is table.tree()
 
 
+def assert_spans(table: EntityTable) -> None:
+    """Each numbered node's ``[lo, hi)`` is the run of entities a scan finds below it."""
+    nodes, _, lo, hi = table.tree()
+    assert len(lo) == len(hi) == len(nodes)
+    for x, v in enumerate(nodes):
+        assert (lo[x], hi[x]) == scan_span(table, v)
+
+
+def random_entities(rng: random.Random, size: int) -> EntityTable:
+    """Some nodes of a random tree as entities, so non-entity nodes occur."""
+    tree = random_tree(rng, size)
+    chosen = [v for v in tree if rng.random() < rng.choice((0.2, 0.5, 1.0))]
+    return Entities.of_tree(chosen or tree[-1:]).table
+
+
 class TestEntityTable:
     def test_tree_matches_a_brute_force_parent_search(self):
         rng = random.Random(71)
         for _ in range(60):
-            tree = random_tree(rng, 90)
-            chosen = [v for v in tree if rng.random() < rng.choice((0.2, 0.5, 1.0))]
-            assert_tree(Entities.of_tree(chosen or tree[-1:]).table)
+            assert_tree(random_entities(rng, 90))
+
+    def test_spans_match_a_scan(self):
+        """On random nested trees and on a 300-level chain with side branches."""
+        rng = random.Random(75)
+        for _ in range(60):
+            assert_spans(random_entities(rng, 90))
+        table = Entities.of_tree(deep_chain(300, rng)).table
+        assert_spans(table)
+        # an anchor at the bottom: every entity above it is hidden
+        bottom = max(table.deweys, key=len)
+        layout = Entities(table).pool([bottom]).layout(table)
+        assert (layout.cuts, layout.hidden, layout.prefixes) == scan_layout(table, [bottom])
+        assert len(layout.hidden) == 299
 
     def test_chain_deeper_than_255_levels(self):
         rng = random.Random(72)
@@ -75,26 +104,35 @@ class TestEntityTable:
         assert compute_slca(lists).nodes == slca_oracle(nodes, lists)
 
     def test_entity_5000_non_entity_levels_down(self):
-        """Past the recursion limit: the build walks the chain in a loop."""
+        """Past the recursion limit: the build walks the chain in a loop.
+
+        The spans, and the layouts of anchors at the bottom, match a scan.
+        """
         deep = DeweyId((1,) * 5001)
         sibling = DeweyId(deep[:-1] + (2,))
         table = EntityTable([deep, sibling])
         assert_tree(table)
-        nodes, up = table.tree()
+        nodes, up = table.tree()[:2]
         chain = frozenset(range(2, 5002))
         assert proper_ancestors((0,), table) == proper_ancestors((0, 1), table) == chain
         assert nodes[up[0]] == deep[:-1] and up[0] == up[1]
         lists = [(0,), (1,)]
-        assert compute_slca(lists, table).nodes == (DeweyId(deep[:-1]),)
+        assert table.render(compute_slca(lists, table).nodes) == (DeweyId(deep[:-1]),)
+        assert_spans(table)
+        for anchors in ([deep], [deep[:-1]], [deep, sibling]):
+            layout = Entities(table).pool(anchors).layout(table)
+            assert (layout.cuts, layout.hidden, layout.prefixes) == scan_layout(table, anchors)
+        assert layout.cuts == (0, 1, 1, 1, 2, 2) and layout.hidden == ()
 
     def test_pool_layout_places_members_and_prefixes(self):
-        table = Entities.of_tree(ids("1", "1.1", "1.2", "1.2.1", "1.2.2", "1.4")).table
-        layout = PoolLayout.build(ids("1.2.2", "1.3"), table)
-        # 1.2.2 is entity 4 with no descendants; 1.3 holds no entity
-        assert layout.cuts == (4, 5, 5, 5, 5, 5)
+        """Anchors are tree nodes: an entity, or a node above one."""
+        ents = Entities.of_tree(ids("1", "1.1", "1.2", "1.2.1", "1.2.2", "1.3.1", "1.4"))
+        layout = ents.pool(ids("1.2.2", "1.3")).layout(ents.table)
+        # 1.2.2 is entity 4 with no descendants; 1.3 is no entity and holds entity 5
+        assert layout.cuts == (4, 5, 5, 5, 5, 6)
         assert layout.hidden == (0, 2)
-        # the tree numbers of 1, 1.2 and 1.2.2, all entities; 1.3 has none
-        assert layout.prefixes == {0, 2, 4}
+        # the tree numbers of 1, 1.2 and 1.2.2, entities, and 1.3, the first other node
+        assert layout.prefixes == {0, 2, 4, 7}
 
     @pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 8, 9, 17])
     def test_every_size_answers_every_range(self, size):
@@ -135,7 +173,7 @@ class TestBundlePath:
                 ordinal_lists = [segment.node_list for segment in intent.segments]
                 lists = [ents.deweys(lst) for lst in ordinal_lists]
                 got = compute_slca(ordinal_lists, index.entity_table).nodes
-                assert got == slca_oracle(tree, lists)
+                assert index.entity_table.render(got) == slca_oracle(tree, lists)
                 checked += 1
                 with_nesting += nested(v for lst in lists for v in lst)
         assert checked > 1000
@@ -149,4 +187,5 @@ class TestBundlePath:
             lists = random_lists(rng, tree)
             ents = Entities.of_tree(tree)
             with_table = compute_slca([ents.ordinals(lst) for lst in lists], ents.table)
-            assert with_table.nodes == compute_slca(lists).nodes == slca_oracle(tree, lists)
+            rendered = ents.table.render(with_table.nodes)
+            assert rendered == compute_slca(lists).nodes == slca_oracle(tree, lists)

@@ -12,7 +12,7 @@ from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import iter_intents, resolve_segment
 from divsearch import anchors, parallel
 from divsearch.parallel import diversify_parallel, evaluate_area, plan_shared_segments
-from divsearch.slca import PoolLayout, proper_ancestors
+from divsearch.slca import proper_ancestors
 from helpers import Entities, count_intersections, ids, patch_everywhere, random_corpus_xml
 
 
@@ -96,16 +96,22 @@ def entities_of(lists):
 
 
 def toy_live(lists, anchors=()):
-    """The live nodes of the lists around the anchors, joined list by list."""
-    ents = entities_of(lists)
+    """The live nodes of the lists around the anchors, joined list by list.
+
+    The anchors are entities, as the pool of earlier intents holds them.
+    """
+    ents = entities_of([*lists, anchors])
     ordinal_lists = [ents.ordinals(lst) for lst in lists]
-    return partition_areas(ordinal_lists, PoolLayout.build(anchors, ents.table))[1]
+    live = partition_areas(ordinal_lists, ents.pool(anchors).layout(ents.table))[1]
+    return [ents.deweys(lst) for lst in live]
 
 
 def area_slcas(live, lists):
-    """``evaluate_area`` with the live lists' own ancestor sets."""
-    table = entities_of(lists).table
-    return evaluate_area(live, table, [proper_ancestors(lst, table) for lst in live])
+    """``evaluate_area`` with the live lists' own ancestor sets, rendered."""
+    ents = entities_of(lists)
+    table = ents.table
+    area = [ents.ordinals(lst) for lst in live]
+    return table.render(evaluate_area(area, table, [proper_ancestors(lst, table) for lst in area]))
 
 
 class TestEvaluateArea:

@@ -19,11 +19,10 @@ from helpers import (
     d,
     ids,
     is_ancestor_or_self,
-    prefix_bounds,
     random_antichain,
     random_lists,
     random_tree,
-    scan_span,
+    scan_layout,
     slca_oracle,
 )
 
@@ -272,26 +271,46 @@ class TestMergeDistinct:
 
         Every eviction follows a preview that was not applied, as a rejected
         intent's is, so the pool has a version's sets built when it changes.
+        The same runs go on tree numbers with a table, each node an entity
+        or above one; rendered, every outcome and pool equals the
+        Dewey-labelled run's, which is the reference.
         """
         rng = random.Random(67)
-        evictions = 0
+        evictions = non_entity_members = 0
         for _ in range(100):
-            phi = DiversifiedSet()
+            script = []
             for step in range(8):
+                rejected, evicted = (), None
                 if step % 3 == 2:
+                    rejected, evicted = random_antichain(rng), rng.randrange(step)
+                script.append((rejected, evicted, random_antichain(rng)))
+            nodes = {v for rejected, _, fresh in script for v in (*rejected, *fresh)}
+            ents = Entities.of_tree(v if rng.random() < 0.5 else DeweyId(v + (1,)) for v in nodes)
+            table = ents.table
+            phi, numbered = DiversifiedSet(), DiversifiedSet()
+            for step, (rejected, evicted, fresh) in enumerate(script):
+                if evicted is not None:
                     before = phi.nodes
-                    phi.preview(random_antichain(rng))
-                    phi.remove_intent(rng.randrange(step))
+                    phi.preview(rejected)
+                    numbered.preview(ents.numbers(rejected), table)
+                    phi.remove_intent(evicted)
+                    numbered.remove_intent(evicted)
                     evictions += phi.nodes != before
-                fresh = random_antichain(rng)
                 outcome = phi.preview(fresh)
                 want_nodes, want_inserted, want_removed = _naive_merge(phi.nodes, fresh)
                 assert outcome.inserted == tuple(want_inserted)
                 assert outcome.removed == tuple(sorted(want_removed))
                 assert outcome.union_size == len(want_nodes)
+                got = numbered.preview(ents.numbers(fresh), table)
+                rendered = (table.render(got.inserted), table.render(got.removed), got.union_size)
+                assert rendered == (outcome.inserted, outcome.removed, outcome.union_size)
                 phi.apply(outcome, step)
+                numbered.apply(got, step)
                 assert list(phi.nodes) == want_nodes
+                assert numbered.rendered(table) == phi
+                non_entity_members += any(x >= len(table.deweys) for x in numbered)
         assert evictions > 50, evictions
+        assert non_entity_members > 50, non_entity_members
 
     def test_antichain_invariant_after_merge_sequence(self):
         rng = random.Random(66)
@@ -320,59 +339,41 @@ class TestAttribution:
         assert phi.nodes == ()
 
     def test_prefix_bounds_follow_every_change(self):
-        """The layout is built once per pool version and table.
+        """The layout of a pool of tree numbers is built once per pool version.
 
-        ``apply`` and ``remove_intent`` drop it.  The pool keeps each node's
-        placement for as long as it lays out against one table, so every
-        version is laid out against tables A, B and A again, and members of
-        evicted intents come back in later merges.  Its prefixes are the
-        tree numbers of the ``prefix_bounds`` rows of the members that hold
-        an entity, each span found by a scan of the entities.
+        ``apply`` and ``remove_intent`` drop it, and members of evicted
+        intents come back in later merges.  Members are tree nodes, entities
+        or not.  The cuts, hidden entities and prefixes match a scan of the
+        entities (``scan_layout``).
         """
         rng = random.Random(65)
         returned = 0
         for _ in range(100):
-            a, b = (
-                Entities.of_tree(random_antichain(rng, 12) + random_antichain(rng, 12)).table
-                for _ in range(2)
-            )
+            tree = random_tree(rng, 40)
+            ents = Entities.of_tree(v for v in tree if v == tree[-1] or rng.random() < 0.5)
+            table = ents.table
+            spanned = table.tree()[0]
             phi = DiversifiedSet()
             evicted: set = set()
             for step in range(8):
                 if step % 3 == 2:
-                    before = set(phi.nodes)
+                    before = set(table.render(phi.nodes))
                     phi.remove_intent(rng.randrange(step))
-                    evicted |= before - set(phi.nodes)
+                    evicted |= before - set(table.render(phi.nodes))
                 else:
                     back = rng.sample(sorted(evicted), min(len(evicted), rng.randint(0, 3)))
+                    drawn = rng.sample(spanned, rng.randint(0, min(6, len(spanned))))
                     fresh = []
-                    for v in sorted({*random_antichain(rng), *back}):
+                    for v in sorted({*drawn, *back}):
                         if not fresh or not is_ancestor_or_self(fresh[-1], v):
                             fresh.append(v)
-                    phi.merge(fresh, step)
-                    returned += bool(evicted.intersection(phi.nodes))
-                for table in (a, b, a):
-                    built = phi.layout(table)
-                    assert built.table is table
-                    number = {v: x for x, v in enumerate(table.tree()[0])}
-                    bounds = prefix_bounds(phi.nodes, table)
-                    assert built.prefixes == {number[p] for p, lo, hi in bounds if lo < hi}
-                    cuts = []
-                    for node in phi.nodes:
-                        lo, hi = scan_span(table, node)
-                        cuts += (lo, lo + (node in table.deweys), hi)
-                    assert built.cuts == tuple(cuts)
-                    assert built.hidden == tuple(
-                        i
-                        for i, v in enumerate(table.deweys)
-                        if any(
-                            len(v) < len(node) and is_ancestor_or_self(v, node) for node in phi.nodes
-                        )
-                    )
-                    assert phi.layout(table) is built
-            other = Entities.of_tree(a.deweys).table
-            assert phi.layout(other).table is other
-        # an evicted member was placed again after its departure
+                    phi.apply(phi.preview(ents.numbers(fresh), table), step)
+                    returned += bool(evicted.intersection(table.render(phi.nodes)))
+                built = phi.layout(table)
+                members = table.render(phi.nodes)
+                assert (built.cuts, built.hidden, built.prefixes) == scan_layout(table, members)
+                assert phi.layout(table) is built
+        # an evicted member was laid out again after its departure
         assert returned > 50, returned
 
     def test_equality_covers_attribution(self):
