@@ -22,8 +22,8 @@ A full SLCA equal to an anchor or covering one is skipped by the merge,
 and no area need yield it, yet it counts toward relevance.  Such results
 are recovered from the only possible candidates, the anchors and their
 ancestors, the set the pool's merge tests against: they go through
-``compute_slca``'s cover rule and leaf step on the segments' ancestor
-sets (:func:`covered_anchor_ancestors`).
+``compute_slca``'s cover rule and leaf step, ``slca.cover_leaves``, on the
+segments' ancestor sets (:func:`covered_anchor_ancestors`).
 
 :func:`evaluate_anchored` is the anchor engine's whole evaluation, run
 through the pipeline of every engine, ``diversify.run_query``.  This engine
@@ -51,7 +51,14 @@ from .diversify import (
 )
 from .indexing import IndexBundle
 from .intents import IntentQuery
-from .slca import AncestorSet, DiversifiedSet, PoolLayout, compute_slca, proper_ancestors
+from .slca import (
+    AncestorSet,
+    DiversifiedSet,
+    PoolLayout,
+    compute_slca,
+    cover_leaves,
+    proper_ancestors,
+)
 
 NodeList = tuple[int, ...]
 
@@ -151,20 +158,15 @@ def covered_anchor_ancestors(
 
     Any such result is an anchor or an ancestor of one, so only those
     candidates need testing: ``prefixes``, as ``DiversifiedSet.layout``
-    keeps them.  As in ``compute_slca``, a candidate covers list L iff it
-    is in L or in P(L), ``ancestors`` holding each list's P(L), and the
-    covering candidates are closed under ancestors, so the minimal ones
-    are the parent of none.  Such a leaf counts iff it is no proper
-    ancestor of a fresh result ``new_nodes``, as no fresh result equals an
-    anchor or an ancestor of one.
+    keeps them, closed under ancestors.  They go through ``compute_slca``'s
+    cover rule and leaf step, :func:`cover_leaves`, against every list.  A
+    leaf counts iff it is no proper ancestor of a fresh result
+    ``new_nodes``, as no fresh result equals an anchor or an ancestor of
+    one; with no leaf left, no ancestor set of ``new_nodes`` is built.
     """
-    cover = prefixes
-    for lst, above in zip(lists, ancestors):
-        cover = cover.intersection(lst) | (cover & above)
-        if not cover:
-            return 0
-    up = table.tree()[1]
-    leaves = cover.difference(map(up.__getitem__, cover))
+    leaves = cover_leaves(prefixes, zip(lists, ancestors), table)
+    if not leaves:
+        return 0
     return len(leaves - proper_ancestors(new_nodes, table))
 
 

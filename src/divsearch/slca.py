@@ -8,6 +8,8 @@ baseline query once segments are shared, so it works on node numbers
 ancestor set (``proper_ancestors``, built once per segment), and
 intersects the sets in C: the nodes covering every list form a subtree
 closed under ancestors, and its leaves are the SLCAs, returned as numbers.
+That cover rule and leaf step are written once, in ``cover_leaves``, which
+the anchor engine's covered count shares.
 ``DiversifiedSet`` accumulates results across accepted intents
 with the merge semantics used for novelty scoring: duplicates and
 ancestors of existing members are dropped, descendants replace the member
@@ -52,10 +54,6 @@ class SlcaSet:
 
 AncestorSet = frozenset  # of node numbers (EntityTable.tree), see proper_ancestors
 
-# compute_slca bisects the cover into a list this many times longer than it;
-# the break-even measured against 102,541 entities lies between 25 and 34
-BISECT_RATIO = 32
-
 
 def proper_ancestors(nodes: Sequence[int], table: EntityTable) -> AncestorSet:
     """P(L): every proper ancestor of an entity in the ordinal list ``nodes``.
@@ -96,17 +94,10 @@ def compute_slca(
     here.  An empty member list means no node can cover every segment:
     empty result.
 
-    A node covers list i iff it is in L_i or in P(L_i).  Starting from the
-    shortest list s, the cover is P(L_s) | L_s; each other list cuts it to
-    (cover & P(L_i)) | (cover & L_i), set operations that run in C.  The
-    second term walks all of L_i, so against a list more than
-    ``BISECT_RATIO`` times longer than the cover it is found instead by
-    bisecting into L_i the cover's entities outside P(L_i), the numbers
-    below the entity count.  The cover is then every node covering all the
-    lists.  It is closed under ancestors, so a member has a descendant in
-    the cover iff it is the parent of a member; the others are the SLCAs,
-    sorted.  The work is linear in the lists' total length, or in the
-    cover's times log |L_i| when the cover is that much shorter.
+    A node covers list i iff it is in L_i or in P(L_i).  The cover starts
+    as P(L_s) | L_s for the shortest list s, and :func:`cover_leaves` cuts
+    it by each other list and returns its leaves, the SLCAs, here sorted.
+    The work is linear in the lists' total length.
     """
     if not lists:
         raise ValueError("compute_slca requires at least one node list")
@@ -120,27 +111,31 @@ def compute_slca(
         lists = [[ordinal[v] for v in lst] for lst in lists]
     if ancestors is None:
         ancestors = [proper_ancestors(lst, table) for lst in lists]
-    entities = len(table.deweys)
-    s = min(range(len(lists)), key=lambda i: len(lists[i]))
-    cover = ancestors[s].union(lists[s])
-    for i, (lst, above) in enumerate(zip(lists, ancestors)):
-        if i == s or not cover:
-            continue
-        size = len(lst)
-        if len(cover) * BISECT_RATIO < size:
-            inside = cover & above
-            cover = inside.union(
-                [
-                    x
-                    for x in cover - inside
-                    if x < entities and (j := bisect_left(lst, x)) < size and lst[j] == x
-                ]
-            )
-        else:
-            cover = cover.intersection(lst) | (cover & above)
-    up = table.tree()[1]
-    leaves = sorted(cover.difference(map(up.__getitem__, cover)))
+    pairs = list(zip(lists, ancestors))
+    shortest, above = pairs.pop(min(range(len(lists)), key=lambda i: len(lists[i])))
+    leaves = sorted(cover_leaves(above.union(shortest), pairs, table))
     return SlcaSet(table.render(leaves) if dewey else tuple(leaves))
+
+
+def cover_leaves(
+    cover: frozenset, lists: Iterable[tuple[Sequence[int], AncestorSet]], table: EntityTable
+) -> frozenset:
+    """The minimal nodes of ``cover`` that cover every list: the cover rule.
+
+    ``cover`` is a set of ``table.tree()`` numbers closed under ancestors,
+    and ``lists`` pairs each list L with its P(L).  A node covers L iff it
+    is in L or in P(L), so each list cuts the cover to
+    (cover & L) | (cover & P(L)), set operations that run in C; an empty
+    cover ends the cuts.  What is left is still closed under ancestors, so
+    a member has a descendant in it iff it is the parent of a member; the
+    others are returned.
+    """
+    for lst, above in lists:
+        if not cover:
+            break
+        cover = cover.intersection(lst) | (cover & above)
+    up = table.tree()[1]
+    return cover.difference(map(up.__getitem__, cover))
 
 
 @dataclass(frozen=True)

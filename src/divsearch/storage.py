@@ -498,7 +498,8 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
     """The keywords of ``query`` and the part of the index in ``directory`` that
     a search for them reads.
 
-    The keywords are ``query`` tokenized with the index's stop words.  The
+    The keywords are ``query`` tokenized with the index's stop words, each
+    word once, in the order it first occurs: a query is a set of words.  The
     bundle holds every entity, the pairs that name a keyword, and the
     posting lists of the keywords and of their pairs' other terms: all that
     ``top_features`` and the engines read of an index for these keywords,
@@ -515,7 +516,7 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
     directory = Path(directory)
     manifest = _load_manifest(directory)
     stopwords = _load_stopwords(directory)
-    keywords = [token for token, _ in tokenize(query, frozenset(stopwords))]
+    keywords = list(dict.fromkeys(token for token, _ in tokenize(query, frozenset(stopwords))))
     entities, by_text = _load_entities(directory, manifest)
 
     pairs_path = directory / COOCCUR_FILE

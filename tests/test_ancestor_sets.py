@@ -8,7 +8,7 @@ search.
 ``compute_slca(lists, table, ancestors)`` must answer as the SLCA oracle
 does, for every shape of entity table: entities that nest, a root that is
 an entity and a list member, non-entity nodes between entities, and a short
-list against one long enough that the cover is bisected into it.  Without
+list against one far longer than the cover it starts.  Without
 ``ancestors`` it builds the same sets itself.  Each segment's set is built
 once per query, when the segment is resolved, and never carried over to the
 next query.
@@ -24,7 +24,7 @@ from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import iter_intents
 from divsearch.parallel import diversify_parallel
-from divsearch.slca import BISECT_RATIO, compute_slca, proper_ancestors
+from divsearch.slca import compute_slca, proper_ancestors
 from helpers import (
     Entities,
     is_ancestor_or_self,
@@ -68,16 +68,6 @@ def shallow_tree(rng: random.Random, size: int) -> list[DeweyId]:
             children[child] = 0
             nodes.append(child)
     return nodes
-
-
-class WalkCounting(tuple):
-    """A node list that counts how often it is walked; indexing is not counted."""
-
-    walks = 0
-
-    def __iter__(self):
-        self.walks += 1
-        return tuple.__iter__(self)
 
 
 def random_ordinal_lists(rng: random.Random, size: int) -> list[tuple[int, ...]]:
@@ -168,34 +158,30 @@ class TestSetPath:
             assert got == compute_slca(lists, table)
         assert compute_slca([(1,), (2,)], table, [proper_ancestors((1,), table)] * 2).nodes == (0,)
 
-    def test_a_short_list_is_bisected_into_a_long_one(self):
-        """Both sides of the size switch match the oracle, and the switch picks its side.
+    def test_a_short_list_against_a_long_one(self):
+        """One or two entities against a list of up to every entity.
 
-        The cover is bisected into a list ``BISECT_RATIO`` times longer than
-        it, which is never walked, and intersected with a shorter one, which
-        is walked once.
+        In most draws the long list is over 32 times longer than the cover
+        the short one starts, so the long list's cut keeps few of its nodes.
         """
         rng = random.Random(85)
-        seen = {"bisected": 0, "intersected": 0}
+        far_longer = 0
         for _ in range(300):
             tree = shallow_tree(rng, rng.randint(200, 600))
             ents = random_entities(rng, tree)
             table = ents.table
             size = len(table.deweys)
-            if size < 2 * BISECT_RATIO:
+            if size < 64:
                 continue
             short = tuple(sorted(rng.sample(range(size), rng.randint(1, 2))))
-            count = rng.randint(BISECT_RATIO * len(short), size)
-            long = WalkCounting(sorted(rng.sample(range(size), count)))
+            count = rng.randint(32 * len(short), size)
+            long = tuple(sorted(rng.sample(range(size), count)))
             lists = [short, long] if rng.random() < 0.5 else [long, short]
             sets = [proper_ancestors(lst, table) for lst in lists]
-            bisected = len(sets[lists.index(short)].union(short)) * BISECT_RATIO < len(long)
-            long.walks = 0
             got = compute_slca(lists, table, sets)
-            assert long.walks == (not bisected)
             assert table.render(got.nodes) == slca_oracle(tree, [ents.deweys(lst) for lst in lists])
-            seen["bisected" if bisected else "intersected"] += 1
-        assert min(seen.values()) > 100, seen
+            far_longer += len(sets[lists.index(short)].union(short)) * 32 < len(long)
+        assert far_longer > 100, far_longer
 
 
 def omni_index(rng: random.Random):

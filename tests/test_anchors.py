@@ -338,6 +338,36 @@ class TestCoveredAnchorAncestors:
         assert by_ancestors > 50, by_ancestors
         assert non_entity > 20, non_entity
 
+    def test_fresh_ancestor_set_built_only_for_a_covering_candidate(self, monkeypatch):
+        """No ``proper_ancestors`` call when no anchor or ancestor of one covers
+        every list, and exactly one, of the fresh results, when one does."""
+        calls = []
+
+        def counting(nodes, table):
+            calls.append(nodes)
+            return proper_ancestors(nodes, table)
+
+        patch_everywhere(monkeypatch, proper_ancestors, counting)
+        rng = random.Random(49)
+        seen = {False: 0, True: 0}
+        for _ in range(600):
+            tree, lists, anchors = random_case(rng)
+            if any(not lst for lst in lists):
+                continue
+            ents, ordinal_lists = place(lists, tree, anchors)
+            prefixes = ents.pool(anchors).layout(ents.table).prefixes
+            sets = [proper_ancestors(lst, ents.table) for lst in ordinal_lists]
+            fresh = ents.numbers(v for v in compute_slca(lists) if not contains_anchor(v, anchors))
+            del calls[:]
+            covered_anchor_ancestors(ordinal_lists, sets, prefixes, ents.table, fresh)
+            candidates = {a[:n] for a in anchors for n in range(1, len(a) + 1)}
+            covering = any(
+                all(any(is_ancestor_or_self(p, v) for v in lst) for lst in lists) for p in candidates
+            )
+            assert calls == ([fresh] if covering else []), (lists, anchors)
+            seen[covering] += 1
+        assert min(seen.values()) > 50, seen
+
 
 class TestEngineEquivalence:
     def test_matches_baseline_on_random_pools(self):

@@ -155,13 +155,15 @@ class TestFeaturesCommand:
         assert '"term":"query"' in capsys.readouterr().out
 
     def test_term_is_tokenized_like_a_query(self, capsys):
-        """``query.`` is the keyword ``query``, as ``search`` reads it."""
+        """``query.`` and ``query Query`` are the keyword ``query``, as ``search`` reads them."""
         rc = main(["features", "--index", GOLDEN_IDX, "--term", "Query.", "--top", "2"])
         assert rc == 0
         punctuated = capsys.readouterr().out
         main(["features", "--index", GOLDEN_IDX, "--term", "query", "--top", "2"])
         assert punctuated == capsys.readouterr().out
         assert punctuated.startswith('{"term":"query","features":[{"feature":"language"')
+        assert main(["features", "--index", GOLDEN_IDX, "--term", "query Query", "--top", "2"]) == 0
+        assert capsys.readouterr().out == punctuated
 
     @pytest.mark.parametrize("term", ["query language", "...", ""])
     def test_term_must_be_one_keyword(self, capsys, term):
@@ -356,7 +358,12 @@ class TestStopWordQueries:
         rc, plain, _ = self.search(capsys, built_idx, "database query", *extra)
         assert rc == 0
         assert json.loads(plain)["intents"]
-        for query in ("database the query", "The database OF query a", "database, the query."):
+        for query in (
+            "database the query",
+            "The database OF query a",
+            "database, the query.",
+            "database query Database",
+        ):
             rc, out, _ = self.search(capsys, built_idx, query, *extra)
             assert rc == 0
             assert out == plain

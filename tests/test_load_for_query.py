@@ -30,7 +30,7 @@ ENGINES = ("baseline", "anchor", "parallel")
 def whole_index(directory, query):
     """``load_for_query`` as the whole index answers it."""
     index = load_index(directory)
-    return [token for token, _ in tokenize(query, index.config.stopwords)], index
+    return list(dict.fromkeys(token for token, _ in tokenize(query, index.config.stopwords))), index
 
 
 def restricted(bundle, keywords):
@@ -75,9 +75,13 @@ class TestSameReports:
             "Query, LANGUAGE!",
             "zzzz query",  # an unknown keyword
             "query query",  # a repeated keyword
+            "database query Database",  # a repeated keyword, read once
             "database the query",  # no stopwords.txt: "the" is an unknown keyword
             "system optimization database",
         ])
+        # a repeated word is read once, where it first occurs
+        assert load_for_query(GOLDEN_INDEX_DIR, "database query Database")[0] == ["database", "query"]
+        assert load_for_query(GOLDEN_INDEX_DIR, "query database query")[0] == ["query", "database"]
 
     def test_random_corpora(self, tmp_path, monkeypatch):
         rng = random.Random("load-for-query")
