@@ -10,7 +10,14 @@ selected as features; negative-MI pairs (anti-correlated) are excluded too.
 
 A keyword's candidate features are read from ``IndexBundle.neighbours``, so
 the cost of a column follows the keyword's own pairs, not the size of the
-co-occurrence store.
+co-occurrence store, and the walk down them stops early.  A pair's count
+never exceeds either term's posting length (``build_index`` counts it so,
+and the loaders refuse any other count), so count * n / (nx * ny) <= n / nx
+and a pair's MI is at most (count / n) * ln(n / nx).  That bound never falls
+as the count rises, so once m positive entries are kept a walk in
+count-descending order stops at the first pair whose bound, widened past
+any rounding, is strictly below the m-th best MI: no pair after it can reach
+that MI.  A pair equal to it is still kept; ties are broken by name.
 """
 
 from __future__ import annotations
@@ -59,24 +66,49 @@ def mutual_information(x: str, y: str, index: IndexBundle) -> float:
 def top_features(keyword: str, m: int, index: IndexBundle) -> tuple[FeatureEntry, ...]:
     """The m highest-MI partners of ``keyword``, ties broken by name.
 
-    Only the pairs that name ``keyword`` are scored, and only the m kept
-    become entries.  Unknown keywords and keywords with no positive-MI
-    partner yield an empty column rather than an error.
+    The keyword's pairs are walked in count-descending order, as
+    ``IndexBundle.neighbours`` lists them, and the walk stops at the first
+    pair whose count bounds its MI strictly below the m-th best MI kept so
+    far (see the module docstring).  Pairs of one count share that bound,
+    and one of them can raise the m-th best only to its own MI, below the
+    bound, so the stop is tested where the count falls: the candidates are
+    sorted and cut to m there, and their last one is the m-th best.  A
+    candidate equal to it is still kept, so the final sort breaks the tie by
+    name.  Unknown keywords and keywords with no positive-MI partner yield
+    an empty column rather than an error.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    pairs = index.neighbours.get(keyword)
+    if not pairs:
+        return ()
     cooccur = index.cooccur
     postings = index.postings
     n = index.entity_count
     nx = len(postings.get(keyword, ()))
+    px = nx / n
+    # MI <= count * per_count, widened past any rounding of the MI expression
+    per_count = (math.log(n / nx) * (1 + 1e-9) + 1e-12) / n
+    floor = math.ulp(0.0)  # the least MI a candidate needs: positive, then the m-th best
+    last = 0
     scored: list[tuple[float, str]] = []
-    for pair in index.neighbours.get(keyword, ()):
+    for pair in pairs:
+        count = cooccur[pair]
+        if count != last:
+            last = count
+            if len(scored) >= m:
+                scored.sort()  # by MI descending, then feature name
+                del scored[m:]  # each one cut already ranks below m others
+                floor = -scored[-1][0]
+                if count < math.ceil(floor / per_count):  # the least count that can reach it
+                    break
         a, b = pair
         partner = b if a == keyword else a
-        mi = _mi(cooccur[pair], nx, len(postings.get(partner, ())), n)
-        if mi > 0.0:
+        pxy = count / n  # _mi's float expression, with px computed once
+        mi = pxy * math.log(pxy / (px * (len(postings.get(partner, ())) / n)))
+        if mi >= floor:
             scored.append((-mi, partner))
-    scored.sort()  # by MI descending, then feature name
+    scored.sort()
     return tuple(FeatureEntry(keyword, partner, -neg_mi) for neg_mi, partner in scored[:m])
 
 

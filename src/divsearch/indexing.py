@@ -176,11 +176,15 @@ class IndexBundle:
     def neighbours(self) -> dict[str, list[tuple[str, str]]]:
         """term -> the keys of ``cooccur`` that name it, built on first use.
 
-        One walk over ``cooccur``; the lists hold the dict's own key tuples.
-        A bundle made by ``dataclasses.replace`` builds its own map.
+        Each list is in count-descending order, pairs of equal count in
+        ``cooccur``'s order (the sort is stable), so a walk down it meets
+        the largest counts first.  One walk over ``cooccur``, sorted once;
+        the lists hold the dict's own key tuples.  A bundle made by
+        ``dataclasses.replace`` builds its own map.
         """
+        cooccur = self.cooccur
         lists: defaultdict[str, list[tuple[str, str]]] = defaultdict(list)
-        for pair in self.cooccur:
+        for pair in sorted(cooccur, key=cooccur.__getitem__, reverse=True):
             a, b = pair
             lists[a].append(pair)
             lists[b].append(pair)

@@ -1,14 +1,18 @@
 import dataclasses
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from divsearch.errors import NoIntentError
 from divsearch.features import FeatureEntry, build_matrix, mutual_information, top_features
-from divsearch.indexing import IndexConfig, build_index, parse_corpus
-from divsearch.storage import load_index, save_index
+from divsearch.indexing import IndexConfig, build_index, index_corpus, parse_corpus
+from divsearch.storage import load_for_query, load_index, save_index
 from helpers import NON_ASCII_WORDS, brute_mi, random_corpus_xml
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # (1/3) * ln((1/3) / ((1/3) * (2/3))), frozen from independent evaluation
 MI_RELATIONAL_QUERY = 0.13515503603605478
@@ -152,6 +156,27 @@ class CountingPairs(dict):
         return super().items()
 
 
+class CountingLookups(dict):
+    """A cooccur dict that counts the pairs looked up in it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.lookups = 0
+
+    def __getitem__(self, pair):
+        self.lookups += 1
+        return super().__getitem__(pair)
+
+
+def counting_lookups(index):
+    """A copy of ``index`` whose pair lookups are counted, its neighbour
+    lists built, and the count at zero."""
+    counted = dataclasses.replace(index, cooccur=CountingLookups(index.cooccur))
+    counted.neighbours  # a build may sort by count, looking pairs up
+    counted.cooccur.lookups = 0
+    return counted
+
+
 class TestAgainstFullScan:
     def test_random_corpora_built_and_loaded(self, tmp_path):
         rng = random.Random(4417)
@@ -183,6 +208,47 @@ class TestAgainstFullScan:
         assert all(count > 100 for count in seen.values()), seen
 
 
+class TestCountBoundStop:
+    def test_random_corpora_equal_the_full_scan(self, tmp_path):
+        rng = random.Random(30)
+        ties = stops = cases = 0
+        for i in range(300):
+            xml = random_corpus_xml(rng, max_entities=rng.randint(3, 50), vocab_size=rng.randint(3, 40))
+            config = IndexConfig(entity_labels=frozenset({"item"}), window=rng.randint(1, 6))
+            built = build_index(parse_corpus(xml, config), config)  # pairs in insertion order
+            save_index(built, tmp_path / f"idx{i}")
+            loaded = load_index(tmp_path / f"idx{i}")  # pairs count descending
+            for index in (built, loaded):
+                counted = counting_lookups(index)
+                for term in sorted(index.postings):
+                    pairs = len(index.neighbours.get(term, ()))
+                    # the full scan cuts its sorted column at m: one uncut column serves every m
+                    column = full_scan_top_features(term, pairs + 1, index)
+                    for m in (1, 2, 3, 5, 50):
+                        want = column[:m]
+                        assert top_features(term, m, index) == want, (i, term, m)
+                        counted.cooccur.lookups = 0
+                        assert top_features(term, m, counted) == want, (i, term, m)
+                        cases += 1
+                        ties += len(column) > m and column[m].mi == column[m - 1].mi
+                        stops += counted.cooccur.lookups < pairs
+        assert ties > 100 and stops > 100, (cases, ties, stops)
+
+    def test_the_stop_reads_less_of_a_general_term(self):
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            from corpora import longtail_corpus
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        config = IndexConfig(entity_labels=frozenset({"item"}))
+        index = counting_lookups(index_corpus(longtail_corpus(6000, 40).xml, config))
+        pairs = len(index.neighbours["g001"])
+        column = top_features("g001", 20, index)
+        assert index.cooccur.lookups < pairs / 2, (index.cooccur.lookups, pairs)
+        assert len(column) == 20
+        assert column == full_scan_top_features("g001", 20, index)
+
+
 class TestNoPairScan:
     def test_only_the_first_call_walks_the_pairs(self, toy_index):
         pairs = CountingPairs(toy_index.cooccur)
@@ -203,6 +269,35 @@ class TestNoPairScan:
         assert sorted(listed) == sorted(list(toy_index.cooccur) * 2)
         for term, pairs in toy_index.neighbours.items():
             assert all(term in pair for pair in pairs)
+
+    @pytest.mark.parametrize("kind", ["build_index", "load_index", "load_for_query", "replace"])
+    def test_neighbour_lists_are_count_descending(self, kind, tmp_path):
+        xml = random_corpus_xml(random.Random(8), max_entities=40, vocab_size=12)
+        config = IndexConfig(entity_labels=frozenset({"item"}), window=4)
+        built = build_index(parse_corpus(xml, config), config)
+        counts = list(built.cooccur.values())
+        assert counts != sorted(counts, reverse=True)  # insertion order: the lists need a sort
+        save_index(built, tmp_path / "idx")
+        if kind == "build_index":
+            index = built
+        elif kind == "load_index":
+            index = load_index(tmp_path / "idx")
+        elif kind == "load_for_query":
+            index = load_for_query(tmp_path / "idx", "w00 w03 w07")[1]
+        else:  # pairs in name order
+            index = dataclasses.replace(built, cooccur=dict(sorted(built.cooccur.items())))
+        cooccur = index.cooccur
+        place = {pair: i for i, pair in enumerate(cooccur)}
+        keys = {id(pair) for pair in cooccur}
+        listed = [pair for pairs in index.neighbours.values() for pair in pairs]
+        assert all(id(pair) in keys for pair in listed)
+        assert sorted(listed) == sorted(list(cooccur) * 2)
+        ties = 0
+        for term, pairs in index.neighbours.items():
+            assert all(term in pair for pair in pairs)
+            assert pairs == sorted(pairs, key=lambda pair: (-cooccur[pair], place[pair]))
+            ties += len(pairs) - len({cooccur[pair] for pair in pairs})
+        assert ties > 10
 
     def test_replaced_cooccur_gets_its_own_neighbours(self, toy_index):
         assert top_features("image", 5, toy_index)  # fills the cache of toy_index
