@@ -10,9 +10,10 @@ The engines work on entity ordinals instead: positions in an
 ``EntityTable``, a document-ordered run of distinct Dewey IDs.  The table
 also gives every node at or above an entity one number, an entity's being
 its ordinal, each node's parent by number and the span of entities below
-it, so the engines' sets hold ints only.  Dewey IDs appear only at the
-edges: the index names entities by them, and ``render`` turns the
-engines' numbers back into them for a report.
+it, in the attributes ``nodes``, ``up``, ``lo`` and ``hi`` that it builds
+with the table, so the engines' sets hold ints only.  Dewey IDs appear
+only at the edges: the index names entities by them, and ``render`` turns
+the engines' numbers back into them for a report.
 """
 
 from __future__ import annotations
@@ -61,60 +62,51 @@ def _trusted(components: tuple[int, ...]) -> DeweyId:
     return tuple.__new__(DeweyId, components)
 
 
-Tree = tuple[list[DeweyId], list[int | None], array, array]
-
-
 class EntityTable:
-    """Distinct Dewey IDs in document order, addressed by ordinal.
+    """Distinct Dewey IDs in document order, addressed by ordinal, and their tree.
 
-    ``tree`` numbers every node at or above an entity: entity i keeps number
-    i and each other such node takes the next free number.
+    The tree numbers every node at or above an entity: entity i keeps number
+    i and each other such node takes the next free number.  ``nodes[x]`` is
+    node x's Dewey ID, ``up[x]`` its parent's number, None for the root, and
+    the entities of its subtree are ``lo[x] .. hi[x]-1``.  Each entity's
+    prefixes are walked upward until one is numbered, numbering the others
+    on the way; a loop, as chains may be thousands of levels deep.  A node is
+    numbered by the first entity below it, its ``lo``, and ``hi`` comes from
+    a second walk, from the last entity up.
     """
 
-    __slots__ = ("deweys", "_tree")
+    __slots__ = ("deweys", "nodes", "up", "lo", "hi")
+    deweys: tuple[DeweyId, ...]
+    nodes: list[DeweyId]
+    up: list[int | None]
+    lo: array
+    hi: array
 
     def __init__(self, deweys: Iterable[DeweyId]) -> None:
-        self.deweys = tuple(deweys)
-        self._tree: Tree | None = None
-
-    def tree(self) -> Tree:
-        """The nodes at or above an entity, their parents and spans, built on first use.
-
-        Returns ``(nodes, up, lo, hi)``: ``nodes[x]`` is node x's Dewey ID,
-        ``up[x]`` its parent's number, None for the root, and the entities
-        of its subtree are ``lo[x] .. hi[x]-1``.  Each entity's prefixes are
-        walked upward until one is numbered, numbering the others on the
-        way; a loop, as chains may be thousands of levels deep.  A node is
-        numbered by the first entity below it, its ``lo``, and ``hi`` comes
-        from a second walk, from the last entity up.
-        """
-        if self._tree is None:
-            deweys = self.deweys
-            nodes = list(deweys)
-            up: list[int | None] = [None] * len(nodes)
-            lo = array("l", range(len(nodes)))
-            # an entity is an ancestor of another only if the next one is its descendant
-            number = {v: i for i, (v, w) in enumerate(zip(deweys, deweys[1:])) if w[: len(v)] == v}
-            for i, v in enumerate(deweys):
-                child = i
-                for depth in range(len(v) - 1, 0, -1):
-                    parent = v[:depth]
-                    up[child] = n = number.setdefault(parent, len(nodes))
-                    if n < len(nodes):
-                        break  # an entity, or a node whose walk went on up
-                    nodes.append(_trusted(parent))
-                    up.append(None)
-                    lo.append(i)
-                    child = n
-            hi = array("l", [0]) * len(nodes)
-            for i in reversed(range(len(deweys))):
-                x = i
-                while x is not None and not hi[x]:
-                    hi[x] = i + 1
-                    x = up[x]
-            self._tree = (nodes, up, lo, hi)
-        return self._tree
+        self.deweys = deweys = tuple(deweys)
+        self.nodes = nodes = list(deweys)
+        self.up = up = [None] * len(nodes)
+        self.lo = lo = array("l", range(len(nodes)))
+        # an entity is an ancestor of another only if the next one is its descendant
+        number = {v: i for i, (v, w) in enumerate(zip(deweys, deweys[1:])) if w[: len(v)] == v}
+        for i, v in enumerate(deweys):
+            child = i
+            for depth in range(len(v) - 1, 0, -1):
+                parent = v[:depth]
+                up[child] = n = number.setdefault(parent, len(nodes))
+                if n < len(nodes):
+                    break  # an entity, or a node whose walk went on up
+                nodes.append(_trusted(parent))
+                up.append(None)
+                lo.append(i)
+                child = n
+        self.hi = hi = array("l", [0]) * len(nodes)
+        for i in reversed(range(len(deweys))):
+            x = i
+            while x is not None and not hi[x]:
+                hi[x] = i + 1
+                x = up[x]
 
     def render(self, numbers: Iterable[int]) -> tuple[DeweyId, ...]:
         """The nodes of the given tree numbers as Dewey IDs, in document order."""
-        return tuple(sorted(map(self.tree()[0].__getitem__, numbers)))
+        return tuple(sorted(map(self.nodes.__getitem__, numbers)))

@@ -120,20 +120,18 @@ def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
     """
     records: list[EntityRecord] = []
     pending: dict[int, EntityRecord] = {}
-    path: list[int] = []
+    # the Dewey path of the open elements, then how many children the innermost has so far
     counters: list[int] = [0]
     try:
         for event, elem in ET.iterparse(BytesIO(data), events=("start", "end")):
             if event == "start":
                 counters[-1] += 1
-                path.append(counters[-1])
-                counters.append(0)
                 if elem.tag in config.entity_labels:
-                    record = EntityRecord(_trusted(tuple(path)), elem.tag)
+                    record = EntityRecord(_trusted(tuple(counters)), elem.tag)
                     records.append(record)
                     pending[id(elem)] = record
+                counters.append(0)
             else:
-                path.pop()
                 counters.pop()
                 record = pending.pop(id(elem), None)
                 if record is not None:
@@ -194,8 +192,8 @@ class IndexBundle:
     def entity_table(self) -> EntityTable:
         """The entities' Dewey IDs by ordinal, and the tree they span.
 
-        Built on first use, like ``neighbours``; the engines' node lists
-        are ordinals into it.
+        Built, tree and all, on first use, like ``neighbours``; the engines'
+        node lists are ordinals into it.
         """
         return EntityTable(e.dewey for e in self.entities)
 

@@ -2,9 +2,10 @@
 
 An intent pairs every query keyword with one of its matrix features; the
 stream is ordered by aggregated MI descending, ties resolved by the chosen
-feature names ascending column by column.  A keyword whose feature column is
-empty degrades to a bare segment (its full posting list, likelihood factor
-1) so that multi-keyword queries stay usable.  A segment's node list holds
+feature names ascending column by column, and made down a spanning tree of
+the combinations, each once, with no set of those seen.  A keyword whose
+feature column is empty degrades to a bare segment (its full posting list,
+likelihood factor 1) so that multi-keyword queries stay usable.  A segment's node list holds
 entity ordinals, as the postings do, so intersections compare ints; the
 segment also carries the list's ancestor set for the SLCA step.
 ``iter_intents`` is the intent stream of the baseline and anchor engines:
@@ -86,11 +87,17 @@ def iter_combinations(
 ) -> Iterator[tuple[tuple[FeatureEntry | None, ...], float]]:
     """Yield every feature combination once, best aggregated MI first.
 
-    Best-first frontier walk over the index lattice: each popped state
-    pushes its per-column successors.  The heap key (-aggMi, names) also
-    realizes the tie rule because an equal-MI successor step can only grow
-    the name tuple.  The aggregate yielded is the key's own sum, negated
-    back, which is exact.
+    A best-first walk down a spanning tree of the index lattice (reverse
+    search), with no visited set: a state's parent is the state with its
+    last advanced slot stepped back by one, so a popped state pushes
+    successors only in that slot and the slots after it, and every state
+    enters the heap exactly once, in any column order.  With each column in
+    (MI descending, name ascending) order, as ``top_features`` builds it,
+    the heap key (-aggMi, names) never falls along an edge, so the pops are
+    that key's order: the aggregate, summed in slot order, cannot rise when
+    an MI falls, and a step to an equal MI grows the names.  Only a sum that
+    rounds away the step between two of a column's MI can break this.  The
+    aggregate yielded is the key's own sum, negated back, which is exact.
     """
     active = [i for i, column in enumerate(matrix.columns) if column]
     if not active:
@@ -107,20 +114,17 @@ def iter_combinations(
         return -agg, tuple(names)
 
     start = (0,) * len(active)
-    heap = [(*key(start), start)]
-    seen = {start}
+    heap = [(*key(start), start, 0)]  # key, state, the slot advanced last to reach it
     while heap:
-        neg_agg, _, state = heapq.heappop(heap)
+        neg_agg, _, state, last = heapq.heappop(heap)
         chosen: list[FeatureEntry | None] = [None] * width
         for pos, col in zip(state, active):
             chosen[col] = matrix.columns[col][pos]
         yield tuple(chosen), -neg_agg
-        for slot, col in enumerate(active):
-            if state[slot] + 1 < len(matrix.columns[col]):
+        for slot in range(last, len(active)):
+            if state[slot] + 1 < len(matrix.columns[active[slot]]):
                 succ = state[:slot] + (state[slot] + 1,) + state[slot + 1 :]
-                if succ not in seen:
-                    seen.add(succ)
-                    heapq.heappush(heap, (*key(succ), succ))
+                heapq.heappush(heap, (*key(succ), succ, slot))
 
 
 def iter_intents(

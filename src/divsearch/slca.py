@@ -4,7 +4,7 @@
 sorted node lists: nodes whose subtree contains at least one node from every
 list while no descendant's subtree does.  It is the whole cost of a
 baseline query once segments are shared, so it works on node numbers
-(``EntityTable.tree``, an entity's being its ordinal) and each list's
+(``EntityTable.nodes``, an entity's being its ordinal) and each list's
 ancestor set (``proper_ancestors``, built once per segment), and
 intersects the sets in C: the nodes covering every list form a subtree
 closed under ancestors, and its leaves are the SLCAs, returned as numbers.
@@ -25,7 +25,6 @@ version.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse
 from typing import Iterable, Iterator, Sequence
@@ -52,18 +51,18 @@ class SlcaSet:
         return self.nodes[i]
 
 
-AncestorSet = frozenset  # of node numbers (EntityTable.tree), see proper_ancestors
+AncestorSet = frozenset  # of node numbers (EntityTable.nodes), see proper_ancestors
 
 
 def proper_ancestors(nodes: Sequence[int], table: EntityTable) -> AncestorSet:
     """P(L): every proper ancestor of an entity in the ordinal list ``nodes``.
 
-    Each ancestor is named by its number in ``table.tree()``, an entity's
+    Each ancestor is named by its number in ``table``'s tree, an entity's
     being its ordinal, as list members are, so a list and these sets
     intersect directly.  The set grows a level at a time, from the members'
     parents up to the root; every step runs in C.
     """
-    up = table.tree()[1]
+    up = table.up
     out: set = set()
     level = set(map(up.__getitem__, nodes))
     while level:
@@ -122,7 +121,7 @@ def cover_leaves(
 ) -> frozenset:
     """The minimal nodes of ``cover`` that cover every list: the cover rule.
 
-    ``cover`` is a set of ``table.tree()`` numbers closed under ancestors,
+    ``cover`` is a set of ``table``'s tree numbers closed under ancestors,
     and ``lists`` pairs each list L with its P(L).  A node covers L iff it
     is in L or in P(L), so each list cuts the cover to
     (cover & L) | (cover & P(L)), set operations that run in C; an empty
@@ -134,7 +133,7 @@ def cover_leaves(
         if not cover:
             break
         cover = cover.intersection(lst) | (cover & above)
-    up = table.tree()[1]
+    up = table.up
     return cover.difference(map(up.__getitem__, cover))
 
 
@@ -163,7 +162,7 @@ class PoolLayout:
     ``cuts`` holds three ordinals per member, ordered by the first: ``lo``,
     the start of its strict descendants (``lo + 1`` if the member is itself
     an entity, else ``lo``) and ``hi``, from its span in
-    ``EntityTable.tree``, so that the entities of its subtree are
+    ``EntityTable.lo`` and ``hi``, so that the entities of its subtree are
     ``lo .. hi-1``.  The members form an antichain, so ``cuts`` never
     falls.  ``prefixes`` holds the members and their proper ancestors, the
     set the pool's merge tests against, and ``hidden``, ascending, those
@@ -181,7 +180,7 @@ class PoolLayout:
     @classmethod
     def build(cls, nodes: Iterable[int], prefixes: frozenset, table: EntityTable) -> "PoolLayout":
         """Lay out the antichain ``nodes``, with ``prefixes`` them and their proper ancestors."""
-        _, _, lo, hi = table.tree()
+        lo, hi = table.lo, table.hi
         entities = len(table.deweys)
         cuts = sorted((lo[x], lo[x] + (x < entities), hi[x]) for x in nodes)
         hidden = sorted(filter(entities.__gt__, prefixes.difference(nodes)))
@@ -193,22 +192,24 @@ class DiversifiedSet:
 
     Its members are tree numbers of one ``EntityTable`` if the evaluators
     pass that table to ``preview``, and Dewey IDs if they pass none;
-    ``rendered`` turns the first kind of pool into the second.
+    ``rendered`` turns the first kind of pool into the second.  The pool is
+    one map, member to the intent that inserted it; ``nodes`` and iteration
+    sort its keys on read, so Dewey IDs come in document order and tree
+    numbers ascending.
     """
 
     def __init__(self) -> None:
-        self._nodes: list = []
         self._owner: dict = {}
         self._above: frozenset | set | None = None  # the members and their proper ancestors
         self._layout: PoolLayout | None = None
 
     @property
     def nodes(self) -> tuple:
-        return tuple(self._nodes)
+        return tuple(sorted(self._owner))
 
     def _members_and_above(self, table: EntityTable | None) -> frozenset | set:
         if self._above is None:
-            self._above = _proper(self._nodes, table).union(self._nodes)
+            self._above = _proper(self._owner, table).union(self._owner)
         return self._above
 
     def layout(self, table: EntityTable) -> PoolLayout:
@@ -219,27 +220,25 @@ class DiversifiedSet:
         its prefixes are the set the merge tests against.
         """
         if self._layout is None:
-            self._layout = PoolLayout.build(self._nodes, self._members_and_above(table), table)
+            self._layout = PoolLayout.build(self._owner, self._members_and_above(table), table)
         return self._layout
 
     def rendered(self, table: EntityTable) -> "DiversifiedSet":
         """This pool of ``table``'s tree numbers as a pool of their Dewey IDs."""
-        nodes = table.tree()[0]
         out = DiversifiedSet()
-        out._owner = {nodes[x]: owner for x, owner in self._owner.items()}
-        out._nodes = sorted(out._owner)
+        out._owner = {table.nodes[x]: owner for x, owner in self._owner.items()}
         return out
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._owner)
 
     def __iter__(self) -> Iterator:
-        return iter(self._nodes)
+        return iter(self.nodes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiversifiedSet):
             return NotImplemented
-        return self._nodes == other._nodes and self._owner == other._owner
+        return self._owner == other._owner
 
     def preview(self, fresh: Iterable, table: EntityTable | None = None) -> MergeOutcome:
         """Dry-run merge: what would change, without mutating the pool.
@@ -253,17 +252,16 @@ class DiversifiedSet:
         is the members less the removed, plus the inserted.
         """
         inserted = tuple(filterfalse(self._members_and_above(table).__contains__, fresh))
-        # iterating the members keeps their DeweyId objects
-        removed = tuple(sorted(_proper(inserted, table).intersection(self._nodes)))
-        return MergeOutcome(inserted, removed, len(self._nodes) - len(removed) + len(inserted))
+        # iterating the map's keys keeps the members' own DeweyId objects
+        removed = tuple(sorted(_proper(inserted, table).intersection(self._owner)))
+        return MergeOutcome(inserted, removed, len(self._owner) - len(removed) + len(inserted))
 
     def apply(self, outcome: MergeOutcome, intent_id: int) -> None:
         """Commit a previously previewed merge, attributing inserts."""
         self._above = self._layout = None
         for w in outcome.removed:
-            self._discard(w)
+            del self._owner[w]
         for v in outcome.inserted:
-            insort(self._nodes, v)
             self._owner[v] = intent_id
 
     def merge(self, fresh: Iterable, intent_id: int) -> MergeOutcome:
@@ -274,12 +272,8 @@ class DiversifiedSet:
     def remove_intent(self, intent_id: int) -> None:
         """Drop every node still attributed to an evicted intent."""
         self._above = self._layout = None
-        for v in [v for v in self._nodes if self._owner[v] == intent_id]:
-            self._discard(v)
-
-    def _discard(self, v) -> None:
-        del self._nodes[bisect_left(self._nodes, v)]
-        del self._owner[v]
+        for v in [v for v, owner in self._owner.items() if owner == intent_id]:
+            del self._owner[v]
 
 
 def _proper(nodes: Sequence, table: EntityTable | None) -> frozenset | set:

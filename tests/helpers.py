@@ -58,7 +58,7 @@ class Entities:
     def numbers(self, nodes: Iterable[DeweyId]) -> tuple[int, ...]:
         """The tree numbers of nodes at or above an entity."""
         if self._number is None:
-            self._number = {v: x for x, v in enumerate(self.table.tree()[0])}
+            self._number = {v: x for x, v in enumerate(self.table.nodes)}
         return tuple(self._number[v] for v in nodes)
 
     def pool(self, members: Iterable[DeweyId]) -> DiversifiedSet:
@@ -131,7 +131,7 @@ def scan_layout(
         for i, v in enumerate(table.deweys)
         if any(len(v) < len(node) and is_ancestor_or_self(v, node) for node in members)
     )
-    number = {v: x for x, v in enumerate(table.tree()[0])}
+    number = {v: x for x, v in enumerate(table.nodes)}
     prefixes = {number[v[:n]] for v in members for n in range(1, len(v) + 1)}
     return tuple(cuts), hidden, prefixes
 

@@ -1,6 +1,6 @@
 """The set-algebra SLCA: per-segment ancestor sets, intersected in C.
 
-The sets name each node by its number in ``EntityTable.tree``, an entity
+The sets name each node by its number in ``EntityTable.nodes``, an entity
 by its ordinal; the brute-force sets here search the numbered nodes for
 every proper prefix of every member, and the tree is held to the same
 search.
@@ -37,7 +37,7 @@ from helpers import (
 
 def number(table: EntityTable, node) -> int:
     """A node as the sets name it: its position among the tree's nodes."""
-    return table.tree()[0].index(node)
+    return table.nodes.index(node)
 
 
 def brute_ancestors(table: EntityTable, ordinals) -> frozenset:
@@ -99,12 +99,11 @@ class TestProperAncestors:
         rng = random.Random(82)
         for _ in range(200):
             table = random_entities(rng, random_tree(rng, 60)).table
-            nodes, up = table.tree()[:2]
+            nodes, up = table.nodes, table.up
             assert nodes[: len(table.deweys)] == list(table.deweys)
             assert len(set(nodes)) == len(nodes)
             for x, v in enumerate(nodes):
                 assert up[x] == (number(table, v[:-1]) if len(v) > 1 else None)
-            assert table.tree() is table.tree()
 
 
 class TestSetPath:

@@ -1,5 +1,10 @@
+import heapq
 import itertools
+import math
 import random
+import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -48,6 +53,19 @@ def make_matrix(*columns: dict[str, float]) -> FeatureMatrix:
         entries.sort(key=lambda e: (-e.mi, e.feature))
         cols.append(tuple(entries))
     return FeatureMatrix(keywords, tuple(cols))
+
+
+def random_matrix(rng: random.Random, shuffled: bool) -> FeatureMatrix:
+    """1 to 4 columns of 0 to 5 entries, the first not empty, each shuffled if ``shuffled``."""
+    columns = []
+    for c in range(rng.randint(1, 4)):
+        size = rng.randint(0 if c else 1, 5)
+        columns.append({f"f{c}_{i}": rng.choice([0.2, 0.4, rng.random()]) for i in range(size)})
+    matrix = make_matrix(*columns)
+    if not shuffled:
+        return matrix
+    columns = tuple(tuple(rng.sample(col, len(col))) for col in matrix.columns)
+    return replace(matrix, columns=columns)
 
 
 def emitted_names(matrix: FeatureMatrix) -> list[tuple[tuple[str, ...], float]]:
@@ -119,21 +137,13 @@ class TestEnumerationOrder:
         ]
 
     def test_each_combination_exactly_once(self):
+        """Sorted columns or not: the walk's tree needs no column order."""
         rng = random.Random(71)
-        for _ in range(30):
-            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
-            matrix = make_matrix(
-                *(
-                    {f"f{c}_{i}": rng.uniform(0.01, 1.0) for i in range(size)}
-                    for c, size in enumerate(sizes)
-                )
-            )
-            got = [names for names, _ in emitted_names(matrix)]
-            expected = set(
-                itertools.product(*[[e.feature for e in col] for col in matrix.columns])
-            )
-            assert len(got) == len(expected)
-            assert set(got) == expected
+        for trial in range(100):
+            matrix = random_matrix(rng, shuffled=trial % 2 == 1)
+            got = Counter(names for names, _ in emitted_names(matrix))
+            expected = itertools.product(*(col for col in matrix.columns if col))
+            assert got == Counter(tuple(e.feature for e in chosen) for chosen in expected)
 
     def test_agg_mi_non_increasing(self):
         rng = random.Random(72)
@@ -149,18 +159,68 @@ class TestEnumerationOrder:
             assert all(a >= b for a, b in zip(aggs, aggs[1:]))
 
     def test_emission_is_globally_sorted(self):
+        """The stream is every combination sorted by (-aggMi, names).
+
+        1 to 4 columns, some empty, with MI drawn from a few levels so that
+        aggregates tie; the reference sorts ``itertools.product`` with the
+        aggregate summed in slot order, as the heap key sums it.
+        """
         rng = random.Random(73)
-        for _ in range(20):
-            sizes = [rng.randint(1, 5), rng.randint(1, 5)]
+        tied = 0
+        for _ in range(300):
+            levels = rng.choice([[0.2, 0.4, 0.6], [0.1, 0.3], [0.25, 0.5, 0.75, 1.0]])
             matrix = make_matrix(
                 *(
-                    {f"f{c}_{i}": rng.choice([0.2, 0.4, 0.6]) for i in range(size)}
-                    for c, size in enumerate(sizes)
+                    {f"f{rng.randrange(50)}_{i}": rng.choice(levels) for i in range(size)}
+                    for size in (rng.randint(0, 5) for _ in range(rng.randint(1, 4)))
                 )
             )
-            got = emitted_names(matrix)
-            want = sorted(got, key=lambda pair: (-pair[1], pair[0]))
-            assert got == want
+            want = []
+            for chosen in itertools.product(*(col or (None,) for col in matrix.columns)):
+                picked = [e for e in chosen if e is not None]
+                agg = 0.0
+                for e in picked:
+                    agg += e.mi
+                if picked:
+                    want.append((-agg, tuple(e.feature for e in picked), chosen))
+            want.sort(key=lambda row: row[:2])
+            assert list(iter_combinations(matrix)) == [(chosen, -neg) for neg, _, chosen in want]
+            aggs = [neg for neg, _, _ in want]
+            tied += len(set(aggs)) < len(aggs)
+        assert tied > 100, tied
+
+    def test_each_state_enters_the_heap_once(self, monkeypatch):
+        """No state is pushed twice, in sorted columns or not: heap entries
+        plus the seeded start state equal the combinations."""
+        rng = random.Random(76)
+        pushes = []
+        real_push = heapq.heappush
+        monkeypatch.setattr(
+            heapq, "heappush", lambda heap, item: (pushes.append(item), real_push(heap, item))
+        )
+        for _ in range(100):
+            matrix = random_matrix(rng, shuffled=rng.random() < 0.5)
+            pushes.clear()
+            emitted = sum(1 for _ in iter_combinations(matrix))
+            total = math.prod(len(col) for col in matrix.columns if col)
+            assert emitted == total
+            assert len(pushes) + 1 == total
+
+    def test_full_enumeration_memory_is_the_frontier(self):
+        """4 x 20 = 160,000 combinations hold only the heap's frontier
+        (1.2 MB), not every state pushed, as a visited set would (23 MB)."""
+        rng = random.Random(78)
+        matrix = make_matrix(
+            *({f"f{c}_{i:02d}": rng.uniform(0.01, 1.0) for i in range(20)} for c in range(4))
+        )
+        tracemalloc.start()
+        try:
+            emitted = sum(1 for _ in itertools.islice(iter_combinations(matrix), 160_001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emitted == 160_000
+        assert peak < 5_000_000, peak
 
     def test_scale_invariance_of_order(self):
         rng = random.Random(74)
@@ -189,7 +249,8 @@ class TestEnumerationOrder:
                 for c in range(2)
             )
         )
-        assert len(emitted_names(matrix)) == 400
+        # one past the count, so a walk that repeats states fails instead of running on
+        assert sum(1 for _ in itertools.islice(iter_combinations(matrix), 401)) == 400
 
 
 class TestIterIntents:

@@ -1,11 +1,11 @@
 """The ordinal path: entity tables, their numbered trees, and SLCA on a bundle.
 
-``EntityTable.tree`` numbers every node at or above an entity, an entity
-by its ordinal, and names each node's parent by number and its span of
-entities.  These tests hold the tree to a brute-force parent search and
-the spans to a scan of the entities, on chains deep enough that a
-recursive build would fail, and the bundle path to the SLCA oracle on
-corpora whose entities nest.
+``EntityTable`` numbers every node at or above an entity, an entity by
+its ordinal, and names each node's parent by number and its span of
+entities (``nodes``, ``up``, ``lo`` and ``hi``).  These tests hold the
+tree to a brute-force parent search and the spans to a scan of the
+entities, on chains deep enough that a recursive build would fail, and
+the bundle path to the SLCA oracle on corpora whose entities nest.
 """
 
 import random
@@ -43,10 +43,10 @@ def deep_chain(depth: int, rng: random.Random) -> list[DeweyId]:
 
 
 def assert_tree(table: EntityTable) -> None:
-    """``tree`` numbers each node at or above an entity once, entities by
+    """The tree numbers each node at or above an entity once, entities by
     their ordinals, and names each node's parent as a search of the
     numbered nodes finds it."""
-    nodes, up = table.tree()[:2]
+    nodes, up = table.nodes, table.up
     deweys = table.deweys
     assert nodes[: len(deweys)] == list(deweys)
     assert all(type(v) is DeweyId for v in nodes)
@@ -56,12 +56,11 @@ def assert_tree(table: EntityTable) -> None:
     assert len(up) == len(nodes)
     for x, v in enumerate(nodes):
         assert up[x] == (number[v[:-1]] if len(v) > 1 else None)
-    assert table.tree() is table.tree()
 
 
 def assert_spans(table: EntityTable) -> None:
     """Each numbered node's ``[lo, hi)`` is the run of entities a scan finds below it."""
-    nodes, _, lo, hi = table.tree()
+    nodes, lo, hi = table.nodes, table.lo, table.hi
     assert len(lo) == len(hi) == len(nodes)
     for x, v in enumerate(nodes):
         assert (lo[x], hi[x]) == scan_span(table, v)
@@ -112,7 +111,7 @@ class TestEntityTable:
         sibling = DeweyId(deep[:-1] + (2,))
         table = EntityTable([deep, sibling])
         assert_tree(table)
-        nodes, up = table.tree()[:2]
+        nodes, up = table.nodes, table.up
         chain = frozenset(range(2, 5002))
         assert proper_ancestors((0,), table) == proper_ancestors((0, 1), table) == chain
         assert nodes[up[0]] == deep[:-1] and up[0] == up[1]

@@ -352,7 +352,7 @@ class TestAttribution:
             tree = random_tree(rng, 40)
             ents = Entities.of_tree(v for v in tree if v == tree[-1] or rng.random() < 0.5)
             table = ents.table
-            spanned = table.tree()[0]
+            spanned = table.nodes
             phi = DiversifiedSet()
             evicted: set = set()
             for step in range(8):
@@ -375,6 +375,51 @@ class TestAttribution:
                 assert phi.layout(table) is built
         # an evicted member was laid out again after its departure
         assert returned > 50, returned
+
+    def test_change_order_does_not_show(self):
+        """Pools that reach the same members and owners through different
+        changes are equal, iterate alike and preview alike.
+
+        One pool merges five intents in turn and evicts one of them; the
+        other merges and evicts an intent, then merges each surviving
+        intent's members, the intents and their members in shuffled order.
+        Dewey IDs iterate in document order, tree numbers ascending, and a
+        preview's removed members are the pool's own objects.
+        """
+        rng = random.Random(69)
+        removals = 0
+        for _ in range(100):
+            script = [random_antichain(rng) for _ in range(5)]
+            detour, *probes = (random_antichain(rng) for _ in range(4))
+            evicted = rng.randrange(5)
+            ents = Entities.of_tree(v for fresh in (*script, detour, *probes) for v in fresh)
+            for table, label in ((None, tuple), (ents.table, ents.numbers)):
+
+                def replay(evict: int) -> DiversifiedSet:
+                    pool = DiversifiedSet()
+                    for step, fresh in enumerate(script):
+                        pool.apply(pool.preview(label(fresh), table), step)
+                    pool.remove_intent(evict)
+                    return pool
+
+                a = replay(evicted)
+                owned = {i: set(a) - set(replay(i)) for i in range(5)}
+                b = DiversifiedSet()
+                b.apply(b.preview(label(detour), table), 5)
+                b.remove_intent(5)
+                for i in rng.sample(range(5), 5):
+                    members = list(owned[i])
+                    b.apply(b.preview(rng.sample(members, len(members)), table), i)
+                assert a == b
+                assert list(a) == list(b) == sorted(a) == list(a.nodes) == list(b.nodes)
+                for probe in probes:
+                    got = a.preview(label(probe), table)
+                    assert got == b.preview(label(probe), table)
+                    if table is None:
+                        own = set(map(id, a))
+                        assert all(id(w) in own for w in got.removed)
+                    removals += bool(got.removed)
+        assert removals > 50, removals
 
     def test_equality_covers_attribution(self):
         a = DiversifiedSet()
