@@ -3,9 +3,10 @@
 Parses an XML document, assigns Dewey IDs by tree position, collects the
 configured entity elements as the statistical sample space, and builds the
 two index structures every later stage runs on: entity-level postings
-(term -> sorted entity ordinals, positions in ``IndexBundle.entities``) and
-windowed term co-occurrence counts.  The entities' Dewey IDs live in the
-bundle's ``entity_table``, built on first use.
+(term -> sorted entity ordinals) and windowed term co-occurrence counts.
+An entity is its Dewey ID, its ordinal its position in the document-ordered
+``IndexBundle.entities``; ``IndexBundle.labels`` holds its element name at
+that ordinal.  The tree the entities span is built on first use.
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ class IndexConfig:
             raise ValueError("entity_labels must be non-empty")
         if type(self.window) is not int or self.window < 1:
             raise ValueError("window must be an integer >= 1")
-
-
-@dataclass(frozen=True)
-class EntityInfo:
-    """Persisted per-entity fields: position and element name."""
-
-    dewey: DeweyId
-    label: str
 
 
 @dataclass
@@ -155,13 +148,15 @@ def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
 
 @dataclass(frozen=True)
 class IndexBundle:
-    """Immutable index: entities, postings, co-occurrence counts, config.
+    """Immutable index: entities, their labels, postings, co-occurrence counts, config.
 
-    A posting is a sorted tuple of entity ordinals: positions in
-    ``entities``, which are in document order.
+    ``entities`` holds the entities' Dewey IDs in document order and
+    ``labels`` each one's element name, both by ordinal.  A posting is a
+    sorted tuple of entity ordinals.
     """
 
-    entities: tuple[EntityInfo, ...]
+    entities: tuple[DeweyId, ...]
+    labels: tuple[str, ...]
     postings: dict[str, tuple[int, ...]]
     cooccur: dict[tuple[str, str], int]
     config: IndexConfig
@@ -193,9 +188,10 @@ class IndexBundle:
         """The entities' Dewey IDs by ordinal, and the tree they span.
 
         Built, tree and all, on first use, like ``neighbours``; the engines'
-        node lists are ordinals into it.
+        node lists are ordinals into it.  Its ``deweys`` is ``entities``
+        itself.
         """
-        return EntityTable(e.dewey for e in self.entities)
+        return EntityTable(self.entities)
 
     def posting(self, term: str) -> tuple[int, ...]:
         return self.postings.get(term, ())
@@ -233,9 +229,10 @@ def build_index(corpus: Sequence[EntityRecord], config: IndexConfig) -> IndexBun
                 j += 1
         for pair in pairs:
             cooccur[pair] = cooccur.get(pair, 0) + 1
-    entities = tuple(EntityInfo(r.dewey, r.label) for r in corpus)
+    entities = tuple(r.dewey for r in corpus)
+    labels = tuple(r.label for r in corpus)
     frozen = {term: tuple(ids) for term, ids in postings.items()}
-    return IndexBundle(entities=entities, postings=frozen, cooccur=cooccur, config=config)
+    return IndexBundle(entities, labels, frozen, cooccur, config)
 
 
 def index_corpus(data: bytes, config: IndexConfig) -> IndexBundle:

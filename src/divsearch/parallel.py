@@ -1,14 +1,14 @@
 """The parallel engine: baseline scoring over a planned intent stream.
 
 The engine runs the query pipeline of the others (``diversify.run_query``)
-with two parts of its own.  Its intent stream, ``planned_intents``, lists
-every combination up to the budget first, so the segments occurring in
-more than one intent are marked before evaluation starts: the first intent
-that needs one resolves it against the index, later intents reuse the same
-``Segment``, and every shared segment is kept until the query ends.  Its
-evaluator scores an intent as the baseline does, one SLCA over the
-intent's whole node lists and their ancestor sets, through
-``evaluate_area``.
+with two parts of its own.  Its intent stream, ``planned_intents``, walks
+the combinations up to the budget once before it yields any, so the
+segments occurring in more than one intent are marked before evaluation
+starts: the first intent that needs one resolves it against the index,
+later intents reuse the same ``Segment``, and every shared segment is kept
+until the query ends.  Its evaluator scores an intent as the baseline
+does, one SLCA over the intent's whole node lists and their ancestor sets,
+through ``evaluate_area``.
 
 ``workers`` is checked and echoed but does not change the work: no thread
 or process is started.  Dealing anchor areas out to a thread pool ran
@@ -32,7 +32,7 @@ from .diversify import (
     intent_likelihood,
     run_query,
 )
-from .features import FeatureMatrix
+from .features import FeatureEntry, FeatureMatrix
 from .indexing import IndexBundle
 from .intents import IntentQuery, Segment, iter_combinations, resolve_segment
 from .slca import AncestorSet, DiversifiedSet
@@ -89,20 +89,23 @@ def planned_intents(
 ) -> Iterator[IntentQuery]:
     """The first ``budget`` intents in generation order, segments planned.
 
-    Every combination is listed before the first intent is yielded, so the
-    segments shared between intents are known up front.
+    The combinations are walked twice, and neither walk keeps them: the
+    first plans the segments shared between intents before the first intent
+    is yielded, the second resolves and yields.
     """
-    resolved = list(islice(iter_combinations(matrix), budget))
-    key_rows = [
-        tuple(
+
+    def keys(chosen: Sequence[FeatureEntry | None]) -> tuple[SegmentKey, ...]:
+        return tuple(
             (keyword, entry.feature if entry is not None else None)
             for keyword, entry in zip(matrix.keywords, chosen)
         )
-        for chosen, _ in resolved
-    ]
-    shared = plan_shared_segments(key_rows)
-    for keys, (_, agg) in zip(key_rows, resolved):
-        yield IntentQuery(tuple(shared.resolve(word, feature, index) for word, feature in keys), agg)
+
+    shared = plan_shared_segments(
+        keys(chosen) for chosen, _ in islice(iter_combinations(matrix), budget)
+    )
+    for chosen, agg in islice(iter_combinations(matrix), budget):
+        segments = tuple(shared.resolve(word, feature, index) for word, feature in keys(chosen))
+        yield IntentQuery(segments, agg)
 
 
 def diversify_parallel(

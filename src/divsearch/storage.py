@@ -34,8 +34,10 @@ read postings.jsonl through one pass, :func:`_read_postings`, and check
 pairs through one function, :func:`_read_pairs`, so their grammars,
 messages and checks are the same code; both refuse a pair listed twice.
 
-A loaded bundle shares objects between its parts: a cooccur key holds the
-postings' own term strings.  The per-term pair lists
+A loaded bundle holds the entities' Dewey IDs and labels as two tuples by
+ordinal, and shares objects between its parts: a cooccur key holds the
+postings' own term strings, and ``labels`` the manifest's own strings, one
+object per distinct label.  The per-term pair lists
 (``IndexBundle.neighbours``) and the entity table
 (``IndexBundle.entity_table``) are not built here but on first use, as for a
 bundle fresh from ``build_index``.
@@ -54,7 +56,7 @@ from typing import Any, Callable, Collection, Iterable, Iterator
 
 from .dewey import DeweyId, _trusted
 from .errors import IndexFormatError, IndexVersionError
-from .indexing import EntityInfo, IndexBundle, IndexConfig, is_token, tokenize
+from .indexing import IndexBundle, IndexConfig, is_token, tokenize
 
 FORMAT_VERSION = 1
 
@@ -157,24 +159,26 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
 
     Raises ``ValueError``, before writing any file, for a bundle that
     :func:`load_index` would reject or read back different, or that it
-    cannot write: no entities; an entity label outside
-    ``config.entity_labels``; entities out of document order; a label or
-    term that holds a character JSON would escape (``"``, ``\\`` or U+0000 to
-    U+001F) or that UTF-8 cannot encode (a lone surrogate); a posting
-    that is empty, not strictly ascending, or holds an ordinal outside the
-    entities; a cooccur pair not in canonical order (a < b), naming a term
-    without postings, or with a count that is not an int, below 1 or above
-    either term's posting length; a stop word that is not one token.
+    cannot write: no entities; ``entities`` and ``labels`` of different
+    lengths; an entity label outside ``config.entity_labels``; entities out
+    of document order; a label or term that holds a character JSON would
+    escape (``"``, ``\\`` or U+0000 to U+001F) or that UTF-8 cannot encode
+    (a lone surrogate); a posting that is empty, not strictly ascending, or
+    holds an ordinal outside the entities; a cooccur pair not in canonical
+    order (a < b), naming a term without postings, or with a count that is
+    not an int, below 1 or above either term's posting length; a stop word
+    that is not one token.
     """
     directory = Path(directory)
     entities = bundle.entities
     if not entities:
         raise ValueError("no entities")
-    unknown = {e.label for e in entities} - bundle.config.entity_labels
+    if len(bundle.labels) != len(entities):
+        raise ValueError(f"{len(entities)} entities but {len(bundle.labels)} labels")
+    unknown = set(bundle.labels) - bundle.config.entity_labels
     if unknown:
         raise ValueError(f"entity label {min(unknown)!r} not in config.entity_labels")
-    deweys = [e.dewey for e in entities]
-    if any(map(operator.ge, deweys, islice(deweys, 1, None))):
+    if any(map(operator.ge, entities, islice(entities, 1, None))):
         raise ValueError("entities not in document order")
     labels = sorted(bundle.config.entity_labels)
     _refuse_unwritable("label", labels)
@@ -207,10 +211,10 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
         [json.dumps(manifest, separators=(",", ":"), ensure_ascii=False) + "\n"],
     )
 
-    texts = [str(e.dewey) for e in entities]  # by ordinal
+    texts = list(map(str, entities))  # by ordinal
     _write_lines(
         directory / ENTITIES_FILE,
-        ('{"dewey":"%s","label":"%s"}\n' % (text, e.label) for text, e in zip(texts, entities)),
+        ('{"dewey":"%s","label":"%s"}\n' % row for row in zip(texts, bundle.labels)),
     )
 
     _write_lines(
@@ -236,8 +240,11 @@ def _lines(path: Path) -> Iterator[Iterator[tuple[int, str]]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield enumerate(fh, start=1)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise _unreadable(path, exc) from exc
+    except UnicodeDecodeError:  # text mode decodes ahead of the line read: the bytes locate it
+        _read_bytes(path)
+        raise
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -245,37 +252,21 @@ def _read_bytes(path: Path) -> bytes:
     UTF-8, with CR LF and a lone CR each ending a line as LF does."""
     try:
         data = path.read_bytes()
-        if not data.isascii():
-            data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise _unreadable(path, exc) from exc
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise _fail(path, line, f"invalid UTF-8: {exc.reason}") from exc
     return data
 
 
-def _unreadable(path: Path, exc: OSError | UnicodeDecodeError) -> IndexFormatError:
-    if isinstance(exc, UnicodeDecodeError):
-        return IndexFormatError(
-            f"invalid UTF-8: {exc.reason}", path=path.name, line=_undecodable_line(path)
-        )
+def _unreadable(path: Path, exc: OSError) -> IndexFormatError:
     return IndexFormatError(f"cannot read index file: {exc}", path=path.name)
-
-
-def _undecodable_line(path: Path) -> int:
-    """1-based number of the first line of ``path`` that is not UTF-8.
-
-    Text-mode reads decode many lines at once, so the line being read when
-    decoding fails need not be the one at fault.  Undecodable bytes become
-    lone surrogates here, which do not encode back.
-    """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:
-                return lineno
-    return 0
 
 
 def _rows(
@@ -342,25 +333,29 @@ def _load_manifest(directory: Path) -> dict[str, Any]:
 
 def _load_entities(
     directory: Path, manifest: dict[str, Any]
-) -> tuple[list[EntityInfo], dict[str, int]]:
-    """Every entity, and each one's ordinal by its Dewey text as written."""
-    labels = frozenset(manifest["entityLabels"])
+) -> tuple[list[DeweyId], list[str], dict[str, int]]:
+    """Every entity's Dewey ID and label, and its ordinal by its Dewey text as written."""
+    # one lookup proves a label the manifest's and gives the manifest's string
+    known = {label: label for label in manifest["entityLabels"]}
     path = directory / ENTITIES_FILE
-    entities: list[EntityInfo] = []
+    entities: list[DeweyId] = []
+    labels: list[str] = []
     # Dewey text as written -> the entity's ordinal; postings resolve through it
     by_text: dict[str, int] = {}
     with _lines(path) as lines:
         for lineno, (text, label) in _rows(path, lines, _ENTITY_LINE):
-            if label not in labels:
-                raise _fail(path, lineno, f"entity label {label!r} not in the manifest")
+            try:
+                labels.append(known[label])
+            except KeyError:
+                raise _fail(path, lineno, f"entity label {label!r} not in the manifest") from None
             dewey = _dewey(text, path, lineno)
-            if entities and dewey <= entities[-1].dewey:
+            if entities and dewey <= entities[-1]:
                 raise _fail(path, lineno, "entities not in document order")
             by_text[text] = len(entities)
-            entities.append(EntityInfo(dewey, label))
+            entities.append(dewey)
     if len(entities) != manifest["entityCount"]:
         raise _fail(path, len(entities), "entity count does not match manifest")
-    return entities, by_text
+    return entities, labels, by_text
 
 
 def _read_postings(
@@ -467,7 +462,8 @@ def _load_stopwords(directory: Path) -> list[str]:
 
 def _bundle(
     manifest: dict[str, Any],
-    entities: list[EntityInfo],
+    entities: list[DeweyId],
+    labels: list[str],
     postings: dict[str, tuple[int, ...]],
     cooccur: dict[tuple[str, str], int],
     stopwords: list[str],
@@ -477,21 +473,21 @@ def _bundle(
         window=manifest["window"],
         stopwords=frozenset(stopwords),
     )
-    return IndexBundle(entities=tuple(entities), postings=postings, cooccur=cooccur, config=config)
+    return IndexBundle(tuple(entities), tuple(labels), postings, cooccur, config)
 
 
 def load_index(directory: str | Path) -> IndexBundle:
     """Read and validate an index directory written by :func:`save_index`."""
     directory = Path(directory)
     manifest = _load_manifest(directory)
-    entities, by_text = _load_entities(directory, manifest)
+    entities, labels, by_text = _load_entities(directory, manifest)
     path = directory / POSTINGS_FILE
     with _lines(path) as lines:
         postings, known = _read_postings(path, lines, by_text)
     path = directory / COOCCUR_FILE
     with _lines(path) as lines:
         cooccur = _read_pairs(path, _rows(path, lines, _PAIR_LINE), known)
-    return _bundle(manifest, entities, postings, cooccur, _load_stopwords(directory))
+    return _bundle(manifest, entities, labels, postings, cooccur, _load_stopwords(directory))
 
 
 def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexBundle]:
@@ -517,7 +513,7 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
     manifest = _load_manifest(directory)
     stopwords = _load_stopwords(directory)
     keywords = list(dict.fromkeys(token for token, _ in tokenize(query, frozenset(stopwords))))
-    entities, by_text = _load_entities(directory, manifest)
+    entities, labels, by_text = _load_entities(directory, manifest)
 
     pairs_path = directory / COOCCUR_FILE
     rows, named = _keyword_pair_lines(pairs_path, _read_bytes(pairs_path), frozenset(keywords))
@@ -527,7 +523,7 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
         postings, known = _read_postings(path, lines, by_text, set(keywords).union(*named), read)
     cooccur = _read_pairs(pairs_path, rows, known)
     cooccur = {pair: count for pair, count in cooccur.items() if pair in named}
-    return keywords, _bundle(manifest, entities, postings, cooccur, stopwords)
+    return keywords, _bundle(manifest, entities, labels, postings, cooccur, stopwords)
 
 
 def _keyword_pair_lines(

@@ -18,7 +18,7 @@ from divsearch import cli
 from divsearch.diversify import diversify_baseline
 from divsearch.dewey import DeweyId
 from divsearch.errors import IndexFormatError, NoIntentError
-from divsearch.indexing import EntityInfo, IndexBundle, IndexConfig, index_corpus, tokenize
+from divsearch.indexing import IndexBundle, IndexConfig, index_corpus, tokenize
 from divsearch.storage import COOCCUR_FILE, POSTINGS_FILE, load_for_query, load_index, save_index
 from conftest import GOLDEN_INDEX_DIR
 from helpers import NON_ASCII_WORDS, random_corpus_xml
@@ -193,9 +193,9 @@ class TestChecks:
     def test_pair_listed_twice_far_apart(self, tmp_path):
         """Both copies name the keyword; the lines read around them are apart."""
         fillers = [f"f{i}" for i in range(6)]
-        entities = tuple(EntityInfo(DeweyId((1, j)), "item") for j in (1, 2))
         bundle = IndexBundle(
-            entities=entities,
+            entities=(DeweyId((1, 1)), DeweyId((1, 2))),
+            labels=("item", "item"),
             postings={term: (0, 1) for term in [*fillers, "x", "y"]},
             cooccur={("x", "y"): 2, **{(a, b): 1 for a in fillers for b in fillers if a < b}},
             config=IndexConfig(entity_labels=frozenset({"item"})),
@@ -253,6 +253,28 @@ class TestChecks:
         assert part == restricted(load_index(GOLDEN_INDEX_DIR), keywords)
 
 
+class TestEntities:
+    """The scoped reader reads every entity and label, as ``load_index`` does."""
+
+    def test_labels_round_trip(self, tmp_path):
+        bundle = raw_bundle()
+        save_index(bundle, tmp_path)
+        for query in ["plain", "zzzz"]:
+            _, part = load_for_query(tmp_path, query)
+            assert part.entities == bundle.entities
+            assert part.labels == bundle.labels == ("item", "étiquette", "item")
+
+    def test_labels_are_the_manifest_strings(self, tmp_path):
+        save_index(raw_bundle(), tmp_path)
+        _, part = load_for_query(tmp_path, "plain")
+        assert len(set(map(id, part.labels))) == 2
+        assert set(map(id, part.labels)) <= set(map(id, part.config.entity_labels))
+
+    def test_entity_table_holds_the_bundle_tuple(self):
+        _, part = load_for_query(GOLDEN_INDEX_DIR, "database query")
+        assert part.entity_table.deweys is part.entities
+
+
 class TestSaveThenLoad:
     def test_every_bundle_save_accepts_loads_back(self, tmp_path):
         """``save_index`` refuses, before writing, any bundle ``load_index`` would refuse."""
@@ -260,7 +282,7 @@ class TestSaveThenLoad:
         words = sorted(NON_ASCII_WORDS + ["w02", "w03", "x"])
         saved = refused = 0
         for i in range(80):
-            entities = tuple(EntityInfo(DeweyId((1, j)), "item") for j in range(1, rng.randint(2, 6)))
+            entities = tuple(DeweyId((1, j)) for j in range(1, rng.randint(2, 6)))
             terms = rng.sample(words, rng.randint(2, 6))
             postings = {
                 term: tuple(sorted(rng.sample(range(len(entities)), rng.randint(1, len(entities)))))
@@ -270,6 +292,7 @@ class TestSaveThenLoad:
             cooccur = {pair: rng.randint(1, 4) for pair in rng.sample(pairs, rng.randint(0, len(pairs)))}
             bundle = IndexBundle(
                 entities=entities,
+                labels=("item",) * len(entities),
                 postings=postings,
                 cooccur=cooccur,
                 config=IndexConfig(entity_labels=frozenset({"item"})),

@@ -1,14 +1,16 @@
 import random
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from divsearch.diversify import diversify_baseline
 from divsearch.anchors import diversify_anchored, partition_areas
+from divsearch.dewey import DeweyId
 from divsearch.errors import NoIntentError
-from divsearch.features import build_matrix
-from divsearch.indexing import IndexConfig, index_corpus
+from divsearch.features import FeatureEntry, FeatureMatrix, build_matrix
+from divsearch.indexing import IndexBundle, IndexConfig, index_corpus
 from divsearch.intents import iter_intents, resolve_segment
 from divsearch import anchors, parallel
 from divsearch.parallel import diversify_parallel, evaluate_area, plan_shared_segments
@@ -76,8 +78,9 @@ class TestPlannedIntents:
         rows = []
 
         def recording(key_rows):
-            rows.append(list(key_rows))
-            return plan_shared_segments(key_rows)
+            listed = list(key_rows)
+            rows.append(listed)
+            return plan_shared_segments(listed)
 
         monkeypatch.setattr(parallel, "plan_shared_segments", recording)
         matrix = build_matrix(["query", "query"], 5, toy_index)
@@ -89,6 +92,38 @@ class TestPlannedIntents:
         rows.clear()
         diversify_parallel(["query", "query"], 2, 5, toy_index, workers=2, budget=budget)
         assert [len(keys) for keys in rows] == [len(planned)]
+
+    def test_memory_is_the_frontier_not_the_combinations(self):
+        """4 x 10 = 10,000 intents: neither walk keeps the combinations, so
+        the stream holds ~0.3 MB, not the ~4.8 MB of listing them all."""
+        keywords = ("k0", "k1", "k2", "k3")
+        rng = random.Random(7)
+        columns = tuple(
+            tuple(
+                sorted(
+                    (FeatureEntry(word, f"{word}f{i}", rng.uniform(0.01, 1.0)) for i in range(10)),
+                    key=lambda entry: (-entry.mi, entry.feature),
+                )
+            )
+            for word in keywords
+        )
+        terms = [*keywords, *(entry.feature for column in columns for entry in column)]
+        index = IndexBundle(
+            entities=(DeweyId((1, 1)), DeweyId((1, 2))),
+            labels=("item", "item"),
+            postings={term: (0, 1) for term in terms},
+            cooccur={},
+            config=IndexConfig(entity_labels=frozenset({"item"})),
+        )
+        index.entity_table  # a one-time build, not the stream's
+        tracemalloc.start()
+        try:
+            planned = sum(1 for _ in parallel.planned_intents(FeatureMatrix(keywords, columns), index))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert planned == 10_000
+        assert peak < 1_500_000, peak
 
 
 def entities_of(lists):

@@ -10,7 +10,7 @@ import pytest
 
 from divsearch.dewey import DeweyId
 from divsearch.errors import IndexFormatError, IndexVersionError
-from divsearch.indexing import DEFAULT_STOPWORDS, EntityInfo, IndexBundle, IndexConfig, index_corpus
+from divsearch.indexing import DEFAULT_STOPWORDS, IndexBundle, IndexConfig, index_corpus
 from divsearch.storage import (
     COOCCUR_FILE,
     ENTITIES_FILE,
@@ -60,9 +60,11 @@ def reference_save(bundle, directory):
         "entityLabels": sorted(bundle.config.entity_labels),
         "logBase": "e",
     }])
-    write(ENTITIES_FILE, [{"dewey": str(e.dewey), "label": e.label} for e in bundle.entities])
+    write(ENTITIES_FILE, [
+        {"dewey": str(dewey), "label": label} for dewey, label in zip(bundle.entities, bundle.labels)
+    ])
     write(POSTINGS_FILE, [
-        {"term": term, "entities": [str(bundle.entities[i].dewey) for i in bundle.postings[term]]}
+        {"term": term, "entities": [str(bundle.entities[i]) for i in bundle.postings[term]]}
         for term in sorted(bundle.postings)
     ])
     triplets = sorted(bundle.cooccur.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -82,7 +84,8 @@ def raw_bundle():
         if a < b
     }
     return IndexBundle(
-        entities=(EntityInfo(one, "item"), EntityInfo(two, "étiquette"), EntityInfo(three, "item")),
+        entities=(one, two, three),
+        labels=("item", "étiquette", "item"),
         postings=postings,
         cooccur=cooccur,
         config=IndexConfig(entity_labels=frozenset({"item", "étiquette"}), window=2),
@@ -435,6 +438,36 @@ class TestWriterMatchesReference:
         assert not (tmp_path / "idx").exists()
 
 
+class TestEntitiesAndLabels:
+    """A bundle holds each entity as its Dewey ID, its label beside it at the same ordinal."""
+
+    def test_labels_round_trip(self, tmp_path):
+        bundle = raw_bundle()
+        save_index(bundle, tmp_path)
+        loaded = load_index(tmp_path)
+        assert loaded == bundle
+        assert loaded.entities == bundle.entities
+        assert loaded.labels == ("item", "étiquette", "item")
+        # equality compares the labels too
+        assert loaded != dataclasses.replace(bundle, labels=("item", "item", "étiquette"))
+
+    def test_loaded_labels_are_the_manifest_strings(self, toy_index, tmp_path):
+        """One ``str`` per distinct label, however many entities carry it."""
+        for name, bundle in [("raw", raw_bundle()), ("toy", toy_index)]:
+            save_index(bundle, tmp_path / name)
+            loaded = load_index(tmp_path / name)
+            assert len(set(map(id, loaded.labels))) == len(set(loaded.labels)) < len(loaded.labels)
+            # the config's labels come from the same manifest strings
+            assert set(map(id, loaded.labels)) <= set(map(id, loaded.config.entity_labels))
+
+    def test_entity_table_holds_the_bundle_tuple(self, toy_index, tmp_path):
+        save_index(toy_index, tmp_path)
+        for bundle in (toy_index, load_index(tmp_path)):
+            assert all(type(dewey) is DeweyId for dewey in bundle.entities)
+            assert len(bundle.labels) == len(bundle.entities)
+            assert bundle.entity_table.deweys is bundle.entities
+
+
 class TestBuiltIndexesHoldNoEscape:
     """The indexer writes no JSON escape, so refusing one refuses no index it builds."""
 
@@ -474,8 +507,7 @@ def _term_spelled(term):
 
 def _label_spelled(label):
     """The change to ``TestSaveRefuses.GOOD`` that spells its label "item" as ``label``."""
-    entities = tuple(EntityInfo(DeweyId((1, j)), label) for j in (1, 2, 3))
-    return {"entities": entities, "config": IndexConfig(entity_labels=frozenset({label}))}
+    return {"labels": (label,) * 3, "config": IndexConfig(entity_labels=frozenset({label}))}
 
 
 def _cannot_hold(kind, text, char):
@@ -491,9 +523,10 @@ UNWRITABLE = {
 class TestSaveRefuses:
     """``save_index`` refuses, before writing any file, a bundle that would not load back."""
 
-    ENTITIES = tuple(EntityInfo(DeweyId((1, j)), "item") for j in (1, 2, 3))
+    ENTITIES = tuple(DeweyId((1, j)) for j in (1, 2, 3))
     GOOD = IndexBundle(
         entities=ENTITIES,
+        labels=("item",) * 3,
         postings={"a": (0, 1), "b": (1, 2)},
         cooccur={("a", "b"): 1},
         config=IndexConfig(entity_labels=frozenset({"item"})),
@@ -507,12 +540,13 @@ class TestSaveRefuses:
             ({"cooccur": {("a", "b"): 0}}, "count below 1"),
             ({"postings": {"a": (0, 1), "b": (1, 2), "c": ()}}, "'c' is empty"),
             ({"postings": {"a": (1, 0), "b": (1, 2)}}, "'a' not sorted"),
-            ({"entities": (ENTITIES[0], EntityInfo(DeweyId((1, 2)), "other"), ENTITIES[2])},
-             "'other' not in config.entity_labels"),
+            ({"labels": ("item", "other", "item")}, "'other' not in config.entity_labels"),
+            ({"labels": ("item",) * 2}, "3 entities but 2 labels"),
+            ({"labels": ("item",) * 4}, "3 entities but 4 labels"),
             ({"entities": (ENTITIES[1], ENTITIES[0], ENTITIES[2])}, "not in document order"),
             ({"postings": {"a": (-1,), "b": (1, 2)}}, "'a' holds an ordinal outside"),
             ({"postings": {"a": (0, 3), "b": (1, 2)}}, "'a' holds an ordinal outside"),
-            ({"entities": (), "postings": {}, "cooccur": {}}, "no entities"),
+            ({"entities": (), "labels": (), "postings": {}, "cooccur": {}}, "no entities"),
             ({"cooccur": {("a", "b"): 1.5}}, r"\('a', 'b'\): count 1.5 is not an int"),
             *(
                 case
@@ -525,7 +559,7 @@ class TestSaveRefuses:
         ],
         ids=[
             "reversed-pair", "self-pair", "zero-count", "empty-posting", "unsorted-posting",
-            "label", "document-order", "negative-ordinal", "ordinal-past-the-end", "no-entities",
+            "label", "fewer-labels", "more-labels", "document-order", "negative-ordinal", "ordinal-past-the-end", "no-entities",
             "count-not-an-int", *(f"{name}-{kind}" for name in UNWRITABLE for kind in ("term", "label")),
         ],
     )
@@ -676,7 +710,7 @@ class TestLoadAcceptsAnyValidJson:
         save_index(toy_index, tmp_path)
         loaded = load_index(tmp_path)
         ents = Entities(loaded.entity_table)
-        entity_ids = {id(e.dewey) for e in loaded.entities}
+        entity_ids = set(map(id, loaded.entities))
         assert all(
             id(d) in entity_ids for ordinals in loaded.postings.values() for d in ents.deweys(ordinals)
         )
