@@ -6,8 +6,10 @@ subtree, strict descendants, and nodes after, while ancestors of an anchor
 are discarded outright.  Areas missing any segment entirely are skipped
 without inspection.  The surviving areas' nodes are solved together, in
 one SLCA call per intent over the segments' ancestor sets, and the results
-go through the pool's merge, as the baseline's SLCAs do.  Only they are
-visited; ``diversify.run_topk`` counts every other input node as pruned.
+go through the pool's merge, as the baseline's SLCAs do.  Only they count
+as visited; ``diversify.run_topk`` counts every other input node as pruned.
+It is not a count of reads: :func:`covered_anchor_ancestors` below
+intersects each whole segment list, in C, and those reads are not counted.
 
 Node lists hold entity ordinals, and anchors and results tree numbers.
 The pool lays out each version from its members' entity spans

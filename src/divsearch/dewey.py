@@ -36,20 +36,6 @@ class DeweyId(tuple):
                 raise ValueError(f"Dewey components must be integers >= 1, got {c!r}")
         return tuple.__new__(cls, comps)
 
-    @classmethod
-    def parse(cls, text: str) -> "DeweyId":
-        """Parse dot-separated decimal form, e.g. ``"1.2.1"``.
-
-        Leading zeros are allowed, but unlike ``int`` no sign, space,
-        underscore or non-ASCII digit.
-        """
-        if text.isascii() and text.replace(".", "").isdigit():
-            try:
-                return cls(map(int, text.split(".")))
-            except ValueError:  # an empty or zero component
-                pass
-        raise ValueError(f"invalid Dewey ID {text!r}")
-
     def __str__(self) -> str:
         return ".".join(str(c) for c in self)
 

@@ -32,23 +32,17 @@ from typing import Iterable, Iterator, Sequence
 from .dewey import DeweyId, EntityTable
 
 
-@dataclass(frozen=True)
-class SlcaSet:
-    """Duplicate-free antichain of result nodes.
+class SlcaSet(tuple):
+    """Duplicate-free antichain of result nodes; ``nodes`` is the tuple itself.
 
     They are Dewey IDs in document order, or tree numbers ascending.
     """
 
-    nodes: tuple = ()
+    __slots__ = ()
 
-    def __iter__(self) -> Iterator:
-        return iter(self.nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __getitem__(self, i: int):
-        return self.nodes[i]
+    @property
+    def nodes(self) -> tuple:
+        return self
 
 
 AncestorSet = frozenset  # of node numbers (EntityTable.nodes), see proper_ancestors
@@ -113,7 +107,7 @@ def compute_slca(
     pairs = list(zip(lists, ancestors))
     shortest, above = pairs.pop(min(range(len(lists)), key=lambda i: len(lists[i])))
     leaves = sorted(cover_leaves(above.union(shortest), pairs, table))
-    return SlcaSet(table.render(leaves) if dewey else tuple(leaves))
+    return SlcaSet(table.render(leaves) if dewey else leaves)
 
 
 def cover_leaves(

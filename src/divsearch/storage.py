@@ -10,7 +10,10 @@ Layout (UTF-8, LF endings, fixed key order per line):
   without it has none
 
 ``load_index(save_index(b)) == b`` holds field for field; every writer choice
-below (sorting, separators) exists to keep the bytes canonical.
+below (sorting, separators) exists to keep the bytes canonical.  A save
+removes the old manifest first and writes the new one last, each file
+renamed into place from a temporary name, so a save that fails leaves a
+directory with no manifest, which no loader reads.
 
 In memory a posting holds entity ordinals; on disk it holds each entity's
 Dewey text, so the files do not depend on that representation.  Each JSONL
@@ -48,8 +51,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator
@@ -152,6 +156,15 @@ def _refuse_unwritable(kind: str, texts: list[str]) -> None:
 def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     """Write the index files, creating the directory if needed.
 
+    A save replaces an index in place.  After its checks and before any
+    write it removes the old ``manifest.json``; then it writes each file
+    under a temporary name in the directory and renames it into place, the
+    manifest last.  A failure at any write or rename leaves no manifest, so
+    both loaders refuse the directory; the other files, old or new, stay,
+    and the temporary file is removed where possible.  Not covered: a power
+    loss, since no file is flushed to disk by ``fsync``; a reader running
+    during a save; two saves into one directory at once.
+
     Each line is assembled from the raw text of its parts; each entity's
     Dewey text is made once however many lines name it.  No string needs a
     JSON escape, so the bytes equal those of one compact ``json.dumps`` per
@@ -197,6 +210,8 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
         if not is_token(word):
             raise ValueError(f"stop word is not one token: {word!r}")
     directory.mkdir(parents=True, exist_ok=True)
+    # the loaders read the manifest first: without one, no mix of files loads
+    (directory / MANIFEST_FILE).unlink(missing_ok=True)
 
     manifest = {
         "version": FORMAT_VERSION,
@@ -205,33 +220,28 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
         "entityLabels": labels,
         "logBase": "e",  # MI uses the natural log
     }
-    # separators chosen for byte-stable, compact output
-    _write_lines(
-        directory / MANIFEST_FILE,
-        [json.dumps(manifest, separators=(",", ":"), ensure_ascii=False) + "\n"],
-    )
-
     texts = list(map(str, entities))  # by ordinal
-    _write_lines(
-        directory / ENTITIES_FILE,
-        ('{"dewey":"%s","label":"%s"}\n' % row for row in zip(texts, bundle.labels)),
-    )
-
-    _write_lines(
-        directory / POSTINGS_FILE,
-        (
+    files = {
+        ENTITIES_FILE: ('{"dewey":"%s","label":"%s"}\n' % row for row in zip(texts, bundle.labels)),
+        POSTINGS_FILE: (
             '{"term":"%s","entities":["%s"]}\n'
             % (term, '","'.join(map(texts.__getitem__, bundle.postings[term])))
             for term in terms
         ),
-    )
-
-    _write_lines(
-        directory / COOCCUR_FILE,
-        ('{"a":"%s","b":"%s","count":%d}\n' % triplet for triplet in triplets),
-    )
-
-    _write_lines(directory / STOPWORDS_FILE, (word + "\n" for word in stopwords))
+        COOCCUR_FILE: ('{"a":"%s","b":"%s","count":%d}\n' % triplet for triplet in triplets),
+        STOPWORDS_FILE: (word + "\n" for word in stopwords),
+        # separators chosen for byte-stable, compact output; written last
+        MANIFEST_FILE: [json.dumps(manifest, separators=(",", ":"), ensure_ascii=False) + "\n"],
+    }
+    for name, lines in files.items():
+        temp = directory / f".{name}.tmp"
+        try:
+            _write_lines(temp, lines)
+            os.replace(temp, directory / name)
+        except BaseException:
+            with suppress(OSError):
+                temp.unlink(missing_ok=True)
+            raise
 
 
 @contextmanager

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN_INDEX_DIR
-from helpers import random_corpus_xml
+from helpers import fail_write, random_corpus_xml
 from divsearch.cli import main
+from test_storage import CORPUS_A, CORPUS_B
 
 GOLDEN_IDX = str(GOLDEN_INDEX_DIR)
 
@@ -114,6 +115,24 @@ class TestIndexCommand:
         assert rc == 0
         assert capsys.readouterr().out == "entities=3 terms=7 triplets=7\n"
         assert b"database" not in (out_dir / "postings.jsonl").read_bytes()
+
+    def test_failed_reindex_leaves_an_index_that_search_refuses(self, tmp_path, monkeypatch, capsys):
+        out_dir = str(tmp_path / "idx")
+        (tmp_path / "a.xml").write_bytes(CORPUS_A)
+        (tmp_path / "b.xml").write_bytes(CORPUS_B)
+        rc = main(["index", "--input", str(tmp_path / "a.xml"), "--entity", "item", "--out", out_dir])
+        assert rc == 0
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            fail_write(patch, "postings.jsonl")
+            rc = main(["index", "--input", str(tmp_path / "b.xml"), "--entity", "item", "--out", out_dir])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert (out, err.startswith("error: [Errno 28] ")) == ("", True)
+        rc = main(["search", "--index", out_dir, "--query", "zeta eta"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert (out, err.startswith("error: manifest.json: cannot read index file: ")) == ("", True)
 
     def test_window_flag(self, toy_xml_path, tmp_path, capsys):
         rc = main(
@@ -261,6 +280,20 @@ class TestSearchCommand:
         rc = main(search_args("--k", "0"))
         assert rc == 2
         capsys.readouterr()
+
+    def test_k_that_is_not_an_integer_is_usage_error(self, capsys):
+        rc = main(search_args("--k", "abc"))
+        assert rc == 2
+        assert "expected an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_missing_index_file(self, tmp_path, capsys):
+        broken = tmp_path / "idx"
+        shutil.copytree(GOLDEN_INDEX_DIR, broken)
+        (broken / "cooccur.jsonl").unlink()
+        rc = main(["search", "--index", str(broken), "--query", "database"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert (out, err.startswith("error: cooccur.jsonl: cannot read index file: ")) == ("", True)
 
     def test_unknown_terms_give_empty_report(self, capsys):
         rc = main(["search", "--index", GOLDEN_IDX, "--query", "zzz yyy"])

@@ -7,9 +7,9 @@ from helpers import common_prefix_len, d, ids, is_ancestor_or_self, prefix_bound
 
 
 class TestConstruction:
-    def test_parse_round_trip(self):
+    def test_str_round_trip(self):
         for text in ("1", "1.2", "1.2.1", "3.14.15.9"):
-            assert str(DeweyId.parse(text)) == text
+            assert str(d(text)) == text
 
     def test_components_are_a_tuple(self):
         assert DeweyId((1, 2, 1)) == (1, 2, 1)
@@ -29,20 +29,6 @@ class TestConstruction:
             DeweyId((1, "2"))
         with pytest.raises(ValueError):
             DeweyId((True,))
-
-    def test_parse_rejects_garbage(self):
-        for text in ("", "1..2", "a.b", "1.-2", "1.0"):
-            with pytest.raises(ValueError):
-                DeweyId.parse(text)
-
-    def test_parse_takes_ascii_digits_only(self):
-        # each of these is a valid int() argument
-        for text in ("1_0.2", " 1.2", "1.2 ", "+1.2", "1.\n2", "\u0661.\u0662", "1.\uff12"):
-            with pytest.raises(ValueError, match="invalid Dewey ID"):
-                DeweyId.parse(text)
-
-    def test_parse_allows_leading_zeros(self):
-        assert DeweyId.parse("01.002") == (1, 2)
 
 
 class TestOrdering:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import random
 import re
 import shutil
@@ -22,7 +23,7 @@ from divsearch.storage import (
     save_index,
 )
 from conftest import DATA_DIR, GOLDEN_INDEX_DIR
-from helpers import NON_ASCII_WORDS, Entities, random_corpus_xml
+from helpers import NON_ASCII_WORDS, Entities, fail_rename, fail_write, random_corpus_xml
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -571,6 +572,65 @@ class TestSaveRefuses:
             save_index(bad, tmp_path / "idx")
         assert not (tmp_path / "idx").exists()
         assert not _round_trips(bad, tmp_path / "ref")
+
+
+# Two corpora of the same three entities in other words: a mix of their
+# index files passes every check that a loader makes of a whole file
+CORPUS_A = b"<r><item>alpha beta</item><item>beta gamma</item><item>alpha delta gamma</item></r>"
+CORPUS_B = b"<r><item>zeta eta</item><item>eta theta</item><item>zeta iota theta</item></r>"
+ITEMS = IndexConfig(entity_labels=frozenset({"item"}))
+INDEX_FILES = {*ALL_FILES, STOPWORDS_FILE}
+
+
+def _both_loaders(directory, query="zeta eta"):
+    return [lambda: load_index(directory), lambda: load_for_query(directory, query)]
+
+
+class TestSaveReplaces:
+    """A save that fails at any write or rename leaves a directory no loader reads."""
+
+    @pytest.mark.parametrize("over", [False, True], ids=["fresh", "over-an-index"])
+    @pytest.mark.parametrize("fail", [fail_write, fail_rename], ids=["write", "rename"])
+    @pytest.mark.parametrize("name", sorted(INDEX_FILES))
+    def test_failed_save_is_refused(self, tmp_path, monkeypatch, name, fail, over):
+        directory = tmp_path / "idx"
+        if over:
+            save_index(index_corpus(CORPUS_A, ITEMS), directory)
+        new = index_corpus(CORPUS_B, ITEMS)
+        with monkeypatch.context() as patch:
+            fail(patch, name)
+            with pytest.raises(OSError):
+                save_index(new, directory)
+        left = set(os.listdir(directory))
+        assert MANIFEST_FILE not in left
+        assert left <= INDEX_FILES  # no temporary file
+        if over:
+            assert left == INDEX_FILES - {MANIFEST_FILE}
+        for load in _both_loaders(directory):
+            with pytest.raises(IndexFormatError, match="^cannot read index file: ") as exc_info:
+                load()
+            assert exc_info.value.path == MANIFEST_FILE
+        save_index(new, directory)
+        assert load_index(directory) == new
+
+    def test_a_refused_bundle_leaves_the_old_index(self, tmp_path):
+        old = index_corpus(CORPUS_A, ITEMS)
+        save_index(old, tmp_path)
+        with pytest.raises(ValueError, match="not in document order"):
+            save_index(dataclasses.replace(old, entities=old.entities[::-1]), tmp_path)
+        assert load_index(tmp_path) == old
+        assert set(os.listdir(tmp_path)) == INDEX_FILES
+
+
+class TestMissingFile:
+    @pytest.mark.parametrize("name", ALL_FILES)
+    def test_both_loaders_refuse(self, toy_index, tmp_path, name):
+        save_index(toy_index, tmp_path)
+        (tmp_path / name).unlink()
+        for load in _both_loaders(tmp_path, "database query"):
+            with pytest.raises(IndexFormatError, match="^cannot read index file: ") as exc_info:
+                load()
+            assert (exc_info.value.path, exc_info.value.line) == (name, 0)
 
 
 class TestStopWords:
