@@ -54,9 +54,11 @@ class EntityTable:
     The tree numbers every node at or above an entity: entity i keeps number
     i and each other such node takes the next free number.  ``nodes[x]`` is
     node x's Dewey ID, ``up[x]`` its parent's number, None for the root, and
-    the entities of its subtree are ``lo[x] .. hi[x]-1``.  Each entity's
-    prefixes are walked upward until one is numbered, numbering the others
-    on the way; a loop, as chains may be thousands of levels deep.  A node is
+    the entities of its subtree are ``lo[x] .. hi[x]-1``.  An entity whose
+    parent is already numbered, as most are, takes one lookup.  From any
+    other entity the prefixes are walked upward until one is numbered,
+    numbering those on the way; a loop, as chains may be thousands of levels
+    deep.  A node is
     numbered by the first entity below it, its ``lo``, and ``hi`` comes from
     a second walk, from the last entity up.
     """
@@ -76,6 +78,10 @@ class EntityTable:
         # an entity is an ancestor of another only if the next one is its descendant
         number = {v: i for i, (v, w) in enumerate(zip(deweys, deweys[1:])) if w[: len(v)] == v}
         for i, v in enumerate(deweys):
+            x = number.get(v[:-1])
+            if x is not None:  # the parent is an entity, or a node numbered before
+                up[i] = x
+                continue
             child = i
             for depth in range(len(v) - 1, 0, -1):
                 parent = v[:depth]

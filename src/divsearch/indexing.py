@@ -12,7 +12,6 @@ that ordinal.  The tree the entities span is built on first use.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,6 +110,8 @@ def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
     is in ``config.entity_labels`` becomes an EntityRecord whose tokens are
     drawn from all its descendant text.
     """
+    import xml.etree.ElementTree as ET  # only indexing parses XML: a search need not import it
+
     records: list[EntityRecord] = []
     pending: dict[int, EntityRecord] = {}
     # the Dewey path of the open elements, then how many children the innermost has so far

@@ -33,9 +33,12 @@ lists of the keywords and of their pairs' other terms.  It checks that
 every file is UTF-8, every manifest, stop-word and entity line, the shape
 and term order of every postings line, and each pair and posting line it
 uses in full; the lines it does not use it does not parse.  Both readers
-read postings.jsonl through one pass, :func:`_read_postings`, and check
-pairs through one function, :func:`_read_pairs`, so their grammars,
-messages and checks are the same code; both refuse a pair listed twice.
+read entities.jsonl through :func:`_load_entities`, a chunk of lines at a
+time with each check over the whole chunk, and a refused chunk again line
+by line to name the faulty line.  Both read postings.jsonl through one
+pass, :func:`_read_postings`, and check pairs through one function,
+:func:`_read_pairs`, so their grammars, messages and checks are the same
+code; both refuse a pair listed twice.
 
 A loaded bundle holds the entities' Dewey IDs and labels as two tuples by
 ordinal, and shares objects between its parts: a cooccur key holds the
@@ -54,9 +57,10 @@ import operator
 import os
 import re
 from contextlib import contextmanager, suppress
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Iterator
+from typing import Any, Callable, Collection, Iterable, Iterator, TextIO
 
 from .dewey import DeweyId, _trusted
 from .errors import IndexFormatError, IndexVersionError
@@ -85,7 +89,10 @@ def _grammar(pattern: str, shape: str) -> tuple[Callable, str]:
     return re.compile(pattern % {"s": _STR, "d": _DEWEY} + r"\n?").fullmatch, f"expected {shape}"
 
 
-_ENTITY_LINE = _grammar(r'\{"dewey":"(%(d)s)","label":%(s)s\}', '{"dewey":"<dewey>","label":<string>}')
+_ENTITY = r'\{"dewey":"(%(d)s)","label":%(s)s\}'
+_ENTITY_LINE = _grammar(_ENTITY, '{"dewey":"<dewey>","label":<string>}')
+# the fields of each line of a chunk that _ENTITY_LINE matches: a match spans a whole line
+_ENTITY_ROWS = re.compile("^%s$" % _ENTITY % {"s": _STR, "d": _DEWEY}, re.M).findall
 # a posting's list is matched loosely, each entry checked apart: under a
 # repeated group the matcher's memory would grow with the line
 _POSTING_LINE = _grammar(
@@ -245,16 +252,23 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
 
 
 @contextmanager
-def _lines(path: Path) -> Iterator[Iterator[tuple[int, str]]]:
-    """The numbered lines of ``path``; a read or decode error is an IndexFormatError."""
+def _open(path: Path) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text; a read or decode error is an IndexFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield enumerate(fh, start=1)
+            yield fh
     except OSError as exc:
         raise _unreadable(path, exc) from exc
     except UnicodeDecodeError:  # text mode decodes ahead of the line read: the bytes locate it
         _read_bytes(path)
         raise
+
+
+@contextmanager
+def _lines(path: Path) -> Iterator[Iterator[tuple[int, str]]]:
+    """The numbered lines of ``path``, read as :func:`_open` reads them."""
+    with _open(path) as fh:
+        yield enumerate(fh, start=1)
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -344,7 +358,14 @@ def _load_manifest(directory: Path) -> dict[str, Any]:
 def _load_entities(
     directory: Path, manifest: dict[str, Any]
 ) -> tuple[list[DeweyId], list[str], dict[str, int]]:
-    """Every entity's Dewey ID and label, and its ordinal by its Dewey text as written."""
+    """Every entity's Dewey ID and label, and its ordinal by its Dewey text as written.
+
+    The lines are read in chunks of about ``_CHUNK`` characters, each read
+    by :func:`_entity_chunk`, whose checks run over the whole chunk in C.  A
+    chunk it refuses is read again line by line, by
+    :func:`_check_entity_lines`, which finds the first faulty line and its
+    message.
+    """
     # one lookup proves a label the manifest's and gives the manifest's string
     known = {label: label for label in manifest["entityLabels"]}
     path = directory / ENTITIES_FILE
@@ -352,20 +373,65 @@ def _load_entities(
     labels: list[str] = []
     # Dewey text as written -> the entity's ordinal; postings resolve through it
     by_text: dict[str, int] = {}
-    with _lines(path) as lines:
-        for lineno, (text, label) in _rows(path, lines, _ENTITY_LINE):
-            try:
-                labels.append(known[label])
-            except KeyError:
-                raise _fail(path, lineno, f"entity label {label!r} not in the manifest") from None
-            dewey = _dewey(text, path, lineno)
-            if entities and dewey <= entities[-1]:
-                raise _fail(path, lineno, "entities not in document order")
-            by_text[text] = len(entities)
-            entities.append(dewey)
+    with _open(path) as fh:
+        while chunk := fh.readlines(_CHUNK):
+            first, last = len(entities), entities[-1] if entities else None
+            read = _entity_chunk(chunk, known, last)
+            if read is None:
+                _check_entity_lines(path, enumerate(chunk, first + 1), known, last)
+                raise AssertionError(f"{path.name}: a chunk refused, but none of its lines")
+            texts, names, deweys = read
+            by_text.update(zip(texts, range(first, first + len(texts))))
+            entities += deweys
+            labels += names
     if len(entities) != manifest["entityCount"]:
         raise _fail(path, len(entities), "entity count does not match manifest")
     return entities, labels, by_text
+
+
+_CHUNK = 1 << 15  # characters of whole lines that the entity reader reads at a time
+
+
+def _entity_chunk(
+    lines: list[str], known: dict[str, str], last: DeweyId | None
+) -> tuple[tuple[str, ...], list[str], list[DeweyId]] | None:
+    """The Dewey texts, labels and Dewey IDs of ``lines``, entity lines that
+    follow one with the Dewey ID ``last``, if any.
+
+    None if any line fails a check that :func:`_check_entity_lines` makes:
+    its shape (a line that does not match adds no row), its label, a Dewey
+    component past ``int()``'s digit limit, or the document order.
+    """
+    rows = _ENTITY_ROWS("".join(lines))
+    if len(rows) != len(lines):
+        return None
+    texts, labels = zip(*rows)
+    try:
+        labels = list(map(known.__getitem__, labels))
+        # the grammar admits only positive components without leading zeros
+        components = map(partial(map, int), map(operator.methodcaller("split", "."), texts))
+        deweys = list(map(partial(tuple.__new__, DeweyId), components))
+    except (KeyError, ValueError):  # ValueError: a component past int()'s digit limit
+        return None
+    if last is not None and deweys[0] <= last:
+        return None
+    if any(map(operator.ge, deweys, islice(deweys, 1, None))):
+        return None
+    return texts, labels, deweys
+
+
+def _check_entity_lines(
+    path: Path, lines: Iterable[tuple[int, str]], known: dict[str, str], last: DeweyId | None
+) -> None:
+    """Check ``lines``, numbered entity lines that follow one with the Dewey
+    ID ``last``, if any, one at a time; raise at the first fault."""
+    for lineno, (text, label) in _rows(path, lines, _ENTITY_LINE):
+        if label not in known:
+            raise _fail(path, lineno, f"entity label {label!r} not in the manifest")
+        dewey = _dewey(text, path, lineno)
+        if last is not None and dewey <= last:
+            raise _fail(path, lineno, "entities not in document order")
+        last = dewey
 
 
 def _read_postings(
@@ -536,33 +602,44 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
     return keywords, _bundle(manifest, entities, labels, postings, cooccur, stopwords)
 
 
+# what precedes and what follows ':"<keyword>","' where a pair line names a
+# keyword: {"a":"<keyword>","b": or ,"b":"<keyword>","count":
+_NAMED_AS = {b'{"a"': b'b":', b',"b"': b'count":'}
+
+
 def _keyword_pair_lines(
     path: Path, data: bytes, keywords: frozenset[str]
 ) -> tuple[list[tuple[int, tuple]], set[tuple[str, str]]]:
     """The lines of ``data``, cooccur.jsonl, that a query for ``keywords`` reads.
 
     A line names a keyword as ``{"a":"<keyword>","b":`` or as
-    ``,"b":"<keyword>","count":``, so ``bytes.find`` locates every line that
-    names one.  A line that holds a backslash, an escape that might spell a
-    keyword, is read too and so refused.  Each is read with the lines just
-    before and after it, so that its order is checked on both sides.
-    Returns each line's number and fields, in file order, and the pairs that
-    name a keyword.
+    ``,"b":"<keyword>","count":``.  Both forms hold ``:"<keyword>","``, so
+    one ``bytes.find`` per keyword passes over the file, and a line is read
+    where the bytes on either side of a find complete one of the forms.  A
+    line that holds a backslash, an escape that might spell a keyword, is
+    read too and so refused.  Each is read with the lines just before and
+    after it, so that its order is checked on both sides.  Returns each
+    line's number and fields, in file order, and the pairs that name a
+    keyword.
     """
-    needles = [b"\\"]
-    for word in keywords:
-        raw = word.encode()
-        needles += [b'{"a":"%s","b":' % raw, b',"b":"%s","count":' % raw]
+    needles = [b"\\"] + [b':"%s","' % word.encode() for word in keywords]
     size = len(data)
 
     def line_end(at: int) -> int:
         end = data.find(b"\n", at)
         return size if end < 0 else end
 
+    def names(at: int, needle: bytes) -> bool:  # the find at ``at`` is an "a" or "b" value
+        after = _NAMED_AS.get(data[max(at - 4, 0) : at])
+        return after is not None and data.startswith(after, at + len(needle))
+
     found: dict[int, int] = {}  # start -> end of a line, its "\n" left out
     for needle in needles:
         at = data.find(needle)
         while at >= 0:
+            if needle != b"\\" and not names(at, needle):
+                at = data.find(needle, at + 1)
+                continue
             start = data.rfind(b"\n", 0, at) + 1
             found[start] = end = line_end(at)
             at = data.find(needle, end)

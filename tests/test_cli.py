@@ -455,6 +455,33 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_REPORT + "\n"
 
+    def test_only_indexing_imports_the_xml_parser(self, toy_xml_path, tmp_path):
+        """A search process leaves ``xml.etree`` unimported; ``index`` imports it."""
+        script = (
+            "import sys\n"
+            "from divsearch.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('xml.etree' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+
+        def divsearch(*args):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *args], capture_output=True, text=True, encoding="utf-8"
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout, proc.stderr
+
+        out, imported = divsearch(*search_args("--k", "2", "--m", "2"))
+        assert (out, imported) == (GOLDEN_REPORT + "\n", "False\n")
+        idx = tmp_path / "idx"
+        out, imported = divsearch(
+            "index", "--input", str(toy_xml_path), "--entity", "paper", "--out", str(idx)
+        )
+        assert out.startswith("entities=3 ") and imported == "True\n"
+        for name in ("manifest.json", "entities.jsonl", "postings.jsonl", "cooccur.jsonl"):
+            assert (idx / name).read_bytes() == (GOLDEN_INDEX_DIR / name).read_bytes()
+
 
 class TestHashSeed:
     """Index bytes and reports do not depend on the order of a set or a dict."""
