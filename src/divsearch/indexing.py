@@ -12,6 +12,7 @@ that ordinal.  The tree the entities span is built on first use.
 from __future__ import annotations
 
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,13 +67,14 @@ def tokenize(text: str, stopwords: frozenset[str]) -> tuple[tuple[str, int], ...
     """Lowercase, split on non-alphanumerics, drop stop words.
 
     Positions index the raw token stream before stop-word removal so that
-    proximity windows measure original distances.
+    proximity windows measure original distances.  Each token is interned:
+    equal terms are one string across records, postings and pairs.
     """
     out: list[tuple[str, int]] = []
     for pos, match in enumerate(_TOKEN_RE.finditer(text.lower())):
         token = match.group()
         if token not in stopwords:
-            out.append((token, pos))
+            out.append((sys.intern(token), pos))
     return tuple(out)
 
 

@@ -38,7 +38,10 @@ time with each check over the whole chunk, and a refused chunk again line
 by line to name the faulty line.  Both read postings.jsonl through one
 pass, :func:`_read_postings`, and check pairs through one function,
 :func:`_read_pairs`, so their grammars, messages and checks are the same
-code; both refuse a pair listed twice.
+code; both refuse a pair listed twice.  :func:`load_for_query` scans
+cooccur.jsonl in blocks of whole lines, :func:`_blocks`, and holds one
+block at a time, so its memory does not grow with the pair file; the same
+block reader names the line of a UTF-8 fault in any file.
 
 A loaded bundle holds the entities' Dewey IDs and labels as two tuples by
 ordinal, and shares objects between its parts: a cooccur key holds the
@@ -259,8 +262,9 @@ def _open(path: Path) -> Iterator[TextIO]:
             yield fh
     except OSError as exc:
         raise _unreadable(path, exc) from exc
-    except UnicodeDecodeError:  # text mode decodes ahead of the line read: the bytes locate it
-        _read_bytes(path)
+    except UnicodeDecodeError:  # text mode decodes ahead of the line read: the blocks locate it
+        for _ in _blocks(path):
+            pass
         raise
 
 
@@ -271,22 +275,44 @@ def _lines(path: Path) -> Iterator[Iterator[tuple[int, str]]]:
         yield enumerate(fh, start=1)
 
 
-def _read_bytes(path: Path) -> bytes:
-    """The bytes of ``path``, read as :func:`_lines` reads its text: checked as
-    UTF-8, with CR LF and a lone CR each ending a line as LF does."""
+def _blocks(path: Path) -> Iterator[tuple[bytes, int, int]]:
+    """The bytes of ``path``, as :func:`_lines` reads its text, in blocks of
+    whole lines: each block, the end of its lines in it, and the number of
+    lines before it.
+
+    CR LF and a lone CR each end a line as LF does, and become LF; the lines
+    of each block are checked as UTF-8 before it is yielded.  A block's
+    lines end at its last LF, and the bytes after it begin the next block;
+    the last block holds what follows the final LF, if anything does.  Each
+    read takes ``_BLOCK`` bytes more than those carried bytes, so a line
+    longer than a block is read in reads that double.
+    """
+    before, rest = 0, b""
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            while True:
+                raw = fh.read(_BLOCK + len(rest))
+                block = rest + raw
+                held = b""
+                if raw and block.endswith(b"\r"):  # the next read may open with its LF
+                    block, held = block[:-1], b"\r"
+                if b"\r" in block:
+                    block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                end = block.rfind(b"\n") + 1 if raw else len(block)
+                if end:
+                    if not block.isascii():
+                        try:
+                            str(memoryview(block)[:end], "utf-8")
+                        except UnicodeDecodeError as exc:
+                            line = before + block.count(b"\n", 0, exc.start) + 1
+                            raise _fail(path, line, f"invalid UTF-8: {exc.reason}") from exc
+                    yield block, end, before
+                    before += block.count(b"\n", 0, end)
+                if not raw:
+                    return
+                rest = block[end:] + held
     except OSError as exc:
         raise _unreadable(path, exc) from exc
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise _fail(path, line, f"invalid UTF-8: {exc.reason}") from exc
-    return data
 
 
 def _unreadable(path: Path, exc: OSError) -> IndexFormatError:
@@ -390,6 +416,7 @@ def _load_entities(
 
 
 _CHUNK = 1 << 15  # characters of whole lines that the entity reader reads at a time
+_BLOCK = 1 << 17  # bytes that the pair scan, and the UTF-8 fault finder, read at a time
 
 
 def _entity_chunk(
@@ -584,6 +611,12 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
     before and after it, and no pair read may be listed twice.
     :func:`load_index` makes the same checks, through the same code, on
     every line.
+
+    cooccur.jsonl is scanned a block of ``_BLOCK`` bytes at a time, and
+    only the lines read are kept, so the read's memory is one block and the
+    keywords' pairs, whatever the size of the file.  Every block is checked
+    as UTF-8 before any pair line is matched: a UTF-8 fault anywhere in the
+    file is named before a fault in a line's grammar.
     """
     directory = Path(directory)
     manifest = _load_manifest(directory)
@@ -592,7 +625,7 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
     entities, labels, by_text = _load_entities(directory, manifest)
 
     pairs_path = directory / COOCCUR_FILE
-    rows, named = _keyword_pair_lines(pairs_path, _read_bytes(pairs_path), frozenset(keywords))
+    rows, named = _keyword_pair_lines(pairs_path, frozenset(keywords))
     read = {term for _, (a, b, _) in rows for term in (a, b)}
     path = directory / POSTINGS_FILE
     with _lines(path) as lines:
@@ -608,54 +641,67 @@ _NAMED_AS = {b'{"a"': b'b":', b',"b"': b'count":'}
 
 
 def _keyword_pair_lines(
-    path: Path, data: bytes, keywords: frozenset[str]
+    path: Path, keywords: frozenset[str]
 ) -> tuple[list[tuple[int, tuple]], set[tuple[str, str]]]:
-    """The lines of ``data``, cooccur.jsonl, that a query for ``keywords`` reads.
+    """The lines of ``path``, cooccur.jsonl, that a query for ``keywords`` reads.
 
     A line names a keyword as ``{"a":"<keyword>","b":`` or as
     ``,"b":"<keyword>","count":``.  Both forms hold ``:"<keyword>","``, so
-    one ``bytes.find`` per keyword passes over the file, and a line is read
-    where the bytes on either side of a find complete one of the forms.  A
-    line that holds a backslash, an escape that might spell a keyword, is
-    read too and so refused.  Each is read with the lines just before and
-    after it, so that its order is checked on both sides.  Returns each
-    line's number and fields, in file order, and the pairs that name a
-    keyword.
+    one ``bytes.find`` per keyword passes over each block of
+    :func:`_blocks`, and a line is read where the bytes on either side of a
+    find complete one of the forms.  A line that holds a backslash, an
+    escape that might spell a keyword, is read too and so refused.  Each is
+    read with the lines just before and after it, across a block's edge
+    too, so that its order is checked on both sides.  Only one block is
+    held at a time; every block is checked as UTF-8 before any line is
+    matched.  Returns each line's number and fields, in file order, and the
+    pairs that name a keyword.
     """
     needles = [b"\\"] + [b':"%s","' % word.encode() for word in keywords]
-    size = len(data)
+    read: dict[int, bytes] = {}  # line number -> the line, its "\n" kept
+    last = b""  # the last line of the block before
+    follow = False  # a line read ends the block before: the next line is read too
+    for block, size, before in _blocks(path):
 
-    def line_end(at: int) -> int:
-        end = data.find(b"\n", at)
-        return size if end < 0 else end
+        def line_end(at: int) -> int:
+            end = block.find(b"\n", at, size)
+            return size if end < 0 else end
 
-    def names(at: int, needle: bytes) -> bool:  # the find at ``at`` is an "a" or "b" value
-        after = _NAMED_AS.get(data[max(at - 4, 0) : at])
-        return after is not None and data.startswith(after, at + len(needle))
+        def names(at: int, needle: bytes) -> bool:  # the find at ``at`` is an "a" or "b" value
+            after = _NAMED_AS.get(block[max(at - 4, 0) : at])
+            return after is not None and block.startswith(after, at + len(needle), size)
 
-    found: dict[int, int] = {}  # start -> end of a line, its "\n" left out
-    for needle in needles:
-        at = data.find(needle)
-        while at >= 0:
-            if needle != b"\\" and not names(at, needle):
-                at = data.find(needle, at + 1)
-                continue
-            start = data.rfind(b"\n", 0, at) + 1
-            found[start] = end = line_end(at)
-            at = data.find(needle, end)
-    spans = dict(found)
-    for start, end in found.items():
-        if start:
-            spans[data.rfind(b"\n", 0, start - 1) + 1] = start - 1
-        if end + 1 < size:  # nothing follows a final "\n"
-            spans[end + 1] = line_end(end + 1)
+        found: dict[int, int] = {}  # start -> end of a line, its "\n" left out
+        for needle in needles:
+            at = block.find(needle, 0, size)
+            while at >= 0:
+                if needle != b"\\" and not names(at, needle):
+                    at = block.find(needle, at + 1, size)
+                    continue
+                start = block.rfind(b"\n", 0, at) + 1
+                found[start] = end = line_end(at)
+                at = block.find(needle, end, size)
+        spans = dict(found)
+        if follow:
+            spans[0] = line_end(0)
+        follow = False
+        for start, end in found.items():
+            if start:
+                spans[block.rfind(b"\n", 0, start - 1) + 1] = start - 1
+            elif before:
+                read[before] = last
+            if end + 1 < size:
+                spans[end + 1] = line_end(end + 1)
+            else:  # nothing follows a final "\n" but the next block
+                follow = True
+        lineno, counted = before + 1, 0
+        for start in sorted(spans):
+            lineno += block.count(b"\n", counted, start)
+            counted = start
+            read[lineno] = block[start : spans[start] + 1]
+        last = block[block.rfind(b"\n", 0, size - 1) + 1 : size]
 
-    lines: list[tuple[int, str]] = []
-    lineno, counted = 1, 0
-    for start in sorted(spans):
-        lineno += data.count(b"\n", counted, start)
-        counted = start
-        lines.append((lineno, data[start : spans[start] + 1].decode()))
+    lines = [(lineno, read[lineno].decode()) for lineno in sorted(read)]
     rows = list(_rows(path, lines, _PAIR_LINE))
     named = {(a, b) for _, (a, b, _) in rows if a in keywords or b in keywords}
     return rows, named

@@ -217,6 +217,17 @@ class TestBuildIndex:
             for term, posting in index.postings.items():
                 assert all(a < b for a, b in zip(posting, posting[1:])), term
 
+    def test_one_string_per_term(self):
+        """Equal terms are one object across records, postings keys and cooccur keys."""
+        config = IndexConfig(entity_labels=frozenset({"item"}))
+        records = parse_corpus(random_corpus_xml(random.Random(33), max_entities=30, vocab_size=12), config)
+        index = build_index(records, config)
+        terms = {term: term for term in index.postings}
+        tokens = [token for record in records for token, _ in record.tokens]
+        assert len(tokens) > len(terms)  # each term occurs more than once
+        assert all(token is terms[token] for token in tokens)
+        assert all(a is terms[a] and b is terms[b] for a, b in index.cooccur)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
             build_index([], IndexConfig(entity_labels=frozenset({"item"})))
