@@ -114,7 +114,8 @@ def _read_stopwords(path: str | None) -> frozenset[str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        head = exc.object[: exc.start]  # its line ends as text mode reads them: LF, CR LF, CR
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise DivSearchError(f"{path}:{line}: invalid UTF-8: {exc.reason}") from exc
     # a word that is not one token, such as "don't", can never match one
     return frozenset(word for word in text.lower().split() if is_token(word))

@@ -97,10 +97,11 @@ def _byte_offset(data: bytes, line: int, column: int) -> int:
         ascii_safe = b"\0" not in data[:4] and _ASCII.encode(encoding) == _ASCII.encode()
     except (LookupError, UnicodeError):
         ascii_safe = False
-    lines = data.split(b"\n")
+    # expat ends a line at LF, CR LF and a lone CR alike; the last line may be empty
+    lines = data.splitlines(keepends=True) + [b""]
     if not ascii_safe or line < 1 or line > len(lines):
         return -1
-    offset = sum(len(l) + 1 for l in lines[: line - 1])
+    offset = sum(map(len, lines[: line - 1]))
     text = lines[line - 1].decode(encoding, errors="surrogateescape")
     return offset + len(text[:column].encode(encoding, errors="surrogateescape"))
 

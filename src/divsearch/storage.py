@@ -1,6 +1,7 @@
 """Index persistence: a small directory of JSON/JSONL files.
 
-Layout (UTF-8, LF endings, fixed key order per line):
+Layout (UTF-8, LF endings, fixed key order per line; the loaders read CR LF
+and a lone CR as LF too):
 
 * ``manifest.json``   {"version":1,"entityCount":N,"window":W,"entityLabels":[...],"logBase":"e"}
 * ``entities.jsonl``  one {"dewey","label"} per entity, document order
@@ -32,16 +33,19 @@ query needs: every entity, the pairs that name a keyword, and the posting
 lists of the keywords and of their pairs' other terms.  It checks that
 every file is UTF-8, every manifest, stop-word and entity line, the shape
 and term order of every postings line, and each pair and posting line it
-uses in full; the lines it does not use it does not parse.  Both readers
-read entities.jsonl through :func:`_load_entities`, a chunk of lines at a
-time with each check over the whole chunk, and a refused chunk again line
-by line to name the faulty line.  Both read postings.jsonl through one
-pass, :func:`_read_postings`, and check pairs through one function,
-:func:`_read_pairs`, so their grammars, messages and checks are the same
-code; both refuse a pair listed twice.  :func:`load_for_query` scans
-cooccur.jsonl in blocks of whole lines, :func:`_blocks`, and holds one
-block at a time, so its memory does not grow with the pair file; the same
-block reader names the line of a UTF-8 fault in any file.
+uses in full; the lines it does not use it does not parse.
+
+Every file is read in text mode through :func:`_open`, which names the line
+of a UTF-8 fault.  The manifest, stop words and postings are read a line at
+a time; entities.jsonl and, by :func:`load_for_query`, cooccur.jsonl are
+read in blocks of whole lines, :func:`_blocks`.  Both readers read
+entities.jsonl through :func:`_load_entities`, each check over a whole
+block, and a refused block again line by line to name the faulty line.
+Both read postings.jsonl through one pass, :func:`_read_postings`, and
+check pairs through one function, :func:`_read_pairs`, so their grammars,
+messages and checks are the same code; both refuse a pair listed twice.
+:func:`load_for_query` holds one block of cooccur.jsonl at a time, so its
+memory does not grow with the pair file.
 
 A loaded bundle holds the entities' Dewey IDs and labels as two tuples by
 ordinal, and shares objects between its parts: a cooccur key holds the
@@ -54,6 +58,7 @@ bundle fresh from ``build_index``.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import operator
@@ -255,16 +260,27 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
 
 
 @contextmanager
-def _open(path: Path) -> Iterator[TextIO]:
-    """``path`` open as UTF-8 text; a read or decode error is an IndexFormatError."""
+def _open(path: Path, errors: str = "strict") -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text, CR LF and a lone CR each read as LF; a
+    read or decode error is an IndexFormatError.
+
+    Text mode decodes ahead of the line it returns, so a decode error does
+    not tell its line: the file is read again, a line at a time with each
+    undecodable byte kept as a surrogate, and the first line whose bytes do
+    not decode is named, with the decoder's reason.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors=errors) as fh:
             yield fh
     except OSError as exc:
-        raise _unreadable(path, exc) from exc
-    except UnicodeDecodeError:  # text mode decodes ahead of the line read: the blocks locate it
-        for _ in _blocks(path):
-            pass
+        raise IndexFormatError(f"cannot read index file: {exc}", path=path.name) from exc
+    except UnicodeDecodeError:
+        with _open(path, "surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise _fail(path, lineno, f"invalid UTF-8: {exc.reason}") from exc
         raise
 
 
@@ -275,48 +291,23 @@ def _lines(path: Path) -> Iterator[Iterator[tuple[int, str]]]:
         yield enumerate(fh, start=1)
 
 
-def _blocks(path: Path) -> Iterator[tuple[bytes, int, int]]:
-    """The bytes of ``path``, as :func:`_lines` reads its text, in blocks of
-    whole lines: each block, the end of its lines in it, and the number of
-    lines before it.
+_BLOCK = 1 << 15  # characters that the entity reader and the pair scan read at a time
 
-    CR LF and a lone CR each end a line as LF does, and become LF; the lines
-    of each block are checked as UTF-8 before it is yielded.  A block's
-    lines end at its last LF, and the bytes after it begin the next block;
-    the last block holds what follows the final LF, if anything does.  Each
-    read takes ``_BLOCK`` bytes more than those carried bytes, so a line
-    longer than a block is read in reads that double.
+
+def _blocks(path: Path) -> Iterator[tuple[str, int]]:
+    """The text of ``path``, read as :func:`_open` reads it, in blocks of
+    whole lines: each block and the number of lines before it.
+
+    A block is ``_BLOCK`` characters and the rest of the line they end in;
+    each ends with its last line's LF but the last block, which holds what
+    follows the file's final LF, if anything does.
     """
-    before, rest = 0, b""
-    try:
-        with open(path, "rb") as fh:
-            while True:
-                raw = fh.read(_BLOCK + len(rest))
-                block = rest + raw
-                held = b""
-                if raw and block.endswith(b"\r"):  # the next read may open with its LF
-                    block, held = block[:-1], b"\r"
-                if b"\r" in block:
-                    block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                end = block.rfind(b"\n") + 1 if raw else len(block)
-                if end:
-                    if not block.isascii():
-                        try:
-                            str(memoryview(block)[:end], "utf-8")
-                        except UnicodeDecodeError as exc:
-                            line = before + block.count(b"\n", 0, exc.start) + 1
-                            raise _fail(path, line, f"invalid UTF-8: {exc.reason}") from exc
-                    yield block, end, before
-                    before += block.count(b"\n", 0, end)
-                if not raw:
-                    return
-                rest = block[end:] + held
-    except OSError as exc:
-        raise _unreadable(path, exc) from exc
-
-
-def _unreadable(path: Path, exc: OSError) -> IndexFormatError:
-    return IndexFormatError(f"cannot read index file: {exc}", path=path.name)
+    before = 0
+    with _open(path) as fh:
+        while block := fh.read(_BLOCK):
+            block += fh.readline()
+            yield block, before
+            before += block.count("\n")
 
 
 def _rows(
@@ -386,11 +377,11 @@ def _load_entities(
 ) -> tuple[list[DeweyId], list[str], dict[str, int]]:
     """Every entity's Dewey ID and label, and its ordinal by its Dewey text as written.
 
-    The lines are read in chunks of about ``_CHUNK`` characters, each read
-    by :func:`_entity_chunk`, whose checks run over the whole chunk in C.  A
-    chunk it refuses is read again line by line, by
-    :func:`_check_entity_lines`, which finds the first faulty line and its
-    message.
+    The lines are read a block at a time, by :func:`_blocks`, each read by
+    :func:`_entity_chunk`, whose checks run over the whole block in C.  A
+    block it refuses is read again line by line, split at LF alone as text
+    mode splits it, by :func:`_check_entity_lines`, which finds the first
+    faulty line and its message.
     """
     # one lookup proves a label the manifest's and gives the manifest's string
     known = {label: label for label in manifest["entityLabels"]}
@@ -399,38 +390,34 @@ def _load_entities(
     labels: list[str] = []
     # Dewey text as written -> the entity's ordinal; postings resolve through it
     by_text: dict[str, int] = {}
-    with _open(path) as fh:
-        while chunk := fh.readlines(_CHUNK):
-            first, last = len(entities), entities[-1] if entities else None
-            read = _entity_chunk(chunk, known, last)
-            if read is None:
-                _check_entity_lines(path, enumerate(chunk, first + 1), known, last)
-                raise AssertionError(f"{path.name}: a chunk refused, but none of its lines")
-            texts, names, deweys = read
-            by_text.update(zip(texts, range(first, first + len(texts))))
-            entities += deweys
-            labels += names
+    for block, before in _blocks(path):
+        last = entities[-1] if entities else None
+        read = _entity_chunk(block, known, last)
+        if read is None:
+            lines = io.StringIO(block, newline="\n")  # not str.splitlines: a label may hold U+2028
+            _check_entity_lines(path, enumerate(lines, before + 1), known, last)
+            raise AssertionError(f"{path.name}: a block refused, but none of its lines")
+        texts, names, deweys = read
+        by_text.update(zip(texts, range(before, before + len(texts))))
+        entities += deweys
+        labels += names
     if len(entities) != manifest["entityCount"]:
         raise _fail(path, len(entities), "entity count does not match manifest")
     return entities, labels, by_text
 
 
-_CHUNK = 1 << 15  # characters of whole lines that the entity reader reads at a time
-_BLOCK = 1 << 17  # bytes that the pair scan, and the UTF-8 fault finder, read at a time
-
-
 def _entity_chunk(
-    lines: list[str], known: dict[str, str], last: DeweyId | None
+    text: str, known: dict[str, str], last: DeweyId | None
 ) -> tuple[tuple[str, ...], list[str], list[DeweyId]] | None:
-    """The Dewey texts, labels and Dewey IDs of ``lines``, entity lines that
-    follow one with the Dewey ID ``last``, if any.
+    """The Dewey texts, labels and Dewey IDs of the lines of ``text``, entity
+    lines that follow one with the Dewey ID ``last``, if any.
 
     None if any line fails a check that :func:`_check_entity_lines` makes:
     its shape (a line that does not match adds no row), its label, a Dewey
     component past ``int()``'s digit limit, or the document order.
     """
-    rows = _ENTITY_ROWS("".join(lines))
-    if len(rows) != len(lines):
+    rows = _ENTITY_ROWS(text)
+    if len(rows) != text.count("\n") + (not text.endswith("\n")):
         return None
     texts, labels = zip(*rows)
     try:
@@ -612,11 +599,11 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
     :func:`load_index` makes the same checks, through the same code, on
     every line.
 
-    cooccur.jsonl is scanned a block of ``_BLOCK`` bytes at a time, and
-    only the lines read are kept, so the read's memory is one block and the
-    keywords' pairs, whatever the size of the file.  Every block is checked
-    as UTF-8 before any pair line is matched: a UTF-8 fault anywhere in the
-    file is named before a fault in a line's grammar.
+    cooccur.jsonl is scanned a block of about ``_BLOCK`` characters at a
+    time, and only the lines read are kept, so the read's memory is one
+    block and the keywords' pairs, whatever the size of the file.  No pair
+    line is matched before the whole file is read: a UTF-8 fault anywhere
+    in it is named before a fault in a line's grammar.
     """
     directory = Path(directory)
     manifest = _load_manifest(directory)
@@ -637,7 +624,7 @@ def load_for_query(directory: str | Path, query: str) -> tuple[list[str], IndexB
 
 # what precedes and what follows ':"<keyword>","' where a pair line names a
 # keyword: {"a":"<keyword>","b": or ,"b":"<keyword>","count":
-_NAMED_AS = {b'{"a"': b'b":', b',"b"': b'count":'}
+_NAMED_AS = {'{"a"': 'b":', ',"b"': 'count":'}
 
 
 def _keyword_pair_lines(
@@ -647,61 +634,60 @@ def _keyword_pair_lines(
 
     A line names a keyword as ``{"a":"<keyword>","b":`` or as
     ``,"b":"<keyword>","count":``.  Both forms hold ``:"<keyword>","``, so
-    one ``bytes.find`` per keyword passes over each block of
-    :func:`_blocks`, and a line is read where the bytes on either side of a
-    find complete one of the forms.  A line that holds a backslash, an
-    escape that might spell a keyword, is read too and so refused.  Each is
-    read with the lines just before and after it, across a block's edge
-    too, so that its order is checked on both sides.  Only one block is
-    held at a time; every block is checked as UTF-8 before any line is
-    matched.  Returns each line's number and fields, in file order, and the
-    pairs that name a keyword.
+    one ``str.find`` per keyword passes over each block of :func:`_blocks`,
+    and a line is read where the text on either side of a find completes
+    one of the forms.  A line that holds a backslash, an escape that might
+    spell a keyword, is read too and so refused.  Each is read with the
+    lines just before and after it, across a block's edge too, so that its
+    order is checked on both sides.  Only one block is held at a time, and
+    no line is matched before the whole file is read, so a UTF-8 fault
+    anywhere in it is named first.  Returns each line's number and fields,
+    in file order, and the pairs that name a keyword.
     """
-    needles = [b"\\"] + [b':"%s","' % word.encode() for word in keywords]
-    read: dict[int, bytes] = {}  # line number -> the line, its "\n" kept
-    last = b""  # the last line of the block before
+    needles = ["\\"] + [':"%s","' % word for word in keywords]
+    read: dict[int, str] = {}  # line number -> the line, its "\n" kept
+    last = ""  # the last line of the block before
     follow = False  # a line read ends the block before: the next line is read too
-    for block, size, before in _blocks(path):
+    for block, before in _blocks(path):
 
         def line_end(at: int) -> int:
-            end = block.find(b"\n", at, size)
-            return size if end < 0 else end
+            end = block.find("\n", at)
+            return len(block) if end < 0 else end
 
-        def names(at: int, needle: bytes) -> bool:  # the find at ``at`` is an "a" or "b" value
+        def names(at: int, needle: str) -> bool:  # the find at ``at`` is an "a" or "b" value
             after = _NAMED_AS.get(block[max(at - 4, 0) : at])
-            return after is not None and block.startswith(after, at + len(needle), size)
+            return after is not None and block.startswith(after, at + len(needle))
 
         found: dict[int, int] = {}  # start -> end of a line, its "\n" left out
         for needle in needles:
-            at = block.find(needle, 0, size)
+            at = block.find(needle)
             while at >= 0:
-                if needle != b"\\" and not names(at, needle):
-                    at = block.find(needle, at + 1, size)
+                if needle != "\\" and not names(at, needle):
+                    at = block.find(needle, at + 1)
                     continue
-                start = block.rfind(b"\n", 0, at) + 1
+                start = block.rfind("\n", 0, at) + 1
                 found[start] = end = line_end(at)
-                at = block.find(needle, end, size)
+                at = block.find(needle, end)
         spans = dict(found)
         if follow:
             spans[0] = line_end(0)
         follow = False
         for start, end in found.items():
             if start:
-                spans[block.rfind(b"\n", 0, start - 1) + 1] = start - 1
+                spans[block.rfind("\n", 0, start - 1) + 1] = start - 1
             elif before:
                 read[before] = last
-            if end + 1 < size:
+            if end + 1 < len(block):
                 spans[end + 1] = line_end(end + 1)
             else:  # nothing follows a final "\n" but the next block
                 follow = True
         lineno, counted = before + 1, 0
         for start in sorted(spans):
-            lineno += block.count(b"\n", counted, start)
+            lineno += block.count("\n", counted, start)
             counted = start
             read[lineno] = block[start : spans[start] + 1]
-        last = block[block.rfind(b"\n", 0, size - 1) + 1 : size]
+        last = block[block.rfind("\n", 0, len(block) - 1) + 1 :]
 
-    lines = [(lineno, read[lineno].decode()) for lineno in sorted(read)]
-    rows = list(_rows(path, lines, _PAIR_LINE))
+    rows = list(_rows(path, sorted(read.items()), _PAIR_LINE))
     named = {(a, b) for _, (a, b, _) in rows if a in keywords or b in keywords}
     return rows, named

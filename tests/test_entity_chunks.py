@@ -11,7 +11,6 @@ the line and message of the line-by-line reading, a fault after the first
 chunk and an order break on a chunk boundary included.
 """
 
-import io
 import json
 import random
 import sys
@@ -88,13 +87,9 @@ def assert_read_as_plain(directory, query):
     return keywords
 
 
-def chunk_lengths(text):
-    """The number of lines in each chunk the loaders read of ``text``."""
-    fh = io.StringIO(text)
-    lengths = []
-    while lines := fh.readlines(storage._CHUNK):
-        lengths.append(len(lines))
-    return lengths
+def chunk_lengths(path):
+    """The number of lines in each chunk the loaders read of the file at ``path``."""
+    return [text.count("\n") for text, _ in storage._blocks(path)]
 
 
 def many_entities():
@@ -122,7 +117,7 @@ class TestSameEntitiesAndTree:
             directory = tmp_path / f"c{i}"
             save_index(bundle, directory)
             # 1 reads a line a chunk; the default reads each file whole
-            monkeypatch.setattr(storage, "_CHUNK", rng.choice((1, 40, 300, 1 << 15)))
+            monkeypatch.setattr(storage, "_BLOCK", rng.choice((1, 40, 300, 1 << 15)))
             query = " ".join(rng.sample(sorted(bundle.postings), min(2, len(bundle.postings))))
             assert_read_as_plain(directory, query)
             assert load_index(directory) == bundle
@@ -136,13 +131,13 @@ class TestSameEntitiesAndTree:
         bundle = IndexBundle(entities, ("item",) * len(entities), {"x": (0, len(entities) - 1)}, {}, CONFIG)
         save_index(bundle, tmp_path)
         for chunk in (1 << 15, 1000):
-            monkeypatch.setattr(storage, "_CHUNK", chunk)
+            monkeypatch.setattr(storage, "_BLOCK", chunk)
             assert_read_as_plain(tmp_path, "x")
 
     def test_more_than_one_chunk(self, tmp_path):
         bundle = many_entities()
         save_index(bundle, tmp_path)
-        assert len(chunk_lengths((tmp_path / ENTITIES_FILE).read_text(encoding="utf-8"))) == 3
+        assert len(chunk_lengths(tmp_path / ENTITIES_FILE)) == 3
         assert assert_read_as_plain(tmp_path, "x y") == ["x", "y"]
 
 
@@ -173,7 +168,7 @@ class TestRefusalsAfterTheFirstChunk:
     def first(self, tmp_path):
         """The number of lines in the first chunk of the intact entity file."""
         save_index(many_entities(), tmp_path / "intact")
-        return chunk_lengths((tmp_path / "intact" / ENTITIES_FILE).read_text(encoding="utf-8"))[0]
+        return chunk_lengths(tmp_path / "intact" / ENTITIES_FILE)[0]
 
     def replaced(self, tmp_path, lineno, old, new):
         def edit(lines):
@@ -235,7 +230,7 @@ class TestOrderAcrossTheChunkBoundary:
     """The first line of a chunk is checked against the last line of the one before."""
 
     def boundary(self, directory):
-        lengths = chunk_lengths((directory / ENTITIES_FILE).read_text(encoding="utf-8"))
+        lengths = chunk_lengths(directory / ENTITIES_FILE)
         assert len(lengths) > 1
         return lengths[0]
 
@@ -264,3 +259,30 @@ class TestOrderAcrossTheChunkBoundary:
         directory = edited(tmp_path / "repeated", repeat)
         assert self.boundary(directory) == last
         assert refusals(directory) == (ENTITIES_FILE, last + 1, "entities not in document order")
+
+
+class TestLineEndsInsideALabel:
+    """A label's namespace URI may hold U+0085 or U+2028, which ``str.splitlines``
+    takes for line ends and text mode does not: a block refused is read again
+    split at LF alone, so the line named is the file's."""
+
+    LABELS = ("{urn:a\u2028b}item", "{urn:c\x85d}item")
+
+    def test_shape_fault_on_line_201_of_300(self, tmp_path, monkeypatch):
+        entities = tuple(DeweyId((1, i)) for i in range(1, 301))
+        bundle = IndexBundle(
+            entities=entities,
+            labels=tuple(self.LABELS[i % 2] for i in range(len(entities))),
+            postings={"x": (0, len(entities) - 1)},
+            cooccur={},
+            config=IndexConfig(entity_labels=frozenset(self.LABELS)),
+        )
+        save_index(bundle, tmp_path)
+        assert load_index(tmp_path) == bundle
+        path = tmp_path / ENTITIES_FILE
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[200] = lines[200].replace('"label"', '"lab"')
+        path.write_text("\n".join(lines), encoding="utf-8")
+        for block in (1, 100, 4096, 1 << 15):
+            monkeypatch.setattr(storage, "_BLOCK", block)
+            assert refusals(tmp_path) == (ENTITIES_FILE, 201, SHAPE[ENTITIES_FILE]), block

@@ -84,6 +84,21 @@ class TestParseCorpus:
             parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
         assert data[exc_info.value.byte_offset :] == rest
 
+    @pytest.mark.parametrize(
+        "data, offset, rest",
+        [
+            (b"<a>\r<b>x</b>\n<c>y</d></a>", 19, b"d></a>"),
+            (b"<a>\r<b>x</b>\n<c>y</c>\n<d>\xc3\xa9</e>\n</a>\n", 29, b"e>\n</a>\n"),
+        ],
+        ids=["lone-cr", "lfs-after-the-cr"],
+    )
+    def test_byte_offset_after_a_lone_cr(self, data, offset, rest):
+        # expat ends a line at a lone CR as at LF
+        with pytest.raises(CorpusParseError) as exc_info:
+            parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
+        assert exc_info.value.byte_offset == offset
+        assert data[offset:] == rest
+
     def test_byte_offset_follows_declared_encoding(self):
         # in Latin-1 each "é" is one byte, not the two it takes in UTF-8
         text = '<?xml version="1.0" encoding="ISO-8859-1"?><a><b>éé</b><c>y</d></a>'

@@ -1,7 +1,7 @@
-"""The pair lines a query reads: one ``bytes.find`` pass per keyword and block.
+"""The pair lines a query reads: one ``str.find`` pass per keyword and block.
 
 ``storage._keyword_pair_lines`` finds ``:"<keyword>","`` in each block of
-``storage._blocks`` and reads a line where the bytes on either side
+``storage._blocks`` and reads a line where the text on either side
 complete ``{"a":"<keyword>","b":`` or ``,"b":"<keyword>","count":``; a line
 with a backslash is read too.  These tests hold the lines it reads to a
 search for those two forms and the backslash over the whole file, on random
@@ -27,7 +27,7 @@ CONFIG = IndexConfig(entity_labels=frozenset({"item"}))
 SPOILS = [
     (b'{"a"', b'{"x"'), (b'"b":', b'"c":'), (b'"count"', b'"counts"'), (b',"b"', b' "b"'), (b'":"', b'": "')
 ]
-# bytes read at a time: one cuts a block at almost every line; the default
+# characters read at a time: one cuts a block at almost every line; the default
 # holds each small file whole
 BLOCKS = (1, 7, 64, 4096, storage._BLOCK)
 
@@ -151,9 +151,9 @@ def every_pair(terms):
 def block_edges(path):
     """The numbers of the lines that begin a block of ``_blocks``, and of those that end one."""
     firsts, lasts = set(), set()
-    for block, end, before in _blocks(path):
+    for text, before in _blocks(path):
         firsts.add(before + 1)
-        lasts.add(before + len(block[:end].splitlines()))
+        lasts.add(before + len(text.splitlines()))
     return firsts, lasts
 
 
@@ -212,7 +212,7 @@ class TestBlockEdges:
         lines = data.split(b"\n")[:-1]
         path.write_bytes(b"".join(line + endings[i % len(endings)] for i, line in enumerate(lines)))
         for block in every_block_size(monkeypatch, path):
-            assert b"".join(block[:end] for block, end, _ in _blocks(path)) == data
+            assert "".join(text for text, _ in _blocks(path)).encode() == data
             read, _ = read_lines(directory, ["query"])
             assert read == lines_naming(data, ["query"]), block
             assert scoped_report(directory, "query") == intact, block
@@ -231,9 +231,7 @@ class TestBlockEdges:
             monkeypatch.setattr(storage, "_BLOCK", block)
             assert refused(load_for_query, path.parent, "query") == want, block
             assert refused(load_index, path.parent) == want, block
-        monkeypatch.setattr(storage, "_BLOCK", 64)
-        first = next(_blocks(path))
-        assert first[0][: first[1]].count(b"\n") < 11  # line 12 lies in a later block
+        assert len(b"\n".join(lines[:11])) > 64  # at 64, line 12 lies in a later block
 
     def test_line_longer_than_a_block(self, tmp_path, monkeypatch):
         long = "w" * 3000
@@ -280,4 +278,25 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert len(part[1].cooccur) == 2 * 539 - 1
+        assert peak - kept < size // 5, (peak, kept)
+
+    def test_a_utf8_fault_on_the_last_line(self, tmp_path):
+        """A 5 MB pair file whose last line holds a byte that is not UTF-8:
+        both loaders name that line, and ``load_for_query``, which reads the
+        file again a line at a time to find it, holds far less than the file."""
+        save_index(every_pair([f"w{i:04d}" for i in range(540)]), tmp_path)
+        path = tmp_path / COOCCUR_FILE
+        data = path.read_bytes()
+        cut = data.rindex(b"\n", 0, len(data) - 1) + 1
+        path.write_bytes(data[:cut] + data[cut:].replace(b'"a":"w', b'"a":"\xe4w'))
+        lineno, size = data.count(b"\n"), len(data)
+        del data
+        want = (COOCCUR_FILE, lineno, "invalid UTF-8: invalid continuation byte")
+        assert refused(load_index, tmp_path) == want
+        tracemalloc.start()
+        try:
+            assert refused(load_for_query, tmp_path, "w0001 w0002") == want
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak - kept < size // 5, (peak, kept)
