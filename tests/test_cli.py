@@ -92,23 +92,33 @@ class TestIndexCommand:
         )
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize(
-        "data, line",
-        [(b"the\ncaf\xe9 the\n", 2), (b"the\rcaf\xe9 the\n", 2), (b"a\r\nthe\r\rof\ncaf\xe9\n", 5)],
-        ids=["lf", "lone-cr", "mixed"],
-    )
-    def test_stopwords_file_that_is_not_utf8(self, toy_xml_path, tmp_path, capsys, data, line):
-        """The line is counted as text mode reads the file: LF, CR LF and a lone CR each end one."""
+    def test_stopwords_file_that_is_not_utf8(self, toy_xml_path, tmp_path, capsys):
         stop = tmp_path / "stop.txt"
-        stop.write_bytes(data)
+        stop.write_bytes(b"the\ncaf\xe9 the\n")
         out_dir = tmp_path / "idx"
         rc = main(
             ["index", "--input", str(toy_xml_path), "--entity", "paper",
              "--out", str(out_dir), "--stopwords", str(stop)]
         )
         assert rc == 1
-        assert capsys.readouterr() == ("", f"error: {stop}:{line}: invalid UTF-8: invalid continuation byte\n")
+        assert capsys.readouterr() == ("", f"error: {stop}:2: invalid UTF-8: invalid continuation byte\n")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"the\rcaf\xe9 the\n", 2), (b"a\r\nthe\r\rof\ncaf\xe9\n", 5)],
+        ids=["lone-cr", "mixed"],
+    )
+    def test_stopwords_utf8_fault_line_as_text_mode_counts_it(self, toy_xml_path, tmp_path, capsys, data, line):
+        """LF, CR LF and a lone CR each end a line, as in text mode."""
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(data)
+        rc = main(
+            ["index", "--input", str(toy_xml_path), "--entity", "paper",
+             "--out", str(tmp_path / "idx"), "--stopwords", str(stop)]
+        )
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {stop}:{line}: invalid UTF-8: invalid continuation byte\n")
 
     def test_custom_stopwords_replace_defaults(self, toy_xml_path, tmp_path, capsys):
         stop = tmp_path / "stop.txt"
