@@ -22,7 +22,7 @@ from .diversify import EvalStats, ScoredIntent, TopK, diversify_baseline
 from .anchors import diversify_anchored
 from .errors import DivSearchError, IndexFormatError, NoIntentError
 from .features import top_features
-from .indexing import DEFAULT_STOPWORDS, IndexConfig, build_index, is_token, parse_corpus
+from .indexing import DEFAULT_STOPWORDS, IndexConfig, index_corpus, is_token
 from .parallel import diversify_parallel
 from .slca import DiversifiedSet
 from .storage import load_for_query, save_index
@@ -128,7 +128,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         stopwords=_read_stopwords(args.stopwords),
     )
     data = Path(args.input).read_bytes()
-    bundle = build_index(parse_corpus(data, config), config)
+    bundle = index_corpus(data, config)
     try:
         save_index(bundle, args.out)
     except ValueError as exc:  # a bundle it cannot write, such as a label with a backslash

@@ -7,6 +7,12 @@ two index structures every later stage runs on: entity-level postings
 An entity is its Dewey ID, its ordinal its position in the document-ordered
 ``IndexBundle.entities``; ``IndexBundle.labels`` holds its element name at
 that ordinal.  The tree the entities span is built on first use.
+
+:func:`index_corpus` (and so ``divsearch index``) builds in one pass: the
+parser yields each entity's record once no enclosing entity is open, and
+:func:`build_index` adds its postings and pairs and drops its tokens.  Its
+memory is then what the postings and pairs hold, plus the records of one
+outermost entity.  :func:`parse_corpus` returns the same records as a list.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from io import BytesIO
-from typing import Sequence
+from typing import Iterable, Iterator
 
 from .dewey import DeweyId, EntityTable, _trusted
 from .errors import CorpusParseError, EmptyCorpusError
@@ -54,7 +60,7 @@ class IndexConfig:
             raise ValueError("window must be an integer >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityRecord:
     """An entity plus its token stream; tokens carry pre-filter positions."""
 
@@ -106,26 +112,28 @@ def _byte_offset(data: bytes, line: int, column: int) -> int:
     return offset + len(text[:column].encode(encoding, errors="surrogateescape"))
 
 
-def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
-    """Extract entity records in document order.
+def _records(data: bytes, config: IndexConfig) -> Iterator[EntityRecord]:
+    """Entity records in document order, each yielded once no entity is open.
 
-    Dewey IDs are assigned to every element (root = 1); an element whose tag
-    is in ``config.entity_labels`` becomes an EntityRecord whose tokens are
-    drawn from all its descendant text.
+    An entity's record is made at its start tag, where its Dewey ID and so its
+    ordinal are known, and gets its tokens at its end tag.  Records wait in a
+    buffer while any entity is open and are yielded, in start-tag order, when
+    the outermost one closes; so a caller may drop each record as it reads it.
     """
     import xml.etree.ElementTree as ET  # only indexing parses XML: a search need not import it
 
-    records: list[EntityRecord] = []
+    buffer: list[EntityRecord] = []
     pending: dict[int, EntityRecord] = {}
     # the Dewey path of the open elements, then how many children the innermost has so far
     counters: list[int] = [0]
+    yielded = False
     try:
         for event, elem in ET.iterparse(BytesIO(data), events=("start", "end")):
             if event == "start":
                 counters[-1] += 1
                 if elem.tag in config.entity_labels:
                     record = EntityRecord(_trusted(tuple(counters)), elem.tag)
-                    records.append(record)
+                    buffer.append(record)
                     pending[id(elem)] = record
                 counters.append(0)
             else:
@@ -135,6 +143,10 @@ def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
                     record.tokens = tokenize(" ".join(elem.itertext()), config.stopwords)
                 if not pending:  # no open entity reads this element's text
                     elem.clear()
+                    if buffer:
+                        yield from buffer
+                        buffer.clear()
+                        yielded = True
     except ET.ParseError as exc:
         line, column = exc.position
         raise CorpusParseError(
@@ -144,10 +156,20 @@ def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
         if type(exc) is not LookupError:  # a KeyError or IndexError is a fault here
             raise
         raise CorpusParseError(f"malformed XML: {exc}", byte_offset=-1) from exc
-    if not records:
+    if not yielded:
         labels = ", ".join(sorted(config.entity_labels))
         raise EmptyCorpusError(f"no element matched entity labels: {labels}")
-    return records
+
+
+def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
+    """Extract entity records in document order.
+
+    Dewey IDs are assigned to every element (root = 1); an element whose tag
+    is in ``config.entity_labels`` becomes an EntityRecord whose tokens are
+    drawn from all its descendant text.  The list holds every record at
+    once; :func:`index_corpus` builds from the same records without it.
+    """
+    return list(_records(data, config))
 
 
 @dataclass(frozen=True)
@@ -206,20 +228,24 @@ class IndexBundle:
         return self.cooccur.get((x, y), 0)
 
 
-def build_index(corpus: Sequence[EntityRecord], config: IndexConfig) -> IndexBundle:
+def build_index(corpus: Iterable[EntityRecord], config: IndexConfig) -> IndexBundle:
     """Build postings and windowed co-occurrence counts from parsed entities.
 
     Co-occurrence is counted at entity granularity: a pair contributes 1 per
     entity in which its terms appear within ``config.window`` positions at
     least once, regardless of how many such placements exist.  ``corpus``
-    is in document order, as ``parse_corpus`` returns it; an entity's
-    ordinal in the postings is its position there.
+    is any iterable of records in document order, as ``parse_corpus``
+    returns them, and is read once; an entity's ordinal in the postings is
+    its position there.  No record is kept: the bundle holds each one's
+    Dewey ID and label, and its tokens only as postings and pairs.
     """
-    if not corpus:
-        raise EmptyCorpusError("cannot index an empty corpus")
+    entities: list[DeweyId] = []
+    labels: list[str] = []
     postings: dict[str, list[int]] = {}
     cooccur: dict[tuple[str, str], int] = {}
     for ordinal, record in enumerate(corpus):
+        entities.append(record.dewey)
+        labels.append(record.label)
         for term in {token for token, _ in record.tokens}:
             postings.setdefault(term, []).append(ordinal)
         pairs: set[tuple[str, str]] = set()
@@ -233,12 +259,18 @@ def build_index(corpus: Sequence[EntityRecord], config: IndexConfig) -> IndexBun
                 j += 1
         for pair in pairs:
             cooccur[pair] = cooccur.get(pair, 0) + 1
-    entities = tuple(r.dewey for r in corpus)
-    labels = tuple(r.label for r in corpus)
+    if not entities:
+        raise EmptyCorpusError("cannot index an empty corpus")
     frozen = {term: tuple(ids) for term, ids in postings.items()}
-    return IndexBundle(entities, labels, frozen, cooccur, config)
+    return IndexBundle(tuple(entities), tuple(labels), frozen, cooccur, config)
 
 
 def index_corpus(data: bytes, config: IndexConfig) -> IndexBundle:
-    """Convenience: parse then build in one call."""
-    return build_index(parse_corpus(data, config), config)
+    """Parse and build in one pass: ``build_index(parse_corpus(data, config), config)``.
+
+    The records stream from the parser into :func:`build_index`, so no list
+    of them is made and an entity's tokens are dropped once counted; only
+    the records of one outermost entity, nested ones included, are held at
+    a time.  The same errors are raised, from the same inputs.
+    """
+    return build_index(_records(data, config), config)

@@ -119,26 +119,25 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 
 def _triplets(
-    cooccur: dict[tuple[str, str], int], postings: dict[str, tuple[int, ...]], terms: list[str]
-) -> Iterator[tuple[str, str, int]]:
-    """Every (a, b, count), by count descending, then pair ascending.
+    cooccur: dict[tuple[str, str], int], postings: dict[str, tuple[int, ...]]
+) -> Iterator[tuple[int, list[tuple[str, str]]]]:
+    """Every pair by count descending, then pair ascending: (count, pairs) per count.
 
-    ``terms`` is sorted.  The sort key packs (-count, rank of a, rank of b)
-    into one int, so the sort compares ints rather than tuples of strings.
-    The same pass checks each pair as :func:`load_index` would, and the
-    sort runs here, before the caller writes anything.
+    One pass over ``cooccur`` checks each pair as :func:`load_index` would,
+    before the caller writes anything, and puts the dict's own key tuple in
+    a list per count, so the order costs a pointer per pair and no key
+    object.  Each list is sorted as it is reached, by ``b`` and then, stably,
+    by ``a``, which leaves it in (a, b) order; it is dropped once yielded.
     """
-    n = len(terms)
-    nn = n * n
-    rank = {term: (i, len(postings[term])) for i, term in enumerate(terms)}
-    keys = []
-    for (a, b), count in cooccur.items():
+    buckets: dict[int, list[tuple[str, str]]] = {}
+    for pair, count in cooccur.items():
+        a, b = pair
         try:
-            (rank_a, df_a), (rank_b, df_b) = rank[a], rank[b]
+            df_a, df_b = len(postings[a]), len(postings[b])
         except KeyError as exc:
             term = exc.args[0]
             raise ValueError(f"cooccur pair names a term without postings: {term!r}") from None
-        if rank_a >= rank_b:
+        if a >= b:
             raise ValueError(f"cooccur pair {(a, b)!r} not in canonical order (a < b)")
         if count.__class__ is not int:
             raise ValueError(f"cooccur pair {(a, b)!r}: count {count!r} is not an int")
@@ -149,14 +148,16 @@ def _triplets(
             raise ValueError(
                 f"cooccur pair {(a, b)!r}: count exceeds the posting length of {term!r}"
             )
-        keys.append(rank_a * n + rank_b - count * nn)
-    keys.sort()
+        buckets.setdefault(count, []).append(pair)
 
-    def triplet(key: int) -> tuple[str, str, int]:
-        neg_count, pair = divmod(key, nn)
-        return terms[pair // n], terms[pair % n], -neg_count
+    def ordered() -> Iterator[tuple[int, list[tuple[str, str]]]]:
+        for count in sorted(buckets, reverse=True):
+            pairs = buckets.pop(count)
+            pairs.sort(key=operator.itemgetter(1))
+            pairs.sort(key=operator.itemgetter(0))
+            yield count, pairs
 
-    return map(triplet, keys)
+    return ordered()
 
 
 def _refuse_unwritable(kind: str, texts: list[str]) -> None:
@@ -183,7 +184,9 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
     Each line is assembled from the raw text of its parts; each entity's
     Dewey text is made once however many lines name it.  No string needs a
     JSON escape, so the bytes equal those of one compact ``json.dumps`` per
-    row.
+    row.  The pairs are ordered in lists per count, :func:`_triplets`,
+    which hold the bundle's own key tuples, so ordering them takes a
+    pointer per pair; a list is formatted and dropped as it is written.
 
     Raises ``ValueError``, before writing any file, for a bundle that
     :func:`load_index` would reject or read back different, or that it
@@ -219,7 +222,7 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
             raise ValueError(f"posting list for {term!r} not sorted")
         if ids[0] < 0 or ids[-1] >= len(entities):
             raise ValueError(f"posting list for {term!r} holds an ordinal outside the entities")
-    triplets = _triplets(bundle.cooccur, bundle.postings, terms)
+    buckets = _triplets(bundle.cooccur, bundle.postings)
     stopwords = sorted(bundle.config.stopwords)
     for word in stopwords:
         if not is_token(word):
@@ -243,7 +246,11 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
             % (term, '","'.join(map(texts.__getitem__, bundle.postings[term])))
             for term in terms
         ),
-        COOCCUR_FILE: ('{"a":"%s","b":"%s","count":%d}\n' % triplet for triplet in triplets),
+        COOCCUR_FILE: (
+            line
+            for count, pairs in buckets
+            for line in map(('{"a":"%%s","b":"%%s","count":%d}\n' % count).__mod__, pairs)
+        ),
         STOPWORDS_FILE: (word + "\n" for word in stopwords),
         # separators chosen for byte-stable, compact output; written last
         MANIFEST_FILE: [json.dumps(manifest, separators=(",", ":"), ensure_ascii=False) + "\n"],

@@ -79,6 +79,36 @@ class TestIndexCommand:
         assert err == "error: malformed XML: unknown encoding: x-no-such\n"
         assert not out_dir.exists()
 
+    def test_no_matching_element(self, tmp_path, capsys):
+        corpus = tmp_path / "c.xml"
+        corpus.write_bytes(b"<doc><sec>alpha beta</sec></doc>")
+        out_dir = tmp_path / "idx"
+        rc = main(["index", "--input", str(corpus), "--entity", "item", "--out", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: no element matched entity labels: item\n")
+        assert not out_dir.exists()
+
+    def test_malformed_xml_after_1000_entities_writes_nothing(self, tmp_path, capsys):
+        """The fault comes while the one-pass build runs: no directory is made,
+        and an index already there keeps its five files byte for byte."""
+        items = "".join(f"<item>w{i % 97:02d} w{i % 13:02d}</item>" for i in range(1200))
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(f"<doc>{items}<item>x</wrong></doc>".encode())
+        out_dir = tmp_path / "idx"
+        rc = main(["index", "--input", str(bad), "--entity", "item", "--out", str(out_dir)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert (out, err.startswith("error: malformed XML: mismatched tag")) == ("", True)
+        assert not out_dir.exists()
+        (tmp_path / "a.xml").write_bytes(CORPUS_A)
+        assert main(["index", "--input", str(tmp_path / "a.xml"), "--entity", "item", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert len(before) == 5
+        rc = main(["index", "--input", str(bad), "--entity", "item", "--out", str(out_dir)])
+        assert (rc, capsys.readouterr().out) == (1, "")
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
     def test_label_an_index_file_cannot_hold(self, tmp_path, capsys):
         corpus = tmp_path / "ns.xml"
         corpus.write_bytes(b'<r xmlns="urn:a\\b"><item>alpha beta</item><item>beta</item></r>')

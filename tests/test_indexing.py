@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from divsearch.indexing import (
     DEFAULT_STOPWORDS,
     IndexConfig,
     _byte_offset,
+    _records,
     build_index,
     index_corpus,
     is_token,
@@ -282,3 +284,107 @@ class TestIsToken:
 
     def test_every_default_stop_word_is_a_token(self):
         assert all(is_token(word) for word in DEFAULT_STOPWORDS)
+
+
+def flat_corpus_xml(entities: int, rng: random.Random) -> bytes:
+    """``entities`` sibling items of 12 words each from 300 Zipf-weighted words."""
+    words = [f"w{i:03d}" for i in range(300)]
+    weights = [1.0 / (i + 1) for i in range(len(words))]
+    items = (f"<item>{' '.join(rng.choices(words, weights=weights, k=12))}</item>" for _ in range(entities))
+    return ("<doc>" + "".join(items) + "</doc>").encode()
+
+
+def chain_xml(depth: int) -> bytes:
+    """``depth`` items, each inside the one before, each with one word of its own."""
+    return b"<doc>" + b"".join(b"<item>w%02d " % (i % 50) for i in range(depth)) + b"</item>" * depth + b"</doc>"
+
+
+def assert_same_bundle(got, want):
+    """Equal bundles, down to the order of the postings and cooccur keys."""
+    assert got == want
+    assert list(got.postings) == list(want.postings)
+    assert list(got.cooccur.items()) == list(want.cooccur.items())
+
+
+class TestOnePassBuild:
+    """``index_corpus`` streams records from the parser into ``build_index``."""
+
+    def test_equals_the_list_build_on_random_corpora(self):
+        rng = random.Random(37)
+        nested = 0
+        for _ in range(240):
+            xml = random_corpus_xml(rng, max_entities=rng.choice((5, 40, 120)), vocab_size=rng.choice((6, 20, 60)))
+            labels = rng.choice(({"item"}, {"item", "sec"}, {"sec"}))
+            config = IndexConfig(entity_labels=frozenset(labels), window=rng.randint(1, 4))
+            records = parse_corpus(xml, config)
+            want = build_index(records, config)
+            assert_same_bundle(index_corpus(xml, config), want)
+            assert_same_bundle(build_index(iter(records), config), want)
+            nested += any(b.dewey[: len(a.dewey)] == a.dewey for a, b in zip(records, records[1:]))
+        assert nested > 100
+
+    def test_equals_the_list_build_on_a_300_level_chain(self):
+        xml = chain_xml(300)
+        config = IndexConfig(entity_labels=frozenset({"item"}))
+        records = parse_corpus(xml, config)
+        assert len(records) == 300 and len(records[-1].dewey) == 301
+        want = build_index(records, config)
+        assert_same_bundle(index_corpus(xml, config), want)
+        assert_same_bundle(build_index(iter(records), config), want)
+
+    def test_records_come_whole_and_in_start_tag_order(self):
+        """Nested records come with their tokens, in start-tag order, each
+        holding the text of its own subtree."""
+        xml = b"<r><item>a <item>b <item>c</item></item> d</item><x>skip</x><item>e</item></r>"
+        stream = _records(xml, IndexConfig(entity_labels=frozenset({"item"}), stopwords=frozenset()))
+        got = [(str(r.dewey), " ".join(t for t, _ in r.tokens)) for r in stream]
+        assert got == [("1.1", "a b c d"), ("1.1.1", "b c"), ("1.1.1.1", "c"), ("1.3", "e")]
+
+    def test_reads_its_records_once(self):
+        config = IndexConfig(entity_labels=frozenset({"item"}))
+        records = parse_corpus(random_corpus_xml(random.Random(38)), config)
+        reads = 0
+
+        def once():
+            nonlocal reads
+            reads += 1
+            yield from records
+
+        assert build_index(once(), config) == build_index(records, config)
+        assert reads == 1
+
+    def test_no_matching_element_is_refused_by_the_parser(self):
+        config = IndexConfig(entity_labels=frozenset({"item"}))
+        with pytest.raises(EmptyCorpusError, match="^no element matched entity labels: item$"):
+            index_corpus(b"<doc><sec>text</sec></doc>", config)
+
+    @pytest.mark.parametrize("tail", [b"<item>x</wrong></doc>", b"<item>x", b"</doc><doc/>"])
+    def test_malformed_xml_after_1000_entities(self, tail):
+        xml = flat_corpus_xml(1200, random.Random(39))[: -len(b"</doc>")] + tail
+        config = IndexConfig(entity_labels=frozenset({"item"}))
+        faults = []
+        for read in (parse_corpus, index_corpus):
+            with pytest.raises(CorpusParseError) as exc_info:
+                read(xml, config)
+            faults.append((str(exc_info.value), exc_info.value.byte_offset))
+        assert faults[0] == faults[1]
+        assert faults[0][1] > len(xml) - len(tail) - 1
+
+    def test_holds_less_than_the_list_of_records(self):
+        """The one-pass build's transient memory is below what the records alone take."""
+        xml = flat_corpus_xml(3000, random.Random(40))
+        config = IndexConfig(entity_labels=frozenset({"item"}))
+        index_corpus(xml, config)  # warm: the parser's imports and first-use caches
+        tracemalloc.start()
+        try:
+            records = parse_corpus(xml, config)
+            held = tracemalloc.get_traced_memory()[0]
+            del records
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            bundle = index_corpus(xml, config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bundle.entity_count == 3000
+        assert peak - kept < (held - before) // 2, (peak - kept, held - before)

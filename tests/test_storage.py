@@ -5,6 +5,7 @@ import random
 import re
 import shutil
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from divsearch.storage import (
     MANIFEST_FILE,
     POSTINGS_FILE,
     STOPWORDS_FILE,
+    _triplets,
     load_for_query,
     load_index,
     save_index,
@@ -807,3 +809,94 @@ class TestOneByteEdits:
                     refused += 1
             path.write_bytes(data)
         assert loaded > 0 and refused > 0
+
+
+def _pair_order(cooccur):
+    """The rows of cooccur.jsonl as the format states their order."""
+    return [(a, b, count) for (a, b), count in sorted(cooccur.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
+def _written_order(cooccur, postings):
+    return [(a, b, count) for count, pairs in _triplets(cooccur, postings) for a, b in pairs]
+
+
+class TestPairOrder:
+    """``_triplets`` orders pairs by count descending, then (a, b) ascending."""
+
+    TERMS = sorted({*NON_ASCII_WORDS, "a", "ab", "abc", "b", "B", "a0", "w1", "w10", "w2", "zz"})
+
+    def bundle_parts(self, rng, counts):
+        pairs = [(a, b) for i, a in enumerate(self.TERMS) for b in self.TERMS[i + 1 :]]
+        pairs = rng.sample(pairs, min(len(pairs), len(counts)))
+        cooccur = dict(zip(pairs, counts))
+        postings = {term: tuple(range(max(counts))) for term in self.TERMS}
+        return cooccur, postings
+
+    def test_random_bundles(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(0, 150)
+            counts = [rng.randint(1, rng.choice((1, 3, 40))) for _ in range(n)] or [1]
+            cooccur, postings = self.bundle_parts(rng, counts)
+            assert _written_order(cooccur, postings) == _pair_order(cooccur)
+
+    @pytest.mark.parametrize("counts", [[5] * 150, list(range(150, 0, -1)), list(range(1, 151))], ids=["all-equal", "all-differ", "all-differ-ascending"])
+    def test_equal_and_distinct_counts(self, counts):
+        cooccur, postings = self.bundle_parts(random.Random(42), counts)
+        assert len(cooccur) == 150
+        assert _written_order(cooccur, postings) == _pair_order(cooccur)
+
+    def test_random_corpora_write_the_stated_order(self, tmp_path):
+        rng = random.Random(43)
+        for i in range(30):
+            bundle = index_corpus(random_corpus_xml(rng, words=NON_ASCII_WORDS + ["a", "b"]), IndexConfig(entity_labels=frozenset({"item"})))
+            save_index(bundle, tmp_path / str(i))
+            rows = [json.loads(line) for line in (tmp_path / str(i) / COOCCUR_FILE).read_text(encoding="utf-8").splitlines()]
+            assert [(r["a"], r["b"], r["count"]) for r in rows] == _pair_order(bundle.cooccur)
+
+    @pytest.mark.parametrize(
+        "cooccur, message",
+        [
+            ({("a", "b"): 1, ("b", "a"): 1, ("c", "a"): 1}, r"pair \('b', 'a'\) not in canonical"),
+            ({("a", "b"): 1, ("a", "c"): 0, ("b", "c"): 0}, r"pair \('a', 'c'\): count below 1"),
+            ({("a", "b"): 1, ("a", "c"): 9, ("b", "c"): 9}, r"pair \('a', 'c'\): count exceeds the posting length of 'a'"),
+            ({("a", "b"): 2, ("b", "c"): 1.0, ("a", "c"): 1.0}, r"pair \('b', 'c'\): count 1.0 is not an int"),
+            ({("a", "b"): 1, ("x", "y"): 1, ("a", "z"): 1}, "without postings: 'x'"),
+            ({("a", "b"): 1, ("c", "b"): 0, ("a", "c"): 0}, "not in canonical"),
+            ({("a", "b"): 1, ("b", "c"): 5, ("c", "a"): 1}, "count exceeds the posting length of 'b'"),
+        ],
+        ids=["reversed", "zero", "too-large", "not-an-int", "unknown-term", "checks-in-order", "a-named-when-both-exceed"],
+    )
+    def test_refusal_names_the_first_faulty_pair_in_dict_order(self, tmp_path, cooccur, message):
+        bundle = IndexBundle(
+            entities=tuple(DeweyId((1, j)) for j in range(1, 5)),
+            labels=("item",) * 4,
+            postings={"a": (0, 1), "b": (0, 1, 2), "c": (0, 1, 2, 3)},
+            cooccur=cooccur,
+            config=IndexConfig(entity_labels=frozenset({"item"})),
+        )
+        with pytest.raises(ValueError, match=message):
+            save_index(bundle, tmp_path / "idx")
+        assert not (tmp_path / "idx").exists()
+
+    def test_writer_memory_on_200k_pairs(self, tmp_path):
+        """Ordering and writing 210,925 pairs holds under 4 MB beyond the bundle:
+        a pointer per pair, not a sort key object."""
+        terms = [f"w{i:04d}" for i in range(650)]
+        bundle = IndexBundle(
+            entities=(DeweyId((1, 1)), DeweyId((1, 2)), DeweyId((1, 3))),
+            labels=("item",) * 3,
+            postings={term: (0, 1, 2) for term in terms},
+            cooccur={(a, b): 1 + (i * 7 + j) % 3 for i, a in enumerate(terms) for j, b in enumerate(terms) if i < j},
+            config=IndexConfig(entity_labels=frozenset({"item"})),
+        )
+        assert len(bundle.cooccur) > 200_000
+        save_index(bundle, tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            save_index(bundle, tmp_path / "idx")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < 4 << 20, (peak, kept)
+        assert (tmp_path / "idx" / COOCCUR_FILE).read_bytes() == (tmp_path / "warm" / COOCCUR_FILE).read_bytes()
