@@ -8,7 +8,11 @@ class DivSearchError(Exception):
 
 
 class CorpusParseError(DivSearchError):
-    """Malformed XML input; carries the byte offset of the failure."""
+    """Malformed XML input, or a declared encoding expat cannot read.
+
+    ``byte_offset`` is expat's byte offset of the fault in the input, or -1
+    where expat gives none.
+    """
 
     def __init__(self, message: str, byte_offset: int = -1) -> None:
         super().__init__(message)

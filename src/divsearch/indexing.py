@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from io import BytesIO
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .dewey import DeweyId, EntityTable, _trusted
 from .errors import CorpusParseError, EmptyCorpusError
@@ -89,27 +89,33 @@ def is_token(word: str) -> bool:
     return tokenize(word, frozenset()) == ((word, 0),)
 
 
-_DECLARED_ENCODING = re.compile(rb"<\?xml[^>]*?\sencoding\s*=\s*[\"']([A-Za-z][\w.-]*)")
-_ASCII = "".join(map(chr, range(128)))
+def _events(data: bytes) -> Iterator[tuple[str, Any]]:
+    """``ElementTree.iterparse``'s start and end events of ``data``; a fault
+    of the parse is a :class:`CorpusParseError`.
 
+    Its byte offset is expat's ``ErrorByteIndex`` from a bare parse of
+    ``data``, namespaces on as in ElementTree, made only then: -1 if that
+    parse meets no fault, and for a declared encoding expat cannot read.
+    """
+    import xml.etree.ElementTree as ET  # only indexing parses XML: a search need not import it
 
-def _byte_offset(data: bytes, line: int, column: int) -> int:
-    # Expat reports (1-based line, 0-based column in characters of the
-    # declared encoding, UTF-8 by default).  One that changes ASCII gets no
-    # offset, as UTF-16 and UTF-32 do (a zero byte among the first four).
-    match = _DECLARED_ENCODING.match(data)
-    encoding = match.group(1).decode() if match else "utf-8"
     try:
-        ascii_safe = b"\0" not in data[:4] and _ASCII.encode(encoding) == _ASCII.encode()
-    except (LookupError, UnicodeError):
-        ascii_safe = False
-    # expat ends a line at LF, CR LF and a lone CR alike; the last line may be empty
-    lines = data.splitlines(keepends=True) + [b""]
-    if not ascii_safe or line < 1 or line > len(lines):
-        return -1
-    offset = sum(map(len, lines[: line - 1]))
-    text = lines[line - 1].decode(encoding, errors="surrogateescape")
-    return offset + len(text[:column].encode(encoding, errors="surrogateescape"))
+        yield from ET.iterparse(BytesIO(data), events=("start", "end"))
+    except ET.ParseError as exc:
+        from xml.parsers import expat
+
+        parser = expat.ParserCreate(None, "}")
+        try:
+            parser.Parse(data, True)
+        except expat.ExpatError:
+            offset = parser.ErrorByteIndex
+        else:
+            offset = -1
+        raise CorpusParseError(f"malformed XML: {exc}", byte_offset=offset) from exc
+    # no text codec (LookupError), a multi-byte one (ValueError), or one that
+    # fails on the 256 byte values expat asks it for (UnicodeError)
+    except (LookupError, ValueError) as exc:
+        raise CorpusParseError(f"malformed XML: {exc}", byte_offset=-1) from exc
 
 
 def _records(data: bytes, config: IndexConfig) -> Iterator[EntityRecord]:
@@ -119,43 +125,33 @@ def _records(data: bytes, config: IndexConfig) -> Iterator[EntityRecord]:
     ordinal are known, and gets its tokens at its end tag.  Records wait in a
     buffer while any entity is open and are yielded, in start-tag order, when
     the outermost one closes; so a caller may drop each record as it reads it.
+    Malformed XML raises :class:`CorpusParseError` (see :func:`_events`) when
+    the parse reaches it, no entity :class:`EmptyCorpusError` at the end.
     """
-    import xml.etree.ElementTree as ET  # only indexing parses XML: a search need not import it
-
     buffer: list[EntityRecord] = []
     pending: dict[int, EntityRecord] = {}
     # the Dewey path of the open elements, then how many children the innermost has so far
     counters: list[int] = [0]
     yielded = False
-    try:
-        for event, elem in ET.iterparse(BytesIO(data), events=("start", "end")):
-            if event == "start":
-                counters[-1] += 1
-                if elem.tag in config.entity_labels:
-                    record = EntityRecord(_trusted(tuple(counters)), elem.tag)
-                    buffer.append(record)
-                    pending[id(elem)] = record
-                counters.append(0)
-            else:
-                counters.pop()
-                record = pending.pop(id(elem), None)
-                if record is not None:
-                    record.tokens = tokenize(" ".join(elem.itertext()), config.stopwords)
-                if not pending:  # no open entity reads this element's text
-                    elem.clear()
-                    if buffer:
-                        yield from buffer
-                        buffer.clear()
-                        yielded = True
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise CorpusParseError(
-            f"malformed XML: {exc}", byte_offset=_byte_offset(data, line, column)
-        ) from exc
-    except LookupError as exc:  # a declared encoding with no text codec
-        if type(exc) is not LookupError:  # a KeyError or IndexError is a fault here
-            raise
-        raise CorpusParseError(f"malformed XML: {exc}", byte_offset=-1) from exc
+    for event, elem in _events(data):
+        if event == "start":
+            counters[-1] += 1
+            if elem.tag in config.entity_labels:
+                record = EntityRecord(_trusted(tuple(counters)), elem.tag)
+                buffer.append(record)
+                pending[id(elem)] = record
+            counters.append(0)
+        else:
+            counters.pop()
+            record = pending.pop(id(elem), None)
+            if record is not None:
+                record.tokens = tokenize(" ".join(elem.itertext()), config.stopwords)
+            if not pending:  # no open entity reads this element's text
+                elem.clear()
+                if buffer:
+                    yield from buffer
+                    buffer.clear()
+                    yielded = True
     if not yielded:
         labels = ", ".join(sorted(config.entity_labels))
         raise EmptyCorpusError(f"no element matched entity labels: {labels}")

@@ -645,55 +645,40 @@ def _keyword_pair_lines(
     and a line is read where the text on either side of a find completes
     one of the forms.  A line that holds a backslash, an escape that might
     spell a keyword, is read too and so refused.  Each is read with the
-    lines just before and after it, across a block's edge too, so that its
-    order is checked on both sides.  Only one block is held at a time, and
-    no line is matched before the whole file is read, so a UTF-8 fault
-    anywhere in it is named first.  Returns each line's number and fields,
+    lines just before and after it, so that its order is checked on both
+    sides.  Each block is searched with the last line of the block before
+    it in front, so every line has the line before it in the same text; a
+    find on a text's last line is found again in the next text, with the
+    line after it.  Only one block is held at a time, and no line is
+    matched before the whole file is read, so a UTF-8 fault anywhere in it
+    is named first.  Returns each line's number and fields,
     in file order, and the pairs that name a keyword.
     """
     needles = ["\\"] + [':"%s","' % word for word in keywords]
     read: dict[int, str] = {}  # line number -> the line, its "\n" kept
     last = ""  # the last line of the block before
-    follow = False  # a line read ends the block before: the next line is read too
     for block, before in _blocks(path):
-
-        def line_end(at: int) -> int:
-            end = block.find("\n", at)
-            return len(block) if end < 0 else end
-
-        def names(at: int, needle: str) -> bool:  # the find at ``at`` is an "a" or "b" value
-            after = _NAMED_AS.get(block[max(at - 4, 0) : at])
-            return after is not None and block.startswith(after, at + len(needle))
-
-        found: dict[int, int] = {}  # start -> end of a line, its "\n" left out
+        text = last + block
+        starts: set[int] = set()  # of the lines read
         for needle in needles:
-            at = block.find(needle)
+            at = text.find(needle)
             while at >= 0:
-                if needle != "\\" and not names(at, needle):
-                    at = block.find(needle, at + 1)
+                after = _NAMED_AS.get(text[max(at - 4, 0) : at])
+                if needle != "\\" and not (after and text.startswith(after, at + len(needle))):
+                    at = text.find(needle, at + 1)
                     continue
-                start = block.rfind("\n", 0, at) + 1
-                found[start] = end = line_end(at)
-                at = block.find(needle, end)
-        spans = dict(found)
-        if follow:
-            spans[0] = line_end(0)
-        follow = False
-        for start, end in found.items():
-            if start:
-                spans[block.rfind("\n", 0, start - 1) + 1] = start - 1
-            elif before:
-                read[before] = last
-            if end + 1 < len(block):
-                spans[end + 1] = line_end(end + 1)
-            else:  # nothing follows a final "\n" but the next block
-                follow = True
-        lineno, counted = before + 1, 0
-        for start in sorted(spans):
-            lineno += block.count("\n", counted, start)
+                start = text.rfind("\n", 0, at) + 1
+                end = text.find("\n", at) + 1 or len(text)
+                # the line before, the line and the line after, if the text holds it
+                starts.update((text.rfind("\n", 0, max(start - 1, 0)) + 1, start, end))
+                at = text.find(needle, end)
+        starts.discard(len(text))
+        lineno, counted = before or 1, 0  # text opens with line ``before``, or line 1
+        for start in sorted(starts):
+            lineno += text.count("\n", counted, start)
             counted = start
-            read[lineno] = block[start : spans[start] + 1]
-        last = block[block.rfind("\n", 0, len(block) - 1) + 1 :]
+            read[lineno] = text[start : text.find("\n", start) + 1 or len(text)]
+        last = text[text.rfind("\n", 0, len(text) - 1) + 1 :]
 
     rows = list(_rows(path, sorted(read.items()), _PAIR_LINE))
     named = {(a, b) for _, (a, b, _) in rows if a in keywords or b in keywords}

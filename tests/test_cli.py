@@ -79,6 +79,20 @@ class TestIndexCommand:
         assert err == "error: malformed XML: unknown encoding: x-no-such\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "encoding", ["shift_jis", "euc-jp", "gbk", "utf-7", "utf-16-le", "utf-16-be", "idna", "punycode"]
+    )
+    def test_declared_encoding_expat_cannot_read(self, tmp_path, capsys, encoding):
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(f'<?xml version="1.0" encoding="{encoding}"?><a><b>y</b></a>'.encode("ascii"))
+        out_dir = tmp_path / "idx"
+        rc = main(["index", "--input", str(bad), "--entity", "b", "--out", str(out_dir)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: malformed XML: ") and err.count("\n") == 1, err
+        assert not out_dir.exists()
+
     def test_no_matching_element(self, tmp_path, capsys):
         corpus = tmp_path / "c.xml"
         corpus.write_bytes(b"<doc><sec>alpha beta</sec></doc>")
@@ -502,12 +516,12 @@ class TestModuleEntryPoint:
         assert proc.stdout == GOLDEN_REPORT + "\n"
 
     def test_only_indexing_imports_the_xml_parser(self, toy_xml_path, tmp_path):
-        """A search process leaves ``xml.etree`` unimported; ``index`` imports it."""
+        """A search process leaves ``xml.etree`` and expat unimported; ``index`` imports them."""
         script = (
             "import sys\n"
             "from divsearch.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print('xml.etree' in sys.modules, file=sys.stderr)\n"
+            "print('xml.etree' in sys.modules, 'pyexpat' in sys.modules, file=sys.stderr)\n"
             "sys.exit(code)\n"
         )
 
@@ -519,12 +533,12 @@ class TestModuleEntryPoint:
             return proc.stdout, proc.stderr
 
         out, imported = divsearch(*search_args("--k", "2", "--m", "2"))
-        assert (out, imported) == (GOLDEN_REPORT + "\n", "False\n")
+        assert (out, imported) == (GOLDEN_REPORT + "\n", "False False\n")
         idx = tmp_path / "idx"
         out, imported = divsearch(
             "index", "--input", str(toy_xml_path), "--entity", "paper", "--out", str(idx)
         )
-        assert out.startswith("entities=3 ") and imported == "True\n"
+        assert out.startswith("entities=3 ") and imported == "True True\n"
         for name in ("manifest.json", "entities.jsonl", "postings.jsonl", "cooccur.jsonl"):
             assert (idx / name).read_bytes() == (GOLDEN_INDEX_DIR / name).read_bytes()
 

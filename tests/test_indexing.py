@@ -7,7 +7,6 @@ from divsearch.errors import CorpusParseError, EmptyCorpusError
 from divsearch.indexing import (
     DEFAULT_STOPWORDS,
     IndexConfig,
-    _byte_offset,
     _records,
     build_index,
     index_corpus,
@@ -110,26 +109,73 @@ class TestParseCorpus:
         assert exc_info.value.byte_offset == 61
         assert data[exc_info.value.byte_offset :] == b"d></a>"
 
-    @pytest.mark.parametrize("encoding", ["UTF-16", "UTF-32"])
-    def test_no_byte_offset_in_an_encoding_that_is_not_ascii_compatible(self, encoding):
-        data = f'<?xml version="1.0" encoding="{encoding}"?><a><b>y</c></a>'.encode(encoding)
+    @pytest.mark.parametrize(
+        "data, rest",
+        [
+            (
+                '<?xml version="1.0" encoding="UTF-16"?><a><b>y</c></a>'.encode("utf-16"),
+                "c></a>".encode("utf-16-le"),
+            ),
+            # expat has no UTF-32: it reads the FF FE of its byte order mark
+            # as UTF-16's and stops at the two NULs that end it
+            ("<a><b>y</b></a>".encode("utf-32"), b"\x00\x00" + "<a><b>y</b></a>".encode("utf-32-le")),
+            # UTF-16 declared in one-byte text: expat stops at the name
+            (b'<?xml version="1.0" encoding="UTF-16"?><a/>', b'UTF-16"?><a/>'),
+        ],
+        ids=["UTF-16", "UTF-32", "UTF-16-in-one-byte-text"],
+    )
+    def test_byte_offset_in_an_encoding_that_is_not_ascii_compatible(self, data, rest):
         with pytest.raises(CorpusParseError) as exc_info:
             parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
-        assert exc_info.value.byte_offset == -1
+        assert data[exc_info.value.byte_offset :] == rest
 
-    @pytest.mark.parametrize("encoding", ["x-no-such-codec", "UTF-16", "base64"])
-    def test_no_byte_offset_in_an_unusable_declared_encoding(self, encoding):
-        data = f'<?xml version="1.0" encoding="{encoding}"?><a><b>y</c></a>'.encode("ascii")
-        assert _byte_offset(data, 1, 50) == -1
+    @pytest.mark.parametrize(
+        "data, offset",
+        [
+            (b"<a>\x00<b>y</b></a>", 3),
+            # expat reads a NUL-led file as UTF-16BE, whose "<" is 00 3C,
+            # and stops at its third character, bytes 4 and 5
+            (b"\x00<a><b>y</c></a>", 4),
+        ],
+        ids=["nul-fourth", "nul-led"],
+    )
+    def test_byte_offset_with_a_nul_among_the_first_four_bytes(self, data, offset):
+        with pytest.raises(CorpusParseError) as exc_info:
+            parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
+        assert exc_info.value.byte_offset == offset
 
-    @pytest.mark.parametrize("encoding", ["x-no-such-codec", "base64"])
-    def test_unusable_declared_encoding_is_a_parse_error(self, encoding):
-        # no codec, or one that is "not a text encoding": expat cannot read it
-        data = f'<?xml version="1.0" encoding="{encoding}"?><a><b>y</b></a>'.encode("ascii")
-        with pytest.raises(CorpusParseError, match="^malformed XML: ") as exc_info:
+    def test_byte_offset_of_an_unbound_prefix(self):
+        # a fault only where namespaces are on, as ElementTree parses
+        data = b"<a><b>y</b><x:c/></a>"
+        with pytest.raises(CorpusParseError, match="^malformed XML: unbound prefix") as exc_info:
+            parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
+        assert data[exc_info.value.byte_offset :] == b"<x:c/></a>"
+
+    def test_no_byte_offset_for_a_fault_only_elementtree_meets(self):
+        # with an external DTD expat skips an undefined entity; ElementTree refuses it
+        data = b'<!DOCTYPE a SYSTEM "a.dtd"><a><b>&x;</b></a>'
+        with pytest.raises(CorpusParseError, match="^malformed XML: undefined entity") as exc_info:
             parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
         assert exc_info.value.byte_offset == -1
-        assert isinstance(exc_info.value.__cause__, LookupError)
+
+    @pytest.mark.parametrize(
+        "encoding",
+        [
+            "x-no-such-codec",  # no codec
+            "base64",  # "not a text encoding"
+            # multi-byte codecs, which expat cannot take
+            "shift_jis", "euc-jp", "gbk", "utf-7", "utf-16-le", "utf-16-be",
+            "idna",  # a UnicodeError
+            "punycode",  # a UnicodeDecodeError
+        ],
+    )
+    def test_unusable_declared_encoding_is_a_parse_error(self, encoding):
+        data = f'<?xml version="1.0" encoding="{encoding}"?><a><b>y</b></a>'.encode("ascii")
+        for read in (parse_corpus, index_corpus):
+            with pytest.raises(CorpusParseError, match="^malformed XML: ") as exc_info:
+                read(data, IndexConfig(entity_labels=frozenset({"b"})))
+            assert exc_info.value.byte_offset == -1
+            assert isinstance(exc_info.value.__cause__, (LookupError, ValueError))
 
     def test_nested_entities_get_own_records(self):
         xml = b"<doc><item><t>alpha</t><item><t>beta</t></item></item></doc>"

@@ -14,7 +14,7 @@ import shutil
 
 import pytest
 
-from divsearch import cli
+from divsearch import cli, storage
 from divsearch.diversify import diversify_baseline
 from divsearch.dewey import DeweyId
 from divsearch.errors import IndexFormatError, NoIntentError
@@ -355,6 +355,8 @@ class TestOneByteEdits:
     EDITS_PER_FILE = 60
     ALPHABET = b'{}[]",:.\\ \n0129aeu\x00\x1f\x80\xc3\xff'
 
+    # characters read at a time: 7 and 64 put block edges inside entities.jsonl and cooccur.jsonl
+    @pytest.mark.parametrize("block", [7, 64, storage._BLOCK])
     @pytest.mark.parametrize(
         "source, query, seen",
         [
@@ -363,7 +365,8 @@ class TestOneByteEdits:
             ("raw", "plain é", set()),
         ],
     )
-    def test_scoped_report_or_an_index_error(self, toy_index, tmp_path, source, query, seen):
+    def test_scoped_report_or_an_index_error(self, toy_index, tmp_path, monkeypatch, source, query, seen, block):
+        monkeypatch.setattr(storage, "_BLOCK", block)
         directory = tmp_path / source
         if source == "golden":
             shutil.copytree(GOLDEN_INDEX_DIR, directory)

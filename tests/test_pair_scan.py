@@ -77,8 +77,8 @@ class TestLinesRead:
                     monkeypatch.setattr(storage, "_BLOCK", block)
                     read, data = read_lines(directory, keywords)
                     assert read == lines_naming(data, keywords), (i, keywords, block)
-                _, part = load_for_query(directory, " ".join(keywords))
-                assert part == restricted(bundle, keywords)
+                    _, part = load_for_query(directory, " ".join(keywords))
+                    assert part == restricted(bundle, keywords), (i, keywords, block)
             # keys misspelt around a keyword: the bytes beside each find decide
             path = directory / COOCCUR_FILE
             lines = path.read_bytes().split(b"\n")
