@@ -119,15 +119,31 @@ class TestParseCorpus:
             # expat has no UTF-32: it reads the FF FE of its byte order mark
             # as UTF-16's and stops at the two NULs that end it
             ("<a><b>y</b></a>".encode("utf-32"), b"\x00\x00" + "<a><b>y</b></a>".encode("utf-32-le")),
-            # UTF-16 declared in one-byte text: expat stops at the name
-            (b'<?xml version="1.0" encoding="UTF-16"?><a/>', b'UTF-16"?><a/>'),
         ],
-        ids=["UTF-16", "UTF-32", "UTF-16-in-one-byte-text"],
+        ids=["UTF-16", "UTF-32"],
     )
-    def test_byte_offset_in_an_encoding_that_is_not_ascii_compatible(self, data, rest):
+    def test_byte_offset_in_an_encoding_not_ascii_compatible(self, data, rest):
         with pytest.raises(CorpusParseError) as exc_info:
             parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
         assert data[exc_info.value.byte_offset :] == rest
+
+    def test_byte_offset_of_utf16_declared_in_one_byte_text(self):
+        # expat stops at the declared name
+        data = b'<?xml version="1.0" encoding="UTF-16"?><a><b>y</c></a>'
+        with pytest.raises(CorpusParseError) as exc_info:
+            parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
+        assert exc_info.value.byte_offset == 30
+        assert data[30:] == b'UTF-16"?><a><b>y</c></a>'
+
+    @pytest.mark.parametrize("encoding", ["x-no-such-codec", "base64"])
+    def test_no_byte_offset_in_an_unusable_declared_encoding(self, encoding):
+        # the encoding fault is named, not the later tag fault
+        data = f'<?xml version="1.0" encoding="{encoding}"?><a><b>y</c></a>'.encode("ascii")
+        for read in (parse_corpus, index_corpus):
+            with pytest.raises(CorpusParseError, match="^malformed XML: ") as exc_info:
+                read(data, IndexConfig(entity_labels=frozenset({"b"})))
+            assert exc_info.value.byte_offset == -1
+            assert isinstance(exc_info.value.__cause__, LookupError)
 
     @pytest.mark.parametrize(
         "data, offset",
