@@ -8,55 +8,37 @@ Three interchangeable engines (baseline, anchor-pruned, parallel) produce
 identical output.
 
 The package exports the entry points below; every other name is imported
-from its own module (``divsearch.slca``, ``divsearch.anchors``, ...).
+from its own module (``divsearch.slca``, ``divsearch.anchors``, ...).  An
+export is imported on first use, so importing the package, or one of its
+modules, imports no engine or loader it does not name.
 """
 
-from .anchors import diversify_anchored
-from .dewey import DeweyId
-from .diversify import EvalStats, ScoredIntent, TopK, diversify_baseline
-from .errors import (
-    CorpusParseError,
-    DivSearchError,
-    EmptyCorpusError,
-    IndexFormatError,
-    IndexVersionError,
-    NoIntentError,
-)
-from .features import top_features
-from .indexing import (
-    DEFAULT_STOPWORDS,
-    IndexBundle,
-    IndexConfig,
-    build_index,
-    index_corpus,
-    parse_corpus,
-)
-from .parallel import diversify_parallel
-from .storage import load_index, save_index
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorpusParseError",
-    "DEFAULT_STOPWORDS",
-    "DeweyId",
-    "DivSearchError",
-    "EmptyCorpusError",
-    "EvalStats",
-    "IndexBundle",
-    "IndexConfig",
-    "IndexFormatError",
-    "IndexVersionError",
-    "NoIntentError",
-    "ScoredIntent",
-    "TopK",
-    "build_index",
-    "diversify_anchored",
-    "diversify_baseline",
-    "diversify_parallel",
-    "index_corpus",
-    "load_index",
-    "parse_corpus",
-    "save_index",
-    "top_features",
-]
+# each exported name -> the module that defines it; imported on first use (PEP 562)
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("anchors", "diversify_anchored"),
+        ("dewey", "DeweyId"),
+        ("diversify", "EvalStats ScoredIntent TopK diversify_baseline"),
+        ("errors", "CorpusParseError DivSearchError EmptyCorpusError IndexFormatError"
+         " IndexVersionError NoIntentError"),
+        ("features", "top_features"),
+        ("indexing", "DEFAULT_STOPWORDS IndexBundle IndexConfig build_index index_corpus"
+         " parse_corpus"),
+        ("parallel", "diversify_parallel"),
+        ("storage", "load_index save_index"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -5,7 +5,8 @@ order, floats use 12 significant digits, and run-dependent fields (worker
 count, work counters, elapsed time) appear only when --stats is given.
 ``search --query`` and ``features --term`` read their words as the index
 tokenizes text, stop words included, and read only the part of the index
-those words need (``storage.load_for_query``).
+those words need (``storage.load_for_query``).  ``search`` imports the
+anchor or parallel engine only when ``--algo`` names it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .diversify import EvalStats, ScoredIntent, TopK, diversify_baseline
-from .anchors import diversify_anchored
 from .errors import DivSearchError, IndexFormatError, NoIntentError
 from .features import top_features
 from .indexing import DEFAULT_STOPWORDS, IndexConfig, index_corpus, is_token
-from .parallel import diversify_parallel
 from .slca import DiversifiedSet
 from .storage import load_for_query, save_index
 
@@ -166,14 +165,17 @@ def cmd_search(args: argparse.Namespace) -> int:
         print("error: query contains no keywords", file=sys.stderr)
         return 2
 
-    engines = {
-        "baseline": diversify_baseline,
-        "anchor": diversify_anchored,
-        "parallel": partial(diversify_parallel, workers=args.workers),
-    }
+    if args.algo == "anchor":
+        from .anchors import diversify_anchored as engine
+    elif args.algo == "parallel":
+        from .parallel import diversify_parallel
+
+        engine = partial(diversify_parallel, workers=args.workers)
+    else:
+        engine = diversify_baseline
     started = time.perf_counter()
     try:
-        topk, stats = engines[args.algo](keywords, args.k, args.m, index, budget=args.budget)
+        topk, stats = engine(keywords, args.k, args.m, index, budget=args.budget)
     except NoIntentError:
         topk = TopK(k=args.k, entries=(), phi=DiversifiedSet())
         stats = EvalStats()  # nothing was evaluated

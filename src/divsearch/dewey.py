@@ -3,8 +3,11 @@
 A Dewey ID is the sequence of 1-based child ordinals on the path from the
 root to a node.  Tuple comparison is lexicographic, which coincides with
 document order, and a node's ancestors are its proper prefixes: ancestry
-is decided by sets of prefixes, not pairwise here.  ``DeweyId`` is a thin
-tuple subclass: all comparisons and hashing come from ``tuple`` for free.
+is decided by sets of prefixes, not pairwise here.  Inside the package a
+Dewey ID is a plain tuple of ints, which the garbage collector stops
+tracking; ``DeweyId`` is the public, validating form, a thin tuple subclass
+that compares and hashes as the plain tuple does.  A report holds
+``DeweyId`` objects, and :func:`dewey_text` writes either form.
 
 The engines work on entity ordinals instead: positions in an
 ``EntityTable``, a document-ordered run of distinct Dewey IDs.  The table
@@ -12,14 +15,15 @@ also gives every node at or above an entity one number, an entity's being
 its ordinal, each node's parent by number and the span of entities below
 it, in the attributes ``nodes``, ``up``, ``lo`` and ``hi`` that it builds
 with the table, so the engines' sets hold ints only.  Dewey IDs appear
-only at the edges: the index names entities by them, and ``render`` turns
-the engines' numbers back into them for a report.
+only at the edges: the index names entities by their text, and ``render``
+turns the engines' numbers back into ``DeweyId`` objects for a report.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Iterator
 
 
 class DeweyId(tuple):
@@ -37,15 +41,15 @@ class DeweyId(tuple):
         return tuple.__new__(cls, comps)
 
     def __str__(self) -> str:
-        return ".".join(str(c) for c in self)
+        return dewey_text(self)
 
     def __repr__(self) -> str:
         return f"DeweyId({str(self)!r})"
 
 
-def _trusted(components: tuple[int, ...]) -> DeweyId:
-    # Internal fast path: skip validation for components we built ourselves.
-    return tuple.__new__(DeweyId, components)
+def dewey_text(dewey: Iterable[int]) -> str:
+    """A Dewey ID as the index and the report write it: ``1.2.1``."""
+    return ".".join(map(str, dewey))
 
 
 class EntityTable:
@@ -64,13 +68,13 @@ class EntityTable:
     """
 
     __slots__ = ("deweys", "nodes", "up", "lo", "hi")
-    deweys: tuple[DeweyId, ...]
-    nodes: list[DeweyId]
+    deweys: tuple[tuple[int, ...], ...]
+    nodes: list[tuple[int, ...]]
     up: list[int | None]
     lo: array
     hi: array
 
-    def __init__(self, deweys: Iterable[DeweyId]) -> None:
+    def __init__(self, deweys: Iterable[tuple[int, ...]]) -> None:
         self.deweys = deweys = tuple(deweys)
         self.nodes = nodes = list(deweys)
         self.up = up = [None] * len(nodes)
@@ -88,7 +92,7 @@ class EntityTable:
                 up[child] = n = number.setdefault(parent, len(nodes))
                 if n < len(nodes):
                     break  # an entity, or a node whose walk went on up
-                nodes.append(_trusted(parent))
+                nodes.append(parent)
                 up.append(None)
                 lo.append(i)
                 child = n
@@ -99,6 +103,13 @@ class EntityTable:
                 hi[x] = i + 1
                 x = up[x]
 
+    def dewey_ids(self, numbers: Iterable[int]) -> Iterator[DeweyId]:
+        """The nodes of the given tree numbers as ``DeweyId`` objects, in that order.
+
+        Each node is a Dewey ID already, so ``DeweyId``'s checks are not repeated.
+        """
+        return map(partial(tuple.__new__, DeweyId), map(self.nodes.__getitem__, numbers))
+
     def render(self, numbers: Iterable[int]) -> tuple[DeweyId, ...]:
-        """The nodes of the given tree numbers as Dewey IDs, in document order."""
-        return tuple(sorted(map(self.nodes.__getitem__, numbers)))
+        """The nodes of the given tree numbers as ``DeweyId`` objects, in document order."""
+        return tuple(sorted(self.dewey_ids(numbers)))

@@ -15,9 +15,8 @@ until ``run_query`` renders the admitted ones to Dewey IDs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dewey import EntityTable
 from .features import build_matrix
@@ -26,22 +25,15 @@ from .intents import IntentQuery, iter_intents
 from .slca import DiversifiedSet, MergeOutcome, SlcaSet, compute_slca
 
 
-@dataclass
-class EvalStats:
+class EvalStats(NamedTuple):
     """Work counters; per intent, pruned = input nodes - visited (:func:`run_topk`)."""
 
     nodes_visited: int = 0
     nodes_pruned: int = 0
     areas_skipped: int = 0
 
-    def add(self, visited: int, pruned: int, skipped: int) -> None:
-        self.nodes_visited += visited
-        self.nodes_pruned += pruned
-        self.areas_skipped += skipped
 
-
-@dataclass(frozen=True)
-class IntentEvaluation:
+class IntentEvaluation(NamedTuple):
     """Everything one engine pass learns about one intent.
 
     ``visited`` counts the input nodes read; :func:`run_topk` counts the
@@ -62,8 +54,7 @@ class IntentEvaluation:
         return self.relevance * self.dif
 
 
-@dataclass(frozen=True)
-class ScoredIntent:
+class ScoredIntent(NamedTuple):
     intent: IntentQuery
     relevance: float
     dif: float
@@ -71,8 +62,7 @@ class ScoredIntent:
     results: SlcaSet
 
 
-@dataclass(frozen=True)
-class TopK:
+class TopK(NamedTuple):
     k: int
     entries: tuple[ScoredIntent, ...]
     phi: DiversifiedSet
@@ -126,11 +116,12 @@ def run_topk(
     # (rank key, seq, entry): two intents of one stream differ in at least one
     # column's feature, so rank keys never tie and seq is never compared
     ranked: list[tuple[tuple, int, ScoredIntent]] = []
-    stats = EvalStats()
+    visited = pruned = skipped = 0
     for seq, intent in enumerate(intents):
         evaluation = evaluate(intent, pool)
-        total = sum(len(segment.node_list) for segment in intent.segments)
-        stats.add(evaluation.visited, total - evaluation.visited, evaluation.areas_skipped)
+        visited += evaluation.visited
+        pruned += sum(len(segment.node_list) for segment in intent.segments) - evaluation.visited
+        skipped += evaluation.areas_skipped
         score = evaluation.score
         if score <= 0.0:
             continue
@@ -147,7 +138,8 @@ def run_topk(
         entry = ScoredIntent(intent, evaluation.relevance, evaluation.dif, score, results)
         ranked.append(((-score, -intent.agg_mi, intent.lex_key), seq, entry))
     ranked.sort()
-    return TopK(k=k, entries=tuple(entry for _, _, entry in ranked), phi=pool), stats
+    topk = TopK(k=k, entries=tuple(entry for _, _, entry in ranked), phi=pool)
+    return topk, EvalStats(visited, pruned, skipped)
 
 
 def run_query(
@@ -175,7 +167,7 @@ def run_query(
     table = index.entity_table
     topk, stats = run_topk(stream(matrix, index, budget), k, partial(evaluate, table=table))
     if topk.entries:  # else the pool is empty too
-        entries = tuple(replace(e, results=SlcaSet(table.render(e.results))) for e in topk.entries)
+        entries = tuple(e._replace(results=SlcaSet(table.render(e.results))) for e in topk.entries)
         topk = TopK(topk.k, entries, topk.phi.rendered(table))
     return topk, stats
 

@@ -23,21 +23,19 @@ that MI.  A pair equal to it is still kept; ties are broken by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoIntentError
 from .indexing import IndexBundle
 
 
-@dataclass(frozen=True)
-class FeatureEntry:
+class FeatureEntry(NamedTuple):
     keyword: str
     feature: str
     mi: float
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
+class FeatureMatrix(NamedTuple):
     """One MI-ranked feature column per query keyword, in query order."""
 
     keywords: tuple[str, ...]

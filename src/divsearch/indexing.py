@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from io import BytesIO
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
-from .dewey import DeweyId, EntityTable, _trusted
+from .dewey import EntityTable
 from .errors import CorpusParseError, EmptyCorpusError
 
 # Small embedded English list; extend via IndexConfig.stopwords.
@@ -45,26 +45,28 @@ DEFAULT_STOPWORDS: frozenset[str] = frozenset(
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class IndexConfig:
+class IndexConfig(namedtuple("IndexConfig", "entity_labels window stopwords")):
     """Knobs for parsing and index construction; all of them are persisted."""
 
-    entity_labels: frozenset[str]
-    window: int = 3
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.entity_labels:
+    def __new__(
+        cls,
+        entity_labels: frozenset[str],
+        window: int = 3,
+        stopwords: frozenset[str] = DEFAULT_STOPWORDS,
+    ) -> IndexConfig:
+        if not entity_labels:
             raise ValueError("entity_labels must be non-empty")
-        if type(self.window) is not int or self.window < 1:
+        if type(window) is not int or window < 1:
             raise ValueError("window must be an integer >= 1")
+        return super().__new__(cls, entity_labels, window, stopwords)
 
 
-@dataclass(slots=True)
-class EntityRecord:
+class EntityRecord(NamedTuple):
     """An entity plus its token stream; tokens carry pre-filter positions."""
 
-    dewey: DeweyId
+    dewey: tuple[int, ...]  # a plain tuple
     label: str
     tokens: tuple[tuple[str, int], ...] = ()
 
@@ -96,6 +98,9 @@ def _events(data: bytes) -> Iterator[tuple[str, Any]]:
     Its byte offset is expat's ``ErrorByteIndex`` from a bare parse of
     ``data``, namespaces on as in ElementTree, made only then: -1 if that
     parse meets no fault, and for a declared encoding expat cannot read.
+    Under an external DTD bare expat skips a general entity that no
+    declaration defines, where ElementTree refuses it: the bare parse stops
+    there, and the offset is the reference's own.
     """
     import xml.etree.ElementTree as ET  # only indexing parses XML: a search need not import it
 
@@ -104,14 +109,21 @@ def _events(data: bytes) -> Iterator[tuple[str, Any]]:
     except ET.ParseError as exc:
         from xml.parsers import expat
 
+        message = f"malformed XML: {exc}"
         parser = expat.ParserCreate(None, "}")
+
+        def skipped(name: str, is_parameter_entity: int) -> None:
+            if not is_parameter_entity:
+                raise CorpusParseError(message, byte_offset=parser.CurrentByteIndex) from exc
+
+        parser.SkippedEntityHandler = skipped
         try:
             parser.Parse(data, True)
         except expat.ExpatError:
             offset = parser.ErrorByteIndex
         else:
             offset = -1
-        raise CorpusParseError(f"malformed XML: {exc}", byte_offset=offset) from exc
+        raise CorpusParseError(message, byte_offset=offset) from exc
     # no text codec (LookupError), a multi-byte one (ValueError), or one that
     # fails on the 256 byte values expat asks it for (UnicodeError)
     except (LookupError, ValueError) as exc:
@@ -121,15 +133,16 @@ def _events(data: bytes) -> Iterator[tuple[str, Any]]:
 def _records(data: bytes, config: IndexConfig) -> Iterator[EntityRecord]:
     """Entity records in document order, each yielded once no entity is open.
 
-    An entity's record is made at its start tag, where its Dewey ID and so its
-    ordinal are known, and gets its tokens at its end tag.  Records wait in a
-    buffer while any entity is open and are yielded, in start-tag order, when
-    the outermost one closes; so a caller may drop each record as it reads it.
-    Malformed XML raises :class:`CorpusParseError` (see :func:`_events`) when
-    the parse reaches it, no entity :class:`EmptyCorpusError` at the end.
+    An entity takes its place in a buffer at its start tag, where its Dewey
+    ID and so its ordinal are known, and its record at its end tag.  Records
+    wait there while any entity is open and are yielded, in start-tag order,
+    when the outermost one closes; so a caller may drop each record as it
+    reads it.  Malformed XML raises :class:`CorpusParseError` (see
+    :func:`_events`) when the parse reaches it, no entity
+    :class:`EmptyCorpusError` at the end.
     """
-    buffer: list[EntityRecord] = []
-    pending: dict[int, EntityRecord] = {}
+    buffer: list = []  # records, and (dewey, label) of the entities still open
+    pending: dict[int, int] = {}  # an open entity's element -> its place in the buffer
     # the Dewey path of the open elements, then how many children the innermost has so far
     counters: list[int] = [0]
     yielded = False
@@ -137,15 +150,15 @@ def _records(data: bytes, config: IndexConfig) -> Iterator[EntityRecord]:
         if event == "start":
             counters[-1] += 1
             if elem.tag in config.entity_labels:
-                record = EntityRecord(_trusted(tuple(counters)), elem.tag)
-                buffer.append(record)
-                pending[id(elem)] = record
+                pending[id(elem)] = len(buffer)
+                buffer.append((tuple(counters), elem.tag))
             counters.append(0)
         else:
             counters.pop()
-            record = pending.pop(id(elem), None)
-            if record is not None:
-                record.tokens = tokenize(" ".join(elem.itertext()), config.stopwords)
+            at = pending.pop(id(elem), None)
+            if at is not None:
+                tokens = tokenize(" ".join(elem.itertext()), config.stopwords)
+                buffer[at] = EntityRecord(*buffer[at], tokens)
             if not pending:  # no open entity reads this element's text
                 elem.clear()
                 if buffer:
@@ -172,12 +185,12 @@ def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
 class IndexBundle:
     """Immutable index: entities, their labels, postings, co-occurrence counts, config.
 
-    ``entities`` holds the entities' Dewey IDs in document order and
-    ``labels`` each one's element name, both by ordinal.  A posting is a
-    sorted tuple of entity ordinals.
+    ``entities`` holds the entities' Dewey IDs, plain tuples, in document
+    order and ``labels`` each one's element name, both by ordinal.  A
+    posting is a sorted tuple of entity ordinals.
     """
 
-    entities: tuple[DeweyId, ...]
+    entities: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     postings: dict[str, tuple[int, ...]]
     cooccur: dict[tuple[str, str], int]
@@ -235,7 +248,7 @@ def build_index(corpus: Iterable[EntityRecord], config: IndexConfig) -> IndexBun
     its position there.  No record is kept: the bundle holds each one's
     Dewey ID and label, and its tokens only as postings and pairs.
     """
-    entities: list[DeweyId] = []
+    entities: list[tuple[int, ...]] = []
     labels: list[str] = []
     postings: dict[str, list[int]] = {}
     cooccur: dict[tuple[str, str], int] = {}

@@ -16,17 +16,15 @@ segment once per query and shares it between the intents that use it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .features import FeatureEntry, FeatureMatrix
 from .indexing import IndexBundle
 from .slca import AncestorSet, proper_ancestors
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One keyword with its chosen context; feature None = bare keyword.
 
     ``ancestors`` is ``slca.proper_ancestors`` of the node list, built by
@@ -39,11 +37,19 @@ class Segment:
     feature: str | None
     node_list: tuple[int, ...]  # entity ordinals, ascending
     feature_list_size: int
-    ancestors: AncestorSet = field(compare=False, repr=False)
+    ancestors: AncestorSet
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Segment) and self[:4] == other[:4]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
 
-@dataclass(frozen=True)
-class IntentQuery:
+class IntentQuery(NamedTuple):
     segments: tuple[Segment, ...]
     agg_mi: float
 

@@ -19,7 +19,6 @@ over the baseline at 103k entities (README), so both were dropped.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -40,12 +39,14 @@ from .slca import AncestorSet, DiversifiedSet
 SegmentKey = tuple[str, str | None]
 
 
-@dataclass
 class SharedSegmentTable:
     """Per-query memo of the segments shared between intents."""
 
-    shared: frozenset[SegmentKey]
-    segments: dict[SegmentKey, Segment] = field(default_factory=dict)
+    __slots__ = ("shared", "segments")
+
+    def __init__(self, shared: frozenset[SegmentKey]) -> None:
+        self.shared = shared
+        self.segments: dict[SegmentKey, Segment] = {}
 
     def resolve(self, keyword: str, feature: str | None, index: IndexBundle) -> Segment:
         """Resolve one segment; a shared one is resolved once per query."""

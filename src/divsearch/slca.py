@@ -25,11 +25,10 @@ version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, filterfalse
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .dewey import DeweyId, EntityTable
+from .dewey import EntityTable
 
 
 class SlcaSet(tuple):
@@ -67,13 +66,13 @@ def proper_ancestors(nodes: Sequence[int], table: EntityTable) -> AncestorSet:
     return frozenset(out)
 
 
-def proper_prefixes(nodes: Iterable[DeweyId]) -> set:
+def proper_prefixes(nodes: Iterable[tuple[int, ...]]) -> set:
     """Every proper prefix of the nodes: all their proper ancestors, as tuples."""
     return {v[:n] for v in nodes for n in range(1, len(v))}
 
 
 def compute_slca(
-    lists: Sequence[Sequence[int]] | Sequence[Sequence[DeweyId]],
+    lists: Sequence[Sequence[int]] | Sequence[Sequence[tuple[int, ...]]],
     table: EntityTable | None = None,
     ancestors: Sequence[AncestorSet] | None = None,
 ) -> SlcaSet:
@@ -131,8 +130,7 @@ def cover_leaves(
     return cover.difference(map(up.__getitem__, cover))
 
 
-@dataclass(frozen=True)
-class MergeOutcome:
+class MergeOutcome(NamedTuple):
     """Net effect of merging one fresh result set into the distinct pool."""
 
     inserted: tuple
@@ -149,7 +147,6 @@ class MergeOutcome:
         return self.distinct_count / self.union_size
 
 
-@dataclass(eq=False)
 class PoolLayout:
     """The members of a pool, tree numbers, laid out among their table's entities.
 
@@ -166,10 +163,11 @@ class PoolLayout:
     version.
     """
 
-    cuts: tuple[int, ...]
-    hidden: tuple[int, ...]
-    prefixes: frozenset
-    lists: dict[int, tuple] = field(default_factory=dict)
+    __slots__ = ("cuts", "hidden", "prefixes", "lists")
+
+    def __init__(self, cuts: tuple[int, ...], hidden: tuple[int, ...], prefixes: frozenset) -> None:
+        self.cuts, self.hidden, self.prefixes = cuts, hidden, prefixes
+        self.lists: dict[int, tuple] = {}
 
     @classmethod
     def build(cls, nodes: Iterable[int], prefixes: frozenset, table: EntityTable) -> "PoolLayout":
@@ -220,7 +218,7 @@ class DiversifiedSet:
     def rendered(self, table: EntityTable) -> "DiversifiedSet":
         """This pool of ``table``'s tree numbers as a pool of their Dewey IDs."""
         out = DiversifiedSet()
-        out._owner = {table.nodes[x]: owner for x, owner in self._owner.items()}
+        out._owner = dict(zip(table.dewey_ids(self._owner), self._owner.values()))
         return out
 
     def __len__(self) -> int:
@@ -246,7 +244,7 @@ class DiversifiedSet:
         is the members less the removed, plus the inserted.
         """
         inserted = tuple(filterfalse(self._members_and_above(table).__contains__, fresh))
-        # iterating the map's keys keeps the members' own DeweyId objects
+        # iterating the map's keys keeps the members' own objects
         removed = tuple(sorted(_proper(inserted, table).intersection(self._owner)))
         return MergeOutcome(inserted, removed, len(self._owner) - len(removed) + len(inserted))
 

@@ -19,13 +19,14 @@ directory with no manifest, which no loader reads.
 In memory a posting holds entity ordinals; on disk it holds each entity's
 Dewey text, so the files do not depend on that representation.  Each JSONL
 line has the writer's one shape: compact separators, the key order above, a
-Dewey ID as ``str(DeweyId)``, a count in plain decimal, and each string raw,
-with no JSON escape.  No term the indexer makes needs one, since each is
-one token, and a label, an element name, needs one only when its namespace
-URI holds a character that JSON escapes; :func:`save_index` refuses a term
-or label that needs one.  The loader matches every line against that shape
-and refuses any other, an escaped string included; ``json.loads`` reads the
-manifest only, so a later version's manifest is still told by its version.
+Dewey ID as ``dewey_text`` writes it, a count in plain decimal, and each
+string raw, with no JSON escape.  No term the indexer makes needs one,
+since each is one token, and a label, an element name, needs one only when
+its namespace URI holds a character that JSON escapes; :func:`save_index`
+refuses a term or label that needs one.  The loader matches every line
+against that shape and refuses any other, an escaped string included;
+``json.loads`` reads the manifest only, so a later version's manifest is
+still told by its version.
 
 :func:`load_index` reads and checks every line.  :func:`load_for_query`,
 which ``divsearch search`` and ``divsearch features`` use, reads what one
@@ -47,13 +48,14 @@ messages and checks are the same code; both refuse a pair listed twice.
 :func:`load_for_query` holds one block of cooccur.jsonl at a time, so its
 memory does not grow with the pair file.
 
-A loaded bundle holds the entities' Dewey IDs and labels as two tuples by
+A loaded bundle holds the entities' Dewey IDs, plain tuples of ints that
+the garbage collector stops tracking, and their labels as two tuples by
 ordinal, and shares objects between its parts: a cooccur key holds the
 postings' own term strings, and ``labels`` the manifest's own strings, one
 object per distinct label.  The per-term pair lists
 (``IndexBundle.neighbours``) and the entity table
-(``IndexBundle.entity_table``) are not built here but on first use, as for a
-bundle fresh from ``build_index``.
+(``IndexBundle.entity_table``) are not built here but on first use, as for
+a bundle fresh from ``build_index``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, TextIO
 
-from .dewey import DeweyId, _trusted
+from .dewey import dewey_text
 from .errors import IndexFormatError, IndexVersionError
 from .indexing import IndexBundle, IndexConfig, is_token, tokenize
 
@@ -238,7 +240,7 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
         "entityLabels": labels,
         "logBase": "e",  # MI uses the natural log
     }
-    texts = list(map(str, entities))  # by ordinal
+    texts = list(map(dewey_text, entities))  # by ordinal
     files = {
         ENTITIES_FILE: ('{"dewey":"%s","label":"%s"}\n' % row for row in zip(texts, bundle.labels)),
         POSTINGS_FILE: (
@@ -333,9 +335,9 @@ def _fail(path: Path, lineno: int, message: str) -> IndexFormatError:
     return IndexFormatError(message, path=path.name, line=lineno)
 
 
-def _dewey(text: str, path: Path, lineno: int) -> DeweyId:
+def _dewey(text: str, path: Path, lineno: int) -> tuple[int, ...]:
     try:  # the grammar admits only positive components without leading zeros
-        return _trusted(tuple(map(int, text.split("."))))
+        return tuple(map(int, text.split(".")))
     except ValueError:  # a component past int()'s digit limit
         raise _fail(path, lineno, f"invalid Dewey ID {text!r}") from None
 
@@ -381,7 +383,7 @@ def _load_manifest(directory: Path) -> dict[str, Any]:
 
 def _load_entities(
     directory: Path, manifest: dict[str, Any]
-) -> tuple[list[DeweyId], list[str], dict[str, int]]:
+) -> tuple[list[tuple[int, ...]], list[str], dict[str, int]]:
     """Every entity's Dewey ID and label, and its ordinal by its Dewey text as written.
 
     The lines are read a block at a time, by :func:`_blocks`, each read by
@@ -393,7 +395,7 @@ def _load_entities(
     # one lookup proves a label the manifest's and gives the manifest's string
     known = {label: label for label in manifest["entityLabels"]}
     path = directory / ENTITIES_FILE
-    entities: list[DeweyId] = []
+    entities: list[tuple[int, ...]] = []
     labels: list[str] = []
     # Dewey text as written -> the entity's ordinal; postings resolve through it
     by_text: dict[str, int] = {}
@@ -414,8 +416,8 @@ def _load_entities(
 
 
 def _entity_chunk(
-    text: str, known: dict[str, str], last: DeweyId | None
-) -> tuple[tuple[str, ...], list[str], list[DeweyId]] | None:
+    text: str, known: dict[str, str], last: tuple[int, ...] | None
+) -> tuple[tuple[str, ...], list[str], list[tuple[int, ...]]] | None:
     """The Dewey texts, labels and Dewey IDs of the lines of ``text``, entity
     lines that follow one with the Dewey ID ``last``, if any.
 
@@ -431,7 +433,7 @@ def _entity_chunk(
         labels = list(map(known.__getitem__, labels))
         # the grammar admits only positive components without leading zeros
         components = map(partial(map, int), map(operator.methodcaller("split", "."), texts))
-        deweys = list(map(partial(tuple.__new__, DeweyId), components))
+        deweys = list(map(tuple, components))
     except (KeyError, ValueError):  # ValueError: a component past int()'s digit limit
         return None
     if last is not None and deweys[0] <= last:
@@ -442,7 +444,7 @@ def _entity_chunk(
 
 
 def _check_entity_lines(
-    path: Path, lines: Iterable[tuple[int, str]], known: dict[str, str], last: DeweyId | None
+    path: Path, lines: Iterable[tuple[int, str]], known: dict[str, str], last: tuple | None
 ) -> None:
     """Check ``lines``, numbered entity lines that follow one with the Dewey
     ID ``last``, if any, one at a time; raise at the first fault."""
@@ -559,7 +561,7 @@ def _load_stopwords(directory: Path) -> list[str]:
 
 def _bundle(
     manifest: dict[str, Any],
-    entities: list[DeweyId],
+    entities: list[tuple[int, ...]],
     labels: list[str],
     postings: dict[str, tuple[int, ...]],
     cooccur: dict[tuple[str, str], int],

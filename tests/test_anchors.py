@@ -1,6 +1,6 @@
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
@@ -69,8 +69,7 @@ def place(lists, tree=(), anchors=()):
 def rendered(evaluation, table):
     """An evaluation with its merge outcome in Dewey IDs."""
     outcome = evaluation.outcome
-    return replace(
-        evaluation,
+    return evaluation._replace(
         outcome=MergeOutcome(
             table.render(outcome.inserted), table.render(outcome.removed), outcome.union_size
         ),

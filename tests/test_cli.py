@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import divsearch
 from conftest import GOLDEN_INDEX_DIR
 from helpers import fail_write, random_corpus_xml
 from divsearch.cli import main
@@ -516,29 +517,45 @@ class TestModuleEntryPoint:
         assert proc.stdout == GOLDEN_REPORT + "\n"
 
     def test_only_indexing_imports_the_xml_parser(self, toy_xml_path, tmp_path):
-        """A search process leaves ``xml.etree`` and expat unimported; ``index`` imports them."""
+        """Each process imports only what its command runs: ``search`` its own
+        engine and no XML parser, ``features`` no engine, ``index`` the parser.
+
+        Run under ``-S``, so that no module ``site`` imports hides an import.
+        """
+        watched = ("divsearch.anchors", "divsearch.parallel", "xml.etree", "pyexpat")
         script = (
             "import sys\n"
             "from divsearch.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print('xml.etree' in sys.modules, 'pyexpat' in sys.modules, file=sys.stderr)\n"
+            f"print(*[name for name in {watched!r} if name in sys.modules], file=sys.stderr)\n"
             "sys.exit(code)\n"
         )
+        src = str(Path(divsearch.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
 
-        def divsearch(*args):
+        def run(*args):
             proc = subprocess.run(
-                [sys.executable, "-c", script, *args], capture_output=True, text=True, encoding="utf-8"
+                [sys.executable, "-S", "-c", script, *args],
+                capture_output=True, text=True, encoding="utf-8", env=env,
             )
             assert proc.returncode == 0, proc.stderr
-            return proc.stdout, proc.stderr
+            return proc.stdout, proc.stderr.split()
 
-        out, imported = divsearch(*search_args("--k", "2", "--m", "2"))
-        assert (out, imported) == (GOLDEN_REPORT + "\n", "False False\n")
+        for algo, imported in (
+            ("baseline", []),
+            ("anchor", ["divsearch.anchors"]),
+            ("parallel", ["divsearch.anchors", "divsearch.parallel"]),
+        ):
+            out = run(*search_args("--k", "2", "--m", "2", "--algo", algo))
+            report = GOLDEN_REPORT.replace('"algo":"baseline"', f'"algo":"{algo}"')
+            assert out == (report + "\n", imported), algo
+        out, imported = run("features", "--index", GOLDEN_IDX, "--term", "query")
+        assert out.startswith('{"term":"query","features":[{') and imported == []
         idx = tmp_path / "idx"
-        out, imported = divsearch(
+        out, imported = run(
             "index", "--input", str(toy_xml_path), "--entity", "paper", "--out", str(idx)
         )
-        assert out.startswith("entities=3 ") and imported == "True True\n"
+        assert out.startswith("entities=3 ") and imported == ["xml.etree", "pyexpat"]
         for name in ("manifest.json", "entities.jsonl", "postings.jsonl", "cooccur.jsonl"):
             assert (idx / name).read_bytes() == (GOLDEN_INDEX_DIR / name).read_bytes()
 

@@ -73,7 +73,7 @@ def assert_read_as_plain(directory, query):
     keywords, part = load_for_query(directory, query)
     for bundle in (whole, part):
         assert bundle.entities == deweys and bundle.labels == labels
-        assert all(type(dewey) is DeweyId for dewey in bundle.entities)
+        assert all(type(dewey) is tuple for dewey in bundle.entities)
     assert tree(part.entity_table) == tree(EntityTable(whole.entities)) == documented_tree(deweys)
     assert part.entity_table.deweys is part.entities
     for term, ordinals in part.postings.items():  # resolved through the text map

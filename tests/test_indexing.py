@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from divsearch.dewey import dewey_text
 from divsearch.errors import CorpusParseError, EmptyCorpusError
 from divsearch.indexing import (
     DEFAULT_STOPWORDS,
@@ -39,7 +40,7 @@ class TestTokenize:
 
 class TestParseCorpus:
     def test_toy_records(self, toy_corpus):
-        assert [(str(r.dewey), r.label) for r in toy_corpus] == [
+        assert [(dewey_text(r.dewey), r.label) for r in toy_corpus] == [
             ("1.1", "paper"),
             ("1.2", "paper"),
             ("1.3", "paper"),
@@ -167,12 +168,31 @@ class TestParseCorpus:
             parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
         assert data[exc_info.value.byte_offset :] == b"<x:c/></a>"
 
-    def test_no_byte_offset_for_a_fault_only_elementtree_meets(self):
+    def test_byte_offset_of_an_entity_only_elementtree_refuses(self):
         # with an external DTD expat skips an undefined entity; ElementTree refuses it
         data = b'<!DOCTYPE a SYSTEM "a.dtd"><a><b>&x;</b></a>'
         with pytest.raises(CorpusParseError, match="^malformed XML: undefined entity") as exc_info:
             parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
-        assert exc_info.value.byte_offset == -1
+        assert exc_info.value.byte_offset == 33 and data[33:].startswith(b"&x;")
+
+    @pytest.mark.parametrize(
+        "doctype",
+        [
+            b'<!DOCTYPE a SYSTEM "a.dtd" [%q;]>',  # a parameter entity no declaration defines
+            b'<!DOCTYPE a [<!ENTITY % p SYSTEM "p.ent"> %p;]>',  # one from a file not read
+        ],
+        ids=["undeclared", "external"],
+    )
+    def test_a_parameter_entity_does_not_stop_the_offset_parse(self, doctype):
+        # ElementTree passes a parameter entity by, so the fault is the later tag's name
+        data = doctype + b"<a><b>x</c></a>"
+        with pytest.raises(CorpusParseError, match="^malformed XML: mismatched tag") as exc_info:
+            parse_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
+        assert data[exc_info.value.byte_offset :] == b"c></a>"
+        data = doctype + b"<a><b>&x;</b></a>"  # a general entity after it still stops it
+        with pytest.raises(CorpusParseError, match="^malformed XML: undefined entity") as exc_info:
+            index_corpus(data, IndexConfig(entity_labels=frozenset({"b"})))
+        assert data[exc_info.value.byte_offset :] == b"&x;</b></a>"
 
     @pytest.mark.parametrize(
         "encoding",
@@ -196,7 +216,7 @@ class TestParseCorpus:
     def test_nested_entities_get_own_records(self):
         xml = b"<doc><item><t>alpha</t><item><t>beta</t></item></item></doc>"
         records = parse_corpus(xml, IndexConfig(entity_labels=frozenset({"item"})))
-        assert [str(r.dewey) for r in records] == ["1.1", "1.1.2"]
+        assert [dewey_text(r.dewey) for r in records] == ["1.1", "1.1.2"]
         # outer entity text includes descendant text
         assert [t for t, _ in records[0].tokens] == ["alpha", "beta"]
         assert [t for t, _ in records[1].tokens] == ["beta"]
@@ -208,7 +228,7 @@ class TestParseCorpus:
             b"gap<item>two</item>end</sec>last</doc>"
         )
         records = parse_corpus(xml, IndexConfig(entity_labels=frozenset({"item"})))
-        assert [str(r.dewey) for r in records] == ["1.1.1", "1.1.1.2", "1.1.2"]
+        assert [dewey_text(r.dewey) for r in records] == ["1.1.1", "1.1.1.2", "1.1.2"]
         assert [[t for t, _ in r.tokens] for r in records] == [
             ["one", "bold", "tail", "inner", "coda"],
             ["inner"],
@@ -225,7 +245,7 @@ class TestParseCorpus:
         records = parse_corpus(
             xml, IndexConfig(entity_labels=frozenset({"item", "note"}))
         )
-        assert [(str(r.dewey), r.label) for r in records] == [
+        assert [(dewey_text(r.dewey), r.label) for r in records] == [
             ("1.1", "item"),
             ("1.2", "note"),
         ]
@@ -399,7 +419,7 @@ class TestOnePassBuild:
         holding the text of its own subtree."""
         xml = b"<r><item>a <item>b <item>c</item></item> d</item><x>skip</x><item>e</item></r>"
         stream = _records(xml, IndexConfig(entity_labels=frozenset({"item"}), stopwords=frozenset()))
-        got = [(str(r.dewey), " ".join(t for t, _ in r.tokens)) for r in stream]
+        got = [(dewey_text(r.dewey), " ".join(t for t, _ in r.tokens)) for r in stream]
         assert got == [("1.1", "a b c d"), ("1.1.1", "b c"), ("1.1.1.1", "c"), ("1.3", "e")]
 
     def test_reads_its_records_once(self):

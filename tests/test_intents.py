@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -65,7 +64,7 @@ def random_matrix(rng: random.Random, shuffled: bool) -> FeatureMatrix:
     if not shuffled:
         return matrix
     columns = tuple(tuple(rng.sample(col, len(col))) for col in matrix.columns)
-    return replace(matrix, columns=columns)
+    return matrix._replace(columns=columns)
 
 
 def emitted_names(matrix: FeatureMatrix) -> list[tuple[tuple[str, ...], float]]:

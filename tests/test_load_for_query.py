@@ -8,6 +8,7 @@ of their reports must equal the report made on the whole index that
 
 import contextlib
 import dataclasses
+import gc
 import io
 import random
 import shutil
@@ -273,6 +274,23 @@ class TestEntities:
     def test_entity_table_holds_the_bundle_tuple(self):
         _, part = load_for_query(GOLDEN_INDEX_DIR, "database query")
         assert part.entity_table.deweys is part.entities
+
+    def test_a_load_leaves_the_collector_few_objects(self, tmp_path):
+        """Entities and tree nodes are plain tuples of ints, which a collection
+        stops tracking: a load and its tree leave far fewer tracked objects
+        than one per entity, which a ``DeweyId`` per entity would leave."""
+        entities = tuple((1, s, 1, i) for s in range(1, 201) for i in range(1, 101))
+        n = len(entities)
+        postings = {"w0": tuple(range(0, n, 2)), "w1": tuple(range(0, n, 3)), "w2": tuple(range(1, n, 5))}
+        pairs = {("w0", "w1"): 100, ("w1", "w2"): 50}
+        config = IndexConfig(frozenset({"item"}))
+        save_index(IndexBundle(entities, ("item",) * n, postings, pairs, config), tmp_path)
+        gc.collect()
+        before = len(gc.get_objects())
+        _, part = load_for_query(tmp_path, "w0 w1")
+        assert len(part.entity_table.nodes) == n + 1 + 2 * 200  # the root, each (1, s) and (1, s, 1)
+        gc.collect()
+        assert len(gc.get_objects()) - before < n // 100
 
 
 class TestSaveThenLoad:

@@ -49,7 +49,7 @@ def assert_tree(table: EntityTable) -> None:
     nodes, up = table.nodes, table.up
     deweys = table.deweys
     assert nodes[: len(deweys)] == list(deweys)
-    assert all(type(v) is DeweyId for v in nodes)
+    assert all(type(v) is tuple for v in nodes[len(deweys) :])  # the nodes above are plain
     spanned = {v[:depth] for v in deweys for depth in range(1, len(v) + 1)}
     assert len(nodes) == len(spanned) and set(nodes) == spanned
     number = {v: x for x, v in enumerate(nodes)}

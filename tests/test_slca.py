@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from divsearch.dewey import DeweyId, _trusted
+from divsearch.dewey import DeweyId
 from divsearch.diversify import dif
 from divsearch.slca import (
     DiversifiedSet,
@@ -78,7 +78,7 @@ def _previous_compute_slca(lists):
                 x = None
                 break
             if k < len(x):
-                x = _trusted(tuple(x[:k]))
+                x = DeweyId(x[:k])
         if x is not None:
             candidates.add(x)
     ordered = sorted(candidates)

@@ -64,10 +64,11 @@ def reference_save(bundle, directory):
         "logBase": "e",
     }])
     write(ENTITIES_FILE, [
-        {"dewey": str(dewey), "label": label} for dewey, label in zip(bundle.entities, bundle.labels)
+        {"dewey": ".".join(map(str, dewey)), "label": label}
+        for dewey, label in zip(bundle.entities, bundle.labels)
     ])
     write(POSTINGS_FILE, [
-        {"term": term, "entities": [str(bundle.entities[i]) for i in bundle.postings[term]]}
+        {"term": term, "entities": [".".join(map(str, bundle.entities[i])) for i in bundle.postings[term]]}
         for term in sorted(bundle.postings)
     ])
     triplets = sorted(bundle.cooccur.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -143,7 +144,7 @@ class TestRoundTrip:
 
     def test_load_golden_directory(self, toy_index):
         # the golden directory predates stopwords.txt, so it loads with none
-        config = dataclasses.replace(toy_index.config, stopwords=frozenset())
+        config = toy_index.config._replace(stopwords=frozenset())
         assert load_index(GOLDEN_INDEX_DIR) == dataclasses.replace(toy_index, config=config)
 
 
@@ -466,7 +467,7 @@ class TestEntitiesAndLabels:
     def test_entity_table_holds_the_bundle_tuple(self, toy_index, tmp_path):
         save_index(toy_index, tmp_path)
         for bundle in (toy_index, load_index(tmp_path)):
-            assert all(type(dewey) is DeweyId for dewey in bundle.entities)
+            assert all(type(dewey) is tuple for dewey in bundle.entities)
             assert len(bundle.labels) == len(bundle.entities)
             assert bundle.entity_table.deweys is bundle.entities
 
