@@ -13,12 +13,12 @@ intersects each whole segment list, in C, and those reads are not counted.
 
 Node lists hold entity ordinals, and anchors and results tree numbers.
 The pool lays out each version from its members' entity spans
-(``DiversifiedSet.layout``): three cut ordinals per anchor, which bound its
-subtree, and the entities among their ancestors.  An area is no object but
-a range of positions per list.  Each layout bisects a segment's list at
-its cuts once, up to the list's own stop (:func:`cut_list`), and every
-intent of that pool version sharing the segment slices the kept positions
-at its own stop.
+(``DiversifiedSet.layout``): three cut ordinals per anchor, bisected out
+of the sorted entities, which bound its subtree, and the entities among
+their ancestors.  An area is no object but a range of positions per list.
+Each layout bisects a segment's list at its cuts once, up to the list's
+own stop (:func:`cut_list`), and every intent of that pool version sharing
+the segment slices the kept positions at its own stop.
 
 A full SLCA equal to an anchor or covering one is skipped by the merge,
 and no area need yield it, yet it counts toward relevance.  Such results

@@ -12,16 +12,15 @@ that compares and hashes as the plain tuple does.  A report holds
 The engines work on entity ordinals instead: positions in an
 ``EntityTable``, a document-ordered run of distinct Dewey IDs.  The table
 also gives every node at or above an entity one number, an entity's being
-its ordinal, each node's parent by number and the span of entities below
-it, in the attributes ``nodes``, ``up``, ``lo`` and ``hi`` that it builds
-with the table, so the engines' sets hold ints only.  Dewey IDs appear
-only at the edges: the index names entities by their text, and ``render``
-turns the engines' numbers back into ``DeweyId`` objects for a report.
+its ordinal, and each node's parent by number, in the attributes ``nodes``
+and ``up`` that it builds with the table, so the engines' sets hold ints
+only; the anchor engine's ``slca.PoolLayout`` finds a node's entities.
+Dewey IDs appear only at the edges: the index names entities by their
+text, and ``render`` turns the numbers back into ``DeweyId`` objects.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -56,29 +55,24 @@ class EntityTable:
     """Distinct Dewey IDs in document order, addressed by ordinal, and their tree.
 
     The tree numbers every node at or above an entity: entity i keeps number
-    i and each other such node takes the next free number.  ``nodes[x]`` is
-    node x's Dewey ID, ``up[x]`` its parent's number, None for the root, and
-    the entities of its subtree are ``lo[x] .. hi[x]-1``.  An entity whose
+    i and each other such node takes the next free number, when the first
+    entity below it is walked.  ``nodes[x]`` is node x's Dewey ID and
+    ``up[x]`` its parent's number, None for the root.  An entity whose
     parent is already numbered, as most are, takes one lookup.  From any
     other entity the prefixes are walked upward until one is numbered,
     numbering those on the way; a loop, as chains may be thousands of levels
-    deep.  A node is
-    numbered by the first entity below it, its ``lo``, and ``hi`` comes from
-    a second walk, from the last entity up.
+    deep.
     """
 
-    __slots__ = ("deweys", "nodes", "up", "lo", "hi")
+    __slots__ = ("deweys", "nodes", "up")
     deweys: tuple[tuple[int, ...], ...]
     nodes: list[tuple[int, ...]]
     up: list[int | None]
-    lo: array
-    hi: array
 
     def __init__(self, deweys: Iterable[tuple[int, ...]]) -> None:
         self.deweys = deweys = tuple(deweys)
         self.nodes = nodes = list(deweys)
         self.up = up = [None] * len(nodes)
-        self.lo = lo = array("l", range(len(nodes)))
         # an entity is an ancestor of another only if the next one is its descendant
         number = {v: i for i, (v, w) in enumerate(zip(deweys, deweys[1:])) if w[: len(v)] == v}
         for i, v in enumerate(deweys):
@@ -94,14 +88,7 @@ class EntityTable:
                     break  # an entity, or a node whose walk went on up
                 nodes.append(parent)
                 up.append(None)
-                lo.append(i)
                 child = n
-        self.hi = hi = array("l", [0]) * len(nodes)
-        for i in reversed(range(len(deweys))):
-            x = i
-            while x is not None and not hi[x]:
-                hi[x] = i + 1
-                x = up[x]
 
     def dewey_ids(self, numbers: Iterable[int]) -> Iterator[DeweyId]:
         """The nodes of the given tree numbers as ``DeweyId`` objects, in that order.

@@ -157,12 +157,15 @@ def run_query(
     ``evaluate(intent, pool, table=...)`` scores each.  The table is bound
     after the matrix, so a query without intents never builds it.  The
     admitted entries' results and the pool, tree numbers until then, are
-    rendered to Dewey IDs.  ``k`` and ``m`` are checked before any work.
+    rendered to Dewey IDs.  ``k``, ``m`` and ``budget``, None or an int
+    >= 1, are checked before any work.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
+    if budget is not None and (type(budget) is not int or budget < 1):
+        raise ValueError("budget must be an integer >= 1")
     matrix = build_matrix(list(keywords), m, index)
     table = index.entity_table
     topk, stats = run_topk(stream(matrix, index, budget), k, partial(evaluate, table=table))

@@ -18,13 +18,14 @@ the merge is set algebra on the members and their proper ancestors, by
 tree number (``proper_ancestors``) when the evaluator passes the table and
 by Dewey prefix (``proper_prefixes``) when it passes none.  Each member is
 attributed to the intent that inserted it, in one map, so an evicted
-intent's members can be found and dropped.  For the anchor engine the
-members are laid out by their entity spans (``PoolLayout``) once per pool
-version.
+intent's members can be found and dropped.  For the anchor engine alone
+the members are laid out by their entity spans (``PoolLayout``), bisected
+out of the table's sorted entities once per pool version.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, filterfalse
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -152,15 +153,17 @@ class PoolLayout:
 
     ``cuts`` holds three ordinals per member, ordered by the first: ``lo``,
     the start of its strict descendants (``lo + 1`` if the member is itself
-    an entity, else ``lo``) and ``hi``, from its span in
-    ``EntityTable.lo`` and ``hi``, so that the entities of its subtree are
-    ``lo .. hi-1``.  The members form an antichain, so ``cuts`` never
-    falls.  ``prefixes`` holds the members and their proper ancestors, the
-    set the pool's merge tests against, and ``hidden``, ascending, those
-    ancestors that are entities.  ``lists`` is the anchor partition's cache
-    of each segment list cut at this layout (``anchors.partition_areas``),
-    keyed by the list's ``id``; it lives as long as the layout, one pool
-    version.
+    an entity, else ``lo``) and ``hi``: its subtree's entities are
+    ``lo .. hi-1``, found in the table's sorted ``deweys``.  An entity's
+    ``lo`` is its ordinal, another node's where its Dewey ID bisects them;
+    ``hi`` is ``lo + 1`` unless entity ``lo + 1`` lies below the member,
+    and then where the member's next sibling bisects them.  The members
+    form an antichain, so ``cuts`` never falls.  ``prefixes`` holds the
+    members and their proper ancestors, the set the pool's merge tests
+    against, and ``hidden``, ascending, those ancestors that are entities.
+    ``lists`` is the anchor partition's cache of each segment list cut at
+    this layout (``anchors.partition_areas``), keyed by the list's ``id``;
+    it lives as long as the layout, one pool version.
     """
 
     __slots__ = ("cuts", "hidden", "prefixes", "lists")
@@ -172,11 +175,18 @@ class PoolLayout:
     @classmethod
     def build(cls, nodes: Iterable[int], prefixes: frozenset, table: EntityTable) -> "PoolLayout":
         """Lay out the antichain ``nodes``, with ``prefixes`` them and their proper ancestors."""
-        lo, hi = table.lo, table.hi
-        entities = len(table.deweys)
-        cuts = sorted((lo[x], lo[x] + (x < entities), hi[x]) for x in nodes)
+        deweys, tree = table.deweys, table.nodes
+        entities = len(deweys)
+        cuts = []
+        for x in nodes:
+            v = tree[x]
+            lo = x if x < entities else bisect_left(deweys, v)
+            hi = lo + 1
+            if hi < entities and deweys[hi][: len(v)] == v:  # most members span one entity
+                hi = bisect_left(deweys, (*v[:-1], v[-1] + 1), hi)
+            cuts.append((lo, lo + (x < entities), hi))
         hidden = sorted(filter(entities.__gt__, prefixes.difference(nodes)))
-        return cls(tuple(chain.from_iterable(cuts)), tuple(hidden), prefixes)
+        return cls(tuple(chain.from_iterable(sorted(cuts))), tuple(hidden), prefixes)
 
 
 class DiversifiedSet:

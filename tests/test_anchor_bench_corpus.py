@@ -8,8 +8,9 @@ nodes.  The bench indexes only ``item``, so no anchor there has an entity
 ancestor; the same corpus with ``sec`` entities as well reaches the
 partition's exclusion of those ancestors.  A smaller copy of the corpus,
 indexed both ways, pins every engine's ``--stats`` report to recorded
-SHA-256 digests.  The generator is imported read-only from
-``perfbench/corpora.py``.
+SHA-256 digests.  Only the anchor engine lays out the pool's entity
+spans, here and on the toy index.  The generator is imported read-only
+from ``perfbench/corpora.py``.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ from divsearch.cli import render_search_report
 from divsearch.diversify import diversify_baseline
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.parallel import diversify_parallel
+from divsearch.slca import PoolLayout
 from helpers import patch_everywhere
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -152,3 +154,23 @@ def test_reports_match_their_recorded_digests(flat_index, nested_index, labels, 
         report = render_search_report(words, k, m, algo, topk, stats=counts)
         got.append(hashlib.sha256(report.encode()).hexdigest())
     assert tuple(got) == REPORT_DIGESTS[labels, query, k, m]
+
+
+@pytest.mark.parametrize("which", ["toy", "hub"])
+def test_only_the_anchor_engine_lays_out_spans(request, monkeypatch, which):
+    """Entity spans are the anchor engine's work alone: with ``PoolLayout.build``
+    failing, the baseline and parallel engines give their reports as before,
+    on the toy index and on the ``hub`` corpus, and the anchor engine does not."""
+    index = request.getfixturevalue(f"{which}_index")
+    query, k, m = (["database", "query"], 2, 3) if which == "toy" else QUERIES[0]
+    want = diversify_baseline(query, k, m, index)
+    assert want[0].entries
+
+    def failing(*args):
+        raise AssertionError("PoolLayout.build called")
+
+    monkeypatch.setattr(PoolLayout, "build", failing)
+    assert diversify_baseline(query, k, m, index) == want
+    assert diversify_parallel(query, k, m, index) == want
+    with pytest.raises(AssertionError, match="PoolLayout.build called"):
+        diversify_anchored(query, k, m, index)

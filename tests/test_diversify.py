@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from divsearch import diversify
+from divsearch.anchors import diversify_anchored
 from divsearch.diversify import (
     IntentEvaluation,
     diversify_baseline,
@@ -13,6 +15,7 @@ from divsearch.diversify import (
 from divsearch.errors import NoIntentError
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import IntentQuery, Segment, resolve_segment
+from divsearch.parallel import diversify_parallel
 from divsearch.slca import DiversifiedSet, SlcaSet
 from helpers import ids, random_corpus_xml
 
@@ -126,6 +129,20 @@ class TestBaseline:
         # checked before the matrix: no NoIntentError for an unknown keyword
         with pytest.raises(ValueError, match="k must be"):
             diversify_baseline(["zzzz"], 0, 2, toy_index)
+
+    @pytest.mark.parametrize("budget", [0, -1, 1.5, True])
+    @pytest.mark.parametrize("engine", [diversify_baseline, diversify_anchored, diversify_parallel])
+    def test_invalid_budget_is_refused_before_any_work(
+        self, toy_index, monkeypatch, engine, budget
+    ):
+        """Each engine checks ``budget`` as it checks ``k`` and ``m``: before the matrix."""
+
+        def failing(*args):
+            raise AssertionError("build_matrix called")
+
+        monkeypatch.setattr(diversify, "build_matrix", failing)
+        with pytest.raises(ValueError, match="budget must be an integer >= 1"):
+            engine(["database", "query"], 2, 2, toy_index, budget=budget)
 
     def test_budget_limits_evaluations(self, toy_index):
         full, full_stats = diversify_baseline(["database", "query"], 2, 2, toy_index)

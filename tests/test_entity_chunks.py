@@ -37,12 +37,11 @@ def plain_reading(directory):
 
 
 def documented_tree(deweys):
-    """``nodes``, ``up``, ``lo`` and ``hi`` as ``EntityTable`` states them:
-    entity i is node i; walking each entity's prefixes upward, each prefix
-    not yet numbered takes the next number; ``lo`` is the entity whose walk
-    numbered a node, ``hi`` one past the last entity below it."""
+    """``nodes`` and ``up`` as ``EntityTable`` states them: entity i is
+    node i; walking each entity's prefixes upward, each prefix not yet
+    numbered takes the next number."""
     number = {v: i for i, v in enumerate(deweys)}
-    nodes, up, lo = list(deweys), [None] * len(deweys), list(range(len(deweys)))
+    nodes, up = list(deweys), [None] * len(deweys)
     for i, v in enumerate(deweys):
         child = i
         for depth in range(len(v) - 1, 0, -1):
@@ -52,17 +51,15 @@ def documented_tree(deweys):
                 number[parent] = len(nodes)
                 nodes.append(DeweyId(parent))
                 up.append(None)
-                lo.append(i)
             up[child] = number[parent]
             if seen:
                 break
             child = number[parent]
-    hi = [1 + max(j for j, w in enumerate(deweys) if w[: len(v)] == v) for v in nodes]
-    return nodes, up, lo, hi
+    return nodes, up
 
 
 def tree(table):
-    return table.nodes, table.up, list(table.lo), list(table.hi)
+    return table.nodes, table.up
 
 
 def assert_read_as_plain(directory, query):

@@ -1,11 +1,11 @@
 """The ordinal path: entity tables, their numbered trees, and SLCA on a bundle.
 
 ``EntityTable`` numbers every node at or above an entity, an entity by
-its ordinal, and names each node's parent by number and its span of
-entities (``nodes``, ``up``, ``lo`` and ``hi``).  These tests hold the
-tree to a brute-force parent search and the spans to a scan of the
-entities, on chains deep enough that a recursive build would fail, and
-the bundle path to the SLCA oracle on corpora whose entities nest.
+its ordinal, and names each node's parent by number (``nodes`` and
+``up``).  These tests hold the tree to a brute-force parent search and
+the spans ``PoolLayout`` derives from the sorted entities to a scan of
+them, on chains deep enough that a recursive build would fail, and the
+bundle path to the SLCA oracle on corpora whose entities nest.
 """
 
 import random
@@ -17,7 +17,7 @@ from divsearch.errors import NoIntentError
 from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.intents import iter_intents
-from divsearch.slca import compute_slca, proper_ancestors
+from divsearch.slca import PoolLayout, compute_slca, proper_ancestors
 from helpers import (
     Entities,
     ids,
@@ -58,12 +58,19 @@ def assert_tree(table: EntityTable) -> None:
         assert up[x] == (number[v[:-1]] if len(v) > 1 else None)
 
 
-def assert_spans(table: EntityTable) -> None:
-    """Each numbered node's ``[lo, hi)`` is the run of entities a scan finds below it."""
-    nodes, lo, hi = table.nodes, table.lo, table.hi
-    assert len(lo) == len(hi) == len(nodes)
-    for x, v in enumerate(nodes):
-        assert (lo[x], hi[x]) == scan_span(table, v)
+def assert_spans(table: EntityTable) -> tuple[int, int]:
+    """A one-member layout of each numbered node cuts at the run of entities
+    a scan finds below it: ``(lo, lo + 1, hi)`` for an entity, ``(lo, lo, hi)``
+    for a node above the entities.  Returns how many entities hold another
+    and how many nodes lie above the entities."""
+    entities = len(table.deweys)
+    nested = 0
+    for x, v in enumerate(table.nodes):
+        lo, hi = scan_span(table, v)
+        # the prefixes only decide the hidden entities, not read here
+        assert PoolLayout.build((x,), frozenset((x,)), table).cuts == (lo, lo + (x < entities), hi)
+        nested += x < entities and hi > lo + 1
+    return nested, len(table.nodes) - entities
 
 
 def random_entities(rng: random.Random, size: int) -> EntityTable:
@@ -82,10 +89,11 @@ class TestEntityTable:
     def test_spans_match_a_scan(self):
         """On random nested trees and on a 300-level chain with side branches."""
         rng = random.Random(75)
-        for _ in range(60):
-            assert_spans(random_entities(rng, 90))
+        counts = [assert_spans(random_entities(rng, 90)) for _ in range(60)]
+        # both derivations of hi: an entity holding others, and a node above the entities
+        assert sum(nested for nested, _ in counts) > 60 and sum(above for _, above in counts) > 60
         table = Entities.of_tree(deep_chain(300, rng)).table
-        assert_spans(table)
+        assert assert_spans(table) == (299, 0)
         # an anchor at the bottom: every entity above it is hidden
         bottom = max(table.deweys, key=len)
         layout = Entities(table).pool([bottom]).layout(table)
@@ -117,7 +125,7 @@ class TestEntityTable:
         assert nodes[up[0]] == deep[:-1] and up[0] == up[1]
         lists = [(0,), (1,)]
         assert table.render(compute_slca(lists, table).nodes) == (DeweyId(deep[:-1]),)
-        assert_spans(table)
+        assert assert_spans(table) == (0, 5000)
         for anchors in ([deep], [deep[:-1]], [deep, sibling]):
             layout = Entities(table).pool(anchors).layout(table)
             assert (layout.cuts, layout.hidden, layout.prefixes) == scan_layout(table, anchors)
