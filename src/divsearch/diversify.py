@@ -157,8 +157,9 @@ def run_query(
     ``evaluate(intent, pool, table=...)`` scores each.  The table is bound
     after the matrix, so a query without intents never builds it.  The
     admitted entries' results and the pool, tree numbers until then, are
-    rendered to Dewey IDs.  ``k``, ``m`` and ``budget``, None or an int
-    >= 1, are checked before any work.
+    rendered to Dewey IDs, one ``DeweyId`` object for each distinct node.
+    ``k``, ``m`` and ``budget``, None or an int >= 1, are checked before
+    any work.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -170,8 +171,11 @@ def run_query(
     table = index.entity_table
     topk, stats = run_topk(stream(matrix, index, budget), k, partial(evaluate, table=table))
     if topk.entries:  # else the pool is empty too
-        entries = tuple(e._replace(results=SlcaSet(table.render(e.results))) for e in topk.entries)
-        topk = TopK(topk.k, entries, topk.phi.rendered(table))
+        numbers = set(topk.phi).union(*(e.results for e in topk.entries))
+        ids = dict(zip(numbers, table.dewey_ids(numbers)))  # one DeweyId a node, shared
+        get = ids.__getitem__
+        entries = tuple(e._replace(results=SlcaSet(sorted(map(get, e.results)))) for e in topk.entries)
+        topk = TopK(topk.k, entries, topk.phi.rendered(ids))
     return topk, stats
 
 

@@ -8,12 +8,15 @@ with p(x) = |postings(x)| / entityCount and p(x, y) from the co-occurrence
 store.  Pairs never stored co-occurring score exactly 0 and are never
 selected as features; negative-MI pairs (anti-correlated) are excluded too.
 
-A keyword's candidate features are read from ``IndexBundle.neighbours``, so
-the cost of a column follows the keyword's own pairs, not the size of the
-co-occurrence store, and the walk down them stops early.  A pair's count
-never exceeds either term's posting length (``build_index`` counts it so,
-and the loaders refuse any other count), so count * n / (nx * ny) <= n / nx
-and a pair's MI is at most (count / n) * ln(n / nx).  That bound never falls
+A keyword's candidate features are read from ``IndexBundle.neighbours``, a
+flat layout of every term's pairs: the walk reads the keyword's run of
+counts and partner posting lengths in order, and a partner's name only for
+a candidate it keeps.  So the cost of a column follows the keyword's own
+pairs, not the size of the co-occurrence store, and the walk down them
+stops early.  A pair's count never exceeds either term's posting length
+(``build_index`` counts it so, and the loaders refuse any other count), so
+count * n / (nx * ny) <= n / nx and a pair's MI is at most
+(count / n) * ln(n / nx).  That bound never falls
 as the count rises, so once m positive entries are kept a walk in
 count-descending order stops at the first pair whose bound, widened past
 any rounding, is strictly below the m-th best MI: no pair after it can reach
@@ -64,8 +67,8 @@ def mutual_information(x: str, y: str, index: IndexBundle) -> float:
 def top_features(keyword: str, m: int, index: IndexBundle) -> tuple[FeatureEntry, ...]:
     """The m highest-MI partners of ``keyword``, ties broken by name.
 
-    The keyword's pairs are walked in count-descending order, as
-    ``IndexBundle.neighbours`` lists them, and the walk stops at the first
+    The keyword's entries are walked in count-descending order, as
+    ``IndexBundle.neighbours`` lays them out, and the walk stops at the first
     pair whose count bounds its MI strictly below the m-th best MI kept so
     far (see the module docstring).  Pairs of one count share that bound,
     and one of them can raise the m-th best only to its own MI, below the
@@ -77,21 +80,22 @@ def top_features(keyword: str, m: int, index: IndexBundle) -> tuple[FeatureEntry
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    pairs = index.neighbours.get(keyword)
-    if not pairs:
+    neighbours = index.neighbours
+    span = neighbours.spans.get(keyword)
+    if span is None:
         return ()
-    cooccur = index.cooccur
-    postings = index.postings
+    start, stop = span
+    partners = neighbours.partners
     n = index.entity_count
-    nx = len(postings.get(keyword, ()))
+    nx = len(index.postings.get(keyword, ()))
     px = nx / n
     # MI <= count * per_count, widened past any rounding of the MI expression
     per_count = (math.log(n / nx) * (1 + 1e-9) + 1e-12) / n
     floor = math.ulp(0.0)  # the least MI a candidate needs: positive, then the m-th best
     last = 0
     scored: list[tuple[float, str]] = []
-    for pair in pairs:
-        count = cooccur[pair]
+    entries = zip(range(start, stop), neighbours.counts[start:stop], neighbours.lengths[start:stop])
+    for i, count, ny in entries:
         if count != last:
             last = count
             if len(scored) >= m:
@@ -100,12 +104,10 @@ def top_features(keyword: str, m: int, index: IndexBundle) -> tuple[FeatureEntry
                 floor = -scored[-1][0]
                 if count < math.ceil(floor / per_count):  # the least count that can reach it
                     break
-        a, b = pair
-        partner = b if a == keyword else a
         pxy = count / n  # _mi's float expression, with px computed once
-        mi = pxy * math.log(pxy / (px * (len(postings.get(partner, ())) / n)))
+        mi = pxy * math.log(pxy / (px * (ny / n)))
         if mi >= floor:
-            scored.append((-mi, partner))
+            scored.append((-mi, partners[i]))
     scored.sort()
     return tuple(FeatureEntry(keyword, partner, -neg_mi) for neg_mi, partner in scored[:m])
 

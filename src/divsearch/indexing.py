@@ -6,7 +6,8 @@ two index structures every later stage runs on: entity-level postings
 (term -> sorted entity ordinals) and windowed term co-occurrence counts.
 An entity is its Dewey ID, its ordinal its position in the document-ordered
 ``IndexBundle.entities``; ``IndexBundle.labels`` holds its element name at
-that ordinal.  The tree the entities span is built on first use.
+that ordinal.  The tree the entities span, and the flat layout of every
+term's pairs that feature mining walks, are built on first use.
 
 :func:`index_corpus` (and so ``divsearch index``) builds in one pass: the
 parser yields each entity's record once no enclosing entity is open, and
@@ -19,10 +20,13 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from io import BytesIO
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .dewey import EntityTable
@@ -181,6 +185,23 @@ def parse_corpus(data: bytes, config: IndexConfig) -> list[EntityRecord]:
     return list(_records(data, config))
 
 
+class Neighbours(NamedTuple):
+    """The (term, partner) entries of every pair, once under each of its terms.
+
+    Entry i holds the pair's count at ``counts[i]``, the partner's posting
+    length at ``lengths[i]`` and the partner at ``partners[i]``; a term's
+    entries are ``spans[term]``, a ``(start, stop)`` range, and a term with
+    no pair has none.  A walk down a term's entries reads two runs of 4-byte
+    ints in order, and a partner's string only when it wants it.  An entry
+    takes 16 bytes on a 64-bit build: two such ints and a list slot.
+    """
+
+    spans: dict[str, tuple[int, int]]
+    counts: array
+    lengths: array
+    partners: list[str]
+
+
 @dataclass(frozen=True)
 class IndexBundle:
     """Immutable index: entities, their labels, postings, co-occurrence counts, config.
@@ -201,22 +222,32 @@ class IndexBundle:
         return len(self.entities)
 
     @cached_property
-    def neighbours(self) -> dict[str, list[tuple[str, str]]]:
-        """term -> the keys of ``cooccur`` that name it, built on first use.
+    def neighbours(self) -> Neighbours:
+        """Every term's pairs, as one flat :class:`Neighbours` layout, built on first use.
 
-        Each list is in count-descending order, pairs of equal count in
-        ``cooccur``'s order (the sort is stable), so a walk down it meets
+        A term's entries are count-descending, pairs of equal count in
+        ``cooccur``'s order (the sort is stable), so a walk down them meets
         the largest counts first.  One walk over ``cooccur``, sorted once;
-        the lists hold the dict's own key tuples.  A bundle made by
-        ``dataclasses.replace`` builds its own map.
+        the partners are the pairs' own term strings, the postings' own
+        objects, and a partner without postings has length 0.  A bundle
+        made by ``dataclasses.replace`` builds its own layout.
         """
-        cooccur = self.cooccur
-        lists: defaultdict[str, list[tuple[str, str]]] = defaultdict(list)
-        for pair in sorted(cooccur, key=cooccur.__getitem__, reverse=True):
-            a, b = pair
-            lists[a].append(pair)
-            lists[b].append(pair)
-        return dict(lists)
+        partners: defaultdict[str, list[str]] = defaultdict(list)
+        counts: defaultdict[str, list[int]] = defaultdict(list)
+        for (a, b), count in sorted(self.cooccur.items(), key=itemgetter(1), reverse=True):
+            partners[a].append(b)
+            counts[a].append(count)
+            partners[b].append(a)
+            counts[b].append(count)
+        stops = list(accumulate(map(len, partners.values())))
+        flat = [*chain.from_iterable(partners.values())]
+        size = {term: len(ids) for term, ids in self.postings.items()}
+        return Neighbours(
+            dict(zip(partners, zip([0, *stops], stops))),
+            array("I", chain.from_iterable(counts.values())),  # the terms in partners' order
+            array("I", map(size.get, flat, repeat(0))),
+            flat,
+        )
 
     @cached_property
     def entity_table(self) -> EntityTable:

@@ -19,17 +19,18 @@ tree number (``proper_ancestors``) when the evaluator passes the table and
 by Dewey prefix (``proper_prefixes``) when it passes none.  Each member is
 attributed to the intent that inserted it, in one map, so an evicted
 intent's members can be found and dropped.  For the anchor engine alone
-the members are laid out by their entity spans (``PoolLayout``), bisected
-out of the table's sorted entities once per pool version.
+the members are laid out by their entity spans (``PoolLayout``), once per
+pool version; each member's cut is bisected out of the table's sorted
+entities once, and kept while the member stays in the pool.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, filterfalse
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .dewey import EntityTable
+from .dewey import DeweyId, EntityTable
 
 
 class SlcaSet(tuple):
@@ -173,18 +174,27 @@ class PoolLayout:
         self.lists: dict[int, tuple] = {}
 
     @classmethod
-    def build(cls, nodes: Iterable[int], prefixes: frozenset, table: EntityTable) -> "PoolLayout":
-        """Lay out the antichain ``nodes``, with ``prefixes`` them and their proper ancestors."""
+    def build(
+        cls, nodes: Iterable[int], prefixes: frozenset, table: EntityTable, known: dict
+    ) -> "PoolLayout":
+        """Lay out the antichain ``nodes``, with ``prefixes`` them and their proper ancestors.
+
+        ``known`` maps members to their cuts; a member without one gets its
+        cut here, and ``known`` keeps it for the next layout.
+        """
         deweys, tree = table.deweys, table.nodes
         entities = len(deweys)
         cuts = []
         for x in nodes:
-            v = tree[x]
-            lo = x if x < entities else bisect_left(deweys, v)
-            hi = lo + 1
-            if hi < entities and deweys[hi][: len(v)] == v:  # most members span one entity
-                hi = bisect_left(deweys, (*v[:-1], v[-1] + 1), hi)
-            cuts.append((lo, lo + (x < entities), hi))
+            cut = known.get(x)
+            if cut is None:
+                v = tree[x]
+                lo = x if x < entities else bisect_left(deweys, v)
+                hi = lo + 1
+                if hi < entities and deweys[hi][: len(v)] == v:  # most members span one entity
+                    hi = bisect_left(deweys, (*v[:-1], v[-1] + 1), hi)
+                cut = known[x] = (lo, lo + (x < entities), hi)
+            cuts.append(cut)
         hidden = sorted(filter(entities.__gt__, prefixes.difference(nodes)))
         return cls(tuple(chain.from_iterable(sorted(cuts))), tuple(hidden), prefixes)
 
@@ -204,6 +214,7 @@ class DiversifiedSet:
         self._owner: dict = {}
         self._above: frozenset | set | None = None  # the members and their proper ancestors
         self._layout: PoolLayout | None = None
+        self._cuts: dict = {}  # member -> its cut, kept while it stays (PoolLayout.build)
 
     @property
     def nodes(self) -> tuple:
@@ -219,16 +230,18 @@ class DiversifiedSet:
 
         Only ``apply`` and ``remove_intent`` change the pool; both drop the
         built layout, so every intent evaluated in between reuses it, and
-        its prefixes are the set the merge tests against.
+        its prefixes are the set the merge tests against.  They keep the
+        cuts of the members that stay, which the next layout reuses.
         """
         if self._layout is None:
-            self._layout = PoolLayout.build(self._owner, self._members_and_above(table), table)
+            above = self._members_and_above(table)
+            self._layout = PoolLayout.build(self._owner, above, table, self._cuts)
         return self._layout
 
-    def rendered(self, table: EntityTable) -> "DiversifiedSet":
-        """This pool of ``table``'s tree numbers as a pool of their Dewey IDs."""
+    def rendered(self, ids: Mapping[int, DeweyId]) -> "DiversifiedSet":
+        """This pool of tree numbers as a pool of their Dewey IDs, ``ids[x]`` for member x."""
         out = DiversifiedSet()
-        out._owner = dict(zip(table.dewey_ids(self._owner), self._owner.values()))
+        out._owner = dict(zip(map(ids.__getitem__, self._owner), self._owner.values()))
         return out
 
     def __len__(self) -> int:
@@ -263,6 +276,7 @@ class DiversifiedSet:
         self._above = self._layout = None
         for w in outcome.removed:
             del self._owner[w]
+            self._cuts.pop(w, None)
         for v in outcome.inserted:
             self._owner[v] = intent_id
 
@@ -276,6 +290,7 @@ class DiversifiedSet:
         self._above = self._layout = None
         for v in [v for v, owner in self._owner.items() if owner == intent_id]:
             del self._owner[v]
+            self._cuts.pop(v, None)
 
 
 def _proper(nodes: Sequence, table: EntityTable | None) -> frozenset | set:

@@ -52,10 +52,10 @@ A loaded bundle holds the entities' Dewey IDs, plain tuples of ints that
 the garbage collector stops tracking, and their labels as two tuples by
 ordinal, and shares objects between its parts: a cooccur key holds the
 postings' own term strings, and ``labels`` the manifest's own strings, one
-object per distinct label.  The per-term pair lists
-(``IndexBundle.neighbours``) and the entity table
-(``IndexBundle.entity_table``) are not built here but on first use, as for
-a bundle fresh from ``build_index``.
+object per distinct label.  The flat layout of every term's pairs
+(``IndexBundle.neighbours``), whose partners are those same strings, and
+the entity table (``IndexBundle.entity_table``) are not built here but on
+first use, as for a bundle fresh from ``build_index``.
 """
 
 from __future__ import annotations

@@ -15,12 +15,14 @@ from ``perfbench/corpora.py``.
 
 import hashlib
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from divsearch.anchors import diversify_anchored, partition_areas
 from divsearch.cli import render_search_report
+from divsearch.dewey import EntityTable
 from divsearch.diversify import diversify_baseline
 from divsearch.indexing import IndexConfig, index_corpus
 from divsearch.parallel import diversify_parallel
@@ -174,3 +176,24 @@ def test_only_the_anchor_engine_lays_out_spans(request, monkeypatch, which):
     assert diversify_parallel(query, k, m, index) == want
     with pytest.raises(AssertionError, match="PoolLayout.build called"):
         diversify_anchored(query, k, m, index)
+
+
+def test_each_reported_node_is_rendered_once(hub_index, monkeypatch):
+    """The entries' results and the pool share 424 of their 886 nodes on the
+    ``hub`` corpus's ``hub0 hub1`` at k=5, m=5: every engine makes one
+    ``DeweyId`` for each of the 462 distinct nodes, and both hold that object."""
+    made = []
+    dewey_ids = EntityTable.dewey_ids
+
+    def counting(table, numbers):
+        for dewey in dewey_ids(table, numbers):
+            made.append(dewey)
+            yield dewey
+
+    monkeypatch.setattr(EntityTable, "dewey_ids", counting)
+    for engine in ENGINES.values():
+        made.clear()
+        topk, _ = engine(*QUERIES[0], hub_index)
+        reported = [*chain.from_iterable(e.results for e in topk.entries), *topk.phi]
+        assert len(reported) == 886
+        assert len(made) == len(set(reported)) == len({id(v) for v in reported}) == 462

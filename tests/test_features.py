@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -156,25 +157,60 @@ class CountingPairs(dict):
         return super().items()
 
 
-class CountingLookups(dict):
-    """A cooccur dict that counts the pairs looked up in it."""
+class CountingColumn(array):
+    """A layout's counts column that counts the entries a walk reads from it,
+    one by one, also through a slice."""
 
-    def __init__(self, data):
-        super().__init__(data)
-        self.lookups = 0
+    reads = 0
 
-    def __getitem__(self, pair):
-        self.lookups += 1
-        return super().__getitem__(pair)
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        if isinstance(key, slice):
+            return self._walk(got)
+        self.reads += 1
+        return got
+
+    def _walk(self, entries):
+        for count in entries:
+            self.reads += 1
+            yield count
 
 
-def counting_lookups(index):
-    """A copy of ``index`` whose pair lookups are counted, its neighbour
-    lists built, and the count at zero."""
-    counted = dataclasses.replace(index, cooccur=CountingLookups(index.cooccur))
-    counted.neighbours  # a build may sort by count, looking pairs up
-    counted.cooccur.lookups = 0
+def counting_reads(index):
+    """A copy of ``index`` sharing its layout of pairs, built here, whose
+    counts column counts the entries read from it."""
+    counted = dataclasses.replace(index)
+    layout = index.neighbours
+    vars(counted)["neighbours"] = layout._replace(counts=CountingColumn("I", layout.counts))
     return counted
+
+
+def assert_layout(index):
+    """Every pair of ``index`` once under each of its terms, count-descending
+    and then in ``cooccur``'s order, with its count, the partner's posting
+    length and the postings' own partner string; returns how many entries
+    tie with the one before them."""
+    cooccur = index.cooccur
+    place = {pair: i for i, pair in enumerate(cooccur)}
+    own = {id(term) for term in index.postings}
+    layout = index.neighbours
+    assert len(layout.counts) == len(layout.lengths) == len(layout.partners) == 2 * len(cooccur)
+    assert layout.counts.typecode == layout.lengths.typecode == "I"
+    spans = sorted(layout.spans.values())
+    assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+    assert spans[-1][1] == len(layout.partners) and all(start < stop for start, stop in spans)
+    listed = []
+    ties = 0
+    for term, (start, stop) in layout.spans.items():
+        keys = [(term, p) if term < p else (p, term) for p in layout.partners[start:stop]]
+        listed += keys
+        assert list(layout.counts[start:stop]) == [cooccur[key] for key in keys]
+        assert keys == sorted(keys, key=lambda key: (-cooccur[key], place[key]))
+        ties += len(keys) - len(set(layout.counts[start:stop]))
+    assert sorted(listed) == sorted(list(cooccur) * 2)
+    assert all(id(partner) in own for partner in layout.partners)
+    assert list(layout.lengths) == [len(index.postings[p]) for p in layout.partners]
+    return ties
 
 
 class TestAgainstFullScan:
@@ -211,7 +247,7 @@ class TestAgainstFullScan:
 class TestCountBoundStop:
     def test_random_corpora_equal_the_full_scan(self, tmp_path):
         rng = random.Random(30)
-        ties = stops = cases = 0
+        ties = stops = walks = cases = 0
         for i in range(300):
             xml = random_corpus_xml(rng, max_entities=rng.randint(3, 50), vocab_size=rng.randint(3, 40))
             config = IndexConfig(entity_labels=frozenset({"item"}), window=rng.randint(1, 6))
@@ -219,20 +255,24 @@ class TestCountBoundStop:
             save_index(built, tmp_path / f"idx{i}")
             loaded = load_index(tmp_path / f"idx{i}")  # pairs count descending
             for index in (built, loaded):
-                counted = counting_lookups(index)
+                counted = counting_reads(index)
+                column = counted.neighbours.counts
                 for term in sorted(index.postings):
-                    pairs = len(index.neighbours.get(term, ()))
+                    start, stop = index.neighbours.spans.get(term, (0, 0))
+                    pairs = stop - start
                     # the full scan cuts its sorted column at m: one uncut column serves every m
-                    column = full_scan_top_features(term, pairs + 1, index)
+                    full = full_scan_top_features(term, pairs + 1, index)
                     for m in (1, 2, 3, 5, 50):
-                        want = column[:m]
+                        want = full[:m]
                         assert top_features(term, m, index) == want, (i, term, m)
-                        counted.cooccur.lookups = 0
+                        column.reads = 0
                         assert top_features(term, m, counted) == want, (i, term, m)
                         cases += 1
-                        ties += len(column) > m and column[m].mi == column[m - 1].mi
-                        stops += counted.cooccur.lookups < pairs
-        assert ties > 100 and stops > 100, (cases, ties, stops)
+                        ties += len(full) > m and full[m].mi == full[m - 1].mi
+                        assert column.reads <= pairs
+                        stops += column.reads < pairs
+                        walks += column.reads == pairs > 0
+        assert ties > 100 and stops > 100 and walks > 100, (cases, ties, stops, walks)
 
     def test_the_stop_reads_less_of_a_general_term(self):
         sys.path.insert(0, str(PERFBENCH))
@@ -241,10 +281,11 @@ class TestCountBoundStop:
         finally:
             sys.path.remove(str(PERFBENCH))
         config = IndexConfig(entity_labels=frozenset({"item"}))
-        index = counting_lookups(index_corpus(longtail_corpus(6000, 40).xml, config))
-        pairs = len(index.neighbours["g001"])
+        index = counting_reads(index_corpus(longtail_corpus(6000, 40).xml, config))
+        start, stop = index.neighbours.spans["g001"]
         column = top_features("g001", 20, index)
-        assert index.cooccur.lookups < pairs / 2, (index.cooccur.lookups, pairs)
+        reads = index.neighbours.counts.reads
+        assert reads < (stop - start) / 2, (reads, stop - start)
         assert len(column) == 20
         assert column == full_scan_top_features("g001", 20, index)
 
@@ -262,55 +303,53 @@ class TestNoPairScan:
         assert top_features("query", 3, index) == first
         assert pairs.walked == walked
 
-    def test_neighbour_lists_hold_the_pair_keys(self, toy_index):
-        keys = {id(pair) for pair in toy_index.cooccur}
-        listed = [pair for pairs in toy_index.neighbours.values() for pair in pairs]
-        assert all(id(pair) in keys for pair in listed)
-        assert sorted(listed) == sorted(list(toy_index.cooccur) * 2)
-        for term, pairs in toy_index.neighbours.items():
-            assert all(term in pair for pair in pairs)
-
-    @pytest.mark.parametrize("kind", ["build_index", "load_index", "load_for_query", "replace"])
-    def test_neighbour_lists_are_count_descending(self, kind, tmp_path):
+    @pytest.mark.parametrize(
+        "kind", ["toy", "build_index", "load_index", "load_for_query", "replace"]
+    )
+    def test_layout_lists_each_pair_under_both_terms(self, kind, toy_index, tmp_path):
         xml = random_corpus_xml(random.Random(8), max_entities=40, vocab_size=12)
         config = IndexConfig(entity_labels=frozenset({"item"}), window=4)
         built = build_index(parse_corpus(xml, config), config)
         counts = list(built.cooccur.values())
-        assert counts != sorted(counts, reverse=True)  # insertion order: the lists need a sort
+        assert counts != sorted(counts, reverse=True)  # insertion order: the layout needs a sort
         save_index(built, tmp_path / "idx")
-        if kind == "build_index":
+        if kind == "toy":
+            index = toy_index
+        elif kind == "build_index":
             index = built
         elif kind == "load_index":
             index = load_index(tmp_path / "idx")
         elif kind == "load_for_query":
             index = load_for_query(tmp_path / "idx", "w00 w03 w07")[1]
+            assert len(index.cooccur) < len(built.cooccur)
         else:  # pairs in name order
             index = dataclasses.replace(built, cooccur=dict(sorted(built.cooccur.items())))
-        cooccur = index.cooccur
-        place = {pair: i for i, pair in enumerate(cooccur)}
-        keys = {id(pair) for pair in cooccur}
-        listed = [pair for pairs in index.neighbours.values() for pair in pairs]
-        assert all(id(pair) in keys for pair in listed)
-        assert sorted(listed) == sorted(list(cooccur) * 2)
-        ties = 0
-        for term, pairs in index.neighbours.items():
-            assert all(term in pair for pair in pairs)
-            assert pairs == sorted(pairs, key=lambda pair: (-cooccur[pair], place[pair]))
-            ties += len(pairs) - len({cooccur[pair] for pair in pairs})
-        assert ties > 10
+        ties = assert_layout(index)
+        assert ties > 10 or kind == "toy"
 
     def test_replaced_cooccur_gets_its_own_neighbours(self, toy_index):
         assert top_features("image", 5, toy_index)  # fills the cache of toy_index
         other = {pair: count for pair, count in toy_index.cooccur.items() if "image" not in pair}
         other[("language", "relational")] = 1
         replaced = dataclasses.replace(toy_index, cooccur=other)
-        assert "image" not in replaced.neighbours
-        assert ("language", "relational") in replaced.neighbours["language"]
+        assert "image" not in replaced.neighbours.spans
+        start, stop = replaced.neighbours.spans["language"]
+        assert "relational" in replaced.neighbours.partners[start:stop]
+        assert_layout(replaced)
         for term in sorted(toy_index.postings):
             for m in (1, 50):
                 assert top_features(term, m, replaced) == full_scan_top_features(term, m, replaced)
         assert top_features("image", 5, replaced) == ()
         assert top_features("image", 5, toy_index) != ()
+
+    def test_partner_without_postings_fails_as_the_full_scan(self, toy_index):
+        ghost = dataclasses.replace(toy_index, cooccur={**toy_index.cooccur, ("ghost", "query"): 9})
+        start, stop = ghost.neighbours.spans["query"]
+        assert (ghost.neighbours.partners[start], ghost.neighbours.lengths[start]) == ("ghost", 0)
+        with pytest.raises(ZeroDivisionError):
+            full_scan_top_features("query", 5, ghost)
+        with pytest.raises(ZeroDivisionError):
+            top_features("query", 5, ghost)
 
 
 class TestBuildMatrix:

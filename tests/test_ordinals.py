@@ -68,7 +68,8 @@ def assert_spans(table: EntityTable) -> tuple[int, int]:
     for x, v in enumerate(table.nodes):
         lo, hi = scan_span(table, v)
         # the prefixes only decide the hidden entities, not read here
-        assert PoolLayout.build((x,), frozenset((x,)), table).cuts == (lo, lo + (x < entities), hi)
+        layout = PoolLayout.build((x,), frozenset((x,)), table, {})
+        assert layout.cuts == (lo, lo + (x < entities), hi)
         nested += x < entities and hi > lo + 1
     return nested, len(table.nodes) - entities
 

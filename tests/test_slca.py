@@ -111,6 +111,14 @@ def _assert_antichain(nodes):
                 assert not is_ancestor_or_self(a, b)
 
 
+def assert_layout_reuses_cuts(pool, table):
+    """The pool's layout, its cuts kept from earlier versions for the members
+    that stayed, equals one laid out by scans, and only members keep cuts."""
+    layout = pool.layout(table)
+    assert (layout.cuts, layout.hidden, layout.prefixes) == scan_layout(table, table.render(pool))
+    assert pool._cuts.keys() == set(pool)
+
+
 class TestComputeSlca:
     def test_two_lists_meet_in_shared_entity(self):
         got = compute_slca([ids("1.1", "1.2"), ids("1.2", "1.3")])
@@ -296,6 +304,7 @@ class TestMergeDistinct:
                     phi.remove_intent(evicted)
                     numbered.remove_intent(evicted)
                     evictions += phi.nodes != before
+                    assert_layout_reuses_cuts(numbered, table)
                 outcome = phi.preview(fresh)
                 want_nodes, want_inserted, want_removed = _naive_merge(phi.nodes, fresh)
                 assert outcome.inserted == tuple(want_inserted)
@@ -307,8 +316,9 @@ class TestMergeDistinct:
                 phi.apply(outcome, step)
                 numbered.apply(got, step)
                 assert list(phi.nodes) == want_nodes
-                assert numbered.rendered(table) == phi
+                assert numbered.rendered({x: DeweyId(table.nodes[x]) for x in numbered}) == phi
                 non_entity_members += any(x >= len(table.deweys) for x in numbered)
+                assert_layout_reuses_cuts(numbered, table)
         assert evictions > 50, evictions
         assert non_entity_members > 50, non_entity_members
 
