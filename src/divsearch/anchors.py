@@ -8,8 +8,9 @@ without inspection.  The surviving areas' nodes are solved together, in
 one SLCA call per intent over the segments' ancestor sets, and the results
 go through the pool's merge, as the baseline's SLCAs do.  Only they count
 as visited; ``diversify.run_topk`` counts every other input node as pruned.
-It is not a count of reads: :func:`covered_anchor_ancestors` below
-intersects each whole segment list, in C, and those reads are not counted.
+Once a segment's sets are built, no step walks a whole list: the
+partition bisects the lists and copies only the live nodes, and the
+covered count below works on the segments' cover sets.
 
 Node lists hold entity ordinals, and anchors and results tree numbers.
 The pool lays out each version from its members' entity spans
@@ -25,15 +26,16 @@ and no area need yield it, yet it counts toward relevance.  Such results
 are recovered from the only possible candidates, the anchors and their
 ancestors, the set the pool's merge tests against: they go through
 ``compute_slca``'s cover rule and leaf step, ``slca.cover_leaves``, on the
-segments' ancestor sets (:func:`covered_anchor_ancestors`).
+segments' cover sets (:func:`covered_anchor_ancestors`), each step
+iterating the smaller set.
 
 :func:`evaluate_anchored` is the anchor engine's whole evaluation, run
 through the pipeline of every engine, ``diversify.run_query``.  This engine
 reproduces the paper's pruning; it is slower than the baseline in wall
 time, since each pool version still cuts each segment list at every anchor
-up to its stop, and every intent joins its live areas and cuts the anchors'
-ancestry by its lists (README).  The parallel engine scores like the
-baseline and uses only :func:`area_results`, on the intent's whole lists.
+up to its stop, and every intent joins its live areas (README).  The
+parallel engine scores like the baseline and uses only
+:func:`area_results`, on the intent's whole lists' cover sets.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .indexing import IndexBundle
 from .intents import IntentQuery
 from .slca import (
     AncestorSet,
+    CoverSet,
     DiversifiedSet,
     PoolLayout,
     compute_slca,
@@ -137,21 +140,25 @@ def partition_areas(
 
 
 def area_results(
-    lists: Sequence[NodeList], table: EntityTable, ancestors: Sequence[AncestorSet]
+    lists: Sequence[NodeList],
+    table: EntityTable,
+    ancestors: Sequence[AncestorSet] | None = None,
+    *,
+    covers: Sequence[CoverSet] | None = None,
 ) -> tuple[int, ...]:
     """The SLCAs of one area's lists, as the pool's merge will receive them.
 
     ``ancestors`` are the segments' own sets, ``proper_ancestors`` of their
     whole node lists.  The anchor engine's lists hold only live nodes, yet
     the whole lists' sets are exact for every result that covers no anchor
-    (:func:`evaluate_anchored`).
+    (:func:`evaluate_anchored`).  Lists that are whole may come with their
+    ``covers`` instead, and are then not read (``compute_slca``).
     """
-    return compute_slca(lists, table, ancestors).nodes
+    return compute_slca(lists, table, ancestors, covers=covers).nodes
 
 
 def covered_anchor_ancestors(
-    lists: Sequence[NodeList],
-    ancestors: Sequence[AncestorSet],
+    covers: Sequence[CoverSet],
     prefixes: frozenset,
     table: EntityTable,
     new_nodes: Sequence[int],
@@ -161,12 +168,13 @@ def covered_anchor_ancestors(
     Any such result is an anchor or an ancestor of one, so only those
     candidates need testing: ``prefixes``, as ``DiversifiedSet.layout``
     keeps them, closed under ancestors.  They go through ``compute_slca``'s
-    cover rule and leaf step, :func:`cover_leaves`, against every list.  A
-    leaf counts iff it is no proper ancestor of a fresh result
-    ``new_nodes``, as no fresh result equals an anchor or an ancestor of
-    one; with no leaf left, no ancestor set of ``new_nodes`` is built.
+    cover rule and leaf step, :func:`cover_leaves`, against the segments'
+    ``covers``, which reads no list node.  A leaf counts iff it is no
+    proper ancestor of a fresh result ``new_nodes``, as no fresh result
+    equals an anchor or an ancestor of one; with no leaf left, no ancestor
+    set of ``new_nodes`` is built.
     """
-    leaves = cover_leaves(prefixes, zip(lists, ancestors), table)
+    leaves = cover_leaves(prefixes, covers, table)
     if not leaves:
         return 0
     return len(leaves - proper_ancestors(new_nodes, table))
@@ -200,7 +208,8 @@ def evaluate_anchored(
     # above an anchor, which the merge skips; a result below an anchor
     # refines it (the anchor is removed once).
     outcome = pool.preview(results, table)
-    covered = covered_anchor_ancestors(lists, ancestors, layout.prefixes, table, outcome.inserted)
+    covers = [segment.cover for segment in intent.segments]
+    covered = covered_anchor_ancestors(covers, layout.prefixes, table, outcome.inserted)
     return IntentEvaluation(
         relevance=intent_likelihood(intent) * (len(outcome.inserted) + covered),
         outcome=outcome,

@@ -85,9 +85,12 @@ def intent_likelihood(intent: IntentQuery) -> float:
 def evaluate_against_pool(
     intent: IntentQuery, pool: DiversifiedSet, table: EntityTable
 ) -> IntentEvaluation:
-    """Baseline evaluation: full SLCA over complete node lists of ``table`` ordinals."""
+    """Baseline evaluation: full SLCA over complete node lists of ``table`` ordinals.
+
+    The SLCAs come from the segments' cover sets alone; the lists are not read.
+    """
     lists = [segment.node_list for segment in intent.segments]
-    slca = compute_slca(lists, table, [segment.ancestors for segment in intent.segments])
+    slca = compute_slca(lists, table, covers=[segment.cover for segment in intent.segments])
     return IntentEvaluation(
         relevance=intent_likelihood(intent) * len(slca),
         outcome=pool.preview(slca, table),

@@ -7,7 +7,7 @@ segments occurring in more than one intent are marked before evaluation
 starts: the first intent that needs one resolves it against the index,
 later intents reuse the same ``Segment``, and every shared segment is kept
 until the query ends.  Its evaluator scores an intent as the baseline
-does, one SLCA over the intent's whole node lists and their ancestor sets,
+does, one SLCA over the intent's whole node lists from their cover sets,
 through ``evaluate_area``.
 
 ``workers`` is checked and echoed but does not change the work: no thread
@@ -34,7 +34,7 @@ from .diversify import (
 from .features import FeatureEntry, FeatureMatrix
 from .indexing import IndexBundle
 from .intents import IntentQuery, Segment, iter_combinations, resolve_segment
-from .slca import AncestorSet, DiversifiedSet
+from .slca import CoverSet, DiversifiedSet
 
 SegmentKey = tuple[str, str | None]
 
@@ -68,18 +68,19 @@ def plan_shared_segments(key_rows: Iterable[Sequence[SegmentKey]]) -> SharedSegm
 
 
 def evaluate_area(
-    lists: Sequence[NodeList], table: EntityTable, ancestors: Sequence[AncestorSet]
+    lists: Sequence[NodeList], table: EntityTable, covers: Sequence[CoverSet]
 ) -> tuple[int, ...]:
-    """The SLCAs of some node lists; its own name so the bench's tracer can time it."""
-    return area_results(lists, table, ancestors)
+    """The SLCAs of whole node lists from their cover sets; its own name so the
+    bench's tracer can time it."""
+    return area_results(lists, table, covers=covers)
 
 
 def evaluate_whole(
     intent: IntentQuery, pool: DiversifiedSet, table: EntityTable
 ) -> IntentEvaluation:
-    """Baseline scoring: the SLCAs of the intent's whole node lists and their sets."""
+    """Baseline scoring: the SLCAs of the intent's whole node lists, from their cover sets."""
     lists = [segment.node_list for segment in intent.segments]
-    results = evaluate_area(lists, table, [s.ancestors for s in intent.segments])
+    results = evaluate_area(lists, table, [s.cover for s in intent.segments])
     return IntentEvaluation(
         intent_likelihood(intent) * len(results), pool.preview(results, table), sum(map(len, lists)), 0
     )

@@ -5,11 +5,14 @@ sorted node lists: nodes whose subtree contains at least one node from every
 list while no descendant's subtree does.  It is the whole cost of a
 baseline query once segments are shared, so it works on node numbers
 (``EntityTable.nodes``, an entity's being its ordinal) and each list's
-ancestor set (``proper_ancestors``, built once per segment), and
-intersects the sets in C: the nodes covering every list form a subtree
-closed under ancestors, and its leaves are the SLCAs, returned as numbers.
+cover set C(L), the list's members and their proper ancestors
+(``proper_ancestors``), built once per segment.  The nodes covering every
+list are the intersection of those sets, a subtree closed under
+ancestors; its leaves are the SLCAs, returned as numbers.  Each step of
+the intersection runs in C over the smaller of two sets and reads no list.
 That cover rule and leaf step are written once, in ``cover_leaves``, which
-the anchor engine's covered count shares.
+the anchor engine's covered count shares; the anchor engine's live nodes,
+parts of the lists, are solved against the whole lists' ancestor sets.
 ``DiversifiedSet`` accumulates results across accepted intents
 with the merge semantics used for novelty scoring: duplicates and
 ancestors of existing members are dropped, descendants replace the member
@@ -47,6 +50,7 @@ class SlcaSet(tuple):
 
 
 AncestorSet = frozenset  # of node numbers (EntityTable.nodes), see proper_ancestors
+CoverSet = frozenset  # a list's members and their proper ancestors, C(L) = L | P(L)
 
 
 def proper_ancestors(nodes: Sequence[int], table: EntityTable) -> AncestorSet:
@@ -77,57 +81,73 @@ def compute_slca(
     lists: Sequence[Sequence[int]] | Sequence[Sequence[tuple[int, ...]]],
     table: EntityTable | None = None,
     ancestors: Sequence[AncestorSet] | None = None,
+    *,
+    covers: Sequence[CoverSet] | None = None,
 ) -> SlcaSet:
     """SLCA set of one sorted, duplicate-free node list per query segment.
 
     The lists hold ordinals of ``table``'s entities, and the result holds
     tree numbers.  Without a table the lists hold Dewey IDs, a table is
-    built from their union first, and the result is rendered to Dewey IDs.
-    ``ancestors`` holds ``proper_ancestors`` of each list against ``table``;
-    a query builds them once per segment, and without them they are built
-    here.  An empty member list means no node can cover every segment:
-    empty result.
+    built from their union first, and the result is rendered to Dewey IDs;
+    sets are then refused, as they would name nodes of another table.  An
+    empty member list means no node can cover every segment: empty result.
 
-    A node covers list i iff it is in L_i or in P(L_i).  The cover starts
-    as P(L_s) | L_s for the shortest list s, and :func:`cover_leaves` cuts
-    it by each other list and returns its leaves, the SLCAs, here sorted.
-    The work is linear in the lists' total length.
+    A node covers list i iff it is in C(L_i) = L_i | P(L_i).  Given
+    ``covers``, each list's C(L) (``intents.Segment.cover``, built once per
+    segment), the SLCAs are the leaves of their intersection, found by
+    :func:`cover_leaves` without reading a list: each step iterates the
+    smaller set.  Given ``ancestors`` instead, each list's P(L), the lists
+    may be parts of the lists the sets were built from, as the anchor
+    engine's live nodes are: the cover starts as P(L_s) | L_s for the
+    shortest list s and each other list cuts it to (cover & L) |
+    (cover & P(L)), reading every list node.  With neither, the covers are
+    built here.  The SLCAs are returned sorted.
     """
     if not lists:
         raise ValueError("compute_slca requires at least one node list")
+    dewey = table is None
+    if dewey and (ancestors is not None or covers is not None):
+        raise ValueError("compute_slca takes sets only with the table that numbers them")
     if any(not lst for lst in lists):
         return SlcaSet()
-    dewey = table is None
     if dewey:
         nodes = sorted(set().union(*lists))
         table = EntityTable(nodes)
         ordinal = {v: i for i, v in enumerate(nodes)}
         lists = [[ordinal[v] for v in lst] for lst in lists]
-    if ancestors is None:
-        ancestors = [proper_ancestors(lst, table) for lst in lists]
-    pairs = list(zip(lists, ancestors))
-    shortest, above = pairs.pop(min(range(len(lists)), key=lambda i: len(lists[i])))
-    leaves = sorted(cover_leaves(above.union(shortest), pairs, table))
+    if covers is None and ancestors is None:
+        covers = [proper_ancestors(lst, table).union(lst) for lst in lists]
+    if covers is not None:
+        smallest, *others = sorted(covers, key=len)
+        leaves = cover_leaves(smallest, others, table)
+    else:
+        pairs = list(zip(lists, ancestors))
+        shortest, cover = pairs.pop(min(range(len(lists)), key=lambda i: len(lists[i])))
+        cover = cover.union(shortest)
+        for lst, above in pairs:
+            if not cover:
+                break
+            cover = cover.intersection(lst) | (cover & above)
+        leaves = cover_leaves(cover, (), table)
+    leaves = sorted(leaves)
     return SlcaSet(table.render(leaves) if dewey else leaves)
 
 
-def cover_leaves(
-    cover: frozenset, lists: Iterable[tuple[Sequence[int], AncestorSet]], table: EntityTable
-) -> frozenset:
-    """The minimal nodes of ``cover`` that cover every list: the cover rule.
+def cover_leaves(cover: frozenset, covers: Iterable[CoverSet], table: EntityTable) -> frozenset:
+    """The minimal nodes of ``cover`` that lie in every one of ``covers``: the cover rule.
 
     ``cover`` is a set of ``table``'s tree numbers closed under ancestors,
-    and ``lists`` pairs each list L with its P(L).  A node covers L iff it
-    is in L or in P(L), so each list cuts the cover to
-    (cover & L) | (cover & P(L)), set operations that run in C; an empty
-    cover ends the cuts.  What is left is still closed under ancestors, so
-    a member has a descendant in it iff it is the parent of a member; the
-    others are returned.
+    and ``covers`` holds each list's C(L), its members and their proper
+    ancestors, so a node covers a list iff it is in its set.  Each set cuts
+    the cover by one intersection of two sets, which iterates the smaller
+    one and no list; an empty cover ends the cuts.  What is left is still
+    closed under ancestors, so a member has a descendant in it iff it is
+    the parent of a member; the others are returned.
     """
-    for lst, above in lists:
+    for other in covers:
         if not cover:
             break
-        cover = cover.intersection(lst) | (cover & above)
+        cover = cover & other
     up = table.up
     return cover.difference(map(up.__getitem__, cover))
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from divsearch import intents, storage
 from divsearch.dewey import DeweyId, EntityTable
 from divsearch.indexing import EntityRecord
-from divsearch.slca import DiversifiedSet
+from divsearch.slca import DiversifiedSet, proper_ancestors
 
 # Words the tokenizer keeps as they are: two-byte, three-byte and four-byte
 # UTF-8 next to plain ASCII.
@@ -34,6 +34,12 @@ def d(text: str) -> DeweyId:
 
 def ids(*texts: str) -> tuple[DeweyId, ...]:
     return tuple(map(d, texts))
+
+
+def cover_sets(lists, table: EntityTable) -> list[frozenset]:
+    """Each ordinal list's cover set, as a resolved segment carries it: its
+    members and their proper ancestors."""
+    return [proper_ancestors(lst, table).union(lst) for lst in lists]
 
 
 class Entities:

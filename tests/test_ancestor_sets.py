@@ -1,32 +1,40 @@
-"""The set-algebra SLCA: per-segment ancestor sets, intersected in C.
+"""The set-algebra SLCA: per-segment ancestor and cover sets, intersected in C.
 
 The sets name each node by its number in ``EntityTable.nodes``, an entity
 by its ordinal; the brute-force sets here search the numbered nodes for
 every proper prefix of every member, and the tree is held to the same
 search.
 
-``compute_slca(lists, table, ancestors)`` must answer as the SLCA oracle
-does, for every shape of entity table: entities that nest, a root that is
-an entity and a list member, non-entity nodes between entities, and a short
-list against one far longer than the cover it starts.  Without
-``ancestors`` it builds the same sets itself.  Each segment's set is built
-once per query, when the segment is resolved, and never carried over to the
-next query.
+``compute_slca(lists, table, covers=...)``, from each list's cover set
+(its members and their proper ancestors), and ``compute_slca(lists,
+table, ancestors)``, from each list's ancestor set, must answer as the
+SLCA oracle does, for every shape of entity table: entities that nest, a
+root that is an entity and a list member, non-entity nodes between
+entities, and a short list against one far longer than the cover it
+starts.  Without sets it builds the covers itself, and without a table it
+refuses sets, which would name another table's nodes.  Each segment's
+sets are built once per query, when the segment is resolved, shared by
+every intent that uses the segment, and never carried over to the next
+query.
 """
 
 import random
 import sys
 
-from divsearch.anchors import diversify_anchored
+import pytest
+
+from divsearch import slca
+from divsearch.anchors import covered_anchor_ancestors, diversify_anchored
 from divsearch.dewey import DeweyId, EntityTable
 from divsearch.diversify import diversify_baseline
 from divsearch.features import build_matrix
 from divsearch.indexing import IndexConfig, index_corpus
-from divsearch.intents import iter_intents
+from divsearch.intents import iter_intents, resolve_segment
 from divsearch.parallel import diversify_parallel
 from divsearch.slca import compute_slca, proper_ancestors
 from helpers import (
     Entities,
+    cover_sets,
     is_ancestor_or_self,
     patch_everywhere,
     random_corpus_xml,
@@ -46,6 +54,13 @@ def brute_ancestors(table: EntityTable, ordinals) -> frozenset:
         for i in ordinals
         for depth in range(1, len(table.deweys[i]))
     )
+
+
+def both_ways(lists, table):
+    """The SLCAs from the lists' cover sets, asserted equal to those from their ancestor sets."""
+    got = compute_slca(lists, table, covers=cover_sets(lists, table))
+    assert compute_slca(lists, table, [proper_ancestors(lst, table) for lst in lists]) == got
+    return got
 
 
 def random_entities(rng: random.Random, tree: list[DeweyId]) -> Entities:
@@ -117,8 +132,7 @@ class TestSetPath:
             ents = random_entities(rng, tree)
             table = ents.table
             lists = random_ordinal_lists(rng, len(table.deweys))
-            sets = [proper_ancestors(lst, table) for lst in lists]
-            got = compute_slca(lists, table, sets)
+            got = both_ways(lists, table)
             assert table.render(got.nodes) == slca_oracle(tree, [ents.deweys(lst) for lst in lists])
 
             members = [ents.deweys(lst) for lst in lists]
@@ -142,7 +156,7 @@ class TestSetPath:
         """Two entities under a non-entity node meet there."""
         table = EntityTable([DeweyId((1, 1, 1)), DeweyId((1, 1, 2)), DeweyId((1, 2, 1))])
         lists = [(0,), (1, 2)]
-        got = compute_slca(lists, table, [proper_ancestors(lst, table) for lst in lists])
+        got = both_ways(lists, table)
         assert table.render(got.nodes) == (DeweyId((1, 1)),)
         assert got == compute_slca(lists, table)
 
@@ -150,7 +164,7 @@ class TestSetPath:
         ents = Entities.of_tree([DeweyId((1,)), DeweyId((1, 1)), DeweyId((1, 2))])
         table = ents.table
         for lists in ([(1,), (2,)], [(0,), (2,)], [(0,), (0,)], [(0, 1)]):
-            got = compute_slca(lists, table, [proper_ancestors(lst, table) for lst in lists])
+            got = both_ways(lists, table)
             assert table.render(got.nodes) == slca_oracle(
                 table.deweys, [ents.deweys(lst) for lst in lists]
             )
@@ -176,11 +190,42 @@ class TestSetPath:
             count = rng.randint(32 * len(short), size)
             long = tuple(sorted(rng.sample(range(size), count)))
             lists = [short, long] if rng.random() < 0.5 else [long, short]
-            sets = [proper_ancestors(lst, table) for lst in lists]
-            got = compute_slca(lists, table, sets)
+            got = both_ways(lists, table)
             assert table.render(got.nodes) == slca_oracle(tree, [ents.deweys(lst) for lst in lists])
-            far_longer += len(sets[lists.index(short)].union(short)) * 32 < len(long)
+            far_longer += len(proper_ancestors(short, table).union(short)) * 32 < len(long)
         assert far_longer > 100, far_longer
+
+
+class TestSetsNeedTheirTable:
+    """Sets name nodes of the table they were built on, so without a table,
+    when the Dewey-ID lists are numbered afresh, they are refused."""
+
+    def lists_and_table(self):
+        short, long = [DeweyId((1, 1, 2, 1))], [DeweyId((1, 1, 2, 3)), DeweyId((1, 3, 1, 2))]
+        ents = Entities.of_tree([DeweyId((1, 1)), *short, *long])
+        ordinal_lists = [ents.ordinals(short), ents.ordinals(long)]
+        return [short, long], ents.table, ordinal_lists
+
+    def test_with_their_table_they_give_the_slca(self):
+        lists, table, ordinal_lists = self.lists_and_table()
+        got = both_ways(ordinal_lists, table)
+        assert table.render(got.nodes) == compute_slca(lists).nodes == (DeweyId((1, 1, 2)),)
+
+    def test_without_a_table_they_are_refused_before_any_work(self, monkeypatch):
+        """The numbering of the fresh table differs from theirs: (1.1) is an
+        entity there, so the same numbers would give 1.1 and 1.1.2.1."""
+        lists, table, ordinal_lists = self.lists_and_table()
+        covers = cover_sets(ordinal_lists, table)
+        ancestors = [proper_ancestors(lst, table) for lst in ordinal_lists]
+
+        def failing(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(slca, "EntityTable", failing)
+        for given in ({"ancestors": ancestors}, {"covers": covers}, {"ancestors": ancestors, "covers": covers}):
+            for dewey_lists in (lists, [lists[0], []]):
+                with pytest.raises(ValueError, match="sets only with the table that numbers them"):
+                    compute_slca(dewey_lists, None, **given)
 
 
 def omni_index(rng: random.Random):
@@ -208,6 +253,7 @@ class TestBareKeyword:
             assert bare.feature is None
             assert bare.node_list == index.posting("omni")
             assert bare.ancestors == brute_ancestors(index.entity_table, bare.node_list)
+            assert bare.cover == bare.ancestors.union(bare.node_list)
             for k in (1, 3):
                 base, _ = diversify_baseline(["omni", other], k, 4, index)
                 anch, _ = diversify_anchored(["omni", other], k, 4, index)
@@ -220,7 +266,21 @@ class TestBareKeyword:
         assert checked > 40
 
 
+ENGINES = (diversify_baseline, diversify_anchored, diversify_parallel)
+
+
 class TestOncePerQuery:
+    QUERY = ["database", "query"]
+
+    def distinct_segments(self, index) -> set:
+        keys = {
+            intent.segment_keys()
+            for intent in iter_intents(build_matrix(self.QUERY, 3, index), index)
+        }
+        distinct = {key for keys_of in keys for key in keys_of}
+        assert sum(map(len, keys)) > len(distinct)  # intents share segments
+        return distinct
+
     def count_builds(self, monkeypatch) -> list[tuple[int, ...]]:
         built: list[tuple[int, ...]] = []
 
@@ -234,25 +294,59 @@ class TestOncePerQuery:
         return built
 
     def test_built_once_per_distinct_segment_and_again_next_query(self, toy_index, monkeypatch):
-        query = ["database", "query"]
-        keys = {
-            intent.segment_keys()
-            for intent in iter_intents(build_matrix(query, 3, toy_index), toy_index)
-        }
-        distinct = {key for keys_of in keys for key in keys_of}
-        assert sum(map(len, keys)) > len(distinct)  # intents share segments
+        distinct = self.distinct_segments(toy_index)
         built = self.count_builds(monkeypatch)
-        for engine in (diversify_baseline, diversify_anchored, diversify_parallel):
+        for engine in ENGINES:
             del built[:]
-            engine(query, 3, 3, toy_index)
+            engine(self.QUERY, 3, 3, toy_index)
             assert len(built) == len(distinct), engine.__name__
-            engine(query, 3, 3, toy_index)
+            engine(self.QUERY, 3, 3, toy_index)
             assert len(built) == 2 * len(distinct), engine.__name__
+
+    def test_covers_built_once_shared_by_identity_and_again_next_query(self, toy_index, monkeypatch):
+        """Every engine resolves each distinct segment once per query, making
+        its cover there; each intent's SLCA step (baseline, parallel) or
+        covered count (anchor) is handed those very sets, by identity, more
+        times than there are segments; the next query makes new ones."""
+        distinct = self.distinct_segments(toy_index)
+        resolved, handed = [], []
+
+        def resolving(keyword, feature, index):
+            segment = resolve_segment(keyword, feature, index)
+            resolved.append(segment)
+            return segment
+
+        def slca_recording(lists, table=None, ancestors=None, *, covers=None):
+            handed.extend(covers or ())
+            return compute_slca(lists, table, ancestors, covers=covers)
+
+        def covered_recording(covers, *args):
+            handed.extend(covers)
+            return covered_anchor_ancestors(covers, *args)
+
+        patch_everywhere(monkeypatch, resolve_segment, resolving)
+        patch_everywhere(monkeypatch, compute_slca, slca_recording)
+        patch_everywhere(monkeypatch, covered_anchor_ancestors, covered_recording)
+        for engine in ENGINES:
+            previous: list = []  # the last query's segments, kept alive so no id is reused
+            for _ in range(2):
+                del resolved[:], handed[:]
+                engine(self.QUERY, 3, 3, toy_index)
+                assert {(s.keyword, s.feature) for s in resolved} == distinct, engine.__name__
+                covers = {id(s.cover): s for s in resolved}
+                assert len(covers) == len(resolved) == len(distinct), engine.__name__
+                for s in resolved:
+                    assert s.cover == s.ancestors.union(s.node_list)
+                assert {id(c) for c in handed} == set(covers), engine.__name__
+                assert len(handed) > len(distinct), engine.__name__
+                assert not {id(p.cover) for p in previous} & set(covers), engine.__name__
+                previous = resolved[:]
 
     def test_intents_share_one_set_per_segment(self, toy_index):
         by_key = {}
-        for intent in iter_intents(build_matrix(["database", "query"], 3, toy_index), toy_index):
+        for intent in iter_intents(build_matrix(self.QUERY, 3, toy_index), toy_index):
             for segment in intent.segments:
-                first = by_key.setdefault((segment.keyword, segment.feature), segment.ancestors)
-                assert segment.ancestors is first
+                first = by_key.setdefault((segment.keyword, segment.feature), segment)
+                assert segment.ancestors is first.ancestors
+                assert segment.cover is first.cover
         assert len(by_key) > 1

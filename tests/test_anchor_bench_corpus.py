@@ -9,8 +9,10 @@ ancestor; the same corpus with ``sec`` entities as well reaches the
 partition's exclusion of those ancestors.  A smaller copy of the corpus,
 indexed both ways, pins every engine's ``--stats`` report to recorded
 SHA-256 digests.  Only the anchor engine lays out the pool's entity
-spans, here and on the toy index.  The generator is imported read-only
-from ``perfbench/corpora.py``.
+spans, here and on the toy index.  Once a segment's sets are built, no
+engine reads a whole segment list again: the SLCAs of whole lists and the
+anchor engine's covered count come from the segments' cover sets.  The
+generator is imported read-only from ``perfbench/corpora.py``.
 """
 
 import hashlib
@@ -20,13 +22,14 @@ from pathlib import Path
 
 import pytest
 
-from divsearch.anchors import diversify_anchored, partition_areas
+from divsearch.anchors import covered_anchor_ancestors, diversify_anchored, partition_areas
 from divsearch.cli import render_search_report
 from divsearch.dewey import EntityTable
 from divsearch.diversify import diversify_baseline
 from divsearch.indexing import IndexConfig, index_corpus
+from divsearch.intents import resolve_segment
 from divsearch.parallel import diversify_parallel
-from divsearch.slca import PoolLayout
+from divsearch.slca import PoolLayout, compute_slca
 from helpers import patch_everywhere
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -197,3 +200,62 @@ def test_each_reported_node_is_rendered_once(hub_index, monkeypatch):
         reported = [*chain.from_iterable(e.results for e in topk.entries), *topk.phi]
         assert len(reported) == 886
         assert len(made) == len(set(reported)) == len({id(v) for v in reported}) == 462
+
+
+class CountingList(tuple):
+    """A segment's node list that counts its nodes each time it is iterated,
+    the whole list per walk, as ``set.intersection`` walks it in C."""
+
+    __slots__ = ()
+    reads = 0
+
+    def __iter__(self):
+        CountingList.reads += len(self)
+        return super().__iter__()
+
+
+# anchor's (nodes visited, nodes pruned, areas skipped) per query, as recorded
+# while the covered count still read the whole lists
+ANCHOR_STATS = {0: (70350, 12110, 11761), 1: (65509, 16951, 16701), 2: (222678, 17697, 16032)}
+
+
+@pytest.mark.parametrize("which", range(len(QUERIES)))
+def test_no_engine_reads_a_whole_list_once_its_sets_exist(hub_index, monkeypatch, which):
+    """Segment lists are made ``CountingList``s once resolved, so the walks
+    that build their sets are not counted.  The covered count, the SLCA
+    step and each engine's whole query then read no list node; before the
+    covered count took cover sets it read 79,102 of the 82,460 input nodes
+    of ``hub0 hub1`` k=5 m=5.  The anchor engine's work counters are those
+    it reported before."""
+    reads = {}
+
+    def resolving(keyword, feature, index):
+        segment = resolve_segment(keyword, feature, index)
+        return segment._replace(node_list=CountingList(segment.node_list))
+
+    def counted(name, fn):
+        def inner(*args, **kwargs):
+            before = CountingList.reads
+            result = fn(*args, **kwargs)
+            reads[name] = reads.get(name, 0) + CountingList.reads - before
+            return result
+
+        return inner
+
+    CountingList.reads = 0
+    frozenset({1, 7}).intersection(CountingList(range(5)))
+    assert CountingList.reads == 5  # the counter sees a walk made in C
+    patch_everywhere(monkeypatch, resolve_segment, resolving)
+    patch_everywhere(monkeypatch, compute_slca, counted("slca", compute_slca))
+    patch_everywhere(monkeypatch, covered_anchor_ancestors, counted("covered", covered_anchor_ancestors))
+    query, k, m = QUERIES[which]
+    for name, engine in ENGINES.items():
+        CountingList.reads = 0
+        reads.clear()
+        topk, stats = engine(query, k, m, hub_index)
+        assert topk.entries
+        assert CountingList.reads == 0, name
+        assert reads["slca"] == 0, name
+        if name == "anchor":
+            assert reads["covered"] == 0
+            assert tuple(stats) == ANCHOR_STATS[which]

@@ -28,6 +28,7 @@ from divsearch.slca import (
 from helpers import (
     Entities,
     contains_anchor,
+    cover_sets,
     d,
     ids,
     is_ancestor_or_self,
@@ -40,18 +41,13 @@ from helpers import (
 
 
 def make_intent(lists, table) -> IntentQuery:
-    """An intent of the ordinal lists of ``table``'s entities, with their ancestor sets."""
-    segments = tuple(
-        Segment(
-            f"k{i}",
-            f"f{i}",
-            tuple(lst),
-            max(1, len(lst)),
-            proper_ancestors(tuple(lst), table),
-        )
-        for i, lst in enumerate(lists)
-    )
-    return IntentQuery(segments, 0.0)
+    """An intent of the ordinal lists of ``table``'s entities, with their ancestor and cover sets."""
+    segments = []
+    for i, lst in enumerate(lists):
+        above = proper_ancestors(tuple(lst), table)
+        segments.append(Segment(f"k{i}", f"f{i}", tuple(lst), max(1, len(lst)), above, above.union(lst)))
+    return IntentQuery(tuple(segments), 0.0)
+
 
 
 def place(lists, tree=(), anchors=()):
@@ -93,12 +89,11 @@ def partition(lists, anchors, tree=()):
 
 
 def covered(lists, anchors, new_nodes, tree=()):
-    """covered_anchor_ancestors on Dewey lists, with the anchors' layout prefixes."""
+    """covered_anchor_ancestors on Dewey lists' cover sets, with the anchors' layout prefixes."""
     ents, ordinal_lists = place(lists, tree, anchors)
     prefixes = ents.pool(anchors).layout(ents.table).prefixes
-    sets = [proper_ancestors(lst, ents.table) for lst in ordinal_lists]
     fresh = ents.numbers(new_nodes)
-    return covered_anchor_ancestors(ordinal_lists, sets, prefixes, ents.table, fresh)
+    return covered_anchor_ancestors(cover_sets(ordinal_lists, ents.table), prefixes, ents.table, fresh)
 
 
 def split_single(lists, anchor):
@@ -355,10 +350,10 @@ class TestCoveredAnchorAncestors:
                 continue
             ents, ordinal_lists = place(lists, tree, anchors)
             prefixes = ents.pool(anchors).layout(ents.table).prefixes
-            sets = [proper_ancestors(lst, ents.table) for lst in ordinal_lists]
+            covers = cover_sets(ordinal_lists, ents.table)
             fresh = ents.numbers(v for v in compute_slca(lists) if not contains_anchor(v, anchors))
             del calls[:]
-            covered_anchor_ancestors(ordinal_lists, sets, prefixes, ents.table, fresh)
+            covered_anchor_ancestors(covers, prefixes, ents.table, fresh)
             candidates = {a[:n] for a in anchors for n in range(1, len(a) + 1)}
             covering = any(
                 all(any(is_ancestor_or_self(p, v) for v in lst) for lst in lists) for p in candidates

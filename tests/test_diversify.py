@@ -182,7 +182,7 @@ def fake_intent(name: str, agg: float, *sizes: int) -> IntentQuery:
     segments = tuple(
         Segment(
             keyword=f"k{i}", feature=name, node_list=tuple(range(size)),
-            feature_list_size=max(1, size), ancestors=frozenset(),
+            feature_list_size=max(1, size), ancestors=frozenset(), cover=frozenset(),
         )
         for i, size in enumerate(sizes or (0,))
     )

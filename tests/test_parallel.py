@@ -14,8 +14,7 @@ from divsearch.indexing import IndexBundle, IndexConfig, index_corpus
 from divsearch.intents import iter_intents, resolve_segment
 from divsearch import anchors, parallel
 from divsearch.parallel import diversify_parallel, evaluate_area, plan_shared_segments
-from divsearch.slca import proper_ancestors
-from helpers import Entities, count_intersections, ids, patch_everywhere, random_corpus_xml
+from helpers import Entities, count_intersections, cover_sets, ids, patch_everywhere, random_corpus_xml
 
 
 class TestPlanSharedSegments:
@@ -142,11 +141,11 @@ def toy_live(lists, anchors=()):
 
 
 def area_slcas(live, lists):
-    """``evaluate_area`` with the live lists' own ancestor sets, rendered."""
+    """``evaluate_area`` with the live lists' own cover sets, rendered."""
     ents = entities_of(lists)
     table = ents.table
     area = [ents.ordinals(lst) for lst in live]
-    return table.render(evaluate_area(area, table, [proper_ancestors(lst, table) for lst in area]))
+    return table.render(evaluate_area(area, table, cover_sets(area, table)))
 
 
 class TestEvaluateArea:
